@@ -17,7 +17,6 @@ from .algebra import (
     element,
     element_from_operator,
     is_sigma_positive_definite,
-    joint_commutant_dimension,
     left_regular,
     multiply,
     right_regular,

@@ -18,7 +18,7 @@ import numpy as np
 from .cocycles import Cocycle, conjugate_cocycle, regularity, tilde_table
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, NotHermitian
-from .groups import FiniteGroup, centralizer_transversal, conjugacy
+from .groups import FiniteGroup, centralizer_transversal, generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,53 +190,52 @@ def is_sigma_positive_definite(values: np.ndarray, cocycle: Cocycle,
     return min_eig >= -tol.tol_psd * scale, min_eig
 
 
-def _scatter_conjugation_penalty(h: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-    """Subtract K + K* from h where K = X kron conj(X) for monomial X."""
-    n = cols.shape[0]
-    r = np.repeat(np.arange(n), n)
-    s = np.tile(np.arange(n), n)
-    rows = r * n + s
-    kcols = cols[r] * n + cols[s]
-    kvals = vals[r] * np.conj(vals[s])
-    h[rows, kcols] -= kvals
-    h[kcols, rows] -= np.conj(kvals)
+def fixed_space(unitaries: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as rows, of {v : U v = v for every U in the stack}.
 
-
-def joint_commutant_dimension(group: FiniteGroup, cocycle: Cocycle) -> int:
-    """Dimension of {a : a commutes with every lam_sigma(x) and rho_sigmabar(x)}.
-
-    Solved as the nullity of the sum of conjugation penalties, with each
-    candidate null vector verified directly against the generators.
+    ``unitaries`` has shape (m, N, N).  Candidates span the null space of
+    H = sum_U (2 I - U - U^*); each one is kept only if it is fixed by every
+    U directly.  An empty stack fixes the whole space.
     """
-    n = group.order
-    n2 = n * n
-    h = np.zeros((n2, n2), dtype=np.complex128)
-    np.fill_diagonal(h, 4.0 * n)
-    bar = np.conj(cocycle.table)
-    mono = []
-    for x in range(n):
-        mono.append(_left_monomial(group, cocycle.table, x))
-        mono.append(_right_monomial(group, bar, x))
-    for cols, vals in mono:
-        _scatter_conjugation_penalty(h, np.asarray(cols), np.asarray(vals))
-
+    m, size, _ = unitaries.shape
+    s = unitaries.sum(axis=0)
+    h = 2.0 * m * np.eye(size) - s - s.conj().T
     eigvals, eigvecs = np.linalg.eigh(h)
-    scale = max(1.0, float(eigvals[-1]))
-    cand = np.flatnonzero(eigvals < 1e-6 * scale)
+    scale = max(1.0, float(np.abs(eigvals).max()))
+    cand = eigvecs[:, eigvals < 1e-6 * scale]
+    if m:
+        res = np.abs(unitaries @ cand - cand).max(axis=(0, 1))
+        cand = cand[:, res < 1e-7]
+    return cand.T
 
-    count = 0
-    for k in cand:
-        mat = eigvecs[:, k].reshape(n, n)
-        worst = 0.0
-        for cols, vals in mono:
-            xa = vals[:, None] * mat[cols, :]
-            ax = np.empty_like(mat)
-            ax[:, cols] = mat * vals[None, :]
-            worst = max(worst, float(np.abs(xa - ax).max()))
-        if worst < 1e-7:
-            count += 1
-    return count
+
+def sandwich_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stack of a[k] kron conj(b[k]).
+
+    These are the maps A -> a[k] A b[k]^* acting on row-major vec(A).
+    """
+    m = a.shape[0]
+    out = np.einsum("kij,klm->kiljm", a, b.conj())
+    return out.reshape(m, a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
 def center_dimension(group: FiniteGroup, cocycle: Cocycle) -> int:
-    return joint_commutant_dimension(group, cocycle)
+    """Dimension of the center of the twisted group algebra.
+
+    The center is the fixed space of the conjugations a -> lam(x) a lam(x)^*
+    on coefficient vectors, for x in a generating set.  Each one is monomial:
+    lam(x) lam(g) lam(x)^* = sigma(x, g) sigma(xg, x^-1) conj(sigma(x, x^-1))
+    lam(x g x^-1).
+    """
+    n = group.order
+    t = cocycle.table
+    g_all = np.arange(n)
+    gens = generators(group)
+    stack = np.zeros((len(gens), n, n), dtype=np.complex128)
+    for k, x in enumerate(gens):
+        xg = group.cayley[x, g_all]
+        xinv = group.inverse[x]
+        stack[k, group.cayley[xg, xinv], g_all] = (
+            t[x, g_all] * t[xg, xinv] * np.conj(t[x, xinv])
+        )
+    return len(fixed_space(stack))

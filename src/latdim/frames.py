@@ -2,9 +2,13 @@
 
 A system is the orbit of n generator tuples under the diagonal action
 of a lattice on d stacked copies of the representation space.  Frame
-and Riesz bounds come from dense eigenvalue computations; existence
-is decided from the dimension function alone; constructions go
-through an explicit lattice-invariant isometry.
+and Riesz bounds come from dense eigenvalue computations.  Existence
+is decided from the spectrum of the convolution operator Phi of the
+dimension function: twisted convolution by delta_e is the identity, so
+(n/d) delta_e - phi is positive exactly when the largest eigenvalue of
+Phi is at most n/d, and phi - (n/d) delta_e exactly when the smallest
+is at least n/d.  Parseval generators are the canonical tight frame
+S^-1/2 g of a seeded random frame.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_sigma_positive_definite, left_regular
+from .algebra import conv_operator, fixed_space, sandwich_stack
 from .config import DEFAULT_TOL, Tolerances
-from .dimension import ModuleSpec, PhiFunction, phi
+from .dimension import ModuleSpec, PhiFunction, cdim_operator, phi
 from .errors import ConsistencyError, DimensionMismatch, Infeasible
-from .groups import Subgroup
+from .groups import Subgroup, generators
 from .reps import ProjectiveRep
 
 
@@ -54,7 +58,8 @@ class DecisionReport:
     """Existence verdicts for (n, d) from the dimension function.
 
     Witnesses are the minimal eigenvalues of the twisted convolution
-    operators whose positivity is being decided.
+    operators whose positivity is being decided.  ``basis_residual`` is
+    the largest deviation of phi from (n/d) delta_e, reported only.
     """
 
     frame: bool
@@ -145,13 +150,6 @@ def frame_report(
     )
 
 
-def _delta_shifted(fn: PhiFunction, shift: float, sign: float) -> np.ndarray:
-    """sign * (phi - shift * delta_e), as a vector on the lattice."""
-    vals = sign * fn.values.copy()
-    vals[fn.lattice_group.identity] -= sign * shift
-    return vals
-
-
 def existence_decision(
     spec: ModuleSpec,
     n: int,
@@ -162,37 +160,35 @@ def existence_decision(
     """Decide frame/Riesz/basis existence for n generators, d copies.
 
     A frame exists iff (n/d) delta_e - phi is positive definite in the
-    twisted sense; a Riesz sequence iff phi - (n/d) delta_e is; a basis
-    iff phi equals (n/d) delta_e.  Pass a precomputed ``fn`` to reuse
-    the dimension function across several (n, d) cells.
+    twisted sense, i.e. iff the largest eigenvalue of Phi is at most
+    n/d; a Riesz sequence iff phi - (n/d) delta_e is, i.e. iff the
+    smallest is at least n/d; a basis iff both.  Each test allows
+    tol_psd times max(1, largest |eigenvalue| of the shifted operator).
+    Pass a precomputed ``fn`` to reuse the dimension function across
+    several (n, d) cells.
     """
     if fn is None:
         fn = phi(spec)
     ratio = n / d
-    frame_vals = -_delta_shifted(fn, ratio, 1.0)  # (n/d) delta_e - phi
-    riesz_vals = _delta_shifted(fn, ratio, 1.0)  # phi - (n/d) delta_e
-    frame_ok, frame_witness = is_sigma_positive_definite(
-        frame_vals, fn.cocycle, tol
-    )
-    riesz_ok, riesz_witness = is_sigma_positive_definite(
-        riesz_vals, fn.cocycle, tol
-    )
-    basis_residual = float(np.abs(riesz_vals).max())
-    basis = basis_residual < 1e-9
+    eigs = np.linalg.eigvalsh(cdim_operator(fn))
+    frame_witness = ratio - float(eigs[-1])
+    riesz_witness = float(eigs[0]) - ratio
+    slack = tol.tol_psd * max(1.0, abs(frame_witness), abs(riesz_witness))
+    frame = frame_witness >= -slack
+    riesz = riesz_witness >= -slack
+    residual = fn.values.copy()
+    residual[fn.lattice_group.identity] -= ratio
     return DecisionReport(
-        frame_ok, riesz_ok, basis, frame_witness, riesz_witness,
-        basis_residual, spec.dpi_vol, n, d, fn,
+        frame, riesz, frame and riesz, frame_witness, riesz_witness,
+        float(np.abs(residual).max()), spec.dpi_vol, n, d, fn,
     )
 
 
 def riesz_basis_criterion(
     spec: ModuleSpec, n: int, d: int, fn: PhiFunction | None = None
 ) -> bool:
-    """Whether the dimension function is exactly (n/d) at the identity only."""
-    if fn is None:
-        fn = phi(spec)
-    vals = _delta_shifted(fn, n / d, 1.0)
-    return float(np.abs(vals).max()) < 1e-9
+    """Whether a Riesz basis exists: a frame and a Riesz sequence at once."""
+    return existence_decision(spec, n, d, fn=fn).basis
 
 
 def density_check(
@@ -224,31 +220,18 @@ def intertwiner_basis(spec: ModuleSpec) -> np.ndarray:
     Returns shape (m, |lattice|, dim): matrices W with
     W pi(gamma) = lambda(gamma) W for every lattice element, where
     lambda is the twisted left translation on the lattice.  Found as
-    the common fixed space of the unitaries
-    lambda(gamma) kron conj(pi(gamma)), each verified directly.
+    the common fixed space of lambda(gamma) kron conj(pi(gamma)) over
+    a generating set of the lattice.
     """
-    lam = left_regular(spec.lattice_group, spec.restricted_cocycle).matrices
-    elems = list(spec.lattice.elements)
-    pis = spec.rep.matrices[elems]
-    nl = len(elems)
-    dim = spec.rep.dim
-    nn = nl * dim
-    h = np.zeros((nn, nn), dtype=np.complex128)
-    h[np.diag_indices(nn)] = 2.0 * nl
-    for li in range(nl):
-        u = np.kron(lam[li], pis[li].conj())
-        h -= u + u.conj().T
-    eigvals, eigvecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(eigvals).max()))
-    basis = []
-    for i in range(nn):
-        if eigvals[i] >= 1e-6 * scale:
-            break
-        w = eigvecs[:, i].reshape(nl, dim)
-        res = float(np.abs(w @ pis - lam @ w[None, :, :]).max())
-        if res < 1e-7:
-            basis.append(w)
-    return np.array(basis).reshape(len(basis), nl, dim)
+    lat = spec.lattice_group
+    gens = list(generators(lat))
+    deltas = np.eye(lat.order)[gens]  # lambda(x) is convolution by delta_x
+    lam = np.array(
+        [conv_operator(e, spec.restricted_cocycle) for e in deltas]
+    ).reshape(len(gens), lat.order, lat.order)
+    pis = spec.rep.matrices[[spec.lattice.elements[x] for x in gens]]
+    basis = fixed_space(sandwich_stack(lam, pis))
+    return basis.reshape(len(basis), lat.order, spec.rep.dim)
 
 
 def construct_parseval_generators(
@@ -262,12 +245,12 @@ def construct_parseval_generators(
     """Generators of an n-window d-copy Parseval system, shape (n, d, dim).
 
     Requires the existence decision to be positive; raises Infeasible
-    otherwise.  Assembles a generic lattice-invariant map from the
-    stacked rep space into n copies of lattice functions out of the
-    intertwiner basis, makes it an isometry by polar correction, and
-    reads the generators off the rows at the identity.  The result is
-    verified Parseval (and orthonormal in the square case) before it
-    is returned.
+    otherwise.  On a feasible cell a generic system is a frame, so this
+    takes the canonical tight frame S^-1/2 g of a seeded random system,
+    drawing a fresh one (at most 8 times) while the draw is not a frame.
+    S^-1/2 must commute with the lattice action, and the result is
+    verified Parseval before it is returned; on square cells
+    (n |lattice| = d dim) a Parseval system is orthonormal.
     """
     decision = existence_decision(spec, n, d, tol=tol, fn=fn)
     if not decision.frame:
@@ -275,64 +258,27 @@ def construct_parseval_generators(
             f"no frame at n={n}, d={d}: dpi_vol {spec.dpi_vol:.6g}, "
             f"witness {decision.frame_witness:.3e}"
         )
-    basis = intertwiner_basis(spec)
-    m = basis.shape[0]
-    if m == 0:
-        raise ConsistencyError("empty intertwiner space on a feasible cell")
-    lat = spec.lattice_group
-    nl = lat.order
-    dim = spec.rep.dim
-    lam = left_regular(lat, spec.restricted_cocycle).matrices
-    elems = list(spec.lattice.elements)
-    pis = spec.rep.matrices[elems]
-
-    t = None
     for attempt in range(8):
-        rng = np.random.default_rng([seed, attempt, 0xF4A])
-        coeff = rng.normal(size=(n, d, m)) + 1j * rng.normal(size=(n, d, m))
-        # block (i, j) of the candidate map is sum_k coeff[i,j,k] basis[k]
-        t0 = np.einsum("ijk,kgs->igjs", coeff, basis, optimize=True)
-        t0 = t0.reshape(n * nl, d * dim)
-        gram = t0.conj().T @ t0
-        eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-        if eigvals[0] <= 1e-10 * max(1.0, eigvals[-1]):
+        try:
+            # one stream per (seed, attempt)
+            tight, comm_res = tighten(
+                random_system(spec, n, d, seed=8 * seed + attempt), tol
+            )
+            break
+        except Infeasible:
             continue
-        inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-        t = t0 @ inv_sqrt
-        break
-    if t is None:
-        raise ConsistencyError(
-            "no full-rank invariant map found on a feasible cell"
-        )
+    else:
+        raise ConsistencyError("no seeded system is a frame on a feasible cell")
+    if comm_res > 1e-8:
+        raise ConsistencyError(f"commutation residual {comm_res:.3e}")
 
-    iso_res = float(
-        np.abs(t.conj().T @ t - np.eye(d * dim)).max()
-    )
-    if iso_res > 1e-9:
-        raise ConsistencyError(f"isometry residual {iso_res:.3e}")
-    inter_res = 0.0
-    for li in range(nl):
-        big_pi = np.kron(np.eye(d), pis[li])
-        big_lam = np.kron(np.eye(n), lam[li])
-        inter_res = max(
-            inter_res, float(np.abs(t @ big_pi - big_lam @ t).max())
-        )
-    if inter_res > 1e-8:
-        raise ConsistencyError(f"intertwining residual {inter_res:.3e}")
-
-    e_lat = lat.identity
-    gens = np.empty((n, d, dim), dtype=np.complex128)
-    for i in range(n):
-        gens[i] = t[i * nl + e_lat, :].conj().reshape(d, dim)
-
-    sys = multiwindow_system(spec.rep, spec.lattice, gens)
-    report = frame_report(sys, tol=tol)
+    report = frame_report(tight, tol=tol)
     if abs(report.lower - 1.0) > 1e-8 or abs(report.upper - 1.0) > 1e-8:
         raise ConsistencyError(
             f"constructed system is not Parseval: "
             f"bounds ({report.lower!r}, {report.upper!r})"
         )
-    return gens
+    return tight.generators
 
 
 def tighten(sys: MultiwindowSystem, tol: Tolerances = DEFAULT_TOL):

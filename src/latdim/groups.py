@@ -256,6 +256,20 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return subgroup_generated(g, range(g.order))
 
 
+def generators(g: FiniteGroup) -> tuple[int, ...]:
+    """Greedy generating set of at most log2|G| elements.
+
+    Appends the first element outside the current span until the span is
+    everything; each addition at least doubles it.
+    """
+    gens: list[int] = []
+    mask = _closure_mask(g, gens)
+    while not mask.all():
+        gens.append(int(np.argmin(mask)))
+        mask = _closure_mask(g, gens)
+    return tuple(gens)
+
+
 def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[Subgroup]:
     """Every subgroup, found by repeatedly extending known ones by one element."""
     if g.order > bound:
@@ -283,35 +297,21 @@ def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[Subg
 class ConjugacyData:
     classes: tuple[tuple[int, ...], ...]
     class_of: np.ndarray
-    centralizers: tuple[Subgroup, ...]
 
 
 def conjugacy(g: FiniteGroup) -> ConjugacyData:
-    """Conjugacy classes in minimal-representative order, with centralizers."""
+    """Conjugacy classes in minimal-representative order."""
     n = g.order
+    ys = np.arange(n)
     class_of = np.full(n, -1, dtype=np.int64)
     classes: list[tuple[int, ...]] = []
-    centralizers: list[Subgroup] = []
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        k = len(classes)
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            z = frontier.pop()
-            for y in range(n):
-                c = g.conjugate(z, y)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        members = tuple(sorted(orbit))
-        for m in members:
-            class_of[m] = k
-        classes.append(members)
-        commutes = g.cayley[x, :] == g.cayley[:, x]
-        centralizers.append(_subgroup_from_mask(g, commutes))
-    return ConjugacyData(tuple(classes), _freeze(class_of), tuple(centralizers))
+        members = np.unique(g.cayley[g.cayley[g.inverse, x], ys])  # y^-1 x y
+        class_of[members] = len(classes)
+        classes.append(tuple(int(m) for m in members))
+    return ConjugacyData(tuple(classes), _freeze(class_of))
 
 
 def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import left_regular
+from .algebra import fixed_space, left_regular, sandwich_stack
 from .cocycles import Cocycle, conjugate_cocycle, restrict
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     NotIrreducible,
     WindowNotUnit,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_group
+from .groups import FiniteGroup, Subgroup, generators, subgroup_group
 
 
 @dataclass(frozen=True)
@@ -95,37 +95,14 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
     return RepReport(ok, unit_res, comp_res, worst, message)
 
 
-def _commutant_dimension(matrices: np.ndarray) -> int:
-    """Dimension of the algebra commuting with every matrix in the stack.
-
-    Nullity of H = sum_x (2 I - K_x - K_x^*) with K_x = X kron conj(X);
-    a vec'd A satisfies X A = A X for all X exactly on the nullspace.
-    """
-    m, d, _ = matrices.shape
-    n2 = d * d
-    h = np.zeros((n2, n2), dtype=np.complex128)
-    h[np.diag_indices(n2)] = 2.0 * m
-    for x in range(m):
-        k = np.kron(matrices[x], matrices[x].conj())
-        h -= k + k.conj().T
-    eigvals, eigvecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(eigvals).max()))
-    count = 0
-    for i in range(n2):
-        if eigvals[i] >= 1e-6 * scale:
-            break
-        a = eigvecs[:, i].reshape(d, d)
-        res = float(
-            np.abs(matrices @ a - a[None, :, :] @ matrices).max()
-        )
-        if res < 1e-7:
-            count += 1
-    return count
-
-
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
-    """Whether the commutant is trivial, plus its actual dimension."""
-    cdim = _commutant_dimension(rep.matrices)
+    """Whether the commutant is trivial, plus its actual dimension.
+
+    A vec'd A commutes with X exactly when it is fixed by X kron conj(X),
+    and commuting with a generating set means commuting with every matrix.
+    """
+    mats = rep.matrices[list(generators(rep.group))]
+    cdim = len(fixed_space(sandwich_stack(mats, mats)))
     if cdim < 1:
         raise ConsistencyError("commutant lost the identity operator")
     return cdim == 1, cdim

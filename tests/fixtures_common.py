@@ -30,18 +30,20 @@ GROUP_NAMES = (
 WH_BASES = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6")
 
 
+def _atom(token):
+    if token == "Q8":
+        return quaternion()
+    builders = {"Z": build_cyclic, "S": symmetric_group, "D": dihedral}
+    return builders[token[0]](int(token[1:]))
+
+
 @cache
 def group(name):
-    if name == "S3":
-        return symmetric_group(3)
-    if name == "D4":
-        return dihedral(4)
-    if name == "Q8":
-        return quaternion()
-    parts = [build_cyclic(int(p[1:])) for p in name.split("x")]
-    g = parts[0]
-    for h in parts[1:]:
-        g = direct_product(g, h)
+    """Direct product of builtin tokens joined by x, e.g. D4xZ2xZ2."""
+    g = None
+    for token in name.split("x"):
+        h = _atom(token)
+        g = h if g is None else direct_product(g, h)
     return g
 
 

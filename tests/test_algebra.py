@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
+    Cocycle,
     adjoint,
     build_cyclic,
     center_dimension,
@@ -21,6 +22,8 @@ from latdim import (
     twisted_convolution,
     verify_commutant,
 )
+
+from latdim.algebra import fixed_space
 
 from fixtures_common import cocycle_fixtures, group, pauli_product, tf
 
@@ -267,7 +270,9 @@ def test_sigma_psd_iff_operator_psd(seed):
         assert got == direct
 
 
-@pytest.mark.parametrize("name, want", [("Z1", 1), ("Z5", 5), ("S3", 3), ("D4", 5), ("Q8", 5)])
+@pytest.mark.parametrize("name, want", [
+    ("Z1", 1), ("Z5", 5), ("S3", 3), ("D4", 5), ("Q8", 5), ("S4", 5), ("D4xZ2xZ2", 20),
+])
 def test_center_dimension_trivial_cocycle(name, want):
     g = group(name)
     assert center_dimension(g, trivial(g)) == want
@@ -283,3 +288,30 @@ def test_center_dimension_counts_regular_classes():
     g, coc = pauli_product()
     reg = regularity(coc)
     assert center_dimension(g, coc) == int(reg.regular_classes.sum())
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_center_dimension_under_gauge_twist(label, coc):
+    # multiplying by a coboundary f(x) f(y) / f(xy) changes no center
+    g = coc.group
+    f = np.exp(2j * np.pi * np.random.default_rng(5).random(g.order))
+    f[g.identity] = 1.0
+    twisted = Cocycle(g, coc.table * np.outer(f, f) / f[g.cayley], label="gauged")
+    want = int(regularity(twisted).regular_classes.sum())
+    assert center_dimension(g, twisted) == center_dimension(g, coc) == want
+
+
+def test_fixed_space_empty_stack_is_whole_space():
+    basis = fixed_space(np.zeros((0, 3, 3), dtype=np.complex128))
+    assert np.abs(basis @ basis.conj().T - np.eye(3)).max() < 1e-12
+
+
+def test_fixed_space_of_cyclic_shift_is_constants():
+    shift = np.roll(np.eye(4), 1, axis=0)[None].astype(np.complex128)
+    basis = fixed_space(shift)
+    assert basis.shape == (1, 4)
+    assert np.abs(np.abs(basis[0]) - 0.5).max() < 1e-12
+    # a phased shift whose phases multiply to -1 fixes nothing
+    phased = shift.copy()
+    phased[0, 0, 3] = -1.0
+    assert fixed_space(phased).shape == (0, 4)

@@ -186,6 +186,24 @@ def test_construct_parseval(capsys):
     assert float(hi) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("base", ["Z12", "Z16"])
+def test_construct_full_lattice_of_large_groups(capsys, base):
+    rc, out, _ = run(
+        capsys,
+        "construct",
+        "--group", f"{base}x{base}",
+        "--cocycle", "weyl-heisenberg",
+        "--n", "1",
+        "--d", "1",
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "parseval ok"
+    _, lo, hi = lines[1].split()
+    assert float(lo) == pytest.approx(1.0, abs=1e-8)
+    assert float(hi) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_construct_deterministic(capsys, tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")

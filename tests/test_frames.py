@@ -5,6 +5,7 @@ from latdim import (
     DimensionMismatch,
     FrameReport,
     Infeasible,
+    all_subgroups,
     build_cyclic,
     construct_parseval_generators,
     density_check,
@@ -16,13 +17,14 @@ from latdim import (
     intertwiner_basis,
     make_module_spec,
     multiwindow_system,
+    phi,
     random_system,
     riesz_basis_criterion,
     subgroup_generated,
     tighten,
 )
 
-from fixtures_common import tf, trivial_irrep
+from fixtures_common import pauli_product_irrep, tf, trivial_irrep
 
 
 def _wh_spec(base="Z2", lattice=None):
@@ -246,3 +248,26 @@ def test_nonabelian_fixture_construction():
     else:
         with pytest.raises(Infeasible):
             construct_parseval_generators(spec, 1, 1, seed=0)
+
+
+@pytest.mark.parametrize("label", ["s3-pauli", "D4", "Q8"])
+def test_construction_on_every_nonabelian_cell(label):
+    rep = pauli_product_irrep() if label == "s3-pauli" else trivial_irrep(label)
+    for sub in all_subgroups(rep.group):
+        spec = make_module_spec(rep, sub)
+        fn = phi(spec)
+        for n in (1, 2):
+            for d in (1, 2):
+                decision = existence_decision(spec, n, d, fn=fn)
+                if not decision.frame:
+                    with pytest.raises(Infeasible):
+                        construct_parseval_generators(spec, n, d, fn=fn)
+                    continue
+                gens = construct_parseval_generators(spec, n, d, seed=1, fn=fn)
+                sys = multiwindow_system(rep, sub, gens)
+                rep_out = frame_report(sys)
+                assert abs(rep_out.lower - 1.0) < 1e-8
+                assert abs(rep_out.upper - 1.0) < 1e-8
+                if decision.basis:
+                    g = gram_matrix(sys)
+                    assert np.abs(g - np.eye(g.shape[0])).max() < 1e-8

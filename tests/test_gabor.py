@@ -88,14 +88,6 @@ def test_scan_with_construction(base):
     assert audit_rows(rows) == []
 
 
-def test_scan_threads_match_serial(monkeypatch):
-    t = tf("Z4")
-    serial = gabor_scan(t, n_max=2, d_max=2)
-    monkeypatch.setenv("LATDIM_THREADS", "2")
-    threaded = gabor_scan(t, n_max=2, d_max=2)
-    assert threaded == serial
-
-
 def test_superframe_full_copies_is_orthonormal_basis():
     t = tf("Z3")
     demo = superframe_demo(t, d=3, seed=1)

@@ -23,7 +23,7 @@ from latdim import (
     symmetric_group,
     trivial_subgroup,
 )
-from latdim.groups import abelian_basis, right_transversal
+from latdim.groups import abelian_basis, generators, right_transversal
 
 from fixtures_common import GROUP_NAMES, group
 
@@ -80,8 +80,28 @@ def test_conjugacy_centralizer_orders():
     """|class| * |centralizer| = |G| for every class representative."""
     g = symmetric_group(3)
     cj = conjugacy(g)
-    for members, cent in zip(cj.classes, cj.centralizers):
-        assert len(members) * cent.order == g.order
+    for members in cj.classes:
+        x = members[0]
+        centralizer_order = int((g.cayley[x] == g.cayley[:, x]).sum())
+        assert len(members) * centralizer_order == g.order
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4",))
+def test_conjugacy_classes_are_direct_orbits(name):
+    g = group(name)
+    cj = conjugacy(g)
+    for x in range(g.order):
+        orbit = tuple(sorted({g.conjugate(x, y) for y in range(g.order)}))
+        assert cj.classes[cj.class_of[x]] == orbit
+    assert [c[0] for c in cj.classes] == sorted(c[0] for c in cj.classes)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "D4xZ2xZ2"))
+def test_generators_span_within_log_bound(name):
+    g = group(name)
+    gens = generators(g)
+    assert 2 ** len(gens) <= g.order
+    assert subgroup_generated(g, gens).order == g.order
 
 
 def test_from_cayley_table_errors():

@@ -10,12 +10,13 @@ property of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import conv_operator, right_regular
-from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict, tilde_table
+from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -58,7 +59,8 @@ class PhiFunction:
     ``values[gamma]`` is phi at lattice index gamma; the associated
     positive operator is twisted convolution by ``values`` over
     ``cocycle``.  ``regular`` flags lattice elements whose conjugacy
-    class is cocycle-regular; phi vanishes off those.
+    class is cocycle-regular; phi vanishes off those.  ``values`` is
+    read-only, so the spectrum of that operator is computed once.
     """
 
     values: np.ndarray
@@ -66,6 +68,14 @@ class PhiFunction:
     cocycle: Cocycle
     lattice_group: FiniteGroup
     regular: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.values.setflags(write=False)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of twisted convolution by phi."""
+        return np.linalg.eigvalsh(cdim_operator(self))
 
 
 def random_window(dim: int, seed: int) -> np.ndarray:
@@ -122,8 +132,9 @@ def phi(spec: ModuleSpec) -> PhiFunction:
         phi(gamma) = (d_pi / k) * sum_y conj(tilde(gamma, y))
                         * <window, pi(y^-1 gamma y) window>
 
-    where k is the class size, tilde is the conjugation-twisted form
-    of the full cocycle, and y runs over representatives of the right
+    where k is the class size, tilde(gamma, y) = sigma(gamma, y)
+    conj(sigma(y, y^-1 gamma y)) is the conjugation-twisted form of
+    the full cocycle, and y runs over representatives of the right
     cosets of the centralizer of gamma (taken in the lattice) inside
     the big group.  Off regular classes phi is zero.
     """
@@ -138,7 +149,7 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     regular_mask = regular_class[reg.conjugacy.class_of]
 
     w = _window_diagonal(spec)
-    tt = tilde_table(spec.rep.cocycle)
+    sigma = spec.rep.cocycle.table
     values = np.zeros(nl, dtype=np.complex128)
     for li in range(nl):
         cid = reg.conjugacy.class_of[li]
@@ -151,7 +162,8 @@ def phi(spec: ModuleSpec) -> PhiFunction:
         cent = elems[comm]
         ts = np.asarray(right_transversal(g, cent), dtype=np.int64)
         conj_t = g.cayley[g.cayley[g.inverse[ts], gamma], ts]
-        values[li] = (d_pi / k) * np.sum(np.conj(tt[gamma, ts]) * w[conj_t])
+        tilde = sigma[gamma, ts] * np.conj(sigma[ts, conj_t])
+        values[li] = (d_pi / k) * np.sum(np.conj(tilde) * w[conj_t])
 
     dpi_vol = spec.dpi_vol
     if abs(values[lat.identity] - dpi_vol) > 1e-9 * max(1.0, dpi_vol):

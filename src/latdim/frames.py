@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import conv_operator, fixed_space, sandwich_stack
 from .config import DEFAULT_TOL, Tolerances
-from .dimension import ModuleSpec, PhiFunction, cdim_operator, phi
+from .dimension import ModuleSpec, PhiFunction, phi
 from .errors import ConsistencyError, DimensionMismatch, Infeasible
 from .groups import Subgroup, generators
 from .reps import ProjectiveRep
@@ -164,13 +164,13 @@ def existence_decision(
     n/d; a Riesz sequence iff phi - (n/d) delta_e is, i.e. iff the
     smallest is at least n/d; a basis iff both.  Each test allows
     tol_psd times max(1, largest |eigenvalue| of the shifted operator).
-    Pass a precomputed ``fn`` to reuse the dimension function across
-    several (n, d) cells.
+    Pass a precomputed ``fn`` to reuse the dimension function, and the
+    one eigensolve cached on it, across several (n, d) cells.
     """
     if fn is None:
         fn = phi(spec)
     ratio = n / d
-    eigs = np.linalg.eigvalsh(cdim_operator(fn))
+    eigs = fn.spectrum
     frame_witness = ratio - float(eigs[-1])
     riesz_witness = float(eigs[0]) - ratio
     slack = tol.tol_psd * max(1.0, abs(frame_witness), abs(riesz_witness))

@@ -85,7 +85,8 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
     """Build a group from a full multiplication table, validating every axiom.
 
     Raises NotLatinSquare, NoIdentity or NotAssociative naming the first
-    violating row or triple.
+    violating row or triple, and BoundExceeded above SUBGROUP_ENUM_BOUND
+    elements, the largest group the package works with.
     """
     cay = np.asarray(table, dtype=np.int64)
     if cay.ndim != 2 or cay.shape[0] != cay.shape[1]:
@@ -93,6 +94,8 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
     n = cay.shape[0]
     if n == 0:
         raise InputError("empty table")
+    if n > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(f"group order {n} exceeds {SUBGROUP_ENUM_BOUND}")
     if cay.min() < 0 or cay.max() >= n:
         raise InputError("table entries must be element indices in 0..order-1")
 
@@ -109,11 +112,12 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
         raise NoIdentity("no two-sided identity element")
     identity = id_candidates[0]
 
-    left = cay[cay]          # left[x, y, z] = (x*y)*z
-    right = cay[:, cay]      # right[x, y, z] = x*(y*z)
-    if not np.array_equal(left, right):
-        x, y, z = map(int, np.argwhere(left != right)[0])
-        raise NotAssociative(f"(x*y)*z != x*(y*z) at triple ({x}, {y}, {z})")
+    for x in range(n):  # one left factor at a time keeps memory O(n^2)
+        left = cay[cay[x]]   # left[y, z] = (x*y)*z
+        right = cay[x][cay]  # right[y, z] = x*(y*z)
+        if not np.array_equal(left, right):
+            y, z = map(int, np.argwhere(left != right)[0])
+            raise NotAssociative(f"(x*y)*z != x*(y*z) at triple ({x}, {y}, {z})")
 
     inverse = np.argmax(cay == identity, axis=1).astype(np.int64)
     return FiniteGroup(n, _freeze(cay), identity, _freeze(inverse), label)
@@ -216,24 +220,29 @@ def _coset_transversal(g: FiniteGroup, elems: np.ndarray) -> tuple[int, ...]:
     """One representative per left coset that also hits each right coset once.
 
     Within a double coset H x H every left coset meets every right coset, and
-    the two families have equal cardinalities there, so pairing them in
-    min-representative order always succeeds. The chosen set therefore
-    satisfies both partition identities needed downstream.
+    the two families have equal cardinalities there, so pairing the k-th
+    smallest left coset id with the k-th smallest right coset id always
+    succeeds; each pair contributes its least common element. The chosen set
+    therefore satisfies both partition identities needed downstream.
     """
+    n = g.order
     lc = g.cayley[:, elems].min(axis=1)            # id of x*H
     rc = g.cayley[elems, :].min(axis=0)            # id of H*x
     dc = rc[g.cayley[:, elems]].min(axis=1)        # id of H*x*H
-    out = []
-    for d in np.unique(dc):
-        members = np.flatnonzero(dc == d)
-        lcs = np.unique(lc[members])
-        rcs = np.unique(rc[members])
-        if len(lcs) != len(rcs):
-            raise ConsistencyError("double coset with unbalanced coset counts")
-        for lval, rval in zip(lcs, rcs):
-            cand = members[(lc[members] == lval) & (rc[members] == rval)]
-            out.append(int(cand.min()))
-    return tuple(sorted(out))
+
+    def rank(ids):
+        """Rank of each element's coset id among the ids of its double coset."""
+        keys = np.unique(dc * n + ids)
+        at = np.searchsorted(keys, dc * n + ids)
+        return at - np.searchsorted(keys, dc * n), np.bincount(keys // n, minlength=n)
+
+    lrank, lcount = rank(lc)
+    rrank, rcount = rank(rc)
+    if not np.array_equal(lcount, rcount):
+        raise ConsistencyError("double coset with unbalanced coset counts")
+    paired = np.flatnonzero(lrank == rrank)
+    _, first = np.unique(lc[paired], return_index=True)
+    return tuple(sorted(int(x) for x in paired[first]))
 
 
 def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
@@ -270,24 +279,68 @@ def generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _cyclic_generators(g: FiniteGroup) -> list[int]:
+    """The least generator of each cyclic subgroup, in increasing order."""
+    seen: set[bytes] = set()
+    out = []
+    for x in range(g.order):
+        mask = np.zeros(g.order, dtype=bool)
+        acc = x
+        while not mask[acc]:
+            mask[acc] = True
+            acc = int(g.cayley[acc, x])
+        key = mask.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(x)
+    return out
+
+
+def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Mask of the subgroup generated by H (``mask``, ``elems``) and ``gens``.
+
+    ``gens`` generates H together with its last entry x, which lies outside
+    H. Starting from H and its coset H x, every new element is multiplied
+    on the right by the generators until nothing new appears; in a finite
+    group the products reached that way are the whole join.
+    """
+    mask = mask.copy()
+    new = g.cayley[elems, gens[-1]]
+    while new.size:
+        mask[new] = True
+        hit = np.zeros_like(mask)
+        hit[g.cayley[new[:, None], gens]] = True
+        new = np.flatnonzero(hit & ~mask)
+    return mask
+
+
 def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[Subgroup]:
-    """Every subgroup, found by repeatedly extending known ones by one element."""
+    """Every subgroup, by cyclic extension, ordered by (order, elements).
+
+    Every subgroup is a join of cyclic subgroups, so growing each known
+    subgroup H by one generator x of each cyclic subgroup outside it
+    reaches them all (Neubueser 1960). Since join(H, x) = join(H, hx) for
+    h in H, only the first such x of each right coset H x is tried.
+    """
     if g.order > bound:
         raise BoundExceeded(f"subgroup enumeration requires order <= {bound}, got {g.order}")
+    cyclic = _cyclic_generators(g)
     triv = _closure_mask(g, [])
     seen = {triv.tobytes(): triv}
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            outside = np.flatnonzero(~mask)
-            for x in outside:
-                grown = _closure_mask(g, list(np.flatnonzero(mask)) + [int(x)])
-                key = grown.tobytes()
-                if key not in seen:
-                    seen[key] = grown
-                    nxt.append(grown)
-        frontier = nxt
+    queue: list[tuple[np.ndarray, tuple[int, ...]]] = [(triv, ())]
+    for mask, gens in queue:  # appended to while it is walked
+        elems = np.flatnonzero(mask)
+        tried = mask.copy()
+        for x in cyclic:
+            if tried[x]:
+                continue
+            tried[g.cayley[elems, x]] = True
+            grown_gens = gens + (x,)
+            grown = _join(g, mask, elems, np.asarray(grown_gens))
+            key = grown.tobytes()
+            if key not in seen:
+                seen[key] = grown
+                queue.append((grown, grown_gens))
     subs = [_subgroup_from_mask(g, m) for m in seen.values()]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs

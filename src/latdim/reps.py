@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,9 @@ class ProjectiveRep:
 
     ``matrices`` has shape (order, dim, dim); row x holds the unitary
     assigned to group element x.  Multiplying two of them picks up the
-    cocycle: pi(x) pi(y) = sigma(x, y) pi(x y).
+    cocycle: pi(x) pi(y) = sigma(x, y) pi(x y).  The stack is made
+    read-only on construction, which is what lets derived data such as
+    the commutant dimension be computed once per rep.
     """
 
     group: FiniteGroup
@@ -32,8 +35,22 @@ class ProjectiveRep:
     dim: int
     matrices: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.matrices.setflags(write=False)
+
     def matrix(self, x: int) -> np.ndarray:
         return self.matrices[x]
+
+    @cached_property
+    def commutant_dim(self) -> int:
+        """Dimension of the commutant, as the fixed space of X kron conj(X).
+
+        A vec'd A commutes with X exactly when it is fixed by X kron
+        conj(X), and commuting with a generating set means commuting
+        with every matrix.
+        """
+        mats = self.matrices[list(generators(self.group))]
+        return len(fixed_space(sandwich_stack(mats, mats)))
 
 
 @dataclass(frozen=True)
@@ -48,7 +65,8 @@ class RepReport:
 def projective_rep(
     group: FiniteGroup, cocycle: Cocycle, matrices: np.ndarray
 ) -> ProjectiveRep:
-    matrices = np.ascontiguousarray(np.asarray(matrices, dtype=np.complex128))
+    # a copy, so the caller's array neither aliases nor loses write access
+    matrices = np.array(matrices, dtype=np.complex128, order="C")
     if matrices.ndim != 3 or matrices.shape[0] != group.order:
         raise DimensionMismatch(
             f"expected ({group.order}, d, d) matrix stack, got {matrices.shape}"
@@ -61,7 +79,15 @@ def projective_rep(
 
 
 def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport:
-    """Check unitarity of every matrix and the twisted composition law."""
+    """Check unitarity of every matrix and the twisted composition law.
+
+    The law is checked for every x against the generators s (and the
+    identity), together with the cocycle identity
+    sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) on the same s;
+    by induction on the word length of y these two imply
+    pi(x) pi(y) = sigma(x, y) pi(xy) for every pair.  Only when that
+    check fails are all pairs multiplied, to locate the worst one.
+    """
     g = rep.group
     mats = rep.matrices
     d = rep.dim
@@ -71,16 +97,21 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
         r = float(np.abs(mats[x].conj().T @ mats[x] - eye).max())
         unit_res = max(unit_res, r)
 
-    comp_res = 0.0
-    worst = (0, 0)
-    for x in range(g.order):
-        lhs = mats[x] @ mats  # (order, d, d)
-        rhs = rep.cocycle.table[x][:, None, None] * mats[g.cayley[x]]
-        r = np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
-        y = int(r.argmax())
-        if r[y] > comp_res:
-            comp_res = float(r[y])
-            worst = (x, y)
+    t = rep.cocycle.table
+    comp_res, worst, coc_res = 0.0, (0, 0), 0.0
+    for s in (g.identity,) + generators(g):
+        # pi(x) pi(s) = sigma(x, s) pi(xs) for every x
+        r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
+        r = r.reshape(g.order, -1).max(axis=1)
+        x = int(r.argmax())
+        if r[x] > comp_res:
+            comp_res, worst = float(r[x]), (x, s)
+        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every x, y
+        coc = t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]
+        coc_res = max(coc_res, float(np.abs(coc).max()))
+
+    if comp_res > tol.tol_id or coc_res > tol.tol_id:
+        comp_res, worst = _worst_pair(rep)
 
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
     if not ok:
@@ -95,14 +126,26 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
     return RepReport(ok, unit_res, comp_res, worst, message)
 
 
-def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
-    """Whether the commutant is trivial, plus its actual dimension.
+def _worst_pair(rep: ProjectiveRep) -> tuple[float, tuple[int, int]]:
+    """Largest composition-law residual over all pairs, and where it sits."""
+    g = rep.group
+    mats = rep.matrices
+    comp_res = 0.0
+    worst = (0, 0)
+    for x in range(g.order):
+        lhs = mats[x] @ mats  # (order, d, d)
+        rhs = rep.cocycle.table[x][:, None, None] * mats[g.cayley[x]]
+        r = np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
+        y = int(r.argmax())
+        if r[y] > comp_res:
+            comp_res = float(r[y])
+            worst = (x, y)
+    return comp_res, worst
 
-    A vec'd A commutes with X exactly when it is fixed by X kron conj(X),
-    and commuting with a generating set means commuting with every matrix.
-    """
-    mats = rep.matrices[list(generators(rep.group))]
-    cdim = len(fixed_space(sandwich_stack(mats, mats)))
+
+def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
+    """Whether the commutant is trivial, plus its actual dimension."""
+    cdim = rep.commutant_dim
     if cdim < 1:
         raise ConsistencyError("commutant lost the identity operator")
     return cdim == 1, cdim

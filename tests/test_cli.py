@@ -46,6 +46,16 @@ def test_kleppner_from_cayley_file(capsys, tmp_path):
     assert out == "kleppner no\nregular-elements 6 of 6\n"
 
 
+def test_oversized_cayley_file_is_rejected(capsys, tmp_path):
+    path = tmp_path / "z257.txt"
+    idx = np.arange(257)
+    rows = (idx[:, None] + idx[None, :]) % 257
+    path.write_text("order 257\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    rc, _, err = run(capsys, "kleppner", "--group", str(path), "--cocycle", "trivial")
+    assert rc == 1
+    assert "exceeds 256" in err
+
+
 def test_validate_cocycle_ok(capsys, tmp_path):
     path = str(tmp_path / "coc.json")
     dump_json(cocycle_to_json(tf("Z2").cocycle), path)

@@ -46,6 +46,14 @@ def test_sign_character_full_lattice_frozen_values():
     assert np.allclose(op @ op, op)
 
 
+def test_phi_values_are_read_only():
+    rep = tf("Z2").rep
+    spec = make_module_spec(rep, full_subgroup(rep.group))
+    for fn in (phi(spec), phi_oracle(spec), phi_oracle_sum([spec, spec])):
+        with pytest.raises(ValueError):
+            fn.values[0] = fn.values[0]
+
+
 def test_trivial_lattice_gives_plain_dimension():
     rep = tf("Z3").rep
     spec = make_module_spec(rep, trivial_subgroup(rep.group))

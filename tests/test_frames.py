@@ -134,6 +134,19 @@ def test_riesz_basis_criterion_matches_decision():
     assert not riesz_basis_criterion(spec, 1, 1)
 
 
+def test_decisions_share_one_eigensolve(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or solve(a))
+    spec = _wh_spec("Z3", _translations(tf("Z3")))
+    fn = phi(spec)
+    first = existence_decision(spec, 1, 1, fn=fn)
+    again = existence_decision(spec, 1, 1, fn=fn)
+    existence_decision(spec, 2, 3, fn=fn)
+    assert len(calls) == 1
+    assert first.frame_witness == again.frame_witness
+
+
 def test_density_check_flags_fabricated_reports():
     t = tf("Z2")
     spec = make_module_spec(t.rep, _translations(t))  # dpi_vol = 1

@@ -23,9 +23,9 @@ from latdim import (
     symmetric_group,
     trivial_subgroup,
 )
-from latdim.groups import abelian_basis, generators, right_transversal
+from latdim.groups import _closure_mask, abelian_basis, generators, right_transversal
 
-from fixtures_common import GROUP_NAMES, group
+from fixtures_common import GROUP_NAMES, group, tf
 
 
 def test_cyclic_basics():
@@ -119,6 +119,12 @@ def test_from_cayley_table_errors():
         from_cayley_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
 
+def test_from_cayley_table_order_bound():
+    with pytest.raises(BoundExceeded):
+        from_cayley_table(build_cyclic(257).cayley)
+    assert from_cayley_table(build_cyclic(256).cayley).order == 256
+
+
 def test_from_cayley_table_roundtrip():
     g = quaternion()
     h = from_cayley_table(g.cayley, label="again")
@@ -128,10 +134,56 @@ def test_from_cayley_table_roundtrip():
 
 @pytest.mark.parametrize("name, count", [
     ("Z4", 3), ("Z6", 4), ("Z8", 4), ("Z2xZ2", 5), ("Z2xZ4", 8),
-    ("S3", 6), ("D4", 10), ("Q8", 6),
+    ("S3", 6), ("D4", 10), ("Q8", 6), ("Z2xZ2xZ2xZ2xZ2xZ2", 2825),
 ])
 def test_subgroup_counts(name, count):
     assert len(all_subgroups(group(name))) == count
+
+
+def _reference_transversal(g, elems):
+    """Coset transversal by an explicit walk over double cosets."""
+    lc = g.cayley[:, elems].min(axis=1)
+    rc = g.cayley[elems, :].min(axis=0)
+    dc = rc[g.cayley[:, elems]].min(axis=1)
+    out = []
+    for d in np.unique(dc):
+        members = np.flatnonzero(dc == d)
+        lcs = np.unique(lc[members])
+        rcs = np.unique(rc[members])
+        assert len(lcs) == len(rcs)
+        for lval, rval in zip(lcs, rcs):
+            cand = members[(lc[members] == lval) & (rc[members] == rval)]
+            out.append(int(cand.min()))
+    return tuple(sorted(out))
+
+
+def _reference_subgroups(g):
+    """Every subgroup, by extending each known one by every outside element."""
+    triv = _closure_mask(g, [])
+    seen = {triv.tobytes(): triv}
+    frontier = [triv]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            for x in np.flatnonzero(~mask):
+                grown = _closure_mask(g, list(np.flatnonzero(mask)) + [int(x)])
+                key = grown.tobytes()
+                if key not in seen:
+                    seen[key] = grown
+                    nxt.append(grown)
+        frontier = nxt
+    subs = []
+    for mask in seen.values():
+        elems = np.flatnonzero(mask)
+        subs.append((tuple(int(x) for x in elems), _reference_transversal(g, elems)))
+    return sorted(subs, key=lambda s: (len(s[0]), s[0]))
+
+
+@pytest.mark.parametrize("name", ["S4", "D4xZ2xZ2", "Q8xZ2", "tf-Z2xZ4", "tf-Z3xZ3"])
+def test_all_subgroups_match_reference(name):
+    g = tf(name[3:]).group if name.startswith("tf-") else group(name)
+    got = [(s.elements, s.transversal) for s in all_subgroups(g)]
+    assert got == _reference_subgroups(g)
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

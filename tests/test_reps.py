@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import latdim.reps
 from latdim import (
+    Cocycle,
     ConsistencyError,
     DimensionMismatch,
     NotIrreducible,
@@ -10,8 +12,10 @@ from latdim import (
     conjugate_cocycle,
     conjugate_rep,
     formal_dimension,
+    full_subgroup,
     irreducible_subrep,
     is_irreducible,
+    make_module_spec,
     projective_rep,
     restrict_to_lattice,
     subgroup_generated,
@@ -20,6 +24,7 @@ from latdim import (
     validate_rep,
     wavelet,
 )
+from latdim.groups import generators
 
 from fixtures_common import rep_fixtures, tf, trivial_irrep
 
@@ -47,6 +52,35 @@ def test_projective_rep_casts_to_complex():
     assert rep.matrices.dtype == np.complex128
     assert rep.dim == 1
     assert np.allclose(rep.matrix(1), [[-1.0]])
+
+
+def test_projective_rep_copies_its_input():
+    rep = tf("Z2").rep
+    mats = rep.matrices.copy()
+    own = projective_rep(rep.group, rep.cocycle, mats)
+    assert not np.shares_memory(own.matrices, mats)
+    mats[0] = 0.0
+    assert np.array_equal(own.matrices, rep.matrices)
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_rep_matrices_are_read_only(label, rep):
+    for r in (rep, conjugate_rep(rep), projective_rep(rep.group, rep.cocycle, rep.matrices)):
+        with pytest.raises(ValueError):
+            r.matrices[0, 0, 0] = r.matrices[0, 0, 0]
+
+
+def test_irreducibility_is_computed_once_per_rep(monkeypatch):
+    calls = []
+    solve = latdim.reps.fixed_space
+    monkeypatch.setattr(latdim.reps, "fixed_space", lambda u: calls.append(1) or solve(u))
+    base = tf("Z3").rep
+    rep = projective_rep(base.group, base.cocycle, base.matrices)
+    assert is_irreducible(rep) == (True, 1)
+    assert is_irreducible(rep) == (True, 1)
+    formal_dimension(rep)
+    make_module_spec(rep, full_subgroup(rep.group))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
@@ -79,6 +113,22 @@ def test_validate_rep_catches_tampered_phase():
     assert report.composition_residual > 1e-3
     assert "composition" in report.message
     assert 4 in report.worst_pair
+
+
+def test_validate_rep_catches_tampered_cocycle_off_generators():
+    # the tampered pair (x, y) has y outside the generators, so only the
+    # cocycle identity on generator triples can see it
+    rep = tf("Z3").rep
+    y = min(set(range(1, rep.group.order)) - set(generators(rep.group)))
+    x = 2
+    table = rep.cocycle.table.copy()
+    table[x, y] *= np.exp(0.3j)
+    bad = projective_rep(rep.group, Cocycle(rep.group, table), rep.matrices)
+    report = validate_rep(bad)
+    assert not report.ok
+    assert report.unitary_residual < 1e-12
+    assert report.composition_residual > 1e-3
+    assert report.worst_pair == (x, y)
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())

@@ -18,7 +18,7 @@ import numpy as np
 from .cocycles import Cocycle, conjugate_cocycle, regularity, tilde_table
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, NotHermitian
-from .groups import FiniteGroup, centralizer_transversal, generators
+from .groups import FiniteGroup, generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,24 +141,17 @@ def trace_tau(a: AlgebraElement) -> complex:
 def center_valued_trace(a: AlgebraElement) -> AlgebraElement:
     """Class formula route.
 
-    lam(g) maps to |C_g|^-1 sum_j tilde(g, b_j) lam(b_j^-1 g b_j) over
-    centralizer coset representatives b_j when the class of g is regular,
-    and to zero otherwise; extended linearly.
+    lam(x) maps to |G|^-1 sum_y tilde(x, y) lam(y^-1 x y) over the whole
+    group when x is regular, and to zero otherwise; extended linearly.
+    The sum is constant on each coset C y of the centralizer C of x:
+    tilde(x, c y) = tilde(x, c) tilde(x, y), and tilde(x, c) = 1 for a
+    regular x, so every class member gets |C| equal terms.
     """
     g = a.group
     reg = regularity(a.cocycle)
-    tt = tilde_table(a.cocycle)
+    weights = np.where(reg.regular_elements, a.coeffs, 0) / g.order
     out = np.zeros(g.order, dtype=np.complex128)
-    for x in range(g.order):
-        cx = a.coeffs[x]
-        if cx == 0:
-            continue
-        if not reg.regular_classes[reg.conjugacy.class_of[x]]:
-            continue
-        reps = centralizer_transversal(g, x)
-        w = cx / len(reps)
-        for beta in reps:
-            out[g.conjugate(x, beta)] += w * tt[x, beta]
+    np.add.at(out, g.conjugation, weights[:, None] * tilde_table(a.cocycle))
     return element(a.cocycle, out)
 
 

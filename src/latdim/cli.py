@@ -543,7 +543,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if overrides:
         tols = replace(tols, **overrides)
     try:
-        return RunConfig(
+        cfg = RunConfig(
             group=pick("group", None),
             cocycle=str(pick("cocycle", "trivial")),
             rep=pick("rep", None),
@@ -561,6 +561,12 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad config value: {exc}") from None
+    for name in ("n", "d", "nmax", "dmax"):
+        if getattr(cfg, name) < 1:
+            raise InputError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if cfg.seed < 0:
+        raise InputError(f"seed must be non-negative, got {cfg.seed}")
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -84,14 +84,6 @@ def trivial(group: FiniteGroup) -> Cocycle:
     return Cocycle(group, table, label="trivial")
 
 
-def _conj_index(group: FiniteGroup) -> np.ndarray:
-    """conj_index[x, y] = y^-1 x y."""
-    n = group.order
-    yinv_x = group.cayley[group.inverse, :].T          # [x, y] = y^-1 * x
-    y_grid = np.broadcast_to(np.arange(n), (n, n))
-    return group.cayley[yinv_x, y_grid]
-
-
 def validate(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> CocycleReport:
     g = c.group
     n = g.order
@@ -104,21 +96,17 @@ def validate(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> CocycleReport:
     e = g.identity
     norm_res = float(max(np.abs(t[e, :] - 1.0).max(), np.abs(t[:, e] - 1.0).max()))
 
-    idx = np.arange(n)
-    x = idx[:, None, None]
-    y = idx[None, :, None]
-    z = idx[None, None, :]
-    xy = g.cayley[x, y]
-    yz = g.cayley[y, z]
-    lhs = t[x, y] * t[xy, z]
-    rhs = t[x, yz] * t[y, z]
-    diff = np.abs(lhs - rhs)
-    id_res = float(diff.max())
-    if id_res > 0:
-        wi, wj, wk = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        worst = (int(wi), int(wj), int(wk))
-    else:
-        worst = (0, 0, 0)
+    # one x at a time keeps memory O(n^2); the first strict maximum in
+    # (x, y, z) order is the worst triple
+    id_res, worst = 0.0, (0, 0, 0)
+    for x in range(n):
+        lhs = t[x][:, None] * t[g.cayley[x]]  # [y, z] = sigma(x, y) sigma(xy, z)
+        rhs = t[x][g.cayley] * t              # [y, z] = sigma(x, yz) sigma(y, z)
+        diff = np.abs(lhs - rhs)
+        at = int(np.argmax(diff))
+        if diff.flat[at] > id_res:
+            id_res = float(diff.flat[at])
+            worst = (x, *map(int, np.unravel_index(at, diff.shape)))
 
     ok = unit_res <= tol.tol_unit and id_res <= tol.tol_id and norm_res <= tol.tol_id
     if ok:
@@ -140,12 +128,7 @@ def conjugate_cocycle(c: Cocycle) -> Cocycle:
 
 def tilde_table(c: Cocycle) -> np.ndarray:
     """Full table of the conjugation-twisted cocycle, indexed [x, y]."""
-    g = c.group
-    n = g.order
-    ci = _conj_index(g)
-    y_grid = np.broadcast_to(np.arange(n), (n, n))
-    out = c.table * np.conj(c.table[y_grid, ci])
-    return out
+    return c.table * np.conj(c.table[np.arange(c.group.order), c.group.conjugation])
 
 
 def tilde(c: Cocycle, x: int, y: int) -> complex:
@@ -156,7 +139,7 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
     g = c.group
     n = g.order
     tt = tilde_table(c)
-    ci = _conj_index(g)
+    ci = g.conjugation
     idx = np.arange(n)
 
     # multiplicativity: tilde(x, y z) = tilde(x, y) tilde(y^-1 x y, z)
@@ -179,22 +162,19 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
     res2 = float(d2.max())
     w2 = tuple(int(v) for v in np.unravel_index(int(np.argmax(d2)), d2.shape))
 
-    # class constancy on regular elements: same conjugate means same value
-    reg = regularity(c)
-    res3 = 0.0
+    # class constancy on regular elements: same conjugate means same value,
+    # compared against the first y of each (x, conjugate) pair
+    xs = np.flatnonzero(regularity(c).regular_elements)
+    keys = (xs[:, None] * n + ci[xs]).ravel()
+    _, first, pair = np.unique(keys, return_index=True, return_inverse=True)
+    vals = tt[xs].ravel()
+    d3 = np.abs(vals - vals[first][pair])
+    at = int(np.argmax(d3))
+    res3 = float(d3[at])
     w3: tuple = ()
-    for x in np.flatnonzero(reg.regular_elements):
-        groups: dict[int, complex] = {}
-        for y in range(n):
-            tgt = int(ci[x, y])
-            v = tt[x, y]
-            if tgt in groups:
-                dv = abs(v - groups[tgt])
-                if dv > res3:
-                    res3 = float(dv)
-                    w3 = (int(x), int(y), tgt)
-            else:
-                groups[tgt] = v
+    if res3 > 0:
+        x, y = int(xs[at // n]), at % n
+        w3 = (x, y, int(ci[x, y]))
 
     bar = tol.tol_id
     ok = res1 <= bar and res2 <= bar and res3 <= bar
@@ -216,12 +196,11 @@ def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
     regular_elements = ~np.any(comm & (asym > tol.tol_id), axis=1)
 
     cj = conjugacy(g)
-    regular_classes = np.zeros(len(cj.classes), dtype=bool)
-    for k, members in enumerate(cj.classes):
-        vals = regular_elements[list(members)]
-        if vals.min() != vals.max():
-            raise ConsistencyError(f"regularity not constant on class {k}")
-        regular_classes[k] = bool(vals[0])
+    regular_classes = regular_elements[np.unique(cj.class_of, return_index=True)[1]]
+    off = regular_classes[cj.class_of] != regular_elements
+    if off.any():
+        k = int(cj.class_of[off].min())
+        raise ConsistencyError(f"regularity not constant on class {k}")
 
     identity_class = int(cj.class_of[g.identity])
     if not regular_classes[identity_class]:

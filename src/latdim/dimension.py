@@ -1,7 +1,7 @@
 """Center-valued module dimension of an irreducible rep over a lattice.
 
 Two independent routes compute the same function phi on the lattice:
-``phi`` evaluates a closed-form sum over coset representatives, and
+``phi`` evaluates a closed-form class sum over the whole group, and
 ``phi_oracle`` builds the module embedding explicitly and reads the
 answer off a projection.  Their agreement is the main correctness
 property of the package.
@@ -25,7 +25,7 @@ from .errors import (
     PreconditionFailed,
     WindowNotUnit,
 )
-from .groups import FiniteGroup, Subgroup, right_transversal, subgroup_group
+from .groups import FiniteGroup, Subgroup, subgroup_group
 from .reps import ProjectiveRep, is_irreducible, wavelet
 
 
@@ -126,44 +126,35 @@ def _window_diagonal(spec: ModuleSpec) -> np.ndarray:
 def phi(spec: ModuleSpec) -> PhiFunction:
     """Dimension function by the closed-form class sum.
 
-    For a lattice element gamma whose conjugacy class (in the lattice)
-    is regular for the restricted cocycle,
+    For a lattice element gamma that is regular for the restricted
+    cocycle,
 
-        phi(gamma) = (d_pi / k) * sum_y conj(tilde(gamma, y))
+        phi(gamma) = d_pi / |lattice| * sum_y conj(tilde(gamma, y))
                         * <window, pi(y^-1 gamma y) window>
 
-    where k is the class size, tilde(gamma, y) = sigma(gamma, y)
-    conj(sigma(y, y^-1 gamma y)) is the conjugation-twisted form of
-    the full cocycle, and y runs over representatives of the right
-    cosets of the centralizer of gamma (taken in the lattice) inside
-    the big group.  Off regular classes phi is zero.
+    where y runs over the whole big group and tilde(gamma, y) =
+    sigma(gamma, y) conj(sigma(y, y^-1 gamma y)) is the conjugation-
+    twisted form of the full cocycle.  The terms are constant on each
+    coset C y of the centralizer C of gamma in the lattice, because
+    tilde(gamma, c y) = tilde(gamma, c) tilde(gamma, y) and
+    tilde(gamma, c) = 1 for a regular gamma.  So the sum is |C| times a
+    sum over coset representatives, and |C| k = |lattice| for the class
+    size k.  Off regular elements phi is zero.
     """
     g = spec.rep.group
     lat = spec.lattice_group
     elems = np.asarray(spec.lattice.elements, dtype=np.int64)
-    nl = lat.order
     d_pi = spec.rep.dim / g.order
 
-    reg = regularity(spec.restricted_cocycle)
-    regular_class = reg.regular_classes
-    regular_mask = regular_class[reg.conjugacy.class_of]
-
-    w = _window_diagonal(spec)
+    regular = regularity(spec.restricted_cocycle).regular_elements
+    gammas = elems[regular]
+    conj = g.conjugation[gammas]  # [i, y] = y^-1 gammas[i] y
     sigma = spec.rep.cocycle.table
-    values = np.zeros(nl, dtype=np.complex128)
-    for li in range(nl):
-        cid = reg.conjugacy.class_of[li]
-        if not regular_class[cid]:
-            continue
-        k = len(reg.conjugacy.classes[cid])
-        gamma = int(elems[li])
-        # centralizer of this element in the lattice, as big-group indices
-        comm = lat.cayley[li, :] == lat.cayley[:, li]
-        cent = elems[comm]
-        ts = np.asarray(right_transversal(g, cent), dtype=np.int64)
-        conj_t = g.cayley[g.cayley[g.inverse[ts], gamma], ts]
-        tilde = sigma[gamma, ts] * np.conj(sigma[ts, conj_t])
-        values[li] = (d_pi / k) * np.sum(np.conj(tilde) * w[conj_t])
+    tilde = sigma[gammas] * np.conj(sigma[np.arange(g.order), conj])
+    values = np.zeros(lat.order, dtype=np.complex128)
+    values[regular] = (d_pi / lat.order) * np.sum(
+        np.conj(tilde) * _window_diagonal(spec)[conj], axis=1
+    )
 
     dpi_vol = spec.dpi_vol
     if abs(values[lat.identity] - dpi_vol) > 1e-9 * max(1.0, dpi_vol):
@@ -171,7 +162,7 @@ def phi(spec: ModuleSpec) -> PhiFunction:
             f"phi at identity is {values[lat.identity]!r}, "
             f"expected {dpi_vol!r}"
         )
-    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular_mask)
+    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
 
 
 def _coset_unitary(spec: ModuleSpec) -> np.ndarray:
@@ -234,10 +225,8 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     ) / nl
     values = avg[:, e_lat].copy()
 
-    reg = regularity(spec.restricted_cocycle)
-    regular_class = reg.regular_classes
-    regular_mask = regular_class[reg.conjugacy.class_of]
-    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular_mask)
+    regular = regularity(spec.restricted_cocycle).regular_elements
+    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
 
 
 def phi_oracle_sum(specs: Sequence[ModuleSpec]) -> PhiFunction:
@@ -301,8 +290,7 @@ def abelian_kleppner_shortcut(spec: ModuleSpec) -> PhiFunction:
     values = np.zeros(lat.order, dtype=np.complex128)
     values[lat.identity] = spec.dpi_vol
 
-    lat_reg = regularity(spec.restricted_cocycle)
-    regular_mask = lat_reg.regular_classes[lat_reg.conjugacy.class_of]
+    regular = regularity(spec.restricted_cocycle).regular_elements
     return PhiFunction(
-        values, spec.dpi_vol, spec.restricted_cocycle, lat, regular_mask
+        values, spec.dpi_vol, spec.restricted_cocycle, lat, regular
     )

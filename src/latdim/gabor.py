@@ -306,6 +306,8 @@ def read_scan_csv(path: str) -> list[dict]:
                 )
             except (KeyError, ValueError) as exc:
                 raise InputError(f"{path} line {i}: {exc}") from exc
+            if rows[-1]["n"] < 1 or rows[-1]["d"] < 1:
+                raise InputError(f"{path} line {i}: n and d must be at least 1")
     return rows
 
 

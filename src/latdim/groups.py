@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class FiniteGroup:
     def conjugate(self, x: int, y: int) -> int:
         """Return y^-1 * x * y."""
         return int(self.cayley[self.cayley[self.inverse[y], x], y])
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """Read-only table indexed [x, y] holding y^-1 * x * y."""
+        yinv_x = self.cayley[self.inverse].T  # [x, y] = y^-1 * x
+        return _freeze(self.cayley[yinv_x, np.arange(self.order)])
 
     def elements(self) -> range:
         return range(self.order)
@@ -353,42 +359,32 @@ class ConjugacyData:
 
 
 def conjugacy(g: FiniteGroup) -> ConjugacyData:
-    """Conjugacy classes in minimal-representative order."""
-    n = g.order
-    ys = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[tuple[int, ...]] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        members = np.unique(g.cayley[g.cayley[g.inverse, x], ys])  # y^-1 x y
-        class_of[members] = len(classes)
-        classes.append(tuple(int(m) for m in members))
-    return ConjugacyData(tuple(classes), _freeze(class_of))
+    """Conjugacy classes in minimal-representative order.
+
+    Row x of the conjugation table is the class of x, so its minimum is
+    the least member of the class and labels it.
+    """
+    _, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
+    class_of = class_of.astype(np.int64)
+    members = np.argsort(class_of, kind="stable")
+    sizes = np.bincount(class_of)
+    classes = tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(sizes)[:-1]))
+    return ConjugacyData(classes, _freeze(class_of))
 
 
 def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:
-    """Coset representatives of the centralizer of gamma, one per distinct conjugate."""
-    reps = []
-    seen = set()
-    for beta in range(g.order):
-        c = g.conjugate(gamma, beta)
-        if c not in seen:
-            seen.add(c)
-            reps.append(beta)
-    return tuple(reps)
+    """Coset representatives of the centralizer of gamma, one per distinct conjugate.
+
+    Each representative is the least beta giving its conjugate beta^-1 gamma beta.
+    """
+    _, first = np.unique(g.conjugation[gamma], return_index=True)
+    return tuple(sorted(first.tolist()))
 
 
 def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
     """Minimal representatives y, one per orbit H*y of left multiplication by H."""
     H = np.asarray(list(subgroup_elems), dtype=np.int64)
-    seen = np.zeros(g.order, dtype=bool)
-    out = []
-    for y in range(g.order):
-        if not seen[y]:
-            out.append(y)
-            seen[g.cayley[H, y]] = True
-    return tuple(out)
+    return tuple(np.unique(g.cayley[H].min(axis=0)).tolist())
 
 
 def subgroup_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:

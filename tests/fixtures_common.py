@@ -81,6 +81,14 @@ def rep_fixtures():
     return pairs
 
 
+def gauge_twisted(coc, seed=5):
+    """coc times the coboundary f(x) f(y) / f(xy) of seeded phases f, f(e) = 1."""
+    g = coc.group
+    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(g.order))
+    f[g.identity] = 1.0
+    return Cocycle(g, coc.table * np.outer(f, f) / f[g.cayley], label="gauged")
+
+
 def cocycle_fixtures():
     out = [(f"{n}-trivial", trivial(group(n))) for n in GROUP_NAMES]
     out += [(f"wh-{b}", tf(b).cocycle) for b in WH_BASES]

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
-    Cocycle,
     adjoint,
     build_cyclic,
     center_dimension,
@@ -25,7 +24,7 @@ from latdim import (
 
 from latdim.algebra import fixed_space
 
-from fixtures_common import cocycle_fixtures, group, pauli_product, tf
+from fixtures_common import cocycle_fixtures, gauge_twisted, group, pauli_product, tf
 
 
 def _rand_coeffs(coc, seed):
@@ -189,6 +188,34 @@ def test_cvt_formula_vs_oracle(label, coc):
         assert np.abs(d1 - d2).max() < 1e-9, label
 
 
+def _reference_cvt(a):
+    """The class formula summed over centralizer coset representatives.
+
+    Regular x sends a[x] / k * tilde(x, b) to each conjugate b^-1 x b, one
+    b per distinct conjugate, k of them; non-regular x contributes nothing.
+    """
+    g, t = a.group, a.cocycle.table
+    out = np.zeros(g.order, dtype=np.complex128)
+    for x in range(g.order):
+        conj = [g.conjugate(x, y) for y in range(g.order)]
+        if any(abs(t[x, y] - t[y, x]) > 1e-9 for y in range(g.order) if conj[y] == x):
+            continue
+        reps = {}
+        for b in range(g.order):
+            reps.setdefault(conj[b], b)
+        for c, b in reps.items():
+            out[c] += a.coeffs[x] / len(reps) * t[x, b] * np.conj(t[b, c])
+    return out
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_cvt_matches_transversal_reference(label, coc):
+    for c in (coc, gauge_twisted(coc)):
+        a = element(c, _rand_coeffs(c, 42))
+        got = center_valued_trace(a).coeffs
+        assert np.abs(got - _reference_cvt(a)).max() < 1e-12, label
+
+
 def test_cvt_axioms():
     _, coc = pauli_product()
     a = element(coc, _rand_coeffs(coc, 50))
@@ -294,9 +321,7 @@ def test_center_dimension_counts_regular_classes():
 def test_center_dimension_under_gauge_twist(label, coc):
     # multiplying by a coboundary f(x) f(y) / f(xy) changes no center
     g = coc.group
-    f = np.exp(2j * np.pi * np.random.default_rng(5).random(g.order))
-    f[g.identity] = 1.0
-    twisted = Cocycle(g, coc.table * np.outer(f, f) / f[g.cayley], label="gauged")
+    twisted = gauge_twisted(coc)
     want = int(regularity(twisted).regular_classes.sum())
     assert center_dimension(g, twisted) == center_dimension(g, coc) == want
 

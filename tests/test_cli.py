@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latdim.cli import main
+from latdim.gabor import SCAN_COLUMNS
 from latdim.serialize import (
     cocycle_to_json,
     dump_json,
@@ -390,3 +391,35 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "kleppner yes\nregular-elements 1 of 4\n"
+
+
+_WH = ("--group", "Z2xZ2", "--cocycle", "weyl-heisenberg")
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(("decide", *_WH, "--d", "0"), None, id="decide-d-0"),
+    pytest.param(("decide", *_WH, "--n", "-1"), None, id="decide-n-negative"),
+    pytest.param(("decide", *_WH), {"n": 0}, id="config-n-0"),
+    pytest.param(("construct", *_WH, "--seed", "-1"), None, id="construct-seed-negative"),
+    pytest.param(("construct", *_WH), {"seed": -3}, id="config-seed-negative"),
+    pytest.param(("gabor-scan", "--base", "Z2", "--nmax", "0"), None, id="scan-nmax-0"),
+    pytest.param(("gabor-scan", "--base", "Z2"), {"dmax": 0}, id="config-dmax-0"),
+    pytest.param(("density-audit",), None, id="audit-row-d-0"),
+])
+def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
+    argv = list(argv)
+    if argv[0] == "gabor-scan":
+        argv += ["--out", str(tmp_path / "scan.csv")]
+    if argv[0] == "density-audit":
+        csv_path = tmp_path / "scan.csv"
+        csv_path.write_text(
+            ",".join(SCAN_COLUMNS) + "\nZ2,Z2xZ2,wh,4,1,0,0.5,yes,no,no\n"
+        )
+        argv += ["--in", str(csv_path)]
+    if config is not None:
+        cfg = str(tmp_path / "run.json")
+        dump_json(config, cfg)
+        argv += ["--config", cfg]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("error:")

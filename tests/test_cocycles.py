@@ -1,10 +1,13 @@
 """Two-variable composition laws: validation, conjugation twist, regularity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from latdim import (
     Cocycle,
+    ConsistencyError,
     build_cyclic,
     conjugate_cocycle,
     dual_group,
@@ -21,7 +24,7 @@ from latdim import (
 )
 from latdim.groups import all_subgroups
 
-from fixtures_common import cocycle_fixtures, group, pauli_product, tf
+from fixtures_common import cocycle_fixtures, gauge_twisted, group, pauli_product, tf
 
 
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())
@@ -57,6 +60,38 @@ def test_validate_catches_broken_composition():
     assert rpt.identity_residual > 0.5
     x, y, z = rpt.worst_triple
     assert 0 <= x < 4 and 0 <= y < 4 and 0 <= z < 4
+
+
+def _tampered(coc, seed):
+    """coc with one seeded entry rotated off the cocycle identity."""
+    t = np.array(coc.table)
+    i, j = np.random.default_rng(seed).integers(coc.group.order, size=2)
+    t[i, j] *= np.exp(0.7j)
+    return Cocycle(coc.group, t, label="tampered")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_triple_broadcast(seed):
+    # reference: the identity evaluated on all triples at once
+    for coc in (tf("Z3").cocycle, pauli_product()[1], trivial(group("D4"))):
+        c = _tampered(coc, seed)
+        g, t = c.group, c.table
+        x, y, z = np.ix_(*3 * [np.arange(g.order)])
+        diff = np.abs(t[x, y] * t[g.cayley[x, y], z] - t[x, g.cayley[y, z]] * t[y, z])
+        rpt = validate(c)
+        assert rpt.identity_residual == diff.max()
+        assert rpt.worst_triple == np.unravel_index(np.argmax(diff), diff.shape)
+
+
+def test_validate_memory_is_quadratic():
+    c = weyl_heisenberg(build_cyclic(12))  # |G| = 144
+    tracemalloc.start()
+    try:
+        assert validate(c).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_validate_catches_nonnormalized():
@@ -113,6 +148,44 @@ def test_tilde_value():
             want = c.table[x, y] * np.conj(c.table[y, conj_x])
             assert abs(tt[x, y] - want) < 1e-12
             assert abs(tilde(c, x, y) - want) < 1e-12
+
+
+def _reference_class_constancy(c):
+    """Residual and worst triple of tilde class constancy, by explicit loops."""
+    g, tt = c.group, tilde_table(c)
+    res, worst = 0.0, ()
+    for x in np.flatnonzero(regularity(c).regular_elements):
+        first = {}
+        for y in range(g.order):
+            tgt = g.conjugate(int(x), y)
+            if tgt not in first:
+                first[tgt] = tt[x, y]
+            elif abs(tt[x, y] - first[tgt]) > res:
+                res, worst = float(abs(tt[x, y] - first[tgt])), (int(x), y, tgt)
+    return res, worst
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_tilde_class_constancy_matches_reference(label, coc):
+    for c in (coc, gauge_twisted(coc), _tampered(coc, 1)):
+        try:
+            rpt = verify_tilde_identities(c)
+        except ConsistencyError:
+            continue  # the tampered table broke class-constant regularity
+        res, worst = _reference_class_constancy(c)
+        assert rpt.residual_class_constancy == pytest.approx(res, rel=1e-12, abs=1e-15)
+        assert rpt.worst["class_constancy"] == worst
+
+
+def test_regularity_rejects_class_dependent_flags():
+    # sigma(t, e) = -1 for one transposition t makes e and t irregular
+    # while the other two transpositions stay regular
+    g = group("S3")
+    t = np.ones((6, 6), dtype=np.complex128)
+    t[1, g.identity] = -1.0
+    assert g.element_order(1) == 2
+    with pytest.raises(ConsistencyError, match="not constant on class"):
+        regularity(Cocycle(g, t, label="broken"))
 
 
 def test_regularity_trivial_cocycle():

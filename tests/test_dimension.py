@@ -100,6 +100,49 @@ def test_phi_matches_oracle_on_all_subgroups(label, rep):
     assert worst < 1e-10
 
 
+def _reference_phi(spec):
+    """The class sum over right-coset representatives of each centralizer.
+
+    For gamma regular in the lattice, with centralizer C there and class
+    size k, phi(gamma) = dim / (|G| k) * sum over one y per coset C y of
+    conj(tilde(gamma, y)) <pi(y^-1 gamma y) window, window>.  Returns
+    the values and the regular mask.
+    """
+    g, lat = spec.rep.group, spec.lattice_group
+    elems = spec.lattice.elements
+    sigma, rc = spec.rep.cocycle.table, spec.restricted_cocycle.table
+    w = [np.vdot(spec.rep.matrices[x] @ spec.window, spec.window) for x in range(g.order)]
+    values = np.zeros(lat.order, dtype=np.complex128)
+    regular = np.zeros(lat.order, dtype=bool)
+    for li, gamma in enumerate(elems):
+        cent = [m for m in range(lat.order) if lat.cayley[li, m] == lat.cayley[m, li]]
+        if any(abs(rc[li, m] - rc[m, li]) > 1e-9 for m in cent):
+            continue
+        regular[li] = True
+        k = len({lat.conjugate(li, m) for m in range(lat.order)})
+        seen, total = set(), 0.0
+        for y in range(g.order):
+            if y in seen:
+                continue
+            seen.update(int(g.cayley[elems[m], y]) for m in cent)
+            c = g.conjugate(gamma, y)
+            total += np.conj(sigma[gamma, y] * np.conj(sigma[y, c])) * w[c]
+        values[li] = spec.rep.dim / (g.order * k) * total
+    return values, regular
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_phi_matches_transversal_reference(label, rep):
+    for sub in all_subgroups(rep.group):
+        for seed in (None, 3, 4):
+            window = None if seed is None else random_window(rep.dim, seed)
+            spec = make_module_spec(rep, sub, window=window)
+            fn = phi(spec)
+            values, regular = _reference_phi(spec)
+            assert np.abs(fn.values - values).max() < 1e-12, (label, sub.elements)
+            assert np.array_equal(fn.regular, regular)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_phi_does_not_depend_on_window(seed):
     rep = trivial_irrep("S3")

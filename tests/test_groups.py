@@ -23,7 +23,13 @@ from latdim import (
     symmetric_group,
     trivial_subgroup,
 )
-from latdim.groups import _closure_mask, abelian_basis, generators, right_transversal
+from latdim.groups import (
+    _closure_mask,
+    abelian_basis,
+    centralizer_transversal,
+    generators,
+    right_transversal,
+)
 
 from fixtures_common import GROUP_NAMES, group, tf
 
@@ -208,6 +214,48 @@ def test_transversal_tiles_both_sides(name):
         right = sorted(int(g.cayley[h, t]) for t in ts for h in helems)
         assert left == list(range(g.order))
         assert right == list(range(g.order))
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "Z2xZ4", "D4xZ2xZ2"])
+def test_conjugation_table(name):
+    g = group(name)
+    table = g.conjugation
+    assert g.conjugation is table
+    assert not table.flags.writeable
+    for x in range(g.order):
+        for y in range(g.order):
+            assert table[x, y] == g.cayley[g.cayley[g.inverse[y], x], y]
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "D4xZ2xZ2", "Q8xZ2"])
+def test_centralizer_transversal(name):
+    g = group(name)
+    for gamma in range(g.order):
+        reps = centralizer_transversal(g, gamma)
+        conj = [g.conjugate(gamma, b) for b in reps]
+        assert sorted(set(conj)) == sorted({g.conjugate(gamma, y) for y in g.elements()})
+        assert len(conj) == len(set(conj))
+        centralizer_order = int((g.cayley[gamma] == g.cayley[:, gamma]).sum())
+        assert len(reps) == g.order // centralizer_order
+        assert all(b <= y for b, c in zip(reps, conj)
+                   for y in g.elements() if g.conjugate(gamma, y) == c)
+
+
+def _reference_right_transversal(g, h):
+    """The least y of each orbit H*y, by a walk over the group."""
+    seen, out = set(), []
+    for y in range(g.order):
+        if y not in seen:
+            out.append(y)
+            seen.update(int(g.cayley[x, y]) for x in h)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "Q8", "D4xZ2xZ2", "Q8xZ2", "Z2xZ4"])
+def test_right_transversal_matches_reference(name):
+    g = group(name)
+    for sub in all_subgroups(g):
+        assert right_transversal(g, sub.elements) == _reference_right_transversal(g, sub.elements)
 
 
 def test_right_transversal_partition():

@@ -4,9 +4,13 @@ An algebra element is stored by its coefficient vector a-hat on the group;
 the associated operator is the twisted convolution sum(a_hat[g] * lam(g))
 built from the left regular family
     lam(x) delta_y = sigma(x, y) delta_{x y}.
-The right regular family with the conjugated table spans the commutant, and
-averaging conjugations over it realizes the center-valued trace without the
-class formula, which keeps the two computation routes independent.
+The right regular family with the conjugated table spans the commutant.
+Both families are permutation-phase matrices, so work on them is an index
+gather over the Cayley, inverse and cocycle tables; ``left_regular`` and
+``right_regular`` build the dense stacks only for callers that ask.  The
+averaging route of the center-valued trace reads column e of
+|G|^-1 sum_b lam(b)^* A lam(b) as such a gather, without the class formula,
+which keeps the two computation routes independent.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, conjugate_cocycle, regularity, tilde_table
+from .cocycles import Cocycle, regularity, tilde_table
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, NotHermitian
 from .groups import FiniteGroup, generators
@@ -29,48 +33,64 @@ class RegularRep:
     matrices: np.ndarray
 
 
-def _left_monomial(group: FiniteGroup, table: np.ndarray, x: int):
-    """Row r of lam(x) has its only entry at column x^-1 r with value sigma(x, x^-1 r)."""
-    cols = group.cayley[group.inverse[x], :]
-    vals = table[x, cols]
-    return cols, vals
+def _monomial(group: FiniteGroup, table: np.ndarray, side: str):
+    """Row index and phase of the one entry in each column of every lam(b) or rho(b).
+
+    Both arrays are indexed [b, i]: lam(b) delta_i = sigma(b, i) delta_{b i}
+    and rho(b) delta_i = sigma(i b^-1, b) delta_{i b^-1}.
+    """
+    if side == "left":
+        return group.cayley, table
+    rows = group.cayley[:, group.inverse].T  # [b, i] = i b^-1
+    return rows, table[rows, np.arange(group.order)[:, None]]
 
 
-def _right_monomial(group: FiniteGroup, table: np.ndarray, x: int):
-    """Row r of rho(x) has its only entry at column r x with value sigma(r, x)."""
-    cols = group.cayley[:, x]
-    vals = table[:, x]
-    return cols, vals
-
-
-def _monomial_stack(group: FiniteGroup, table: np.ndarray, side: str) -> np.ndarray:
+def _regular(group: FiniteGroup, cocycle: Cocycle, side: str) -> RegularRep:
     n = group.order
+    rows, phases = _monomial(group, cocycle.table, side)
     mats = np.zeros((n, n, n), dtype=np.complex128)
-    rows = np.arange(n)
-    for x in range(n):
-        cols, vals = (_left_monomial if side == "left" else _right_monomial)(group, table, x)
-        mats[x, rows, cols] = vals
+    b, i = np.indices((n, n))
+    mats[b, rows, i] = phases
     mats.setflags(write=False)
-    return mats
+    return RegularRep(side, group, cocycle, mats)
 
 
 def left_regular(group: FiniteGroup, cocycle: Cocycle) -> RegularRep:
-    return RegularRep("left", group, cocycle, _monomial_stack(group, cocycle.table, "left"))
+    return _regular(group, cocycle, "left")
 
 
 def right_regular(group: FiniteGroup, cocycle: Cocycle) -> RegularRep:
-    return RegularRep("right", group, cocycle, _monomial_stack(group, cocycle.table, "right"))
+    return _regular(group, cocycle, "right")
+
+
+def _average_column(group: FiniteGroup, table: np.ndarray, side: str,
+                    op: np.ndarray) -> np.ndarray:
+    """Column e of |G|^-1 sum_b M(b)^* op M(b), M = lam or rho over ``table``.
+
+    With M(b) delta_i = p[b, i] delta_{r[b, i]}, entry i of that column is
+    |G|^-1 sum_b conj(p[b, i]) op[r[b, i], r[b, e]] p[b, e]: an O(|G|^2)
+    gather that reads only the Cayley, inverse and cocycle tables.
+    """
+    rows, phases = _monomial(group, table, side)
+    e = group.identity
+    terms = np.conj(phases) * op[rows, rows[:, e, None]] * phases[:, e, None]
+    return terms.sum(axis=0) / group.order
 
 
 def verify_commutant(group: FiniteGroup, cocycle: Cocycle) -> float:
-    """Max Frobenius norm of [lam_sigma(x), rho_sigmabar(y)] over all pairs."""
-    lam = left_regular(group, cocycle).matrices
-    rho = right_regular(group, conjugate_cocycle(cocycle)).matrices
+    """Max Frobenius norm of [lam_sigma(x), rho_sigmabar(y)] over all pairs.
+
+    Both products send delta_z to a multiple of delta_{x z y^-1}, so the
+    commutator's norm is that of the coefficient differences over z.  One
+    x at a time keeps memory O(|G|^2).
+    """
+    lam_rows, lam_phases = _monomial(group, cocycle.table, "left")
+    rho_rows, rho_phases = _monomial(group, np.conj(cocycle.table), "right")
     worst = 0.0
     for x in range(group.order):
-        lr = lam[x] @ rho            # (n, n, n) batched
-        rl = rho @ lam[x]
-        worst = max(worst, float(np.linalg.norm((lr - rl).reshape(group.order, -1), axis=1).max()))
+        lr = lam_phases[x][rho_rows] * rho_phases           # [y, z]: lam(x) rho(y) delta_z
+        rl = rho_phases[:, lam_rows[x]] * lam_phases[x]     # [y, z]: rho(y) lam(x) delta_z
+        worst = max(worst, float(np.linalg.norm(lr - rl, axis=1).max()))
     return worst
 
 
@@ -156,11 +176,11 @@ def center_valued_trace(a: AlgebraElement) -> AlgebraElement:
 
 
 def center_valued_trace_oracle(a: AlgebraElement) -> AlgebraElement:
-    """Averaging route: conjugate the operator by every lam(b) and re-read coefficients."""
-    lam = left_regular(a.group, a.cocycle).matrices
-    op = a.operator()
-    avg = np.einsum("xji,jk,xkl->il", np.conj(lam), op, lam, optimize=True) / a.group.order
-    return element_from_operator(a.cocycle, avg)
+    """Averaging route: column e of |G|^-1 sum_b lam(b)^* A lam(b), A = a.operator().
+
+    Entry i is the gather |G|^-1 sum_b conj(sigma(b, i)) sigma(b, e) A[b i, b].
+    """
+    return element(a.cocycle, _average_column(a.group, a.cocycle.table, "left", a.operator()))
 
 
 def is_sigma_positive_definite(values: np.ndarray, cocycle: Cocycle,

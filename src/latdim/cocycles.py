@@ -142,16 +142,18 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
     ci = g.conjugation
     idx = np.arange(n)
 
-    # multiplicativity: tilde(x, y z) = tilde(x, y) tilde(y^-1 x y, z)
-    x3 = idx[:, None, None]
-    y3 = idx[None, :, None]
-    z3 = idx[None, None, :]
-    yz = g.cayley[y3[0], z3[0]][None, :, :]
-    lhs = tt[x3, yz]
-    rhs = tt[x3, y3] * tt[ci[x3, y3], z3]
-    d1 = np.abs(lhs - rhs)
-    res1 = float(d1.max())
-    w1 = tuple(int(v) for v in np.unravel_index(int(np.argmax(d1)), d1.shape))
+    # multiplicativity: tilde(x, y z) = tilde(x, y) tilde(y^-1 x y, z);
+    # one x at a time keeps memory O(n^2), and the first strict maximum
+    # in (x, y, z) order is the worst triple
+    res1, w1 = 0.0, (0, 0, 0)
+    for x in range(n):
+        lhs = tt[x][g.cayley]                   # [y, z] = tilde(x, y z)
+        rhs = tt[x][:, None] * tt[ci[x]]        # [y, z] = tilde(x, y) tilde(y^-1 x y, z)
+        d1 = np.abs(lhs - rhs)
+        at = int(np.argmax(d1))
+        if d1.flat[at] > res1:
+            res1 = float(d1.flat[at])
+            w1 = (x, *map(int, np.unravel_index(at, d1.shape)))
 
     # inverse: tilde(x, y^-1) = conj(tilde(y x y^-1, y))
     x2 = idx[:, None]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import conv_operator, right_regular
+from .algebra import _average_column, conv_operator
 from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict
 from .errors import (
     ConsistencyError,
@@ -165,36 +165,20 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
 
 
-def _coset_unitary(spec: ModuleSpec) -> np.ndarray:
-    """The unitary relabeling x = gamma * y on functions over the big group.
-
-    Column (gamma, y) holds sigma(gamma, y) at row gamma*y; the
-    factorization of every x with y in the lattice transversal is
-    unique, which makes this a permutation-phase matrix.
-    """
-    g = spec.rep.group
-    elems = np.asarray(spec.lattice.elements, dtype=np.int64)
-    bs = np.asarray(spec.lattice.transversal, dtype=np.int64)
-    prods = g.cayley[elems[:, None], bs[None, :]]
-    flat = prods.ravel()
-    if np.unique(flat).size != g.order:
-        raise ConsistencyError("coset factorization is not unique")
-    vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]].ravel()
-    u = np.zeros((g.order, g.order), dtype=np.complex128)
-    u[flat, np.arange(g.order)] = vals
-    return u
-
-
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     """Dimension function by the explicit module embedding.
 
     Steps: realize the module inside functions on the big group via
-    the scaled wavelet isometry; transport its range projection
-    through the coset relabeling unitary onto lattice x transversal
-    coordinates; sum the diagonal blocks; average the result over the
-    twisted right translations (the center-valued trace of the block
-    algebra); read phi off the identity column.  No use of the class
-    formula anywhere.
+    the scaled wavelet isometry, with range projection P; transport P
+    to lattice x transversal coordinates through the coset relabeling
+    u delta_(gamma, y) = sigma(gamma, y) delta_(gamma y), a
+    permutation-phase unitary, so u* P u is the gather
+    conj(vals[k]) P[flat[k], flat[l]] vals[l]; sum the diagonal blocks
+    into B; average B over the twisted right translations of the
+    conjugate restricted cocycle (the center-valued trace of the block
+    algebra) and read phi off the identity column, which is the gather
+    |lattice|^-1 sum_b sigma(i b^-1, b) conj(sigma(b^-1, b))
+    B[i b^-1, b^-1].  No use of the class formula anywhere.
     """
     g = spec.rep.group
     lat = spec.lattice_group
@@ -207,8 +191,14 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     d_pi = spec.rep.dim / g.order
     p_big = d_pi * (v @ v.conj().T)
 
-    u = _coset_unitary(spec)
-    p = u.conj().T @ p_big @ u
+    # x = gamma * y is unique for y in the transversal
+    elems = np.asarray(spec.lattice.elements, dtype=np.int64)
+    bs = np.asarray(spec.lattice.transversal, dtype=np.int64)
+    flat = g.cayley[elems[:, None], bs[None, :]].ravel()
+    if np.unique(flat).size != g.order:
+        raise ConsistencyError("coset factorization is not unique")
+    vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]].ravel()
+    p = np.conj(vals)[:, None] * p_big[flat[:, None], flat] * vals
     p4 = p.reshape(nl, nb, nl, nb)
 
     block_sum = np.einsum("aibi->ab", p4)
@@ -219,11 +209,9 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
             f"diagonal block trace is {scalar!r}, expected {dpi_vol!r}"
         )
 
-    rho = right_regular(lat, conjugate_cocycle(spec.restricted_cocycle)).matrices
-    avg = np.einsum(
-        "xji,jk,xkl->il", rho.conj(), block_sum, rho, optimize=True
-    ) / nl
-    values = avg[:, e_lat].copy()
+    values = _average_column(
+        lat, conjugate_cocycle(spec.restricted_cocycle).table, "right", block_sum
+    )
 
     regular = regularity(spec.restricted_cocycle).regular_elements
     return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)

@@ -219,11 +219,13 @@ def wavelet(
     a = rep.matrices @ window  # (order, dim), row x = pi(x) eta
     v = a.conj()  # row x: v |-> <v, pi(x) eta> applied by v_mat @ vec
 
-    # V pi(y) = lambda_sigma(y) V on matrices
-    lam = left_regular(rep.group, rep.cocycle).matrices
+    # V pi(y) = lambda_sigma(y) V for every y; row r of lambda_sigma(y) V
+    # is sigma(y, y^-1 r) times row y^-1 r of V
+    g, t = rep.group, rep.cocycle.table
     inter = 0.0
-    for y in range(rep.group.order):
-        r = float(np.abs(v @ rep.matrices[y] - lam[y] @ v).max())
+    for y in range(g.order):
+        cols = g.cayley[g.inverse[y]]
+        r = float(np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max())
         inter = max(inter, r)
     if inter > 1e-10:
         raise ConsistencyError(

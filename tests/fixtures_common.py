@@ -6,6 +6,7 @@ time-frequency groups over small bases, and one twisted nonabelian
 product obtained by lifting the Pauli twist through a direct factor.
 """
 
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -94,3 +95,14 @@ def cocycle_fixtures():
     out += [(f"wh-{b}", tf(b).cocycle) for b in WH_BASES]
     out.append(("s3-pauli", pauli_product()[1]))
     return out
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak, in bytes, reached while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
+    Cocycle,
     adjoint,
     build_cyclic,
     center_dimension,
     center_valued_trace,
     center_valued_trace_oracle,
+    conjugate_cocycle,
     conv_operator,
     element,
     element_from_operator,
@@ -24,7 +26,14 @@ from latdim import (
 
 from latdim.algebra import fixed_space
 
-from fixtures_common import cocycle_fixtures, gauge_twisted, group, pauli_product, tf
+from fixtures_common import (
+    cocycle_fixtures,
+    gauge_twisted,
+    group,
+    pauli_product,
+    tf,
+    traced_peak,
+)
 
 
 def _rand_coeffs(coc, seed):
@@ -57,6 +66,33 @@ def test_regular_reps_unitary_and_twisted(label, coc):
 def test_left_right_commute(label):
     coc = dict(cocycle_fixtures())[label]
     assert verify_commutant(coc.group, coc) < 1e-12
+
+
+def _reference_commutant(group, cocycle):
+    """Max commutator norm from the dense regular stacks, one batched matmul per x."""
+    lam = left_regular(group, cocycle).matrices
+    rho = right_regular(group, conjugate_cocycle(cocycle)).matrices
+    worst = 0.0
+    for x in range(group.order):
+        diff = lam[x] @ rho - rho @ lam[x]
+        worst = max(worst, float(np.linalg.norm(diff.reshape(group.order, -1), axis=1).max()))
+    return worst
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_verify_commutant_matches_dense_reference(label, coc):
+    for c in (coc, gauge_twisted(coc)):
+        assert abs(verify_commutant(c.group, c) - _reference_commutant(c.group, c)) < 1e-14
+
+
+def test_verify_commutant_sees_a_broken_cocycle():
+    coc = tf("Z3").cocycle
+    t = np.array(coc.table)
+    t[4, 5] *= -1
+    bad = Cocycle(coc.group, t, label="broken")
+    got = verify_commutant(bad.group, bad)
+    assert got > 0.5
+    assert got == pytest.approx(_reference_commutant(bad.group, bad), abs=1e-14)
 
 
 def test_convolution_identity_and_deltas():
@@ -186,6 +222,22 @@ def test_cvt_formula_vs_oracle(label, coc):
         d1 = center_valued_trace(a).coeffs
         d2 = center_valued_trace_oracle(a).coeffs
         assert np.abs(d1 - d2).max() < 1e-9, label
+
+
+def _reference_cvt_oracle(a):
+    """The averaging route on dense stacks: |G|^-1 sum_b lam(b)^* A lam(b), column e."""
+    lam = left_regular(a.group, a.cocycle).matrices
+    avg = np.einsum("xji,jk,xkl->il", np.conj(lam), a.operator(), lam, optimize=True)
+    return avg[:, a.group.identity] / a.group.order
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_cvt_oracle_matches_dense_reference(label, coc):
+    for c in (coc, gauge_twisted(coc)):
+        for seed in (43, 44):
+            a = element(c, _rand_coeffs(c, seed))
+            got = center_valued_trace_oracle(a).coeffs
+            assert np.abs(got - _reference_cvt_oracle(a)).max() < 1e-12, label
 
 
 def _reference_cvt(a):
@@ -340,3 +392,19 @@ def test_fixed_space_of_cyclic_shift_is_constants():
     phased = shift.copy()
     phased[0, 0, 3] = -1.0
     assert fixed_space(phased).shape == (0, 4)
+
+
+def test_routes_at_256_in_quadratic_memory():
+    coc = tf("Z16").cocycle  # Weyl-Heisenberg over Z16 x Z16
+    a = element(coc, _rand_coeffs(coc, 80))
+    formula, peak_formula = traced_peak(center_valued_trace, a)
+    oracle, peak_oracle = traced_peak(center_valued_trace_oracle, a)
+    assert np.abs(formula.coeffs - oracle.coeffs).max() < 1e-12
+    assert max(peak_formula, peak_oracle) < 64e6
+
+
+def test_verify_commutant_at_256_in_quadratic_memory():
+    coc = tf("Z16").cocycle
+    res, peak = traced_peak(verify_commutant, coc.group, coc)
+    assert res < 1e-12
+    assert peak < 64e6

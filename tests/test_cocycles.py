@@ -24,7 +24,14 @@ from latdim import (
 )
 from latdim.groups import all_subgroups
 
-from fixtures_common import cocycle_fixtures, gauge_twisted, group, pauli_product, tf
+from fixtures_common import (
+    cocycle_fixtures,
+    gauge_twisted,
+    group,
+    pauli_product,
+    tf,
+    traced_peak,
+)
 
 
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())
@@ -91,6 +98,33 @@ def test_validate_memory_is_quadratic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 16e6
+
+
+def _reference_multiplicativity(c):
+    """Residual and worst triple of tilde multiplicativity over all triples at once."""
+    g, tt, ci = c.group, tilde_table(c), c.group.conjugation
+    x, y, z = np.ix_(*3 * [np.arange(g.order)])
+    diff = np.abs(tt[x, g.cayley[y, z]] - tt[x, y] * tt[ci[x, y], z])
+    return diff.max(), tuple(int(v) for v in np.unravel_index(np.argmax(diff), diff.shape))
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_tilde_multiplicativity_matches_triple_broadcast(label, coc):
+    for c in (coc, gauge_twisted(coc), _tampered(coc, 2)):
+        try:
+            rpt = verify_tilde_identities(c)
+        except ConsistencyError:
+            continue  # the tampered table broke class-constant regularity
+        res, worst = _reference_multiplicativity(c)
+        assert rpt.residual_multiplicativity == res
+        assert rpt.worst["multiplicativity"] == worst
+
+
+def test_tilde_identities_memory_is_quadratic():
+    c = weyl_heisenberg(build_cyclic(12))  # |G| = 144
+    rpt, peak = traced_peak(verify_tilde_identities, c)
+    assert rpt.ok
     assert peak < 16e6
 
 

@@ -1,17 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from latdim import (
+    ConsistencyError,
     DimensionMismatch,
     NotHermitian,
     NotIrreducible,
     PhiFunction,
     PreconditionFailed,
+    Subgroup,
     WindowNotUnit,
     abelian_kleppner_shortcut,
     all_subgroups,
     build_cyclic,
     cdim_operator,
+    conjugate_cocycle,
     full_subgroup,
     is_sigma_positive_definite,
     make_module_spec,
@@ -20,12 +25,14 @@ from latdim import (
     phi_oracle_sum,
     projective_rep,
     random_window,
+    right_regular,
     subgroup_generated,
     trivial,
     trivial_subgroup,
+    wavelet,
 )
 
-from fixtures_common import rep_fixtures, tf, trivial_irrep
+from fixtures_common import rep_fixtures, tf, traced_peak, trivial_irrep
 
 
 def _sign_character():
@@ -141,6 +148,61 @@ def test_phi_matches_transversal_reference(label, rep):
             values, regular = _reference_phi(spec)
             assert np.abs(fn.values - values).max() < 1e-12, (label, sub.elements)
             assert np.array_equal(fn.regular, regular)
+
+
+def _reference_phi_oracle(spec):
+    """The embedding route on dense matrices: the coset unitary u, the
+    product u* P u, and the average of the block sum over the dense
+    right regular stack of the conjugate restricted cocycle, column e."""
+    g, lat = spec.rep.group, spec.lattice_group
+    nl, nb = lat.order, len(spec.lattice.transversal)
+    v = wavelet(spec.rep, spec.window).matrix
+    p_big = spec.rep.dim / g.order * (v @ v.conj().T)
+    elems = np.asarray(spec.lattice.elements)
+    bs = np.asarray(spec.lattice.transversal)
+    u = np.zeros((g.order, g.order), dtype=np.complex128)
+    u[g.cayley[elems[:, None], bs].ravel(), np.arange(g.order)] = (
+        spec.rep.cocycle.table[elems[:, None], bs].ravel()
+    )
+    p = u.conj().T @ p_big @ u
+    block_sum = np.einsum("aibi->ab", p.reshape(nl, nb, nl, nb))
+    rho = right_regular(lat, conjugate_cocycle(spec.restricted_cocycle)).matrices
+    avg = np.einsum("xji,jk,xkl->il", rho.conj(), block_sum, rho, optimize=True)
+    return avg[:, lat.identity] / nl
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_phi_oracle_matches_dense_reference(label, rep):
+    for sub in all_subgroups(rep.group):
+        for seed in (None, 5, 6):
+            window = None if seed is None else random_window(rep.dim, seed)
+            spec = make_module_spec(rep, sub, window=window)
+            got = phi_oracle(spec).values
+            assert np.abs(got - _reference_phi_oracle(spec)).max() < 1e-12, (label, sub.elements)
+
+
+def test_phi_oracle_rejects_a_non_unique_coset_factorization():
+    rep = tf("Z2").rep
+    spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
+    lat = spec.lattice
+    first = lat.transversal[0]
+    bad = Subgroup(lat.parent, lat.elements, (first,) * len(lat.transversal))
+    with pytest.raises(ConsistencyError, match="coset factorization is not unique"):
+        phi_oracle(dataclasses.replace(spec, lattice=bad))
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([16 * 4, 4], 16), ([16 * 2, 2], 64), ([16, 2], 128), ([16, 1], 256),
+])
+def test_phi_matches_oracle_at_256_in_quadratic_memory(gens, order):
+    rep = tf("Z16").rep  # Weyl-Heisenberg over Z16 x Z16, index (x, w) -> 16 x + w
+    sub = subgroup_generated(rep.group, gens)
+    assert sub.order == order
+    spec = make_module_spec(rep, sub, window=random_window(rep.dim, 7))
+    closed, peak_closed = traced_peak(phi, spec)
+    oracle, peak_oracle = traced_peak(phi_oracle, spec)
+    assert np.abs(closed.values - oracle.values).max() < 1e-12
+    assert max(peak_closed, peak_oracle) < 64e6
 
 
 @pytest.mark.parametrize("seed", [1, 2])

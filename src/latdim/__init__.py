@@ -82,13 +82,11 @@ from .frames import (
     tighten,
 )
 from .gabor import (
-    SuperframeDemo,
     TimeFrequencyGroup,
     audit_rows,
     build_tf,
     gabor_scan,
     read_scan_csv,
-    superframe_demo,
     write_scan_csv,
 )
 from .groups import (

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import center_valued_trace, element
 from .cocycles import Cocycle, regularity, trivial, validate
 from .config import DEFAULT_TOL, Tolerances
-from .dimension import make_module_spec, phi
+from .dimension import make_module_spec, phi, phi_oracle, random_window
 from .errors import Infeasible, InputError, NotIrreducible, PreconditionFailed
 from .frames import (
     construct_parseval_generators,
@@ -41,6 +41,7 @@ from .gabor import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    all_subgroups,
     build_cyclic,
     cyclic_factor_generators,
     dihedral,
@@ -52,7 +53,7 @@ from .groups import (
     symmetric_group,
     trivial_subgroup,
 )
-from .reps import ProjectiveRep, formal_dimension, validate_rep
+from .reps import ProjectiveRep, formal_dimension, irreducible_subrep, validate_rep
 from .serialize import (
     cocycle_from_json,
     complex_to_pairs,
@@ -88,9 +89,11 @@ class RunConfig:
     tolerances: Tolerances = DEFAULT_TOL
 
 
-_CONFIG_KEYS = {
-    "group", "cocycle", "rep", "lattice", "n", "d", "seed", "base",
-    "nmax", "dmax", "construct", "in", "out", "tolerances",
+# JSON type each config key must hold; null means "not set"
+_CONFIG_TYPES = {
+    "group": str, "cocycle": str, "rep": str, "lattice": str, "base": str,
+    "in": str, "out": str, "n": int, "d": int, "seed": int, "nmax": int,
+    "dmax": int, "construct": bool, "tolerances": dict,
 }
 
 _ATOM = re.compile(r"^([ZDSQ])(\d+)$")
@@ -139,6 +142,13 @@ def _token_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
     return reduce(direct_product, atoms), factors
 
 
+def _tf_group(base_spec: str) -> tuple[TimeFrequencyGroup, tuple[int, ...]]:
+    """Time-frequency data over builtin base tokens, in row-major coordinates."""
+    base, factors = _token_group(base_spec)
+    gens, orders = cyclic_factor_generators(list(factors))
+    return build_tf(base, dual_group(base, gens, orders)), factors
+
+
 def _build_group(spec: str) -> FiniteGroup:
     """Either a product of builtin tokens or a path to a Cayley table."""
     tokens = spec.split("x")
@@ -176,9 +186,7 @@ def _resolve_pair(cfg: RunConfig, check: bool = True) -> _Resolved:
                 "weyl-heisenberg needs a group of the form AxA, two "
                 "identical token halves"
             )
-        base, factors = _token_group("x".join(tokens[:half]))
-        gens, orders = cyclic_factor_generators(list(factors))
-        tf = build_tf(base, dual_group(base, gens, orders))
+        tf, factors = _tf_group("x".join(tokens[:half]))
         return _Resolved(tf.group, tf.cocycle, tf, factors)
     if spec == "trivial":
         if cfg.group is None:
@@ -227,9 +235,6 @@ def _parse_lattice(cfg: RunConfig, res: _Resolved) -> Subgroup:
                 "weyl-heisenberg construction; pass element indices instead"
             )
         radices = res.factors + res.factors
-        na = 1
-        for f in res.factors:
-            na *= f
         leftover = _TUPLE.sub("", s).replace(",", "").strip()
         if leftover:
             raise InputError(f"malformed lattice spec {s!r}")
@@ -245,14 +250,7 @@ def _parse_lattice(cfg: RunConfig, res: _Resolved) -> Subgroup:
                 _parse_int(p, "lattice coordinate") % m
                 for p, m in zip(parts, radices)
             ]
-            k = len(res.factors)
-            idx_a = 0
-            for c, m in zip(coords[:k], res.factors):
-                idx_a = idx_a * m + c
-            idx_w = 0
-            for c, m in zip(coords[k:], res.factors):
-                idx_w = idx_w * m + c
-            gens.append(idx_a * na + idx_w)
+            gens.append(int(np.ravel_multi_index(coords, radices)))
         return subgroup_generated(g, gens)
     gens = [_parse_int(p, "lattice element index") for p in s.split(",")]
     for i in gens:
@@ -383,14 +381,37 @@ def _cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
+def _cmd_routes(cfg: RunConfig) -> int:
+    """phi against phi_oracle on every lattice; exit 1 above tol_id."""
+    if cfg.rep is not None or cfg.cocycle == "weyl-heisenberg":
+        rep, _ = _resolve_rep(cfg)
+    else:
+        res = _resolve_pair(cfg)
+        rep = irreducible_subrep(res.group, res.cocycle, seed=cfg.seed)
+    g = rep.group
+    print(f"group {cfg.group or g.label}, order {g.order}, irrep dim {rep.dim}")
+    window = random_window(rep.dim, cfg.seed)
+    worst = 0.0
+    for sub in all_subgroups(g):
+        spec = make_module_spec(rep, sub, window=window)
+        closed = phi(spec)
+        gap = float(np.abs(closed.values - phi_oracle(spec).values).max())
+        worst = max(worst, gap)
+        vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values)
+        print(
+            f"|lattice| {sub.order:3d}  dpi_vol {spec.dpi_vol:8.4f}  "
+            f"regular {int(closed.regular.sum()):3d}  gap {gap:.2e}  phi [{vals}]"
+        )
+    print(f"worst formula/embedding gap {worst:.3e}")
+    return 1 if worst > cfg.tolerances.tol_id else 0
+
+
 def _cmd_gabor_scan(cfg: RunConfig) -> int:
     if cfg.base is None:
         raise InputError("gabor-scan needs --base, e.g. --base Z4")
     if cfg.out is None:
         raise InputError("gabor-scan needs --out FILE.csv")
-    base, factors = _token_group(cfg.base)
-    gens, orders = cyclic_factor_generators(list(factors))
-    tf = build_tf(base, dual_group(base, gens, orders))
+    tf, _ = _tf_group(cfg.base)
     rows = gabor_scan(
         tf, cfg.nmax, cfg.dmax, construct=cfg.construct, seed=cfg.seed
     )
@@ -443,6 +464,7 @@ _HANDLERS = {
     "phi": _cmd_phi,
     "decide": _cmd_decide,
     "construct": _cmd_construct,
+    "routes": _cmd_routes,
     "gabor-scan": _cmd_gabor_scan,
     "density-audit": _cmd_density_audit,
     "rep-validate": _cmd_rep_validate,
@@ -469,9 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--cocycle", default=None, metavar="SPEC",
                       help="trivial, weyl-heisenberg, or a JSON file")
 
-    module = argparse.ArgumentParser(add_help=False)
-    module.add_argument("--rep", default=None, metavar="FILE",
-                        help="representation JSON (overrides --group/--cocycle)")
+    repfile = argparse.ArgumentParser(add_help=False)
+    repfile.add_argument("--rep", default=None, metavar="FILE",
+                         help="representation JSON (overrides --group/--cocycle)")
+    module = argparse.ArgumentParser(add_help=False, parents=[repfile])
     module.add_argument("--lattice", default=None, metavar="SPEC",
                         help="full, trivial, element indices 0,3,5, or "
                              "coordinate tuples (1,0,2,0),(0,1,0,0)")
@@ -500,6 +523,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="frame / Riesz / basis existence for (n, d)")
     sub.add_parser("construct", parents=[shared, pair, module, counts],
                    help="build Parseval generators when they exist")
+    sub.add_parser("routes", parents=[shared, pair, repfile],
+                   help="class formula against module embedding on every "
+                        "lattice")
     scan = sub.add_parser("gabor-scan", parents=[shared],
                           help="scan every lattice of a time-frequency group")
     scan.add_argument("--base", default=None, metavar="SPEC",
@@ -522,9 +548,18 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     file_data: dict = {}
     if getattr(args, "config", None):
         raw = load_json(args.config)
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        if not isinstance(raw, dict):
+            raise InputError("config file must hold a JSON object")
+        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")
+        for key, v in raw.items():
+            # type() rather than isinstance: JSON true is not a count
+            if v is not None and type(v) is not _CONFIG_TYPES[key]:
+                raise InputError(
+                    f"config key {key!r} must be a JSON "
+                    f"{_CONFIG_TYPES[key].__name__}, got {v!r}"
+                )
         file_data = raw
 
     def pick(name: str, default, file_key: str | None = None):
@@ -542,25 +577,22 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     }
     if overrides:
         tols = replace(tols, **overrides)
-    try:
-        cfg = RunConfig(
-            group=pick("group", None),
-            cocycle=str(pick("cocycle", "trivial")),
-            rep=pick("rep", None),
-            lattice=pick("lattice", None),
-            n=int(pick("n", 1)),
-            d=int(pick("d", 1)),
-            seed=int(pick("seed", 0)),
-            base=pick("base", None),
-            nmax=int(pick("nmax", 3)),
-            dmax=int(pick("dmax", 3)),
-            construct=bool(pick("construct", False)),
-            in_path=pick("in_path", None, "in"),
-            out=pick("out", None),
-            tolerances=tols,
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config value: {exc}") from None
+    cfg = RunConfig(
+        group=pick("group", None),
+        cocycle=pick("cocycle", "trivial"),
+        rep=pick("rep", None),
+        lattice=pick("lattice", None),
+        n=pick("n", 1),
+        d=pick("d", 1),
+        seed=pick("seed", 0),
+        base=pick("base", None),
+        nmax=pick("nmax", 3),
+        dmax=pick("dmax", 3),
+        construct=pick("construct", False),
+        in_path=pick("in_path", None, "in"),
+        out=pick("out", None),
+        tolerances=tols,
+    )
     for name in ("n", "d", "nmax", "dmax"):
         if getattr(cfg, name) < 1:
             raise InputError(f"{name} must be at least 1, got {getattr(cfg, name)}")

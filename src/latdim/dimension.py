@@ -25,7 +25,7 @@ from .errors import (
     PreconditionFailed,
     WindowNotUnit,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_group
+from .groups import FiniteGroup, Subgroup, right_transversal, subgroup_group
 from .reps import ProjectiveRep, is_irreducible, wavelet
 
 
@@ -183,7 +183,6 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     g = spec.rep.group
     lat = spec.lattice_group
     nl = lat.order
-    nb = len(spec.lattice.transversal)
     e_lat = lat.identity
 
     wt = wavelet(spec.rep, spec.window)
@@ -191,9 +190,10 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     d_pi = spec.rep.dim / g.order
     p_big = d_pi * (v @ v.conj().T)
 
-    # x = gamma * y is unique for y in the transversal
+    # x = gamma * y is unique for y in a right transversal
     elems = np.asarray(spec.lattice.elements, dtype=np.int64)
-    bs = np.asarray(spec.lattice.transversal, dtype=np.int64)
+    bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
+    nb = len(bs)
     flat = g.cayley[elems[:, None], bs[None, :]].ravel()
     if np.unique(flat).size != g.order:
         raise ConsistencyError("coset factorization is not unique")

@@ -15,23 +15,14 @@ import numpy as np
 
 from .cocycles import Cocycle, regularity, weyl_heisenberg
 from .dimension import ModuleSpec, make_module_spec, phi
-from .errors import BoundExceeded, ConsistencyError, Infeasible, InputError
+from .errors import BoundExceeded, ConsistencyError, InputError
 from .frames import (
-    FrameReport,
     construct_parseval_generators,
     existence_decision,
-    frame_report,
     gram_matrix,
     multiwindow_system,
 )
-from .groups import (
-    DualGroup,
-    FiniteGroup,
-    Subgroup,
-    all_subgroups,
-    dual_group,
-    full_subgroup,
-)
+from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group
 from .reps import ProjectiveRep, is_irreducible, validate_rep
 
 SCAN_COLUMNS = (
@@ -54,8 +45,7 @@ class TimeFrequencyGroup:
 
     The rep acts on functions over the base group: the base part
     translates, the dual part modulates.  Formal dimension under
-    counting measure is 1/|base|; the literature often normalizes it
-    to 1, which ``dpi_normalized`` records for output clarity.
+    counting measure is 1/|base|.
     """
 
     base: FiniteGroup
@@ -67,19 +57,6 @@ class TimeFrequencyGroup:
     @property
     def dpi_counting(self) -> float:
         return 1.0 / self.base.order
-
-    @property
-    def dpi_normalized(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class SuperframeDemo:
-    generators: np.ndarray
-    report: FrameReport
-    dpi_vol: float
-    d: int
-    lattice_order: int
 
 
 def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGroup:
@@ -228,33 +205,6 @@ def gabor_scan(
     for sub in all_subgroups(tf.group):
         rows.extend(_scan_lattice(tf, sub, n_max, d_max, construct, seed))
     return rows
-
-
-def superframe_demo(
-    tf: TimeFrequencyGroup,
-    d: int,
-    lattice: Subgroup | None = None,
-    seed: int = 0,
-) -> SuperframeDemo:
-    """One-window d-copy Parseval system on a lattice (default: all of G).
-
-    Feasible exactly when |lattice| >= d * |base|; raises Infeasible
-    otherwise, before any linear algebra runs.
-    """
-    if d < 1 or d > tf.base.order:
-        raise InputError(f"d must be between 1 and {tf.base.order}")
-    if lattice is None:
-        lattice = full_subgroup(tf.group)
-    if Fraction(tf.base.order, lattice.order) > Fraction(1, d):
-        raise Infeasible(
-            f"no 1-window {d}-copy frame: lattice order {lattice.order} "
-            f"is below {d * tf.base.order}"
-        )
-    spec = make_module_spec(tf.rep, lattice)
-    gens = construct_parseval_generators(spec, 1, d, seed=seed)
-    sys = multiwindow_system(tf.rep, lattice, gens)
-    report = frame_report(sys)
-    return SuperframeDemo(gens, report, spec.dpi_vol, d, lattice.order)
 
 
 def write_scan_csv(rows: list[dict], path: str) -> None:

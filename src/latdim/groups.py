@@ -1,9 +1,9 @@
 """Finite groups as dense index tables.
 
 Elements are the integers 0..order-1. A group is its Cayley table plus the
-derived identity and inverse data. Subgroups keep a coset transversal that
-works from both sides, so unique factorizations x = h * t and x = t' * h
-are available downstream without further bookkeeping.
+derived identity and inverse data. A subgroup is its parent and its sorted
+elements; ``right_transversal`` picks one representative per right coset
+H * y for callers that need the unique factorization x = h * y.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class FiniteGroup:
 class Subgroup:
     parent: FiniteGroup
     elements: tuple[int, ...]
-    transversal: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -222,38 +221,8 @@ def _closure_mask(g: FiniteGroup, gens) -> np.ndarray:
         mask = new
 
 
-def _coset_transversal(g: FiniteGroup, elems: np.ndarray) -> tuple[int, ...]:
-    """One representative per left coset that also hits each right coset once.
-
-    Within a double coset H x H every left coset meets every right coset, and
-    the two families have equal cardinalities there, so pairing the k-th
-    smallest left coset id with the k-th smallest right coset id always
-    succeeds; each pair contributes its least common element. The chosen set
-    therefore satisfies both partition identities needed downstream.
-    """
-    n = g.order
-    lc = g.cayley[:, elems].min(axis=1)            # id of x*H
-    rc = g.cayley[elems, :].min(axis=0)            # id of H*x
-    dc = rc[g.cayley[:, elems]].min(axis=1)        # id of H*x*H
-
-    def rank(ids):
-        """Rank of each element's coset id among the ids of its double coset."""
-        keys = np.unique(dc * n + ids)
-        at = np.searchsorted(keys, dc * n + ids)
-        return at - np.searchsorted(keys, dc * n), np.bincount(keys // n, minlength=n)
-
-    lrank, lcount = rank(lc)
-    rrank, rcount = rank(rc)
-    if not np.array_equal(lcount, rcount):
-        raise ConsistencyError("double coset with unbalanced coset counts")
-    paired = np.flatnonzero(lrank == rrank)
-    _, first = np.unique(lc[paired], return_index=True)
-    return tuple(sorted(int(x) for x in paired[first]))
-
-
 def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
-    elems = np.flatnonzero(mask)
-    return Subgroup(g, tuple(int(x) for x in elems), _coset_transversal(g, elems))
+    return Subgroup(g, tuple(int(x) for x in np.flatnonzero(mask)))
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import fixed_space, left_regular, sandwich_stack
+from .algebra import _monomial, fixed_space, sandwich_stack
 from .cocycles import Cocycle, conjugate_cocycle, restrict
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -278,19 +278,22 @@ def irreducible_subrep(
     Averages a random Hermitian matrix over the rep to get a commutant
     element, takes the eigenspace cluster of largest dimension (ties go
     to the lowest eigenvalue), and compresses the rep onto it.  Retries
-    with fresh randomness if the cut summand is not irreducible.
+    with fresh randomness if the cut summand is not irreducible.  The
+    rep is read as the monomial lam(b) delta_i = sigma(b, i) delta_{b i},
+    so both steps are gathers in O(|G|^2) memory.
     """
-    lam = left_regular(group, cocycle).matrices
+    rows, phases = _monomial(group, cocycle.table, "left")
     n = group.order
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt, 0x1D])
         h_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h_rand = h_rand + h_rand.conj().T
-        # average over the rep: lands in the commutant, stays Hermitian
-        e = np.einsum(
-            "xij,jk,xlk->il", lam, h_rand, lam.conj(), optimize=True
-        ) / n
-        e = (e + e.conj().T) / 2
+        # average over the rep: lands in the commutant, stays Hermitian;
+        # lam(b) H lam(b)* holds sigma(b, i) H[i, j] conj sigma(b, j) at (b i, b j)
+        e = np.zeros((n, n), dtype=np.complex128)
+        for b in range(n):
+            e[np.ix_(rows[b], rows[b])] += phases[b, :, None] * h_rand * phases[b].conj()
+        e = (e + e.conj().T) / (2 * n)
         eigvals, eigvecs = np.linalg.eigh(e)
         scale = max(1.0, float(np.abs(eigvals).max()))
         # cluster eigenvalues, then take the largest cluster
@@ -302,7 +305,8 @@ def irreducible_subrep(
                 clusters.append([i])
         best = max(clusters, key=lambda c: (len(c), -eigvals[c[0]]))
         q = eigvecs[:, best]  # (n, k) orthonormal
-        mats = np.einsum("ri,xrs,sj->xij", q.conj(), lam, q, optimize=True)
+        # (q* lam(x) q)[i, j] = sum_s conj(q[x s, i]) sigma(x, s) q[s, j]
+        mats = np.stack([(q[rows[x]].conj().T * phases[x]) @ q for x in range(n)])
         candidate = ProjectiveRep(group, cocycle, q.shape[1], mats)
         report = validate_rep(candidate)
         if not report.ok:

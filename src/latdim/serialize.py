@@ -24,7 +24,10 @@ def complex_to_pairs(arr: np.ndarray) -> list:
 
 
 def pairs_to_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InputError(f"complex data must be nested [re, im] pairs: {exc}") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError("complex data must be nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,18 +6,20 @@ import sys
 import numpy as np
 import pytest
 
+from latdim import frame_report, full_subgroup, multiwindow_system, phi_oracle
 from latdim.cli import main
 from latdim.gabor import SCAN_COLUMNS
 from latdim.serialize import (
     cocycle_to_json,
     dump_json,
+    generators_from_json,
     load_json,
     rep_to_json,
     write_cayley_text,
 )
 from latdim.groups import symmetric_group
 
-from fixtures_common import tf
+from fixtures_common import pauli_product, tf
 
 
 def run(capsys, *argv):
@@ -197,15 +200,23 @@ def test_construct_parseval(capsys):
     assert float(hi) == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("base", ["Z12", "Z16"])
-def test_construct_full_lattice_of_large_groups(capsys, base):
+@pytest.mark.parametrize("base, d", [
+    pytest.param("Z12", 1, id="Z12"),
+    pytest.param("Z16", 1, id="Z16"),
+    pytest.param("Z3", 3, id="Z3-d3"),  # d = |base|: an orthonormal basis
+    pytest.param("Z3", 2, id="Z3-d2"),  # d < |base|: an overcomplete Parseval frame
+])
+def test_construct_full_lattice_of_large_groups(capsys, tmp_path, base, d):
+    path = str(tmp_path / "gens.json")
     rc, out, _ = run(
         capsys,
         "construct",
         "--group", f"{base}x{base}",
         "--cocycle", "weyl-heisenberg",
+        "--lattice", "full",
         "--n", "1",
-        "--d", "1",
+        "--d", str(d),
+        "--out", path,
     )
     assert rc == 0
     lines = out.splitlines()
@@ -213,6 +224,11 @@ def test_construct_full_lattice_of_large_groups(capsys, base):
     _, lo, hi = lines[1].split()
     assert float(lo) == pytest.approx(1.0, abs=1e-8)
     assert float(hi) == pytest.approx(1.0, abs=1e-8)
+    rep = tf(base).rep
+    gens = generators_from_json(load_json(path))
+    assert gens.shape == (1, d, rep.dim)
+    rpt = frame_report(multiwindow_system(rep, full_subgroup(rep.group), gens))
+    assert rpt.is_riesz_basis == (d == rep.dim)
 
 
 def test_construct_deterministic(capsys, tmp_path):
@@ -405,6 +421,10 @@ _WH = ("--group", "Z2xZ2", "--cocycle", "weyl-heisenberg")
     pytest.param(("gabor-scan", "--base", "Z2", "--nmax", "0"), None, id="scan-nmax-0"),
     pytest.param(("gabor-scan", "--base", "Z2"), {"dmax": 0}, id="config-dmax-0"),
     pytest.param(("density-audit",), None, id="audit-row-d-0"),
+    pytest.param(("decide", *_WH), {"n": 1.5}, id="config-n-float"),
+    pytest.param(("decide", *_WH), {"d": True}, id="config-d-bool"),
+    pytest.param(("gabor-scan", "--base", "Z2"), {"construct": "false"}, id="config-construct-string"),
+    pytest.param(("decide", *_WH), ["group"], id="config-array"),
 ])
 def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
     argv = list(argv)
@@ -423,3 +443,55 @@ def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
     rc, _, err = run(capsys, *argv)
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate-cocycle", "rep-validate"])
+def test_ragged_complex_pairs_are_rejected(capsys, tmp_path, command):
+    path = str(tmp_path / "in.json")
+    data = rep_to_json(tf("Z2").rep)
+    if command == "validate-cocycle":
+        data = data["cocycle"]
+        data["table"][0][0] = [1.0]
+        flag = "--cocycle"
+    else:
+        data["matrices"][0][0][0] = [1.0]
+        flag = "--rep"
+    dump_json(data, path)
+    rc, _, err = run(capsys, command, flag, path)
+    assert rc == 1
+    assert "[re, im] pairs" in err
+
+
+def _worst_gap(out):
+    last = out.splitlines()[-1]
+    assert last.startswith("worst formula/embedding gap ")
+    return float(last.split()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--group", "S3"), id="S3"),
+    pytest.param(("--group", "Z2xZ2", "--cocycle", "weyl-heisenberg"), id="wh-Z2"),
+    pytest.param(("--seed", "3"), id="cocycle-file"),
+])
+def test_routes_agree(capsys, tmp_path, argv):
+    if "--group" not in argv:
+        path = str(tmp_path / "cocycle.json")
+        dump_json(cocycle_to_json(pauli_product()[1]), path)
+        argv = (*argv, "--cocycle", path)
+    rc, out, _ = run(capsys, "routes", *argv)
+    assert rc == 0
+    assert out.startswith("group ")
+    assert _worst_gap(out) < 1e-12
+
+
+def test_routes_exit_1_when_the_routes_disagree(capsys, monkeypatch):
+    def perturbed(spec):
+        fn = phi_oracle(spec)
+        values = fn.values.copy()
+        values[0] += 1e-6
+        return dataclasses.replace(fn, values=values)
+
+    monkeypatch.setattr("latdim.cli.phi_oracle", perturbed)
+    rc, out, _ = run(capsys, "routes", "--group", "S3")
+    assert rc == 1
+    assert _worst_gap(out) == pytest.approx(1e-6, rel=1e-3)

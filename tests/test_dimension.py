@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from latdim import (
     NotIrreducible,
     PhiFunction,
     PreconditionFailed,
-    Subgroup,
     WindowNotUnit,
     abelian_kleppner_shortcut,
     all_subgroups,
@@ -26,6 +23,7 @@ from latdim import (
     projective_rep,
     random_window,
     right_regular,
+    right_transversal,
     subgroup_generated,
     trivial,
     trivial_subgroup,
@@ -155,11 +153,11 @@ def _reference_phi_oracle(spec):
     product u* P u, and the average of the block sum over the dense
     right regular stack of the conjugate restricted cocycle, column e."""
     g, lat = spec.rep.group, spec.lattice_group
-    nl, nb = lat.order, len(spec.lattice.transversal)
+    elems = np.asarray(spec.lattice.elements)
+    bs = np.asarray(right_transversal(g, elems))
+    nl, nb = lat.order, len(bs)
     v = wavelet(spec.rep, spec.window).matrix
     p_big = spec.rep.dim / g.order * (v @ v.conj().T)
-    elems = np.asarray(spec.lattice.elements)
-    bs = np.asarray(spec.lattice.transversal)
     u = np.zeros((g.order, g.order), dtype=np.complex128)
     u[g.cayley[elems[:, None], bs].ravel(), np.arange(g.order)] = (
         spec.rep.cocycle.table[elems[:, None], bs].ravel()
@@ -181,14 +179,15 @@ def test_phi_oracle_matches_dense_reference(label, rep):
             assert np.abs(got - _reference_phi_oracle(spec)).max() < 1e-12, (label, sub.elements)
 
 
-def test_phi_oracle_rejects_a_non_unique_coset_factorization():
+def test_phi_oracle_rejects_a_non_unique_coset_factorization(monkeypatch):
     rep = tf("Z2").rep
     spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
-    lat = spec.lattice
-    first = lat.transversal[0]
-    bad = Subgroup(lat.parent, lat.elements, (first,) * len(lat.transversal))
+    good = right_transversal(rep.group, spec.lattice.elements)
+    monkeypatch.setattr(
+        "latdim.dimension.right_transversal", lambda g, h: (good[0],) * len(good)
+    )
     with pytest.raises(ConsistencyError, match="coset factorization is not unique"):
-        phi_oracle(dataclasses.replace(spec, lattice=bad))
+        phi_oracle(spec)
 
 
 @pytest.mark.parametrize("gens, order", [

@@ -4,7 +4,6 @@ import pytest
 from latdim import (
     BoundExceeded,
     ConsistencyError,
-    Infeasible,
     InputError,
     all_subgroups,
     audit_rows,
@@ -12,8 +11,6 @@ from latdim import (
     build_tf,
     gabor_scan,
     read_scan_csv,
-    subgroup_generated,
-    superframe_demo,
     validate_rep,
     write_scan_csv,
 )
@@ -27,7 +24,6 @@ def test_build_tf_basics():
     assert t.group.order == 4
     assert t.rep.dim == 2
     assert t.dpi_counting == pytest.approx(0.5)
-    assert t.dpi_normalized == 1.0
     assert validate_rep(t.rep).ok
 
 
@@ -86,40 +82,6 @@ def test_scan_with_construction(base):
     rows = gabor_scan(tf(base), n_max=2, d_max=2, construct=True)
     assert all(r["base"] == base for r in rows)
     assert audit_rows(rows) == []
-
-
-def test_superframe_full_copies_is_orthonormal_basis():
-    t = tf("Z3")
-    demo = superframe_demo(t, d=3, seed=1)
-    assert demo.generators.shape == (1, 3, 3)
-    assert demo.lattice_order == 9
-    assert demo.dpi_vol == pytest.approx(1.0 / 3.0)
-    assert abs(demo.report.lower - 1.0) < 1e-8
-    assert abs(demo.report.upper - 1.0) < 1e-8
-    assert demo.report.is_riesz_basis
-
-
-def test_superframe_partial_copies_is_proper_frame():
-    t = tf("Z3")
-    demo = superframe_demo(t, d=2, seed=0)
-    assert abs(demo.report.lower - 1.0) < 1e-8
-    assert not demo.report.is_riesz_basis  # overcomplete at d < |base|
-
-
-def test_superframe_rejects_bad_d():
-    t = tf("Z2")
-    with pytest.raises(InputError):
-        superframe_demo(t, d=3)
-    with pytest.raises(InputError):
-        superframe_demo(t, d=0)
-
-
-def test_superframe_small_lattice_infeasible():
-    t = tf("Z2")
-    na = t.base.order
-    sub = subgroup_generated(t.group, [1 * na + 0])
-    with pytest.raises(Infeasible):
-        superframe_demo(t, d=2, lattice=sub)
 
 
 def test_scan_csv_round_trip(tmp_path):

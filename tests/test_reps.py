@@ -15,6 +15,7 @@ from latdim import (
     full_subgroup,
     irreducible_subrep,
     is_irreducible,
+    left_regular,
     make_module_spec,
     projective_rep,
     restrict_to_lattice,
@@ -26,7 +27,9 @@ from latdim import (
 )
 from latdim.groups import generators
 
-from fixtures_common import rep_fixtures, tf, trivial_irrep
+from fixtures_common import (
+    cocycle_fixtures, group, rep_fixtures, tf, traced_peak, trivial_irrep,
+)
 
 
 def _unit_window(dim, seed):
@@ -225,6 +228,50 @@ def test_irreducible_subrep_fixture_groups(name):
     assert validate_rep(rep).ok
     irr, cdim = is_irreducible(rep)
     assert irr and cdim == 1
+
+
+def _dense_irreducible_subrep(group, cocycle, seed, max_attempts=8):
+    """The cut on the dense |G|^3 left regular stack, as the gathers replaced it."""
+    lam = left_regular(group, cocycle).matrices
+    n = group.order
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng([seed, attempt, 0x1D])
+        h_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h_rand = h_rand + h_rand.conj().T
+        e = np.einsum("xij,jk,xlk->il", lam, h_rand, lam.conj(), optimize=True) / n
+        e = (e + e.conj().T) / 2
+        eigvals, eigvecs = np.linalg.eigh(e)
+        scale = max(1.0, float(np.abs(eigvals).max()))
+        clusters = [[0]]
+        for i in range(1, n):
+            if eigvals[i] - eigvals[i - 1] < 1e-6 * scale:
+                clusters[-1].append(i)
+            else:
+                clusters.append([i])
+        best = max(clusters, key=lambda c: (len(c), -eigvals[c[0]]))
+        q = eigvecs[:, best]
+        mats = np.einsum("ri,xrs,sj->xij", q.conj(), lam, q, optimize=True)
+        candidate = projective_rep(group, cocycle, mats)
+        if validate_rep(candidate).ok and is_irreducible(candidate)[0]:
+            return candidate
+    raise NotIrreducible(f"no irreducible summand found in {max_attempts} attempts")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_irreducible_subrep_matches_dense_reference(label, coc, seed):
+    got = irreducible_subrep(coc.group, coc, seed=seed)
+    want = _dense_irreducible_subrep(coc.group, coc, seed)
+    assert got.dim == want.dim
+    chars = np.trace(got.matrices, axis1=1, axis2=2)
+    assert np.abs(chars - np.trace(want.matrices, axis1=1, axis2=2)).max() < 1e-10
+
+
+def test_irreducible_subrep_memory_is_quadratic():
+    g = group("D4xZ2xZ2xZ2xZ2")  # |G| = 128; the dense stack alone is 32 MB
+    rep, peak = traced_peak(irreducible_subrep, g, trivial(g))
+    assert rep.dim == 2
+    assert peak < 16 * 2**20
 
 
 def test_restrict_to_lattice_validates():

@@ -4,13 +4,17 @@ import pytest
 from latdim import (
     BoundExceeded,
     ConsistencyError,
+    Infeasible,
     InputError,
     all_subgroups,
     audit_rows,
     build_cyclic,
     build_tf,
+    construct_parseval_generators,
     gabor_scan,
+    make_module_spec,
     read_scan_csv,
+    subgroup_generated,
     validate_rep,
     write_scan_csv,
 )
@@ -82,6 +86,16 @@ def test_scan_with_construction(base):
     rows = gabor_scan(tf(base), n_max=2, d_max=2, construct=True)
     assert all(r["base"] == base for r in rows)
     assert audit_rows(rows) == []
+
+
+def test_superframe_small_lattice_infeasible():
+    # |lattice| = 2 < d |base| = 4: no 1-window 2-copy frame exists
+    t = tf("Z2")
+    na = t.base.order
+    sub = subgroup_generated(t.group, [1 * na + 0])
+    spec = make_module_spec(t.rep, sub)
+    with pytest.raises(Infeasible):
+        construct_parseval_generators(spec, 1, 2)
 
 
 def test_scan_csv_round_trip(tmp_path):

@@ -74,12 +74,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, x: int) -> bool:
-        return x in self._member_set()
-
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)

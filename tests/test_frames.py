@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import latdim.frames as frames_mod
 from latdim import (
+    ConsistencyError,
     DimensionMismatch,
     FrameReport,
     Infeasible,
@@ -25,6 +27,7 @@ from latdim import (
 )
 
 from fixtures_common import pauli_product_irrep, tf, trivial_irrep
+from latdim.frames import _commutation_residual, _system_vectors
 
 
 def _wh_spec(base="Z2", lattice=None):
@@ -75,6 +78,77 @@ def test_frame_operator_matches_double_loop():
     ge = np.sort(np.linalg.eigvalsh((g + g.conj().T) / 2))[::-1]
     k = min(len(se), len(ge))
     assert np.abs(se[:k] - ge[:k]).max() < 1e-10
+
+
+@pytest.mark.parametrize("lattice", ["translations", "full"])
+def test_system_vector_rows_match_double_loop(lattice):
+    # n, d, dim and |lattice| differ, so a transposed reshape shows
+    t = tf("Z3")
+    full = full_subgroup(t.rep.group)
+    sub = _translations(t) if lattice == "translations" else full
+    rng = np.random.default_rng(4)
+    n, d = 2, 4
+    gens = rng.normal(size=(n, d, 3)) + 1j * rng.normal(size=(n, d, 3))
+    w = _system_vectors(multiwindow_system(t.rep, sub, gens))
+    assert w.shape == (n * sub.order, d * t.rep.dim)
+    for i in range(n):
+        for g, x in enumerate(sub.elements):
+            row = np.concatenate([t.rep.matrix(x) @ gens[i, j] for j in range(d)])
+            assert np.abs(w[i * sub.order + g] - row).max() < 1e-12
+
+
+def _reference_frame_report(sys, tol=frames_mod.DEFAULT_TOL):
+    """Two eigensolves: frame bounds from S, Riesz bounds from the Gram."""
+    s = frame_operator(sys)
+    s_eigs = np.linalg.eigvalsh((s + s.conj().T) / 2)
+    g = gram_matrix(sys)
+    g_eigs = np.linalg.eigvalsh((g + g.conj().T) / 2)
+    lower, upper = float(s_eigs[0]), float(s_eigs[-1])
+    riesz_lower, riesz_upper = float(g_eigs[0]), float(g_eigs[-1])
+    is_frame = lower > tol.tol_frame * upper
+    is_riesz = riesz_lower > tol.tol_frame * riesz_upper
+    square = sys.n * sys.lattice.order == sys.d * sys.rep.dim
+    return FrameReport(
+        lower, upper, is_frame, riesz_lower, riesz_upper, is_riesz,
+        is_frame and is_riesz and square,
+    )
+
+
+@pytest.mark.parametrize("base, lattice, n, d", [
+    ("Z2", "full", 2, 1),  # 8 vectors in dimension 2
+    ("Z2", "full", 1, 2),  # 4 in 4
+    ("Z2", "full", 1, 3),  # 4 in 6
+    ("Z3", "translations", 2, 1),  # 6 in 3
+    ("Z3", "translations", 1, 1),  # 3 in 3
+    ("Z3", "translations", 1, 2),  # 3 in 6
+    ("Z3", "full", 1, 2),  # 9 in 6
+])
+@pytest.mark.parametrize("zero", [False, True])
+def test_frame_report_matches_two_eigensolves(base, lattice, n, d, zero):
+    t = tf(base)
+    sub = _translations(t) if lattice == "translations" else full_subgroup(t.rep.group)
+    spec = make_module_spec(t.rep, sub)
+    sys = random_system(spec, n, d, seed=11)
+    if zero:
+        sys = multiwindow_system(t.rep, sub, np.zeros_like(sys.generators))
+    got, want = frame_report(sys), _reference_frame_report(sys)
+    assert (got.is_frame, got.is_riesz_sequence, got.is_riesz_basis) == (
+        want.is_frame, want.is_riesz_sequence, want.is_riesz_basis
+    )
+    slack = 1e-12 * max(1.0, want.upper)
+    for field in ("lower", "upper", "riesz_lower", "riesz_upper"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= slack, field
+
+
+def test_frame_report_solves_once(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a)
+    )
+    spec = _wh_spec("Z3")
+    frame_report(random_system(spec, 2, 1, seed=0))
+    assert calls == [(3, 3)]  # S (3x3), not the 18x18 Gram
 
 
 @pytest.mark.parametrize("base", ["Z2", "Z3"])
@@ -284,3 +358,48 @@ def test_construction_on_every_nonabelian_cell(label):
                 if decision.basis:
                     g = gram_matrix(sys)
                     assert np.abs(g - np.eye(g.shape[0])).max() < 1e-8
+
+
+def _kron_commutation_residual(op, pis, d):
+    """The commutator of op with I_d kron pi, one lattice element at a time."""
+    res = 0.0
+    for p in pis:
+        big = np.kron(np.eye(d), p)
+        res = max(res, float(np.abs(op @ big - big @ op).max()))
+    return res
+
+
+def _inv_sqrt_frame_operator(sys):
+    s = frame_operator(sys)
+    eigvals, eigvecs = np.linalg.eigh((s + s.conj().T) / 2)
+    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
+
+
+@pytest.mark.parametrize("label", ["wh-Z3", "wh-Z4", "s3-pauli"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_commutation_residual_matches_kron_loop(label, d):
+    rep = pauli_product_irrep() if label == "s3-pauli" else tf(label[3:]).rep
+    sub = full_subgroup(rep.group)
+    spec = make_module_spec(rep, sub)
+    pis = rep.matrices[list(sub.elements)]
+    # S^-1/2 of a frame commutes with the lattice action
+    inv_sqrt = _inv_sqrt_frame_operator(random_system(spec, d, d, seed=d))
+    want = _kron_commutation_residual(inv_sqrt, pis, d)
+    assert want < 1e-12
+    assert abs(_commutation_residual(inv_sqrt, pis, d) - want) <= 1e-15
+    # a Hermitian matrix that does not commute
+    rng = np.random.default_rng(d)
+    size = d * rep.dim
+    h = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    h = h + h.conj().T
+    want = _kron_commutation_residual(h, pis, d)
+    assert want > 0.1
+    assert abs(_commutation_residual(h, pis, d) - want) <= 1e-15 * want
+
+
+def test_construct_rejects_a_large_commutation_residual(monkeypatch):
+    spec = _wh_spec("Z3")
+    construct_parseval_generators(spec, 1, 1)
+    monkeypatch.setattr(frames_mod, "_commutation_residual", lambda op, pis, d: 2e-8)
+    with pytest.raises(ConsistencyError, match="commutation residual"):
+        construct_parseval_generators(spec, 1, 1)

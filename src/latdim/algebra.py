@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regularity, tilde_table
-from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatch, NotHermitian
+from .config import DEFAULT_TOL, EIG_CUT, FIXED_RESIDUAL, PSD_ASYMMETRY, Tolerances
+from .errors import DimensionMismatch, NotHermitian, check_residual
 from .groups import FiniteGroup, generators
 
 
@@ -187,15 +187,15 @@ def is_sigma_positive_definite(values: np.ndarray, cocycle: Cocycle,
                                tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """PSD test for the convolution operator of a coefficient vector.
 
-    The matrix is symmetrized first; asymmetry beyond 1e-8 relative is an
-    error because the callers only pass vectors inducing Hermitian operators.
+    The matrix is symmetrized first; asymmetry beyond PSD_ASYMMETRY relative
+    is an error because the callers only pass vectors inducing Hermitian operators.
     Returns the verdict and the minimal eigenvalue of the symmetrized matrix.
     """
     op = conv_operator(values, cocycle)
     norm = float(np.linalg.norm(op, 2)) if op.size else 0.0
     asym = float(np.linalg.norm(op - op.conj().T, 2))
-    if asym > 1e-8 * max(1.0, norm):
-        raise NotHermitian(f"convolution operator asymmetry {asym:.3e}")
+    check_residual("convolution operator asymmetry", asym,
+                   PSD_ASYMMETRY * max(1.0, norm), NotHermitian)
     herm = (op + op.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(herm)
     scale = max(1.0, float(np.abs(eigs).max())) if eigs.size else 1.0
@@ -215,10 +215,10 @@ def fixed_space(unitaries: np.ndarray) -> np.ndarray:
     h = 2.0 * m * np.eye(size) - s - s.conj().T
     eigvals, eigvecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(eigvals).max()))
-    cand = eigvecs[:, eigvals < 1e-6 * scale]
+    cand = eigvecs[:, eigvals < EIG_CUT * scale]
     if m:
         res = np.abs(unitaries @ cand - cand).max(axis=(0, 1))
-        cand = cand[:, res < 1e-7]
+        cand = cand[:, res < FIXED_RESIDUAL]
     return cand.T
 
 

@@ -391,19 +391,20 @@ def _cmd_routes(cfg: RunConfig) -> int:
     g = rep.group
     print(f"group {cfg.group or g.label}, order {g.order}, irrep dim {rep.dim}")
     window = random_window(rep.dim, cfg.seed)
-    worst = 0.0
+    gaps = []
     for sub in all_subgroups(g):
         spec = make_module_spec(rep, sub, window=window)
         closed = phi(spec)
         gap = float(np.abs(closed.values - phi_oracle(spec).values).max())
-        worst = max(worst, gap)
+        gaps.append(gap)
         vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values)
         print(
             f"|lattice| {sub.order:3d}  dpi_vol {spec.dpi_vol:8.4f}  "
             f"regular {int(closed.regular.sum()):3d}  gap {gap:.2e}  phi [{vals}]"
         )
+    worst = float(np.max(gaps))  # keeps a NaN gap, which then fails
     print(f"worst formula/embedding gap {worst:.3e}")
-    return 1 if worst > cfg.tolerances.tol_id else 0
+    return 0 if worst <= cfg.tolerances.tol_id else 1
 
 
 def _cmd_gabor_scan(cfg: RunConfig) -> int:
@@ -612,7 +613,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (Infeasible, PreconditionFailed, NotIrreducible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

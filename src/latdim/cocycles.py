@@ -59,13 +59,13 @@ class TildeReport:
     residual_class_constancy: float
     worst: dict
 
-    def violated(self, tol: float = 1e-9) -> list[str]:
+    def violated(self, tol: float = DEFAULT_TOL.tol_id) -> list[str]:
         names = []
-        if self.residual_multiplicativity > tol:
+        if not self.residual_multiplicativity <= tol:  # negated, so NaN is named
             names.append("tilde-multiplicativity")
-        if self.residual_inverse > tol:
+        if not self.residual_inverse <= tol:
             names.append("tilde-inverse")
-        if self.residual_class_constancy > tol:
+        if not self.residual_class_constancy <= tol:
             names.append("tilde-class-constancy")
         return names
 
@@ -111,7 +111,7 @@ def validate(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> CocycleReport:
     ok = unit_res <= tol.tol_unit and id_res <= tol.tol_id and norm_res <= tol.tol_id
     if ok:
         msg = "ok"
-    elif unit_res > tol.tol_unit:
+    elif not unit_res <= tol.tol_unit:  # negated, so a NaN entry is reported here
         msg = f"entry modulus off by {unit_res:.3e}"
     elif id_res > tol.tol_id:
         msg = f"cocycle identity fails at triple {worst} with residual {id_res:.3e}"

@@ -17,16 +17,17 @@ import numpy as np
 
 from .algebra import _average_column, conv_operator
 from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict
+from .config import BLOCK_TRACE, CDIM_ASYMMETRY, PHI_IDENTITY
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
     NotHermitian,
     NotIrreducible,
     PreconditionFailed,
-    WindowNotUnit,
+    check_residual,
 )
 from .groups import FiniteGroup, Subgroup, right_transversal, subgroup_group
-from .reps import ProjectiveRep, is_irreducible, wavelet
+from .reps import ProjectiveRep, is_irreducible, unit_window, wavelet
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,7 @@ def make_module_spec(
         w = np.zeros(rep.dim, dtype=np.complex128)
         w[0] = 1.0
     else:
-        w = np.asarray(window, dtype=np.complex128).reshape(-1)
-        if w.shape[0] != rep.dim:
-            raise DimensionMismatch(
-                f"window has length {w.shape[0]}, rep has dim {rep.dim}"
-            )
-        nrm = float(np.linalg.norm(w))
-        if abs(nrm - 1.0) > 1e-9:
-            raise WindowNotUnit(f"window norm is {nrm!r}, expected 1")
+        w = unit_window(window, rep.dim)
     lattice_group = subgroup_group(lattice)
     restricted = restrict(rep.cocycle, lattice, lattice_group=lattice_group)
     return ModuleSpec(rep, lattice, lattice_group, restricted, w)
@@ -157,11 +151,8 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     )
 
     dpi_vol = spec.dpi_vol
-    if abs(values[lat.identity] - dpi_vol) > 1e-9 * max(1.0, dpi_vol):
-        raise ConsistencyError(
-            f"phi at identity is {values[lat.identity]!r}, "
-            f"expected {dpi_vol!r}"
-        )
+    check_residual("|phi(e) - dpi_vol|", abs(values[lat.identity] - dpi_vol),
+                   PHI_IDENTITY * max(1.0, dpi_vol))
     return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
 
 
@@ -204,10 +195,8 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     block_sum = np.einsum("aibi->ab", p4)
     scalar = float(np.real(block_sum[e_lat, e_lat]))
     dpi_vol = spec.dpi_vol
-    if abs(scalar - dpi_vol) > 1e-8 * max(1.0, dpi_vol):
-        raise ConsistencyError(
-            f"diagonal block trace is {scalar!r}, expected {dpi_vol!r}"
-        )
+    check_residual("|diagonal block trace - dpi_vol|", abs(scalar - dpi_vol),
+                   BLOCK_TRACE * max(1.0, dpi_vol))
 
     values = _average_column(
         lat, conjugate_cocycle(spec.restricted_cocycle).table, "right", block_sum
@@ -252,10 +241,8 @@ def cdim_operator(fn: PhiFunction) -> np.ndarray:
     op = conv_operator(fn.values, fn.cocycle)
     scale = max(1.0, float(np.abs(op).max()))
     asym = float(np.abs(op - op.conj().T).max())
-    if asym > 1e-9 * scale:
-        raise NotHermitian(
-            f"convolution operator asymmetry {asym:.3e} exceeds tolerance"
-        )
+    check_residual("convolution operator asymmetry", asym, CDIM_ASYMMETRY * scale,
+                   NotHermitian)
     return (op + op.conj().T) / 2
 
 

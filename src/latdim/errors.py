@@ -55,3 +55,10 @@ class Infeasible(LatdimError):
 
 class ConsistencyError(LatdimError):
     """An internal invariant failed, which indicates a bug upstream."""
+
+
+def check_residual(what: str, residual: float, bound: float,
+                   exc: type[LatdimError] = ConsistencyError) -> None:
+    """Raise ``exc`` unless ``residual <= bound``, so a NaN residual fails too."""
+    if not residual <= bound:
+        raise exc(f"{what} is {residual:.3e}, bound {bound:.3e}")

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import conv_operator, fixed_space, sandwich_stack
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, Tolerances
 from .dimension import ModuleSpec, PhiFunction, phi
-from .errors import ConsistencyError, DimensionMismatch, Infeasible
+from .errors import ConsistencyError, DimensionMismatch, Infeasible, check_residual
 from .groups import Subgroup, generators
 from .reps import ProjectiveRep
 
@@ -203,11 +203,11 @@ def density_check(
     ratio = n / d
     dpi_vol = spec.dpi_vol
     violations = []
-    if report.is_frame and dpi_vol > ratio + 1e-9:
+    if report.is_frame and dpi_vol > ratio + DENSITY_SLACK:
         violations.append(
             f"frame with dpi_vol {dpi_vol:.6g} > n/d {ratio:.6g}"
         )
-    if report.is_riesz_sequence and dpi_vol < ratio - 1e-9:
+    if report.is_riesz_sequence and dpi_vol < ratio - DENSITY_SLACK:
         violations.append(
             f"riesz sequence with dpi_vol {dpi_vol:.6g} < n/d {ratio:.6g}"
         )
@@ -269,15 +269,11 @@ def construct_parseval_generators(
             continue
     else:
         raise ConsistencyError("no seeded system is a frame on a feasible cell")
-    if comm_res > 1e-8:
-        raise ConsistencyError(f"commutation residual {comm_res:.3e}")
+    check_residual("commutation residual of S^-1/2", comm_res, PARSEVAL)
 
     report = frame_report(tight, tol=tol)
-    if abs(report.lower - 1.0) > 1e-8 or abs(report.upper - 1.0) > 1e-8:
-        raise ConsistencyError(
-            f"constructed system is not Parseval: "
-            f"bounds ({report.lower!r}, {report.upper!r})"
-        )
+    dev = np.abs(np.array([report.lower, report.upper]) - 1.0).max()
+    check_residual("distance of the frame bounds from 1", float(dev), PARSEVAL)
     return tight.generators
 
 
@@ -317,14 +313,14 @@ def _commutation_residual(op: np.ndarray, pis: np.ndarray, d: int) -> float:
     side_by_side = pis.transpose(1, 0, 2).reshape(dim, nl * dim)
     stacked = pis.reshape(nl * dim, dim)
     blocks = op.reshape(d, dim, d, dim)
-    res = 0.0
+    res = np.empty((d, d))
     for j in range(d):
         for k in range(d):
             b = blocks[j, :, k, :]
             left = (b @ side_by_side).reshape(dim, nl, dim).transpose(1, 0, 2)
             right = (stacked @ b).reshape(nl, dim, dim)
-            res = max(res, float(np.abs(left - right).max()))
-    return res
+            res[j, k] = np.abs(left - right).max()
+    return float(res.max())
 
 
 def random_system(

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cocycles import Cocycle, regularity, weyl_heisenberg
+from .config import DENSITY_SLACK, PARSEVAL, PHI_IDENTITY
 from .dimension import ModuleSpec, make_module_spec, phi
-from .errors import BoundExceeded, ConsistencyError, InputError
+from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import (
     construct_parseval_generators,
     existence_decision,
@@ -125,11 +126,8 @@ def _scan_lattice(
 
     delta_res = fn.values.copy()
     delta_res[spec.lattice_group.identity] -= dpi_vol
-    if float(np.abs(delta_res).max()) > 1e-9:
-        raise ConsistencyError(
-            f"dimension function not concentrated at identity for "
-            f"lattice of order {sub.order}"
-        )
+    check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {sub.order}",
+                   float(np.abs(delta_res).max()), PHI_IDENTITY)
 
     rows = []
     for n in range(1, n_max + 1):
@@ -181,10 +179,7 @@ def _check_orthonormal(spec: ModuleSpec, gens: np.ndarray) -> None:
     sys = multiwindow_system(spec.rep, spec.lattice, gens)
     gram = gram_matrix(sys)
     res = float(np.abs(gram - np.eye(gram.shape[0])).max())
-    if res > 1e-8:
-        raise ConsistencyError(
-            f"basis-cell construction is not orthonormal (residual {res:.3e})"
-        )
+    check_residual("orthonormality residual of a basis-cell construction", res, PARSEVAL)
 
 
 def gabor_scan(
@@ -271,9 +266,10 @@ def audit_rows(rows: list[dict]) -> list[str]:
             f"row {i} ({row['base']}, |lattice|={row['lattice_order']}, "
             f"n={row['n']}, d={row['d']})"
         )
-        if row["frame"] == "yes" and dpi_vol > ratio + 1e-9:
+        # negated, so that a NaN dpi_vol read from a file is flagged
+        if row["frame"] == "yes" and not dpi_vol <= ratio + DENSITY_SLACK:
             problems.append(f"{where}: frame despite dpi_vol > n/d")
-        if row["riesz"] == "yes" and dpi_vol < ratio - 1e-9:
+        if row["riesz"] == "yes" and not dpi_vol >= ratio - DENSITY_SLACK:
             problems.append(f"{where}: riesz despite dpi_vol < n/d")
         basis = row["basis"] == "yes"
         both = row["frame"] == "yes" and row["riesz"] == "yes"

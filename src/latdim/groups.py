@@ -283,7 +283,7 @@ def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray)
     return mask
 
 
-def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, by cyclic extension, ordered by (order, elements).
 
     Every subgroup is a join of cyclic subgroups, so growing each known
@@ -291,8 +291,10 @@ def all_subgroups(g: FiniteGroup, bound: int = SUBGROUP_ENUM_BOUND) -> list[Subg
     reaches them all (Neubueser 1960). Since join(H, x) = join(H, hx) for
     h in H, only the first such x of each right coset H x is tried.
     """
-    if g.order > bound:
-        raise BoundExceeded(f"subgroup enumeration requires order <= {bound}, got {g.order}")
+    if g.order > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(
+            f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
+        )
     cyclic = _cyclic_generators(g)
     triv = _closure_mask(g, [])
     seen = {triv.tobytes(): triv}

@@ -9,12 +9,13 @@ import numpy as np
 
 from .algebra import _monomial, fixed_space, sandwich_stack
 from .cocycles import Cocycle, conjugate_cocycle, restrict
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET, WINDOW_NORM, Tolerances
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
     NotIrreducible,
     WindowNotUnit,
+    check_residual,
 )
 from .groups import FiniteGroup, Subgroup, generators, subgroup_group
 
@@ -87,35 +88,31 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
     by induction on the word length of y these two imply
     pi(x) pi(y) = sigma(x, y) pi(xy) for every pair.  Only when that
     check fails are all pairs multiplied, to locate the worst one.
+    Every reduction is a NumPy max or argmax, which keeps a NaN.
     """
     g = rep.group
     mats = rep.matrices
-    d = rep.dim
-    eye = np.eye(d)
-    unit_res = 0.0
-    for x in range(g.order):
-        r = float(np.abs(mats[x].conj().T @ mats[x] - eye).max())
-        unit_res = max(unit_res, r)
+    unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
 
     t = rep.cocycle.table
-    comp_res, worst, coc_res = 0.0, (0, 0), 0.0
-    for s in (g.identity,) + generators(g):
+    gens = (g.identity,) + generators(g)
+    comp = np.empty((len(gens), g.order))
+    coc = np.empty(len(gens))
+    for k, s in enumerate(gens):
         # pi(x) pi(s) = sigma(x, s) pi(xs) for every x
         r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
-        r = r.reshape(g.order, -1).max(axis=1)
-        x = int(r.argmax())
-        if r[x] > comp_res:
-            comp_res, worst = float(r[x]), (x, s)
+        comp[k] = r.reshape(g.order, -1).max(axis=1)
         # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every x, y
-        coc = t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]
-        coc_res = max(coc_res, float(np.abs(coc).max()))
+        coc[k] = np.abs(t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]).max()
+    k, x = divmod(int(comp.argmax()), g.order)
+    comp_res, worst = float(comp[k, x]), (x, gens[k])
 
-    if comp_res > tol.tol_id or coc_res > tol.tol_id:
+    if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
         comp_res, worst = _worst_pair(rep)
 
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
     if not ok:
-        if unit_res > tol.tol_unit:
+        if not unit_res <= tol.tol_unit:
             message = f"matrix is not unitary (residual {unit_res:.3e})"
         else:
             message = (
@@ -130,17 +127,13 @@ def _worst_pair(rep: ProjectiveRep) -> tuple[float, tuple[int, int]]:
     """Largest composition-law residual over all pairs, and where it sits."""
     g = rep.group
     mats = rep.matrices
-    comp_res = 0.0
-    worst = (0, 0)
+    res = np.empty((g.order, g.order))
     for x in range(g.order):
         lhs = mats[x] @ mats  # (order, d, d)
         rhs = rep.cocycle.table[x][:, None, None] * mats[g.cayley[x]]
-        r = np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
-        y = int(r.argmax())
-        if r[y] > comp_res:
-            comp_res = float(r[y])
-            worst = (x, y)
-    return comp_res, worst
+        res[x] = np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
+    x, y = divmod(int(res.argmax()), g.order)
+    return float(res[x, y]), (x, y)
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
@@ -166,7 +159,8 @@ def formal_dimension(rep: ProjectiveRep, check: bool = True) -> float:
     if check:
         rng = np.random.default_rng(7)
         d = rep.dim
-        for _ in range(3):
+        res = np.empty(3)
+        for k in range(3):
             xi, eta, xi2, eta2 = (
                 rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
             )
@@ -176,10 +170,8 @@ def formal_dimension(rep: ProjectiveRep, check: bool = True) -> float:
             c2 = a2.conj() @ xi2
             lhs = np.sum(c1 * np.conj(c2))
             rhs = (1.0 / d_pi) * np.vdot(xi2, xi) * np.conj(np.vdot(eta2, eta))
-            if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                raise ConsistencyError(
-                    f"orthogonality relation fails ({abs(lhs - rhs):.3e})"
-                )
+            res[k] = abs(lhs - rhs) / max(1.0, abs(rhs))
+        check_residual("relative orthogonality residual", float(res.max()), ORTHOGONALITY)
     return d_pi
 
 
@@ -197,24 +189,24 @@ class WaveletTransform:
     diagonal: np.ndarray  # transform of the window itself, as a vector over G
 
 
-def wavelet(
-    rep: ProjectiveRep, window: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> WaveletTransform:
+def unit_window(window: np.ndarray, dim: int) -> np.ndarray:
+    """The window as a flat complex vector, checked for length dim and unit norm."""
+    w = np.asarray(window, dtype=np.complex128).reshape(-1)
+    if w.shape[0] != dim:
+        raise DimensionMismatch(f"window has length {w.shape[0]}, rep has dim {dim}")
+    check_residual("window norm deviation", abs(float(np.linalg.norm(w)) - 1.0),
+                   WINDOW_NORM, WindowNotUnit)
+    return w
+
+
+def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
     """Build the matrix-coefficient transform for a unit window.
 
     Checks that the window has unit norm, that the scaled transform
     sqrt(d_pi) V is an isometry, and that V intertwines pi with the
     twisted left translation.
     """
-    window = np.asarray(window, dtype=np.complex128).reshape(-1)
-    if window.shape[0] != rep.dim:
-        raise DimensionMismatch(
-            f"window has length {window.shape[0]}, rep has dim {rep.dim}"
-        )
-    nrm = float(np.linalg.norm(window))
-    if abs(nrm - 1.0) > 1e-9:
-        raise WindowNotUnit(f"window norm is {nrm!r}, expected 1")
-
+    window = unit_window(window, rep.dim)
     d_pi = formal_dimension(rep, check=False)
     a = rep.matrices @ window  # (order, dim), row x = pi(x) eta
     v = a.conj()  # row x: v |-> <v, pi(x) eta> applied by v_mat @ vec
@@ -222,22 +214,15 @@ def wavelet(
     # V pi(y) = lambda_sigma(y) V for every y; row r of lambda_sigma(y) V
     # is sigma(y, y^-1 r) times row y^-1 r of V
     g, t = rep.group, rep.cocycle.table
-    inter = 0.0
+    inter = np.empty(g.order)
     for y in range(g.order):
         cols = g.cayley[g.inverse[y]]
-        r = float(np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max())
-        inter = max(inter, r)
-    if inter > 1e-10:
-        raise ConsistencyError(
-            f"wavelet transform fails to intertwine (residual {inter:.3e})"
-        )
+        inter[y] = np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max()
+    check_residual("wavelet intertwining residual", float(inter.max()), WAVELET)
 
     gram = d_pi * (v.conj().T @ v)
     iso = float(np.abs(gram - np.eye(rep.dim)).max())
-    if iso > 1e-10:
-        raise ConsistencyError(
-            f"scaled wavelet transform is not an isometry ({iso:.3e})"
-        )
+    check_residual("wavelet isometry residual", iso, WAVELET)
 
     diag = v @ window  # x |-> <eta, pi(x) eta>
     return WaveletTransform(rep, window, v, diag)
@@ -267,24 +252,20 @@ def restrict_to_lattice(
     return LatticeRestriction(rep, sub, lattice_group, restricted, sub_rep)
 
 
-def irreducible_subrep(
-    group: FiniteGroup,
-    cocycle: Cocycle,
-    seed: int = 0,
-    max_attempts: int = 8,
-) -> ProjectiveRep:
+def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> ProjectiveRep:
     """Cut an irreducible summand out of the twisted left regular rep.
 
     Averages a random Hermitian matrix over the rep to get a commutant
     element, takes the eigenspace cluster of largest dimension (ties go
     to the lowest eigenvalue), and compresses the rep onto it.  Retries
-    with fresh randomness if the cut summand is not irreducible.  The
-    rep is read as the monomial lam(b) delta_i = sigma(b, i) delta_{b i},
-    so both steps are gathers in O(|G|^2) memory.
+    with fresh randomness, at most 8 times, if the cut summand is not
+    irreducible.  The rep is read as the monomial
+    lam(b) delta_i = sigma(b, i) delta_{b i}, so both steps are gathers
+    in O(|G|^2) memory.
     """
     rows, phases = _monomial(group, cocycle.table, "left")
     n = group.order
-    for attempt in range(max_attempts):
+    for attempt in range(8):
         rng = np.random.default_rng([seed, attempt, 0x1D])
         h_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h_rand = h_rand + h_rand.conj().T
@@ -299,7 +280,7 @@ def irreducible_subrep(
         # cluster eigenvalues, then take the largest cluster
         clusters: list[list[int]] = [[0]]
         for i in range(1, n):
-            if eigvals[i] - eigvals[i - 1] < 1e-6 * scale:
+            if eigvals[i] - eigvals[i - 1] < EIG_CUT * scale:
                 clusters[-1].append(i)
             else:
                 clusters.append([i])
@@ -314,9 +295,7 @@ def irreducible_subrep(
         irr, _ = is_irreducible(candidate)
         if irr:
             return candidate
-    raise NotIrreducible(
-        f"no irreducible summand found in {max_attempts} attempts"
-    )
+    raise NotIrreducible("no irreducible summand found in 8 attempts")
 
 
 def conjugate_rep(rep: ProjectiveRep) -> ProjectiveRep:

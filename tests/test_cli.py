@@ -462,6 +462,51 @@ def test_ragged_complex_pairs_are_rejected(capsys, tmp_path, command):
     assert "[re, im] pairs" in err
 
 
+def test_nan_rep_is_rejected(capsys, tmp_path):
+    path = str(tmp_path / "rep.json")
+    data = rep_to_json(tf("Z2").rep)
+    data["matrices"][1][0][0] = [float("nan"), 0.0]
+    dump_json(data, path)
+    rc, out, _ = run(capsys, "rep-validate", "--rep", path)
+    assert rc == 1
+    assert out.startswith("rep invalid\n")
+    assert "not unitary" in out
+    rc, _, err = run(capsys, "decide", "--rep", path)
+    assert rc == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("decide", *_WH, "--config"), id="config"),
+    pytest.param(("validate-cocycle", "--cocycle"), id="cocycle"),
+    pytest.param(("rep-validate", "--rep"), id="rep"),
+    pytest.param(("kleppner", "--group"), id="group-file"),
+    pytest.param(("density-audit", "--in"), id="in"),
+])
+def test_non_utf8_files_are_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("order 1\n0\n{\"caf\u00e9\": 1}\n".encode("latin-1"))
+    rc, _, err = run(capsys, *argv, str(path))
+    assert rc == 1
+    assert err.startswith("error:")
+
+
+def test_tolerances_reach_validate_cocycle(capsys, tmp_path):
+    data = cocycle_to_json(tf("Z2").cocycle)
+    data["table"][1][2] = [v * (1 + 1e-6) for v in data["table"][1][2]]
+    path = str(tmp_path / "coc.json")
+    dump_json(data, path)
+    rc, out, _ = run(capsys, "validate-cocycle", "--cocycle", path)
+    assert rc == 1
+    assert out.startswith("cocycle invalid\n")
+    cfg = str(tmp_path / "run.json")
+    dump_json({"tolerances": {"tol_unit": 1e-5, "tol_id": 1e-5}}, cfg)
+    for loose in (("--tol-unit", "1e-5", "--tol-id", "1e-5"), ("--config", cfg)):
+        rc, out, _ = run(capsys, "validate-cocycle", "--cocycle", path, *loose)
+        assert rc == 0
+        assert out.startswith("cocycle ok\n")
+
+
 def _worst_gap(out):
     last = out.splitlines()[-1]
     assert last.startswith("worst formula/embedding gap ")
@@ -495,3 +540,16 @@ def test_routes_exit_1_when_the_routes_disagree(capsys, monkeypatch):
     rc, out, _ = run(capsys, "routes", "--group", "S3")
     assert rc == 1
     assert _worst_gap(out) == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_routes_exit_1_on_a_nan_gap(capsys, monkeypatch):
+    def poisoned(spec):
+        fn = phi_oracle(spec)
+        values = fn.values.copy()
+        values[0] = np.nan
+        return dataclasses.replace(fn, values=values)
+
+    monkeypatch.setattr("latdim.cli.phi_oracle", poisoned)
+    rc, out, _ = run(capsys, "routes", "--group", "S3")
+    assert rc == 1
+    assert np.isnan(_worst_gap(out))

@@ -171,6 +171,19 @@ def test_tilde_identities(label, coc):
     assert rpt.violated(1e-12) == []
 
 
+def test_a_nan_entry_fails_and_is_named():
+    c = tf("Z3").cocycle
+    table = c.table.copy()
+    table[1, 2] = np.nan
+    bad = Cocycle(c.group, table)
+    rpt = validate(bad)
+    assert not rpt.ok
+    assert "modulus" in rpt.message
+    tilde_rpt = verify_tilde_identities(bad)
+    assert not tilde_rpt.ok
+    assert "tilde-inverse" in tilde_rpt.violated()
+
+
 def test_tilde_value():
     c = tf("Z4").cocycle
     g = c.group

@@ -258,6 +258,10 @@ def test_make_module_spec_errors():
         make_module_spec(
             rep, full_subgroup(rep.group), window=np.full(rep.dim, 2.0)
         )
+    with pytest.raises(WindowNotUnit):
+        make_module_spec(
+            rep, full_subgroup(rep.group), window=np.full(rep.dim, np.nan)
+        )
     n, d = rep.group.order, rep.dim
     doubled = np.zeros((n, 2 * d, 2 * d), dtype=np.complex128)
     doubled[:, :d, :d] = rep.matrices

@@ -397,6 +397,13 @@ def test_commutation_residual_matches_kron_loop(label, d):
     assert abs(_commutation_residual(h, pis, d) - want) <= 1e-15 * want
 
 
+def test_commutation_residual_keeps_a_nan():
+    rep = tf("Z3").rep
+    op = np.eye(2 * rep.dim, dtype=np.complex128)
+    op[rep.dim + 1, 0] = np.nan  # in block (1, 0)
+    assert np.isnan(_commutation_residual(op, rep.matrices, 2))
+
+
 def test_construct_rejects_a_large_commutation_residual(monkeypatch):
     spec = _wh_spec("Z3")
     construct_parseval_generators(spec, 1, 1)

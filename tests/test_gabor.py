@@ -155,6 +155,9 @@ def test_audit_rows_catches_doctored_row():
     victim2["basis"] = "yes"
     assert any("inconsistent" in p for p in audit_rows(bad2))
 
+    bad3 = [dict(r, dpi_vol=float("nan")) for r in rows if r["basis"] == "yes"]
+    assert bad3 and len(audit_rows(bad3)) == 2 * len(bad3)
+
 
 def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     # force the decision path to disagree with the closed form

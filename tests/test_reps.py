@@ -134,6 +134,27 @@ def test_validate_rep_catches_tampered_cocycle_off_generators():
     assert report.worst_pair == (x, y)
 
 
+@pytest.mark.parametrize("where", ["matrix", "cocycle"])
+def test_validate_rep_rejects_a_nan_entry(where):
+    # y is no generator: a NaN in sigma(2, y) reaches the composition
+    # residual only through the cocycle identity and the all-pairs pass
+    rep = tf("Z3").rep
+    y = min(set(range(1, rep.group.order)) - set(generators(rep.group)))
+    mats, table = rep.matrices.copy(), rep.cocycle.table.copy()
+    if where == "matrix":
+        mats[y, 0, 0] = np.nan
+    else:
+        table[2, y] = np.nan
+    report = validate_rep(projective_rep(rep.group, Cocycle(rep.group, table), mats))
+    assert not report.ok
+    if where == "matrix":
+        assert np.isnan(report.unitary_residual)
+        assert "unitary" in report.message
+    else:
+        assert np.isnan(report.composition_residual)
+        assert report.worst_pair == (2, y)
+
+
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_fixture_reps_irreducible(label, rep):
     irr, cdim = is_irreducible(rep)
@@ -179,6 +200,8 @@ def test_wavelet_window_errors():
         wavelet(rep, np.ones(2) / np.sqrt(2))
     with pytest.raises(WindowNotUnit):
         wavelet(rep, np.ones(rep.dim))
+    with pytest.raises(WindowNotUnit):
+        wavelet(rep, np.full(rep.dim, np.nan))
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())

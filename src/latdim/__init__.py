@@ -136,7 +136,6 @@ from .reps import (
     irreducible_subrep,
     is_irreducible,
     projective_rep,
-    restrict_to_lattice,
     validate_rep,
     wavelet,
 )

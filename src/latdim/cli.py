@@ -310,7 +310,7 @@ def _cmd_phi(cfg: RunConfig) -> int:
     rep, res = _resolve_rep(cfg)
     lat = _parse_lattice(cfg, res)
     spec = make_module_spec(rep, lat)
-    fn = phi(spec)
+    fn = spec.dimension_function
     rows = []
     for i in range(lat.order):
         v = fn.values[i]
@@ -563,37 +563,24 @@ def _merge(args: argparse.Namespace) -> RunConfig:
                 )
         file_data = raw
 
-    def pick(name: str, default, file_key: str | None = None):
+    def pick(name: str):
         v = getattr(args, name, None)
-        if v is not None:
-            return v
-        fv = file_data.get(file_key or name)
-        return default if fv is None else fv
+        if v is None:
+            v = file_data.get("in" if name == "in_path" else name)
+        return v
 
     tols = _build_tolerances(file_data.get("tolerances"))
     overrides = {
-        k: getattr(args, k)
-        for k in ("tol_unit", "tol_id", "tol_psd", "tol_frame")
-        if getattr(args, k, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(Tolerances)
+        if getattr(args, f.name, None) is not None
     }
     if overrides:
         tols = replace(tols, **overrides)
-    cfg = RunConfig(
-        group=pick("group", None),
-        cocycle=pick("cocycle", "trivial"),
-        rep=pick("rep", None),
-        lattice=pick("lattice", None),
-        n=pick("n", 1),
-        d=pick("d", 1),
-        seed=pick("seed", 0),
-        base=pick("base", None),
-        nmax=pick("nmax", 3),
-        dmax=pick("dmax", 3),
-        construct=pick("construct", False),
-        in_path=pick("in_path", None, "in"),
-        out=pick("out", None),
-        tolerances=tols,
-    )
+    cfg = RunConfig(tolerances=tols, **{
+        f.name: f.default if (v := pick(f.name)) is None else v
+        for f in fields(RunConfig) if f.name != "tolerances"
+    })
     for name in ("n", "d", "nmax", "dmax"):
         if getattr(cfg, name) < 1:
             raise InputError(f"{name} must be at least 1, got {getattr(cfg, name)}")

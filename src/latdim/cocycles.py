@@ -37,9 +37,6 @@ class Cocycle:
     table: np.ndarray
     label: str = ""
 
-    def value(self, x: int, y: int) -> complex:
-        return complex(self.table[x, y])
-
 
 @dataclass(frozen=True)
 class CocycleReport:
@@ -233,14 +230,12 @@ def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:
     return Cocycle(big, table, label="weyl-heisenberg")
 
 
-def restrict(c: Cocycle, h: Subgroup, lattice_group: FiniteGroup | None = None) -> Cocycle:
+def restrict(c: Cocycle, h: Subgroup) -> Cocycle:
     """Restriction to a subgroup, reindexed on the materialized subgroup."""
     if h.parent is not c.group:
         raise InputError("subgroup does not belong to the cocycle's group")
-    if lattice_group is None:
-        lattice_group = subgroup_group(h)
     elems = np.asarray(h.elements, dtype=np.int64)
     table = c.table[np.ix_(elems, elems)].copy()
     table.setflags(write=False)
     lbl = f"{c.label}|{len(elems)}" if c.label else f"restricted|{len(elems)}"
-    return Cocycle(lattice_group, table, label=lbl)
+    return Cocycle(subgroup_group(h), table, label=lbl)

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionFailed,
     check_residual,
 )
-from .groups import FiniteGroup, Subgroup, right_transversal, subgroup_group
+from .groups import FiniteGroup, Subgroup, right_transversal
 from .reps import ProjectiveRep, is_irreducible, unit_window, wavelet
 
 
@@ -36,9 +36,11 @@ class ModuleSpec:
 
     ``lattice_group`` is the subgroup materialized as a group of its
     own (indices 0..|lattice|-1), and ``restricted_cocycle`` lives on
-    it.  ``window`` is a unit vector used to realize the module inside
-    functions on the big group; the dimension function does not depend
-    on the choice.
+    it.  ``window`` is a read-only unit vector used to realize the
+    module inside functions on the big group; the dimension function
+    does not depend on the choice.  The regular mask and the dimension
+    function are derived once per spec and read by every decision and
+    construction on it.
     """
 
     rep: ProjectiveRep
@@ -51,6 +53,16 @@ class ModuleSpec:
     def dpi_vol(self) -> float:
         """Scalar module dimension dim(pi)/|lattice|."""
         return self.rep.dim / self.lattice.order
+
+    @cached_property
+    def regular(self) -> np.ndarray:
+        """Lattice elements that are regular for the restricted cocycle."""
+        return regularity(self.restricted_cocycle).regular_elements
+
+    @cached_property
+    def dimension_function(self) -> PhiFunction:
+        """phi of this spec, by the class-sum formula."""
+        return phi(self)
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,8 @@ def make_module_spec(
     """Assemble and validate a ModuleSpec.
 
     The rep must be irreducible and the window (default: first basis
-    vector) must have unit norm.
+    vector) must have unit norm.  The spec keeps a read-only copy of
+    the window, so later writes to the caller's array cannot change it.
     """
     if lattice.parent is not rep.group:
         raise DimensionMismatch("lattice does not live in the rep's group")
@@ -105,10 +118,10 @@ def make_module_spec(
         w = np.zeros(rep.dim, dtype=np.complex128)
         w[0] = 1.0
     else:
-        w = unit_window(window, rep.dim)
-    lattice_group = subgroup_group(lattice)
-    restricted = restrict(rep.cocycle, lattice, lattice_group=lattice_group)
-    return ModuleSpec(rep, lattice, lattice_group, restricted, w)
+        w = unit_window(window, rep.dim).copy()
+    w.setflags(write=False)
+    restricted = restrict(rep.cocycle, lattice)
+    return ModuleSpec(rep, lattice, restricted.group, restricted, w)
 
 
 def _window_diagonal(spec: ModuleSpec) -> np.ndarray:
@@ -140,7 +153,7 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     elems = np.asarray(spec.lattice.elements, dtype=np.int64)
     d_pi = spec.rep.dim / g.order
 
-    regular = regularity(spec.restricted_cocycle).regular_elements
+    regular = spec.regular
     gammas = elems[regular]
     conj = g.conjugation[gammas]  # [i, y] = y^-1 gammas[i] y
     sigma = spec.rep.cocycle.table
@@ -201,9 +214,10 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     values = _average_column(
         lat, conjugate_cocycle(spec.restricted_cocycle).table, "right", block_sum
     )
-
-    regular = regularity(spec.restricted_cocycle).regular_elements
-    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
+    # the spec's regular mask rides along for reporting; values never read it
+    return PhiFunction(
+        values, dpi_vol, spec.restricted_cocycle, lat, spec.regular
+    )
 
 
 def phi_oracle_sum(specs: Sequence[ModuleSpec]) -> PhiFunction:
@@ -264,8 +278,6 @@ def abelian_kleppner_shortcut(spec: ModuleSpec) -> PhiFunction:
     lat = spec.lattice_group
     values = np.zeros(lat.order, dtype=np.complex128)
     values[lat.identity] = spec.dpi_vol
-
-    regular = regularity(spec.restricted_cocycle).regular_elements
     return PhiFunction(
-        values, spec.dpi_vol, spec.restricted_cocycle, lat, regular
+        values, spec.dpi_vol, spec.restricted_cocycle, lat, spec.regular
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import conv_operator, fixed_space, sandwich_stack
 from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, Tolerances
-from .dimension import ModuleSpec, PhiFunction, phi
+from .dimension import ModuleSpec
 from .errors import ConsistencyError, DimensionMismatch, Infeasible, check_residual
 from .groups import Subgroup, generators
 from .reps import ProjectiveRep
@@ -71,7 +71,6 @@ class DecisionReport:
     dpi_vol: float
     n: int
     d: int
-    phi: PhiFunction
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,6 @@ def existence_decision(
     n: int,
     d: int,
     tol: Tolerances = DEFAULT_TOL,
-    fn: PhiFunction | None = None,
 ) -> DecisionReport:
     """Decide frame/Riesz/basis existence for n generators, d copies.
 
@@ -164,11 +162,10 @@ def existence_decision(
     n/d; a Riesz sequence iff phi - (n/d) delta_e is, i.e. iff the
     smallest is at least n/d; a basis iff both.  Each test allows
     tol_psd times max(1, largest |eigenvalue| of the shifted operator).
-    Pass a precomputed ``fn`` to reuse the dimension function, and the
-    one eigensolve cached on it, across several (n, d) cells.
+    The dimension function and its one eigensolve are cached on the
+    spec, so every (n, d) cell on one spec shares them.
     """
-    if fn is None:
-        fn = phi(spec)
+    fn = spec.dimension_function
     ratio = n / d
     eigs = fn.spectrum
     frame_witness = ratio - float(eigs[-1])
@@ -180,15 +177,13 @@ def existence_decision(
     residual[fn.lattice_group.identity] -= ratio
     return DecisionReport(
         frame, riesz, frame and riesz, frame_witness, riesz_witness,
-        float(np.abs(residual).max()), spec.dpi_vol, n, d, fn,
+        float(np.abs(residual).max()), spec.dpi_vol, n, d,
     )
 
 
-def riesz_basis_criterion(
-    spec: ModuleSpec, n: int, d: int, fn: PhiFunction | None = None
-) -> bool:
+def riesz_basis_criterion(spec: ModuleSpec, n: int, d: int) -> bool:
     """Whether a Riesz basis exists: a frame and a Riesz sequence at once."""
-    return existence_decision(spec, n, d, fn=fn).basis
+    return existence_decision(spec, n, d).basis
 
 
 def density_check(
@@ -240,7 +235,6 @@ def construct_parseval_generators(
     d: int,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    fn: PhiFunction | None = None,
 ) -> np.ndarray:
     """Generators of an n-window d-copy Parseval system, shape (n, d, dim).
 
@@ -252,7 +246,7 @@ def construct_parseval_generators(
     verified Parseval before it is returned; on square cells
     (n |lattice| = d dim) a Parseval system is orthonormal.
     """
-    decision = existence_decision(spec, n, d, tol=tol, fn=fn)
+    decision = existence_decision(spec, n, d, tol=tol)
     if not decision.frame:
         raise Infeasible(
             f"no frame at n={n}, d={d}: dpi_vol {spec.dpi_vol:.6g}, "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cocycles import Cocycle, regularity, weyl_heisenberg
 from .config import DENSITY_SLACK, PARSEVAL, PHI_IDENTITY
-from .dimension import ModuleSpec, make_module_spec, phi
+from .dimension import ModuleSpec, make_module_spec
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import (
     construct_parseval_generators,
@@ -121,7 +121,7 @@ def _scan_lattice(
     seed: int,
 ) -> list[dict]:
     spec = make_module_spec(tf.rep, sub)
-    fn = phi(spec)
+    fn = spec.dimension_function
     dpi_vol = spec.dpi_vol
 
     delta_res = fn.values.copy()
@@ -132,7 +132,7 @@ def _scan_lattice(
     rows = []
     for n in range(1, n_max + 1):
         for d in range(1, d_max + 1):
-            decision = existence_decision(spec, n, d, fn=fn)
+            decision = existence_decision(spec, n, d)
             want_frame, want_riesz, want_basis = _closed_form(
                 tf.base.order, sub.order, n, d
             )
@@ -153,9 +153,7 @@ def _scan_lattice(
                 and decision.frame
                 and n * sub.order <= 2 * d * tf.base.order
             ):
-                gens = construct_parseval_generators(
-                    spec, n, d, seed=seed, fn=fn
-                )
+                gens = construct_parseval_generators(spec, n, d, seed=seed)
                 if decision.basis:
                     _check_orthonormal(spec, gens)
             rows.append(
@@ -251,8 +249,16 @@ def read_scan_csv(path: str) -> list[dict]:
                 )
             except (KeyError, ValueError) as exc:
                 raise InputError(f"{path} line {i}: {exc}") from exc
-            if rows[-1]["n"] < 1 or rows[-1]["d"] < 1:
+            row = rows[-1]
+            if row["n"] < 1 or row["d"] < 1:
                 raise InputError(f"{path} line {i}: n and d must be at least 1")
+            if not np.isfinite(row["dpi_vol"]):
+                raise InputError(f"{path} line {i}: dpi_vol must be finite")
+            for key in ("frame", "riesz", "basis"):
+                if row[key] not in ("yes", "no"):
+                    raise InputError(
+                        f"{path} line {i}: {key} must be yes or no, got {row[key]!r}"
+                    )
     return rows
 
 
@@ -266,7 +272,7 @@ def audit_rows(rows: list[dict]) -> list[str]:
             f"row {i} ({row['base']}, |lattice|={row['lattice_order']}, "
             f"n={row['n']}, d={row['d']})"
         )
-        # negated, so that a NaN dpi_vol read from a file is flagged
+        # negated, so that a NaN dpi_vol is flagged
         if row["frame"] == "yes" and not dpi_vol <= ratio + DENSITY_SLACK:
             problems.append(f"{where}: frame despite dpi_vol > n/d")
         if row["riesz"] == "yes" and not dpi_vol >= ratio - DENSITY_SLACK:

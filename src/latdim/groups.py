@@ -38,9 +38,6 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         return int(self.cayley[x, y])
 
-    def inv(self, x: int) -> int:
-        return int(self.inverse[x])
-
     def conjugate(self, x: int, y: int) -> int:
         """Return y^-1 * x * y."""
         return int(self.cayley[self.cayley[self.inverse[y], x], y])
@@ -352,7 +349,7 @@ def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
     return tuple(np.unique(g.cayley[H].min(axis=0)).tolist())
 
 
-def subgroup_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:
+def subgroup_group(sub: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a standalone group on 0..order-1.
 
     Index i corresponds to parent element sub.elements[i].
@@ -363,10 +360,9 @@ def subgroup_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:
     cay = pos[sub.parent.cayley[np.ix_(elems, elems)]]
     inverse = pos[sub.parent.inverse[elems]]
     identity = int(pos[sub.parent.identity])
-    if label is None:
-        label = f"{sub.parent.label}<{len(elems)}>"
     return FiniteGroup(len(elems), _freeze(cay.astype(np.int64)), identity,
-                       _freeze(inverse.astype(np.int64)), label)
+                       _freeze(inverse.astype(np.int64)),
+                       f"{sub.parent.label}<{len(elems)}>")
 
 
 def abelian_basis(g: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import _monomial, fixed_space, sandwich_stack
-from .cocycles import Cocycle, conjugate_cocycle, restrict
+from .cocycles import Cocycle, conjugate_cocycle
 from .config import DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET, WINDOW_NORM, Tolerances
 from .errors import (
     ConsistencyError,
@@ -17,7 +17,7 @@ from .errors import (
     WindowNotUnit,
     check_residual,
 )
-from .groups import FiniteGroup, Subgroup, generators, subgroup_group
+from .groups import FiniteGroup, generators
 
 
 @dataclass(frozen=True)
@@ -226,30 +226,6 @@ def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
 
     diag = v @ window  # x |-> <eta, pi(x) eta>
     return WaveletTransform(rep, window, v, diag)
-
-
-@dataclass(frozen=True)
-class LatticeRestriction:
-    """A rep restricted to a subgroup, with the subgroup materialized."""
-
-    parent: ProjectiveRep
-    subgroup: Subgroup
-    lattice_group: FiniteGroup
-    cocycle: Cocycle
-    rep: ProjectiveRep
-
-
-def restrict_to_lattice(
-    rep: ProjectiveRep, sub: Subgroup, label: str | None = None
-) -> LatticeRestriction:
-    """Restrict a projective rep to a subgroup of its domain."""
-    if sub.parent is not rep.group:
-        raise DimensionMismatch("subgroup does not live in the rep's group")
-    lattice_group = subgroup_group(sub, label=label)
-    restricted = restrict(rep.cocycle, sub, lattice_group=lattice_group)
-    mats = rep.matrices[list(sub.elements)]
-    sub_rep = ProjectiveRep(lattice_group, restricted, rep.dim, mats)
-    return LatticeRestriction(rep, sub, lattice_group, restricted, sub_rep)
 
 
 def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> ProjectiveRep:

@@ -368,6 +368,20 @@ def test_audit_flags_doctored_csv(capsys, tmp_path):
     assert "violation:" in out
 
 
+@pytest.mark.parametrize("tail", [
+    pytest.param("2,maybe,maybe,maybe", id="verdict-maybe"),
+    pytest.param("inf,no,no,no", id="dpi-vol-inf"),
+    pytest.param("nan,no,no,no", id="dpi-vol-nan"),
+])
+def test_audit_rejects_unreadable_values(capsys, tmp_path, tail):
+    csv_path = tmp_path / "scan.csv"
+    csv_path.write_text(",".join(SCAN_COLUMNS) + f"\nZ2,Z2xZ2,wh,4,1,1,{tail}\n")
+    rc, out, err = run(capsys, "density-audit", "--in", str(csv_path))
+    assert rc == 1
+    assert err.startswith("error:") and "line 2" in err
+    assert "violations" not in out
+
+
 def test_gabor_scan_requires_base_and_out(capsys, tmp_path):
     rc, _, err = run(capsys, "gabor-scan", "--out", str(tmp_path / "x.csv"))
     assert rc == 1 and "--base" in err

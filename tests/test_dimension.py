@@ -271,6 +271,33 @@ def test_make_module_spec_errors():
         make_module_spec(big, full_subgroup(rep.group))
 
 
+def test_spec_keeps_its_own_window():
+    rep = trivial_irrep("S3")
+    sub = subgroup_generated(rep.group, [1])
+    window = random_window(rep.dim, 3)
+    spec = make_module_spec(rep, sub, window=window)
+    kept, before = spec.window.copy(), phi(spec).values
+    window *= 2  # a later write to the caller's array
+    assert not spec.window.flags.writeable
+    assert np.array_equal(spec.window, kept)
+    assert np.array_equal(phi(spec).values, before)
+
+
+def test_one_regularity_per_spec(monkeypatch):
+    import latdim.dimension as dim_mod
+
+    calls = []
+    real = dim_mod.regularity
+    monkeypatch.setattr(
+        dim_mod, "regularity", lambda c, *args: calls.append(1) or real(c, *args)
+    )
+    rep = trivial_irrep("S3")
+    spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
+    closed, oracle = phi(spec), phi_oracle(spec)
+    assert len(calls) == 1
+    assert closed.regular is oracle.regular
+
+
 def test_random_window_seeded_and_unit():
     a = random_window(5, 7)
     b = random_window(5, 7)

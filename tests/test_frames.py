@@ -19,7 +19,6 @@ from latdim import (
     intertwiner_basis,
     make_module_spec,
     multiwindow_system,
-    phi,
     random_system,
     riesz_basis_criterion,
     subgroup_generated,
@@ -213,12 +212,38 @@ def test_decisions_share_one_eigensolve(monkeypatch):
     solve = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or solve(a))
     spec = _wh_spec("Z3", _translations(tf("Z3")))
-    fn = phi(spec)
-    first = existence_decision(spec, 1, 1, fn=fn)
-    again = existence_decision(spec, 1, 1, fn=fn)
-    existence_decision(spec, 2, 3, fn=fn)
+    first = existence_decision(spec, 1, 1)
+    again = existence_decision(spec, 1, 1)
+    existence_decision(spec, 2, 3)
     assert len(calls) == 1
     assert first.frame_witness == again.frame_witness
+
+
+def test_decision_and_construction_share_one_phi(monkeypatch):
+    # phi and the eigensolve of Phi each run once per spec, not once per call
+    import latdim.dimension as dim_mod
+
+    phi_calls, ops, solves = [], [], []
+    real_phi, real_op, solve = dim_mod.phi, dim_mod.cdim_operator, np.linalg.eigvalsh
+
+    def counted_op(fn):
+        ops.append(real_op(fn))  # kept alive, so identity tests stay exact
+        return ops[-1]
+
+    for mod in (dim_mod, frames_mod):  # every binding of phi, wherever it is read
+        if vars(mod).get("phi") is real_phi:
+            monkeypatch.setattr(
+                mod, "phi", lambda spec: phi_calls.append(1) or real_phi(spec)
+            )
+    monkeypatch.setattr(dim_mod, "cdim_operator", counted_op)
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: solves.append(any(a is op for op in ops)) or solve(a)
+    )
+    spec = _wh_spec("Z2", _translations(tf("Z2")))
+    assert existence_decision(spec, 1, 1).frame
+    construct_parseval_generators(spec, 1, 1)
+    assert len(phi_calls) == 1
+    assert solves.count(True) == 1
 
 
 def test_density_check_flags_fabricated_reports():
@@ -342,15 +367,14 @@ def test_construction_on_every_nonabelian_cell(label):
     rep = pauli_product_irrep() if label == "s3-pauli" else trivial_irrep(label)
     for sub in all_subgroups(rep.group):
         spec = make_module_spec(rep, sub)
-        fn = phi(spec)
         for n in (1, 2):
             for d in (1, 2):
-                decision = existence_decision(spec, n, d, fn=fn)
+                decision = existence_decision(spec, n, d)
                 if not decision.frame:
                     with pytest.raises(Infeasible):
-                        construct_parseval_generators(spec, n, d, fn=fn)
+                        construct_parseval_generators(spec, n, d)
                     continue
-                gens = construct_parseval_generators(spec, n, d, seed=1, fn=fn)
+                gens = construct_parseval_generators(spec, n, d, seed=1)
                 sys = multiwindow_system(rep, sub, gens)
                 rep_out = frame_report(sys)
                 assert abs(rep_out.lower - 1.0) < 1e-8

@@ -166,8 +166,8 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     t = tf("Z2")
     real = gabor_mod.existence_decision
 
-    def lying(spec, n, d, tol=None, fn=None):
-        decision = real(spec, n, d, fn=fn)
+    def lying(spec, n, d, tol=None):
+        decision = real(spec, n, d)
         object.__setattr__(decision, "frame", not decision.frame)
         return decision
 

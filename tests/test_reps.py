@@ -18,8 +18,6 @@ from latdim import (
     left_regular,
     make_module_spec,
     projective_rep,
-    restrict_to_lattice,
-    subgroup_generated,
     symmetric_group,
     trivial,
     validate_rep,
@@ -295,29 +293,6 @@ def test_irreducible_subrep_memory_is_quadratic():
     rep, peak = traced_peak(irreducible_subrep, g, trivial(g))
     assert rep.dim == 2
     assert peak < 16 * 2**20
-
-
-def test_restrict_to_lattice_validates():
-    t = tf("Z4")
-    rep = t.rep
-    na = t.base.order
-    sub = subgroup_generated(rep.group, [1 * na + 0, 0 * na + 2])
-    res = restrict_to_lattice(rep, sub, label="lat")
-    assert res.lattice_group.order == sub.order
-    assert res.rep.group is res.lattice_group
-    assert res.rep.cocycle is res.cocycle
-    assert validate_rep(res.rep).ok
-    # matrices are plucked from the parent in subgroup element order
-    for j, x in enumerate(sub.elements):
-        assert np.array_equal(res.rep.matrices[j], rep.matrices[x])
-
-
-def test_restrict_to_lattice_rejects_foreign_subgroup():
-    rep = tf("Z2").rep
-    other = build_cyclic(4)
-    sub = subgroup_generated(other, [2])
-    with pytest.raises(DimensionMismatch):
-        restrict_to_lattice(rep, sub)
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())

@@ -167,12 +167,19 @@ def center_valued_trace(a: AlgebraElement) -> AlgebraElement:
     tilde(x, c y) = tilde(x, c) tilde(x, y), and tilde(x, c) = 1 for a
     regular x, so every class member gets |C| equal terms.
     """
-    g = a.group
-    reg = regularity(a.cocycle)
-    weights = np.where(reg.regular_elements, a.coeffs, 0) / g.order
-    out = np.zeros(g.order, dtype=np.complex128)
-    np.add.at(out, g.conjugation, weights[:, None] * tilde_table(a.cocycle))
-    return element(a.cocycle, out)
+    return element(a.cocycle, a.coeffs @ center_valued_trace_table(a.cocycle))
+
+
+def center_valued_trace_table(cocycle: Cocycle) -> np.ndarray:
+    """Row x holds the class formula's image of lam(x), all filled by one scatter."""
+    g = cocycle.group
+    n = g.order
+    vals = (regularity(cocycle).regular_elements / n)[:, None] * tilde_table(cocycle)
+    at = (np.arange(0, n * n, n)[:, None] + g.conjugation).ravel()
+    out = np.empty((n, n), dtype=np.complex128)
+    out.real.flat = np.bincount(at, vals.real.ravel(), n * n)
+    out.imag.flat = np.bincount(at, vals.imag.ravel(), n * n)
+    return out
 
 
 def center_valued_trace_oracle(a: AlgebraElement) -> AlgebraElement:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import center_valued_trace, element
+from .algebra import center_valued_trace_table
 from .cocycles import Cocycle, regularity, trivial, validate
 from .config import DEFAULT_TOL, Tolerances
 from .dimension import make_module_spec, phi, phi_oracle, random_window
@@ -296,12 +296,8 @@ def _cmd_kleppner(cfg: RunConfig) -> int:
 def _cmd_cvt(cfg: RunConfig) -> int:
     res = _resolve_pair(cfg)
     g = res.group
-    rows = []
-    for gamma in range(g.order):
-        coeffs = np.zeros(g.order, dtype=np.complex128)
-        coeffs[gamma] = 1.0
-        t = center_valued_trace(element(res.cocycle, coeffs))
-        rows.append({"gamma": gamma, "coeffs": complex_to_pairs(t.coeffs)})
+    table = complex_to_pairs(center_valued_trace_table(res.cocycle))
+    rows = [{"gamma": gamma, "coeffs": coeffs} for gamma, coeffs in enumerate(table)]
     _emit({"group": g.label, "order": g.order, "rows": rows}, cfg.out)
     return 0
 

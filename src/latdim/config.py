@@ -35,3 +35,4 @@ PSD_ASYMMETRY = 1e-8  # convolution operator asymmetry vs its 2-norm (rel)
 CDIM_ASYMMETRY = 1e-9  # Phi asymmetry vs its largest entry (rel)
 EIG_CUT = 1e-6  # relative eigenvalue cut: fixed-space null space, irrep clusters
 FIXED_RESIDUAL = 1e-7  # |U v - v| a fixed-space candidate may keep
+CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)

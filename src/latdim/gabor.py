@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -103,12 +102,9 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
     return TimeFrequencyGroup(a, dual, g, coc, rep)
 
 
-def _closed_form(
-    base_order: int, lattice_order: int, n: int, d: int
-) -> tuple[bool, bool, bool]:
-    """Exact density predicate: compare |base|/|lattice| with n/d."""
-    ratio = Fraction(base_order, lattice_order)
-    bound = Fraction(n, d)
+def _closed_form(base_order: int, lattice_order: int, n: int, d: int) -> tuple[bool, bool, bool]:
+    """Exact density predicate: compare |base|/|lattice| with n/d, cross-multiplied."""
+    ratio, bound = base_order * d, n * lattice_order
     return ratio <= bound, ratio >= bound, ratio == bound
 
 
@@ -133,20 +129,12 @@ def _scan_lattice(
     for n in range(1, n_max + 1):
         for d in range(1, d_max + 1):
             decision = existence_decision(spec, n, d)
-            want_frame, want_riesz, want_basis = _closed_form(
-                tf.base.order, sub.order, n, d
-            )
-            if (
-                decision.frame != want_frame
-                or decision.riesz != want_riesz
-                or decision.basis != want_basis
-            ):
+            got = (decision.frame, decision.riesz, decision.basis)
+            want = _closed_form(tf.base.order, sub.order, n, d)
+            if got != want:
                 raise ConsistencyError(
-                    f"decision disagrees with closed form at "
-                    f"|lattice|={sub.order}, n={n}, d={d}: "
-                    f"got ({decision.frame}, {decision.riesz}, "
-                    f"{decision.basis}), want "
-                    f"({want_frame}, {want_riesz}, {want_basis})"
+                    f"decision disagrees with closed form at |lattice|={sub.order}, "
+                    f"n={n}, d={d}: got {got}, want {want}"
                 )
             if (
                 construct

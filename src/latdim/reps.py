@@ -7,9 +7,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _monomial, fixed_space, sandwich_stack
+from .algebra import _monomial
 from .cocycles import Cocycle, conjugate_cocycle
-from .config import DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET, WINDOW_NORM, Tolerances
+from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
+                     WINDOW_NORM, Tolerances)
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -44,14 +45,18 @@ class ProjectiveRep:
 
     @cached_property
     def commutant_dim(self) -> int:
-        """Dimension of the commutant, as the fixed space of X kron conj(X).
+        """Dimension of the commutant, as the character norm |G|^-1 sum_x |tr pi(x)|^2.
 
-        A vec'd A commutes with X exactly when it is fixed by X kron
-        conj(X), and commuting with a generating set means commuting
-        with every matrix.
+        Schur orthogonality of projective characters makes the two equal
+        for a sigma-rep, so run ``validate_rep`` first.  A NaN norm, or one
+        off an integer by more than CHARACTER_NORM (rel), raises.
         """
-        mats = self.matrices[list(generators(self.group))]
-        return len(fixed_space(sandwich_stack(mats, mats)))
+        chi = np.trace(self.matrices, axis1=1, axis2=2)
+        norm = float(np.sum(np.abs(chi) ** 2)) / self.group.order
+        k = np.rint(norm)
+        check_residual("character norm distance to an integer", abs(norm - k),
+                       CHARACTER_NORM * max(1.0, norm))
+        return int(k)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _worst_pair(rep: ProjectiveRep) -> tuple[float, tuple[int, int]]:
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
-    """Whether the commutant is trivial, plus its actual dimension."""
+    """Whether the commutant is trivial, plus its dimension; the rep must pass ``validate_rep``."""
     cdim = rep.commutant_dim
     if cdim < 1:
         raise ConsistencyError("commutant lost the identity operator")
@@ -212,13 +217,15 @@ def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
     v = a.conj()  # row x: v |-> <v, pi(x) eta> applied by v_mat @ vec
 
     # V pi(y) = lambda_sigma(y) V for every y; row r of lambda_sigma(y) V
-    # is sigma(y, y^-1 r) times row y^-1 r of V
-    g, t = rep.group, rep.cocycle.table
-    inter = np.empty(g.order)
-    for y in range(g.order):
-        cols = g.cayley[g.inverse[y]]
-        inter[y] = np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max()
-    check_residual("wavelet intertwining residual", float(inter.max()), WAVELET)
+    # is sigma(y, y^-1 r) times row y^-1 r of V.  Chunks of ceil(|G|/dim)
+    # elements y keep each (y, r, i) temporary near |G| x |G|.
+    g, t, n = rep.group, rep.cocycle.table, rep.group.order
+    step, inter = -(-n // rep.dim), []
+    for ys in np.split(np.arange(n), range(step, n, step)):
+        cols = g.cayley[g.inverse[ys]]  # [y, r] = y^-1 r
+        res = v @ rep.matrices[ys] - t[ys[:, None], cols][..., None] * v[cols]
+        inter.append(np.abs(res).max())
+    check_residual("wavelet intertwining residual", float(np.max(inter)), WAVELET)
 
     gram = d_pi * (v.conj().T @ v)
     iso = float(np.abs(gram - np.eye(rep.dim)).max())

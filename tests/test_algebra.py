@@ -24,7 +24,7 @@ from latdim import (
     verify_commutant,
 )
 
-from latdim.algebra import fixed_space
+from latdim.algebra import center_valued_trace_table, fixed_space
 
 from fixtures_common import (
     cocycle_fixtures,
@@ -266,6 +266,14 @@ def test_cvt_matches_transversal_reference(label, coc):
         a = element(c, _rand_coeffs(c, 42))
         got = center_valued_trace(a).coeffs
         assert np.abs(got - _reference_cvt(a)).max() < 1e-12, label
+
+
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_cvt_table_rows_match_transversal_reference(label, coc):
+    for c in (coc, gauge_twisted(coc)):
+        table = center_valued_trace_table(c)
+        for x, row in enumerate(np.eye(c.group.order, dtype=np.complex128)):
+            assert np.abs(table[x] - _reference_cvt(element(c, row))).max() < 1e-12, label
 
 
 def test_cvt_axioms():

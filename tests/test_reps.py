@@ -23,6 +23,7 @@ from latdim import (
     validate_rep,
     wavelet,
 )
+from latdim.algebra import fixed_space, sandwich_stack
 from latdim.groups import generators
 
 from fixtures_common import (
@@ -73,8 +74,14 @@ def test_rep_matrices_are_read_only(label, rep):
 
 def test_irreducibility_is_computed_once_per_rep(monkeypatch):
     calls = []
-    solve = latdim.reps.fixed_space
-    monkeypatch.setattr(latdim.reps, "fixed_space", lambda u: calls.append(1) or solve(u))
+    check = latdim.reps.check_residual
+
+    def spy(what, *args, **kwargs):
+        if what.startswith("character norm"):
+            calls.append(1)
+        return check(what, *args, **kwargs)
+
+    monkeypatch.setattr(latdim.reps, "check_residual", spy)
     base = tf("Z3").rep
     rep = projective_rep(base.group, base.cocycle, base.matrices)
     assert is_irreducible(rep) == (True, 1)
@@ -160,6 +167,40 @@ def test_fixture_reps_irreducible(label, rep):
     assert cdim == 1
 
 
+def _fixed_space_commutant_dim(rep):
+    """Reference: A commutes with a generating set X iff vec(A) is fixed by X kron conj(X)."""
+    gens = rep.matrices[list(generators(rep.group))]
+    return len(fixed_space(sandwich_stack(gens, gens)))
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_character_norm_matches_fixed_space_on_fixtures(label, rep):
+    assert rep.commutant_dim == _fixed_space_commutant_dim(rep) == 1
+
+
+@pytest.mark.parametrize("label, coc", [
+    (label, coc) for label, coc in cocycle_fixtures() if label in ("wh-Z2", "wh-Z3", "s3-pauli")
+])
+def test_character_norm_of_twisted_left_regular_rep(label, coc):
+    # the commutant of lambda_sigma is spanned by the |G| right translations
+    rep = projective_rep(coc.group, coc, left_regular(coc.group, coc).matrices)
+    assert validate_rep(rep).ok
+    assert rep.commutant_dim == _fixed_space_commutant_dim(rep) == coc.group.order
+
+
+@pytest.mark.parametrize("where", ["nan", "scaled"])
+def test_character_norm_fails_closed(where):
+    rep = tf("Z2").rep
+    mats, e = rep.matrices.copy(), rep.group.identity
+    if where == "nan":
+        mats[e, 0, 0] = np.nan
+    else:
+        mats[e] *= 1.5  # tr pi(e) = 3 and the other traces vanish: norm 9/4
+    bad = projective_rep(rep.group, rep.cocycle, mats)
+    with pytest.raises(ConsistencyError, match="character norm"):
+        is_irreducible(bad)
+
+
 def test_block_sum_doubles_are_reducible():
     rep = tf("Z2").rep
     n, d = rep.group.order, rep.dim
@@ -171,7 +212,7 @@ def test_block_sum_doubles_are_reducible():
     irr, cdim = is_irreducible(big)
     assert not irr
     # commutant of pi (+) pi is a full 2x2 matrix algebra
-    assert cdim == 4
+    assert cdim == 4 == _fixed_space_commutant_dim(big)
     with pytest.raises(NotIrreducible):
         formal_dimension(big)
 
@@ -314,3 +355,39 @@ def test_wavelet_rejects_broken_intertwining():
     bad = projective_rep(rep.group, rep.cocycle, mats)
     with pytest.raises(ConsistencyError):
         wavelet(bad, _unit_window(rep.dim, seed=1))
+
+
+def _loop_intertwining_residual(rep, window):
+    """Reference: max |V pi(y) - lambda_sigma(y) V| one element y at a time."""
+    g, t = rep.group, rep.cocycle.table
+    v = (rep.matrices @ window).conj()
+    worst = 0.0
+    for y in range(g.order):
+        cols = g.cayley[g.inverse[y]]
+        worst = max(worst, float(np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max()))
+    return worst
+
+
+@pytest.mark.parametrize("label, rep", [
+    (label, rep) for label, rep in rep_fixtures() if label in ("wh-Z3", "wh-Z4", "s3-pauli")
+])
+def test_wavelet_intertwining_residual_matches_per_element_loop(label, rep, monkeypatch):
+    # a phase on the last matrix keeps every |tr pi(x)| but breaks
+    # intertwining, worst at the last chunk of elements y
+    mats = rep.matrices.copy()
+    mats[-1] *= np.exp(0.7j)
+    bad = projective_rep(rep.group, rep.cocycle, mats)
+    window = _unit_window(rep.dim, seed=4)
+    seen = {}
+    check = latdim.reps.check_residual
+
+    def spy(what, residual, *args):
+        seen[what] = residual
+        return check(what, residual, *args)
+
+    monkeypatch.setattr(latdim.reps, "check_residual", spy)
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        wavelet(bad, window)
+    want = _loop_intertwining_residual(bad, window)
+    assert want > 1e-3
+    assert seen["wavelet intertwining residual"] == pytest.approx(want, rel=1e-12)

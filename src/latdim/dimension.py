@@ -90,6 +90,12 @@ class PhiFunction:
         """Ascending eigenvalues of twisted convolution by phi."""
         return np.linalg.eigvalsh(cdim_operator(self))
 
+    @cached_property
+    def off_identity_peak(self) -> np.float64:
+        """Largest |phi| off the identity, 0 on the trivial lattice; NaN comes through."""
+        off = np.delete(self.values, self.lattice_group.identity)
+        return np.abs(off).max(initial=0.0)
+
 
 def random_window(dim: int, seed: int) -> np.ndarray:
     """Seeded complex unit vector."""

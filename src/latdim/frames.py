@@ -173,11 +173,11 @@ def existence_decision(
     slack = tol.tol_psd * max(1.0, abs(frame_witness), abs(riesz_witness))
     frame = frame_witness >= -slack
     riesz = riesz_witness >= -slack
-    residual = fn.values.copy()
-    residual[fn.lattice_group.identity] -= ratio
+    at_identity = np.abs(fn.values[fn.lattice_group.identity] - ratio)
+    residual = np.maximum(at_identity, fn.off_identity_peak)  # a NaN comes through
     return DecisionReport(
         frame, riesz, frame and riesz, frame_witness, riesz_witness,
-        float(np.abs(residual).max()), spec.dpi_vol, n, d,
+        float(residual), spec.dpi_vol, n, d,
     )
 
 

@@ -245,20 +245,21 @@ def generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _cyclic_generators(g: FiniteGroup) -> list[int]:
-    """The least generator of each cyclic subgroup, in increasing order."""
-    seen: set[bytes] = set()
-    out = []
+def _cyclic_generators(g: FiniteGroup) -> dict[int, np.ndarray]:
+    """The least generator x of each cyclic subgroup, in increasing order,
+    mapped to its powers [e, x, x^2, ...]."""
+    seen: set[frozenset[int]] = set()
+    out = {}
     for x in range(g.order):
-        mask = np.zeros(g.order, dtype=bool)
+        powers = [g.identity]
         acc = x
-        while not mask[acc]:
-            mask[acc] = True
+        while acc != g.identity:
+            powers.append(acc)
             acc = int(g.cayley[acc, x])
-        key = mask.tobytes()
+        key = frozenset(powers)
         if key not in seen:
             seen.add(key)
-            out.append(x)
+            out[x] = np.asarray(powers)
     return out
 
 
@@ -286,7 +287,9 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     Every subgroup is a join of cyclic subgroups, so growing each known
     subgroup H by one generator x of each cyclic subgroup outside it
     reaches them all (Neubueser 1960). Since join(H, x) = join(H, hx) for
-    h in H, only the first such x of each right coset H x is tried.
+    h in H, only the first such x of each right coset H x is tried. When
+    x normalizes H the join is the product set H<x>, one gather; only a
+    non-normalizing x needs the frontier walk of ``_join``.
     """
     if g.order > SUBGROUP_ENUM_BOUND:
         raise BoundExceeded(
@@ -299,12 +302,17 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     for mask, gens in queue:  # appended to while it is walked
         elems = np.flatnonzero(mask)
         tried = mask.copy()
-        for x in cyclic:
+        normalizer = mask[g.conjugation[elems]].all(axis=0)
+        for x, powers in cyclic.items():
             if tried[x]:
                 continue
             tried[g.cayley[elems, x]] = True
             grown_gens = gens + (x,)
-            grown = _join(g, mask, elems, np.asarray(grown_gens))
+            if normalizer[x]:
+                grown = np.zeros(g.order, dtype=bool)
+                grown[g.cayley[elems[:, None], powers]] = True
+            else:
+                grown = _join(g, mask, elems, np.asarray(grown_gens))
             key = grown.tobytes()
             if key not in seen:
                 seen[key] = grown
@@ -316,22 +324,23 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyData:
-    classes: tuple[tuple[int, ...], ...]
     class_of: np.ndarray
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Members of each class in increasing order, built on first read."""
+        return tuple(tuple(np.flatnonzero(self.class_of == k).tolist())
+                     for k in range(int(self.class_of.max()) + 1))
 
 
 def conjugacy(g: FiniteGroup) -> ConjugacyData:
-    """Conjugacy classes in minimal-representative order.
+    """Class labels in minimal-representative order.
 
     Row x of the conjugation table is the class of x, so its minimum is
     the least member of the class and labels it.
     """
     _, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
-    class_of = class_of.astype(np.int64)
-    members = np.argsort(class_of, kind="stable")
-    sizes = np.bincount(class_of)
-    classes = tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(sizes)[:-1]))
-    return ConjugacyData(classes, _freeze(class_of))
+    return ConjugacyData(_freeze(class_of.astype(np.int64)))
 
 
 def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -340,6 +341,17 @@ def test_scan_then_audit_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, "density-audit", "--in", csv_path)
     assert rc == 0
     assert out.endswith(f"rows {n_rows}\nviolations 0\n")
+
+
+def test_gabor_scan_csv_bytes_are_pinned(capsys, tmp_path):
+    """Existing scan CSVs stay byte-identical from one change to the next."""
+    csv_path = tmp_path / "scan.csv"
+    rc, out, _ = run(capsys, "gabor-scan", "--base", "Z2xZ4", "--out", str(csv_path))
+    assert rc == 0
+    assert out.startswith("rows 2241\nlattices 249\n")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"
+    )
 
 
 def test_audit_flags_doctored_csv(capsys, tmp_path):

@@ -25,7 +25,7 @@ from latdim import (
     tighten,
 )
 
-from fixtures_common import pauli_product_irrep, tf, trivial_irrep
+from fixtures_common import pauli_product_irrep, rep_fixtures, tf, trivial_irrep
 from latdim.frames import _commutation_residual, _system_vectors
 
 
@@ -205,6 +205,43 @@ def test_riesz_basis_criterion_matches_decision():
     # dpi_vol = 1/2: the exact basis cells are n/d = 1/2
     assert riesz_basis_criterion(spec, 1, 2)
     assert not riesz_basis_criterion(spec, 1, 1)
+
+
+def _copy_and_subtract_residual(fn, ratio):
+    """The basis residual as a copy of phi with n/d taken off at the identity."""
+    residual = fn.values.copy()
+    residual[fn.lattice_group.identity] -= ratio
+    return float(np.abs(residual).max())
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_basis_residual_matches_copy_and_subtract(label, rep):
+    for sub in all_subgroups(rep.group):
+        spec = make_module_spec(rep, sub)
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                got = existence_decision(spec, n, d).basis_residual
+                assert got == _copy_and_subtract_residual(spec.dimension_function, n / d)
+
+
+@pytest.mark.parametrize("where", ["identity", "off identity"])
+def test_basis_residual_keeps_a_nan(where):
+    spec = _wh_spec("Z2", _translations(tf("Z2")))
+    fn = spec.dimension_function
+    values = fn.values.copy()
+    values[fn.lattice_group.identity if where == "identity" else 1] = np.nan
+    nan_fn = type(fn)(values, fn.dpi_vol, fn.cocycle, fn.lattice_group, fn.regular)
+    nan_fn.__dict__["spectrum"] = fn.spectrum  # the witnesses stay finite
+    spec.__dict__["dimension_function"] = nan_fn
+    assert np.isnan(existence_decision(spec, 1, 1).basis_residual)
+
+
+def test_off_identity_peak_of_the_trivial_lattice_is_zero():
+    t = tf("Z2")
+    spec = make_module_spec(t.rep, subgroup_generated(t.rep.group, []))
+    fn = spec.dimension_function
+    assert fn.off_identity_peak == 0.0
+    assert existence_decision(spec, 1, 2).basis_residual == abs(fn.values[0] - 0.5)
 
 
 def test_decisions_share_one_eigensolve(monkeypatch):

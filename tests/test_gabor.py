@@ -174,3 +174,26 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     monkeypatch.setattr(gabor_mod, "existence_decision", lying)
     with pytest.raises(ConsistencyError):
         gabor_scan(t, n_max=1, d_max=1)
+
+
+@pytest.mark.parametrize("where, shift, order", [
+    ("identity", np.nan, 1), ("off identity", np.nan, 2), ("off identity", 1e-6, 2),
+])
+def test_scan_rejects_phi_off_dpi_vol_delta(monkeypatch, where, shift, order):
+    """The scan checks phi = dpi_vol delta_e on every lattice, NaN included."""
+    import latdim.dimension as dim_mod
+
+    real = dim_mod.phi
+
+    def tampered(spec):
+        fn = real(spec)
+        values = fn.values.copy()
+        if where == "identity":
+            values[fn.lattice_group.identity] += shift
+        elif values.size > 1:
+            values[values.size - 1 - fn.lattice_group.identity] += shift
+        return type(fn)(values, fn.dpi_vol, fn.cocycle, fn.lattice_group, fn.regular)
+
+    monkeypatch.setattr(dim_mod, "phi", tampered)
+    with pytest.raises(ConsistencyError, match=rf"delta_e\| on the lattice of order {order} is"):
+        gabor_scan(tf("Z2"), 1, 1)

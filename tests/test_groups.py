@@ -18,11 +18,14 @@ from latdim import (
     from_cayley_table,
     full_subgroup,
     quaternion,
+    regularity,
     subgroup_generated,
     subgroup_group,
     symmetric_group,
+    trivial,
     trivial_subgroup,
 )
+import latdim.groups as groups_mod
 from latdim.groups import (
     _closure_mask,
     abelian_basis,
@@ -102,6 +105,27 @@ def test_conjugacy_classes_are_direct_orbits(name):
     assert [c[0] for c in cj.classes] == sorted(c[0] for c in cj.classes)
 
 
+def _eager_classes(class_of):
+    """Reference classes: a stable argsort of the labels, split by class size."""
+    members = np.argsort(class_of, kind="stable")
+    sizes = np.bincount(class_of)
+    return tuple(tuple(c.tolist()) for c in np.split(members, np.cumsum(sizes)[:-1]))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4",))
+def test_classes_are_built_on_first_read(name):
+    cj = conjugacy(group(name))
+    assert "classes" not in cj.__dict__
+    assert cj.classes == _eager_classes(cj.class_of)
+    assert cj.classes is cj.classes
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4",))
+def test_regularity_leaves_classes_unbuilt(name):
+    report = regularity(trivial(group(name)))
+    assert "classes" not in report.conjugacy.__dict__
+
+
 @pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "D4xZ2xZ2"))
 def test_generators_span_within_log_bound(name):
     g = group(name)
@@ -141,9 +165,21 @@ def test_from_cayley_table_roundtrip():
 @pytest.mark.parametrize("name, count", [
     ("Z4", 3), ("Z6", 4), ("Z8", 4), ("Z2xZ2", 5), ("Z2xZ4", 8),
     ("S3", 6), ("D4", 10), ("Q8", 6), ("Z2xZ2xZ2xZ2xZ2xZ2", 2825),
+    ("S5", 156),
 ])
 def test_subgroup_counts(name, count):
     assert len(all_subgroups(group(name))) == count
+
+
+def _product_closure(g, mask):
+    """The least product-closed set holding ``mask``; a subgroup when it holds e."""
+    while True:
+        idx = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[g.cayley[idx[:, None], idx]] = True
+        if grown.sum() == idx.size:
+            return mask
+        mask = grown
 
 
 def _reference_subgroups(g):
@@ -155,7 +191,9 @@ def _reference_subgroups(g):
         nxt = []
         for mask in frontier:
             for x in np.flatnonzero(~mask):
-                grown = _closure_mask(g, list(np.flatnonzero(mask)) + [int(x)])
+                grown = mask.copy()
+                grown[x] = True
+                grown = _product_closure(g, grown)
                 key = grown.tobytes()
                 if key not in seen:
                     seen[key] = grown
@@ -165,10 +203,29 @@ def _reference_subgroups(g):
     return sorted(subs, key=lambda s: (len(s), s))
 
 
-@pytest.mark.parametrize("name", ["S4", "D4xZ2xZ2", "Q8xZ2", "tf-Z2xZ4", "tf-Z3xZ3"])
-def test_all_subgroups_match_reference(name):
+# Whether the enumeration reaches the frontier walk of ``_join``: only a
+# generator that does not normalize the subgroup it joins needs it, so
+# abelian and Hamiltonian groups (Q8xZ2) never do; S4 and D4xZ2xZ2 run both paths.
+WALKS = {
+    "S4": True, "D4xZ2xZ2": True, "Q8xZ2": False, "tf-Z2xZ4": False, "tf-Z3xZ3": False,
+    "Z2xZ2xZ2xZ2xZ2xZ2": False,
+}
+
+
+@pytest.mark.parametrize("name", list(WALKS))
+def test_all_subgroups_match_reference(monkeypatch, name):
     g = tf(name[3:]).group if name.startswith("tf-") else group(name)
+    walked = []
+    real = groups_mod._join
+
+    def spy(g_, mask, elems, gens):
+        assert not mask[g_.conjugation[elems, gens[-1]]].all()
+        walked.append(1)
+        return real(g_, mask, elems, gens)
+
+    monkeypatch.setattr(groups_mod, "_join", spy)
     got = [s.elements for s in all_subgroups(g)]
+    assert bool(walked) == WALKS[name]
     assert got == _reference_subgroups(g)
 
 

@@ -15,7 +15,6 @@ from .algebra import (
     center_valued_trace_oracle,
     conv_operator,
     element,
-    element_from_operator,
     is_sigma_positive_definite,
     left_regular,
     multiply,
@@ -40,12 +39,10 @@ from .config import DEFAULT_TOL, Tolerances
 from .dimension import (
     ModuleSpec,
     PhiFunction,
-    abelian_kleppner_shortcut,
     cdim_operator,
     make_module_spec,
     phi,
     phi_oracle,
-    phi_oracle_sum,
     random_window,
 )
 from .errors import (
@@ -131,7 +128,6 @@ from .serialize import (
 )
 from .reps import (
     ProjectiveRep,
-    conjugate_rep,
     formal_dimension,
     irreducible_subrep,
     is_irreducible,

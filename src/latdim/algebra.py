@@ -137,11 +137,6 @@ def element(cocycle: Cocycle, coeffs) -> AlgebraElement:
     return AlgebraElement(cocycle.group, cocycle, arr)
 
 
-def element_from_operator(cocycle: Cocycle, mat: np.ndarray) -> AlgebraElement:
-    """Read Fourier coefficients a-hat = a delta_e off an operator matrix."""
-    return element(cocycle, np.asarray(mat)[:, cocycle.group.identity])
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return element(a.cocycle, twisted_convolution(a.coeffs, b.coeffs, a.cocycle))
 

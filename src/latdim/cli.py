@@ -13,7 +13,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import reduce
 from typing import Sequence
 
@@ -314,7 +314,7 @@ def _cmd_phi(cfg: RunConfig) -> int:
             {
                 "gamma": int(lat.elements[i]),
                 "value": [float(v.real), float(v.imag)],
-                "regular": bool(fn.regular[i]),
+                "regular": bool(spec.regular[i]),
             }
         )
     _emit(
@@ -338,20 +338,7 @@ def _cmd_decide(cfg: RunConfig) -> int:
     print(f"riesz {'yes' if dec.riesz else 'no'}")
     print(f"basis {'yes' if dec.basis else 'no'}")
     if cfg.out is not None:
-        dump_json(
-            {
-                "frame": dec.frame,
-                "riesz": dec.riesz,
-                "basis": dec.basis,
-                "frame_witness": dec.frame_witness,
-                "riesz_witness": dec.riesz_witness,
-                "basis_residual": dec.basis_residual,
-                "dpi_vol": dec.dpi_vol,
-                "n": dec.n,
-                "d": dec.d,
-            },
-            cfg.out,
-        )
+        dump_json(asdict(dec), cfg.out)
         print(f"wrote {cfg.out}")
     return 0
 
@@ -396,7 +383,7 @@ def _cmd_routes(cfg: RunConfig) -> int:
         vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values)
         print(
             f"|lattice| {sub.order:3d}  dpi_vol {spec.dpi_vol:8.4f}  "
-            f"regular {int(closed.regular.sum()):3d}  gap {gap:.2e}  phi [{vals}]"
+            f"regular {int(spec.regular.sum()):3d}  gap {gap:.2e}  phi [{vals}]"
         )
     worst = float(np.max(gaps))  # keeps a NaN gap, which then fails
     print(f"worst formula/embedding gap {worst:.3e}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotIrreducible,
-    PreconditionFailed,
     check_residual,
 )
 from .groups import FiniteGroup, Subgroup, right_transversal
@@ -34,20 +32,24 @@ from .reps import ProjectiveRep, is_irreducible, unit_window, wavelet
 class ModuleSpec:
     """An irreducible rep together with a lattice to restrict to.
 
-    ``lattice_group`` is the subgroup materialized as a group of its
-    own (indices 0..|lattice|-1), and ``restricted_cocycle`` lives on
-    it.  ``window`` is a read-only unit vector used to realize the
-    module inside functions on the big group; the dimension function
-    does not depend on the choice.  The regular mask and the dimension
-    function are derived once per spec and read by every decision and
-    construction on it.
+    ``restricted_cocycle`` lives on the lattice materialized as a group
+    of its own (indices 0..|lattice|-1), which ``lattice_group`` returns.
+    ``window`` is a read-only unit vector used to realize the module inside
+    functions on the big group; the dimension function does not depend
+    on the choice.  The regular mask and the dimension function are
+    derived once per spec and read by every decision and construction
+    on it.
     """
 
     rep: ProjectiveRep
     lattice: Subgroup
-    lattice_group: FiniteGroup
     restricted_cocycle: Cocycle
     window: np.ndarray
+
+    @property
+    def lattice_group(self) -> FiniteGroup:
+        """The lattice as a group of its own, the restricted cocycle's group."""
+        return self.restricted_cocycle.group
 
     @property
     def dpi_vol(self) -> float:
@@ -67,20 +69,17 @@ class ModuleSpec:
 
 @dataclass(frozen=True)
 class PhiFunction:
-    """The dimension function on the lattice, plus its evaluation context.
+    """The dimension function on the lattice.
 
     ``values[gamma]`` is phi at lattice index gamma; the associated
     positive operator is twisted convolution by ``values`` over
-    ``cocycle``.  ``regular`` flags lattice elements whose conjugacy
-    class is cocycle-regular; phi vanishes off those.  ``values`` is
-    read-only, so the spectrum of that operator is computed once.
+    ``cocycle``, the restricted cocycle, whose group is the lattice.
+    ``values`` is read-only, so the spectrum of that operator is
+    computed once.
     """
 
     values: np.ndarray
-    dpi_vol: float
     cocycle: Cocycle
-    lattice_group: FiniteGroup
-    regular: np.ndarray
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -93,7 +92,7 @@ class PhiFunction:
     @cached_property
     def off_identity_peak(self) -> np.float64:
         """Largest |phi| off the identity, 0 on the trivial lattice; NaN comes through."""
-        off = np.delete(self.values, self.lattice_group.identity)
+        off = np.delete(self.values, self.cocycle.group.identity)
         return np.abs(off).max(initial=0.0)
 
 
@@ -126,8 +125,7 @@ def make_module_spec(
     else:
         w = unit_window(window, rep.dim).copy()
     w.setflags(write=False)
-    restricted = restrict(rep.cocycle, lattice)
-    return ModuleSpec(rep, lattice, restricted.group, restricted, w)
+    return ModuleSpec(rep, lattice, restrict(rep.cocycle, lattice), w)
 
 
 def _window_diagonal(spec: ModuleSpec) -> np.ndarray:
@@ -172,7 +170,7 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     dpi_vol = spec.dpi_vol
     check_residual("|phi(e) - dpi_vol|", abs(values[lat.identity] - dpi_vol),
                    PHI_IDENTITY * max(1.0, dpi_vol))
-    return PhiFunction(values, dpi_vol, spec.restricted_cocycle, lat, regular)
+    return PhiFunction(values, spec.restricted_cocycle)
 
 
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
@@ -220,36 +218,7 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     values = _average_column(
         lat, conjugate_cocycle(spec.restricted_cocycle).table, "right", block_sum
     )
-    # the spec's regular mask rides along for reporting; values never read it
-    return PhiFunction(
-        values, dpi_vol, spec.restricted_cocycle, lat, spec.regular
-    )
-
-
-def phi_oracle_sum(specs: Sequence[ModuleSpec]) -> PhiFunction:
-    """Oracle for a direct sum of modules over one common lattice.
-
-    The embedded projection is block diagonal, one block per summand,
-    so the dimension function of the sum is computed by accumulating
-    each summand's contribution.  Windows may differ per summand.
-    """
-    if not specs:
-        raise DimensionMismatch("need at least one summand")
-    first = specs[0]
-    for s in specs[1:]:
-        if s.rep.group is not first.rep.group and not np.array_equal(
-            s.rep.group.cayley, first.rep.group.cayley
-        ):
-            raise DimensionMismatch("summands live over different groups")
-        if s.lattice.elements != first.lattice.elements:
-            raise DimensionMismatch("summands use different lattices")
-    parts = [phi_oracle(s) for s in specs]
-    values = np.sum([p.values for p in parts], axis=0)
-    dpi_vol = float(sum(p.dpi_vol for p in parts))
-    return PhiFunction(
-        values, dpi_vol, first.restricted_cocycle,
-        first.lattice_group, parts[0].regular,
-    )
+    return PhiFunction(values, spec.restricted_cocycle)
 
 
 def cdim_operator(fn: PhiFunction) -> np.ndarray:
@@ -265,25 +234,3 @@ def cdim_operator(fn: PhiFunction) -> np.ndarray:
                    NotHermitian)
     return (op + op.conj().T) / 2
 
-
-def abelian_kleppner_shortcut(spec: ModuleSpec) -> PhiFunction:
-    """Collapsed dimension function for abelian groups with factor twist.
-
-    When the big group is abelian and the full cocycle admits only the
-    identity as a regular class, phi is (dim/|lattice|) at the identity
-    and zero elsewhere.  No sums are computed.
-    """
-    g = spec.rep.group
-    if not g.is_abelian():
-        raise PreconditionFailed("group is not abelian")
-    reg = regularity(spec.rep.cocycle)
-    if not reg.kleppner:
-        raise PreconditionFailed(
-            "full cocycle has nonidentity regular classes"
-        )
-    lat = spec.lattice_group
-    values = np.zeros(lat.order, dtype=np.complex128)
-    values[lat.identity] = spec.dpi_vol
-    return PhiFunction(
-        values, spec.dpi_vol, spec.restricted_cocycle, lat, spec.regular
-    )

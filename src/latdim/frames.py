@@ -173,7 +173,7 @@ def existence_decision(
     slack = tol.tol_psd * max(1.0, abs(frame_witness), abs(riesz_witness))
     frame = frame_witness >= -slack
     riesz = riesz_witness >= -slack
-    at_identity = np.abs(fn.values[fn.lattice_group.identity] - ratio)
+    at_identity = np.abs(fn.values[spec.lattice_group.identity] - ratio)
     residual = np.maximum(at_identity, fn.off_identity_peak)  # a NaN comes through
     return DecisionReport(
         frame, riesz, frame and riesz, frame_witness, riesz_witness,

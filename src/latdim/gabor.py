@@ -23,20 +23,27 @@ from .frames import (
     multiwindow_system,
 )
 from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group
-from .reps import ProjectiveRep, is_irreducible, validate_rep
+from .reps import ProjectiveRep, is_irreducible
 
-SCAN_COLUMNS = (
-    "base",
-    "group",
-    "cocycle",
-    "lattice_order",
-    "n",
-    "d",
-    "dpi_vol",
-    "frame",
-    "riesz",
-    "basis",
-)
+
+def _text(field: str) -> str:
+    """Text columns are kept exactly as read."""
+    return field
+
+
+# every scan CSV column in order, with the parser that reads it back
+SCAN_COLUMNS = {
+    "base": _text,
+    "group": _text,
+    "cocycle": _text,
+    "lattice_order": int,
+    "n": int,
+    "d": int,
+    "dpi_vol": float,
+    "frame": _text,
+    "riesz": _text,
+    "basis": _text,
+}
 
 
 @dataclass(frozen=True)
@@ -87,9 +94,8 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
         mats[gi, ts, cols] = dual.pairing[w, ts]
     rep = ProjectiveRep(g, coc, na, mats)
 
-    report = validate_rep(rep)
-    if not report.ok:
-        raise ConsistencyError(f"time-frequency rep invalid: {report.message}")
+    if not rep.report.ok:
+        raise ConsistencyError(f"time-frequency rep invalid: {rep.report.message}")
     irr, cdim = is_irreducible(rep)
     if not irr:
         raise ConsistencyError(
@@ -194,18 +200,8 @@ def write_scan_csv(rows: list[dict], path: str) -> None:
         writer.writerow(SCAN_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    row["base"],
-                    row["group"],
-                    row["cocycle"],
-                    row["lattice_order"],
-                    row["n"],
-                    row["d"],
-                    f"{row['dpi_vol']:.12g}",
-                    row["frame"],
-                    row["riesz"],
-                    row["basis"],
-                ]
+                f"{row[key]:.12g}" if parse is float else row[key]
+                for key, parse in SCAN_COLUMNS.items()
             )
 
 
@@ -213,30 +209,19 @@ def read_scan_csv(path: str) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SCAN_COLUMNS:
+        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(SCAN_COLUMNS):
             raise InputError(
                 f"{path}: expected columns {','.join(SCAN_COLUMNS)}, "
                 f"got {reader.fieldnames}"
             )
         for i, raw in enumerate(reader, start=2):
+            # DictReader fills a short row with None and files extras under None
+            if None in raw or None in raw.values():
+                raise InputError(f"{path} line {i}: expected {len(SCAN_COLUMNS)} fields")
             try:
-                rows.append(
-                    {
-                        "base": raw["base"],
-                        "group": raw["group"],
-                        "cocycle": raw["cocycle"],
-                        "lattice_order": int(raw["lattice_order"]),
-                        "n": int(raw["n"]),
-                        "d": int(raw["d"]),
-                        "dpi_vol": float(raw["dpi_vol"]),
-                        "frame": raw["frame"],
-                        "riesz": raw["riesz"],
-                        "basis": raw["basis"],
-                    }
-                )
+                row = {key: parse(raw[key]) for key, parse in SCAN_COLUMNS.items()}
             except (KeyError, ValueError) as exc:
                 raise InputError(f"{path} line {i}: {exc}") from exc
-            row = rows[-1]
             if row["n"] < 1 or row["d"] < 1:
                 raise InputError(f"{path} line {i}: n and d must be at least 1")
             if not np.isfinite(row["dpi_vol"]):
@@ -246,6 +231,7 @@ def read_scan_csv(path: str) -> list[dict]:
                     raise InputError(
                         f"{path} line {i}: {key} must be yes or no, got {row[key]!r}"
                     )
+            rows.append(row)
     return rows
 
 

@@ -8,12 +8,13 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import _monomial
-from .cocycles import Cocycle, conjugate_cocycle
+from .cocycles import Cocycle
 from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
                      WINDOW_NORM, Tolerances)
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
+    InputError,
     NotIrreducible,
     WindowNotUnit,
     check_residual,
@@ -29,7 +30,8 @@ class ProjectiveRep:
     assigned to group element x.  Multiplying two of them picks up the
     cocycle: pi(x) pi(y) = sigma(x, y) pi(x y).  The stack is made
     read-only on construction, which is what lets derived data such as
-    the commutant dimension be computed once per rep.
+    the validation report and the commutant dimension be computed once
+    per rep.
     """
 
     group: FiniteGroup
@@ -44,13 +46,21 @@ class ProjectiveRep:
         return self.matrices[x]
 
     @cached_property
+    def report(self) -> RepReport:
+        """``validate_rep`` of this rep at the default tolerances."""
+        return validate_rep(self)
+
+    @cached_property
     def commutant_dim(self) -> int:
         """Dimension of the commutant, as the character norm |G|^-1 sum_x |tr pi(x)|^2.
 
         Schur orthogonality of projective characters makes the two equal
-        for a sigma-rep, so run ``validate_rep`` first.  A NaN norm, or one
-        off an integer by more than CHARACTER_NORM (rel), raises.
+        for a sigma-rep, so a rep whose ``report`` is not ok raises
+        InputError.  A NaN norm, or one off an integer by more than
+        CHARACTER_NORM (rel), raises ConsistencyError.
         """
+        if not self.report.ok:
+            raise InputError(f"rep invalid: {self.report.message}")
         chi = np.trace(self.matrices, axis1=1, axis2=2)
         norm = float(np.sum(np.abs(chi) ** 2)) / self.group.order
         k = np.rint(norm)
@@ -142,7 +152,7 @@ def _worst_pair(rep: ProjectiveRep) -> tuple[float, tuple[int, int]]:
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:
-    """Whether the commutant is trivial, plus its dimension; the rep must pass ``validate_rep``."""
+    """Whether the commutant is trivial, plus its dimension; an invalid rep raises InputError."""
     cdim = rep.commutant_dim
     if cdim < 1:
         raise ConsistencyError("commutant lost the identity operator")
@@ -272,20 +282,7 @@ def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> P
         # (q* lam(x) q)[i, j] = sum_s conj(q[x s, i]) sigma(x, s) q[s, j]
         mats = np.stack([(q[rows[x]].conj().T * phases[x]) @ q for x in range(n)])
         candidate = ProjectiveRep(group, cocycle, q.shape[1], mats)
-        report = validate_rep(candidate)
-        if not report.ok:
-            continue
-        irr, _ = is_irreducible(candidate)
-        if irr:
+        if candidate.report.ok and is_irreducible(candidate)[0]:
             return candidate
     raise NotIrreducible("no irreducible summand found in 8 attempts")
 
-
-def conjugate_rep(rep: ProjectiveRep) -> ProjectiveRep:
-    """Entrywise conjugate rep, projective over the conjugate cocycle."""
-    return ProjectiveRep(
-        rep.group,
-        conjugate_cocycle(rep.cocycle),
-        rep.dim,
-        rep.matrices.conj(),
-    )

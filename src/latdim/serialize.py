@@ -14,7 +14,7 @@ from .algebra import AlgebraElement, element
 from .cocycles import Cocycle, validate
 from .errors import InputError
 from .groups import FiniteGroup, from_cayley_table
-from .reps import ProjectiveRep, projective_rep, validate_rep
+from .reps import ProjectiveRep, projective_rep
 
 
 def complex_to_pairs(arr: np.ndarray) -> list:
@@ -126,10 +126,8 @@ def rep_from_json(data: dict, check: bool = True) -> ProjectiveRep:
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad rep record: {exc}") from exc
     rep = projective_rep(coc.group, coc, mats)
-    if check:
-        report = validate_rep(rep)
-        if not report.ok:
-            raise InputError(f"rep matrices invalid: {report.message}")
+    if check and not rep.report.ok:
+        raise InputError(f"rep matrices invalid: {rep.report.message}")
     return rep
 
 

@@ -12,7 +12,6 @@ from latdim import (
     conjugate_cocycle,
     conv_operator,
     element,
-    element_from_operator,
     is_sigma_positive_definite,
     left_regular,
     multiply,
@@ -155,13 +154,6 @@ def test_convolution_associative():
     lhs = twisted_convolution(twisted_convolution(f, g_, coc), h, coc)
     rhs = twisted_convolution(f, twisted_convolution(g_, h, coc), coc)
     assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_element_operator_roundtrip():
-    coc = tf("Z3").cocycle
-    a = element(coc, _rand_coeffs(coc, 9))
-    back = element_from_operator(coc, a.operator())
-    assert np.allclose(back.coeffs, a.coeffs)
 
 
 def test_multiply_matches_operator_product():

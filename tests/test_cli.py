@@ -7,7 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from latdim import frame_report, full_subgroup, multiwindow_system, phi_oracle
+from latdim import (
+    existence_decision,
+    frame_report,
+    full_subgroup,
+    make_module_spec,
+    multiwindow_system,
+    phi_oracle,
+)
 from latdim.cli import main
 from latdim.gabor import SCAN_COLUMNS
 from latdim.serialize import (
@@ -182,6 +189,22 @@ def test_decide_witness_file(capsys, tmp_path):
     data = load_json(path)
     assert data["frame"] is True and data["riesz"] is False
     assert data["dpi_vol"] == pytest.approx(0.5)
+    rep = tf("Z2").rep
+    spec = make_module_spec(rep, full_subgroup(rep.group))
+    assert data == dataclasses.asdict(existence_decision(spec, 1, 1))
+
+
+def test_decide_validates_the_rep_once(capsys, monkeypatch):
+    import latdim.reps
+
+    calls = []
+    real = latdim.reps.validate_rep
+    monkeypatch.setattr(latdim.reps, "validate_rep",
+                        lambda rep, *args: calls.append(1) or real(rep, *args))
+    rc, out, _ = run(capsys, "decide", "--group", "Z16xZ16",
+                     "--cocycle", "weyl-heisenberg", "--n", "1", "--d", "1")
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_construct_parseval(capsys):

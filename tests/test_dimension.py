@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from latdim import (
     ConsistencyError,
     DimensionMismatch,
+    ModuleSpec,
     NotHermitian,
     NotIrreducible,
     PhiFunction,
-    PreconditionFailed,
     WindowNotUnit,
-    abelian_kleppner_shortcut,
     all_subgroups,
     build_cyclic,
     cdim_operator,
@@ -19,7 +20,6 @@ from latdim import (
     make_module_spec,
     phi,
     phi_oracle,
-    phi_oracle_sum,
     projective_rep,
     random_window,
     right_regular,
@@ -43,8 +43,8 @@ def test_sign_character_full_lattice_frozen_values():
     spec = make_module_spec(rep, full_subgroup(rep.group))
     fn = phi(spec)
     assert np.allclose(fn.values, [0.5, -0.5])
-    assert fn.dpi_vol == pytest.approx(0.5)
-    assert fn.regular.all()
+    assert spec.dpi_vol == pytest.approx(0.5)
+    assert spec.regular.all()
     op = cdim_operator(fn)
     assert np.allclose(op, [[0.5, -0.5], [-0.5, 0.5]])
     # the operator is a projection: phi really is a module dimension
@@ -54,9 +54,19 @@ def test_sign_character_full_lattice_frozen_values():
 def test_phi_values_are_read_only():
     rep = tf("Z2").rep
     spec = make_module_spec(rep, full_subgroup(rep.group))
-    for fn in (phi(spec), phi_oracle(spec), phi_oracle_sum([spec, spec])):
+    for fn in (phi(spec), phi_oracle(spec)):
         with pytest.raises(ValueError):
             fn.values[0] = fn.values[0]
+
+
+def test_spec_owns_the_lattice_group_and_phi_only_its_values():
+    rep = tf("Z2").rep
+    spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
+    assert "lattice_group" not in {f.name for f in dataclasses.fields(ModuleSpec)}
+    assert spec.lattice_group is spec.restricted_cocycle.group
+    assert [f.name for f in dataclasses.fields(PhiFunction)] == ["values", "cocycle"]
+    for fn in (phi(spec), phi_oracle(spec)):
+        assert fn.cocycle is spec.restricted_cocycle
 
 
 def test_trivial_lattice_gives_plain_dimension():
@@ -78,14 +88,14 @@ def test_translation_lattice_is_delta():
     expected = np.zeros(na)
     expected[spec.lattice_group.identity] = 1.0
     assert np.abs(fn.values - expected).max() < 1e-12
-    assert fn.dpi_vol == pytest.approx(1.0)
+    assert spec.dpi_vol == pytest.approx(1.0)
 
 
 def test_full_lattice_kleppner_concentrates_at_identity():
     t = tf("Z4")
     spec = make_module_spec(t.rep, full_subgroup(t.rep.group))
     fn = phi(spec)
-    assert fn.regular.sum() == 1  # only the identity class is regular
+    assert spec.regular.sum() == 1  # only the identity class is regular
     expected = np.zeros(t.rep.group.order)
     expected[spec.lattice_group.identity] = 0.25
     assert np.abs(fn.values - expected).max() < 1e-12
@@ -145,7 +155,7 @@ def test_phi_matches_transversal_reference(label, rep):
             fn = phi(spec)
             values, regular = _reference_phi(spec)
             assert np.abs(fn.values - values).max() < 1e-12, (label, sub.elements)
-            assert np.array_equal(fn.regular, regular)
+            assert np.array_equal(spec.regular, regular)
 
 
 def _reference_phi_oracle(spec):
@@ -224,29 +234,6 @@ def test_phi_values_are_positive_definite():
         assert np.linalg.eigvalsh(op).min() > -1e-9
 
 
-def test_oracle_sum_is_additive():
-    rep = tf("Z3").rep
-    sub = subgroup_generated(rep.group, [1 * 3 + 0])  # pure translations
-    specs = [
-        make_module_spec(rep, sub, window=random_window(rep.dim, s))
-        for s in (4, 5, 6)
-    ]
-    total = phi_oracle_sum(specs)
-    parts = [phi_oracle(s) for s in specs]
-    assert np.allclose(total.values, sum(p.values for p in parts))
-    assert total.dpi_vol == pytest.approx(3 * specs[0].dpi_vol)
-
-
-def test_oracle_sum_rejects_mixed_lattices():
-    rep = tf("Z2").rep
-    a = make_module_spec(rep, full_subgroup(rep.group))
-    b = make_module_spec(rep, trivial_subgroup(rep.group))
-    with pytest.raises(DimensionMismatch):
-        phi_oracle_sum([a, b])
-    with pytest.raises(DimensionMismatch):
-        phi_oracle_sum([])
-
-
 def test_make_module_spec_errors():
     rep = tf("Z2").rep
     other = build_cyclic(4)
@@ -293,9 +280,8 @@ def test_one_regularity_per_spec(monkeypatch):
     )
     rep = trivial_irrep("S3")
     spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
-    closed, oracle = phi(spec), phi_oracle(spec)
+    phi(spec), phi_oracle(spec)
     assert len(calls) == 1
-    assert closed.regular is oracle.regular
 
 
 def test_random_window_seeded_and_unit():
@@ -309,36 +295,6 @@ def test_random_window_seeded_and_unit():
 
 def test_cdim_operator_rejects_nonhermitian_values():
     g = build_cyclic(3)
-    fn = PhiFunction(
-        values=np.array([0.0, 1.0, 0.0], dtype=np.complex128),
-        dpi_vol=1.0,
-        cocycle=trivial(g),
-        lattice_group=g,
-        regular=np.ones(3, dtype=bool),
-    )
+    fn = PhiFunction(values=np.array([0.0, 1.0, 0.0], dtype=np.complex128), cocycle=trivial(g))
     with pytest.raises(NotHermitian):
         cdim_operator(fn)
-
-
-@pytest.mark.parametrize("base", ["Z2", "Z3", "Z4", "Z5", "Z6"])
-def test_abelian_shortcut_agrees_with_phi(base):
-    t = tf(base)
-    for sub in all_subgroups(t.rep.group):
-        spec = make_module_spec(t.rep, sub)
-        fast = abelian_kleppner_shortcut(spec)
-        slow = phi(spec)
-        assert np.abs(fast.values - slow.values).max() < 1e-10
-        assert fast.dpi_vol == slow.dpi_vol
-
-
-def test_abelian_shortcut_preconditions():
-    rep = trivial_irrep("S3")
-    with pytest.raises(PreconditionFailed):
-        abelian_kleppner_shortcut(
-            make_module_spec(rep, full_subgroup(rep.group))
-        )
-    flat = trivial_irrep("Z4")
-    with pytest.raises(PreconditionFailed):
-        abelian_kleppner_shortcut(
-            make_module_spec(flat, full_subgroup(flat.group))
-        )

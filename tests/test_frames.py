@@ -210,7 +210,7 @@ def test_riesz_basis_criterion_matches_decision():
 def _copy_and_subtract_residual(fn, ratio):
     """The basis residual as a copy of phi with n/d taken off at the identity."""
     residual = fn.values.copy()
-    residual[fn.lattice_group.identity] -= ratio
+    residual[fn.cocycle.group.identity] -= ratio
     return float(np.abs(residual).max())
 
 
@@ -229,8 +229,8 @@ def test_basis_residual_keeps_a_nan(where):
     spec = _wh_spec("Z2", _translations(tf("Z2")))
     fn = spec.dimension_function
     values = fn.values.copy()
-    values[fn.lattice_group.identity if where == "identity" else 1] = np.nan
-    nan_fn = type(fn)(values, fn.dpi_vol, fn.cocycle, fn.lattice_group, fn.regular)
+    values[spec.lattice_group.identity if where == "identity" else 1] = np.nan
+    nan_fn = type(fn)(values, fn.cocycle)
     nan_fn.__dict__["spectrum"] = fn.spectrum  # the witnesses stay finite
     spec.__dict__["dimension_function"] = nan_fn
     assert np.isnan(existence_decision(spec, 1, 1).basis_residual)

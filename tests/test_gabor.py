@@ -11,6 +11,7 @@ from latdim import (
     build_cyclic,
     build_tf,
     construct_parseval_generators,
+    direct_product,
     gabor_scan,
     make_module_spec,
     read_scan_csv,
@@ -18,6 +19,8 @@ from latdim import (
     validate_rep,
     write_scan_csv,
 )
+
+from latdim.gabor import SCAN_COLUMNS
 
 from fixtures_common import tf
 
@@ -29,6 +32,18 @@ def test_build_tf_basics():
     assert t.rep.dim == 2
     assert t.dpi_counting == pytest.approx(0.5)
     assert validate_rep(t.rep).ok
+
+
+def test_build_tf_and_scan_validate_the_rep_once(monkeypatch):
+    import latdim.reps
+
+    calls = []
+    real = latdim.reps.validate_rep
+    monkeypatch.setattr(latdim.reps, "validate_rep",
+                        lambda rep, *args: calls.append(1) or real(rep, *args))
+    t = build_tf(direct_product(build_cyclic(2), build_cyclic(4)))
+    assert len(gabor_scan(t, 2, 2)) == 4 * 249
+    assert len(calls) == 1
 
 
 def test_build_tf_frozen_matrices():
@@ -124,6 +139,14 @@ def test_read_scan_csv_rejects_wrong_header(tmp_path):
     assert "expected columns" in str(exc.value)
 
 
+@pytest.mark.parametrize("tail", ["", ",1,1,0.5,yes,no,no,extra"])
+def test_read_scan_csv_rejects_a_row_of_the_wrong_length(tmp_path, tail):
+    path = tmp_path / "ragged.csv"
+    path.write_text(",".join(SCAN_COLUMNS) + f"\nZ2,Z2xZ2,wh,4{tail}\n")
+    with pytest.raises(InputError, match="line 2: expected 10 fields"):
+        read_scan_csv(str(path))
+
+
 def test_read_scan_csv_reports_bad_line(tmp_path):
     rows = gabor_scan(tf("Z2"), n_max=1, d_max=1)
     path = str(tmp_path / "scan.csv")
@@ -189,10 +212,10 @@ def test_scan_rejects_phi_off_dpi_vol_delta(monkeypatch, where, shift, order):
         fn = real(spec)
         values = fn.values.copy()
         if where == "identity":
-            values[fn.lattice_group.identity] += shift
+            values[spec.lattice_group.identity] += shift
         elif values.size > 1:
-            values[values.size - 1 - fn.lattice_group.identity] += shift
-        return type(fn)(values, fn.dpi_vol, fn.cocycle, fn.lattice_group, fn.regular)
+            values[values.size - 1 - spec.lattice_group.identity] += shift
+        return type(fn)(values, fn.cocycle)
 
     monkeypatch.setattr(dim_mod, "phi", tampered)
     with pytest.raises(ConsistencyError, match=rf"delta_e\| on the lattice of order {order} is"):

@@ -6,11 +6,11 @@ from latdim import (
     Cocycle,
     ConsistencyError,
     DimensionMismatch,
+    InputError,
     NotIrreducible,
     WindowNotUnit,
     build_cyclic,
     conjugate_cocycle,
-    conjugate_rep,
     formal_dimension,
     full_subgroup,
     irreducible_subrep,
@@ -29,6 +29,18 @@ from latdim.groups import generators
 from fixtures_common import (
     cocycle_fixtures, group, rep_fixtures, tf, traced_peak, trivial_irrep,
 )
+
+
+def _swapped(rep):
+    """The rep with pi(1) and pi(2) exchanged: unitary, but no sigma-rep."""
+    mats = rep.matrices.copy()
+    mats[[1, 2]] = mats[[2, 1]]
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _with_forged_report(bad, good):
+    """Give a broken stack the report of a valid rep, to reach the checks behind it."""
+    bad.__dict__["report"] = good.report
 
 
 def _unit_window(dim, seed):
@@ -67,7 +79,7 @@ def test_projective_rep_copies_its_input():
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_rep_matrices_are_read_only(label, rep):
-    for r in (rep, conjugate_rep(rep), projective_rep(rep.group, rep.cocycle, rep.matrices)):
+    for r in (rep, projective_rep(rep.group, rep.cocycle, rep.matrices)):
         with pytest.raises(ValueError):
             r.matrices[0, 0, 0] = r.matrices[0, 0, 0]
 
@@ -97,6 +109,9 @@ def test_fixture_reps_validate(label, rep):
     assert report.ok, report.message
     assert report.unitary_residual < 1e-12
     assert report.composition_residual < 1e-12
+    # the entrywise conjugate is a rep over the conjugate cocycle
+    conj = projective_rep(rep.group, conjugate_cocycle(rep.cocycle), rep.matrices.conj())
+    assert validate_rep(conj).ok
 
 
 def test_validate_rep_catches_scaled_matrix():
@@ -197,6 +212,9 @@ def test_character_norm_fails_closed(where):
     else:
         mats[e] *= 1.5  # tr pi(e) = 3 and the other traces vanish: norm 9/4
     bad = projective_rep(rep.group, rep.cocycle, mats)
+    with pytest.raises(InputError, match="not unitary"):
+        is_irreducible(bad)
+    _with_forged_report(bad, rep)
     with pytest.raises(ConsistencyError, match="character norm"):
         is_irreducible(bad)
 
@@ -336,25 +354,27 @@ def test_irreducible_subrep_memory_is_quadratic():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("label, rep", rep_fixtures())
-def test_conjugate_rep_validates(label, rep):
-    conj = conjugate_rep(rep)
-    assert validate_rep(conj).ok
-    assert np.array_equal(
-        conj.cocycle.table, conjugate_cocycle(rep.cocycle).table
-    )
-    assert np.array_equal(conj.matrices, rep.matrices.conj())
-
-
 def test_wavelet_rejects_broken_intertwining():
     # a rep whose matrices were permuted no longer intertwines; the
-    # transform refuses to come up rather than return garbage
+    # transform refuses to come up rather than return garbage, first on
+    # the rep's report and, past a forged one, on the intertwining check
     rep = tf("Z2").rep
-    mats = rep.matrices.copy()
-    mats[[1, 2]] = mats[[2, 1]]
-    bad = projective_rep(rep.group, rep.cocycle, mats)
-    with pytest.raises(ConsistencyError):
+    bad = _swapped(rep)
+    with pytest.raises(InputError, match="composition law"):
         wavelet(bad, _unit_window(rep.dim, seed=1))
+    _with_forged_report(bad, rep)
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        wavelet(bad, _unit_window(rep.dim, seed=1))
+
+
+def test_an_invalid_rep_gets_no_module_spec():
+    rep = tf("Z2").rep
+    bad = _swapped(rep)
+    assert not validate_rep(bad).ok
+    with pytest.raises(InputError, match="composition law fails"):
+        make_module_spec(bad, full_subgroup(rep.group))
+    with pytest.raises(InputError, match="composition law fails"):
+        formal_dimension(bad)
 
 
 def _loop_intertwining_residual(rep, window):
@@ -378,6 +398,9 @@ def test_wavelet_intertwining_residual_matches_per_element_loop(label, rep, monk
     mats[-1] *= np.exp(0.7j)
     bad = projective_rep(rep.group, rep.cocycle, mats)
     window = _unit_window(rep.dim, seed=4)
+    with pytest.raises(InputError, match="composition law"):
+        wavelet(bad, window)
+    _with_forged_report(bad, rep)
     seen = {}
     check = latdim.reps.check_residual
 

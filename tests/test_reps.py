@@ -109,9 +109,6 @@ def test_fixture_reps_validate(label, rep):
     assert report.ok, report.message
     assert report.unitary_residual < 1e-12
     assert report.composition_residual < 1e-12
-    # the entrywise conjugate is a rep over the conjugate cocycle
-    conj = projective_rep(rep.group, conjugate_cocycle(rep.cocycle), rep.matrices.conj())
-    assert validate_rep(conj).ok
 
 
 def test_validate_rep_catches_scaled_matrix():
@@ -352,6 +349,14 @@ def test_irreducible_subrep_memory_is_quadratic():
     rep, peak = traced_peak(irreducible_subrep, g, trivial(g))
     assert rep.dim == 2
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_conjugate_rep_validates(label, rep):
+    # the entrywise conjugate is a rep over the conjugate cocycle
+    conj = projective_rep(rep.group, conjugate_cocycle(rep.cocycle), rep.matrices.conj())
+    assert validate_rep(conj).ok
+    assert np.array_equal(conj.matrices, rep.matrices.conj())
 
 
 def test_wavelet_rejects_broken_intertwining():

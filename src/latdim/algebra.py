@@ -22,7 +22,7 @@ import numpy as np
 from .cocycles import Cocycle, regularity, tilde_table
 from .config import DEFAULT_TOL, EIG_CUT, FIXED_RESIDUAL, PSD_ASYMMETRY, Tolerances
 from .errors import DimensionMismatch, NotHermitian, check_residual
-from .groups import FiniteGroup, generators
+from .groups import FiniteGroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +245,7 @@ def center_dimension(group: FiniteGroup, cocycle: Cocycle) -> int:
     n = group.order
     t = cocycle.table
     g_all = np.arange(n)
-    gens = generators(group)
+    gens = group.generators
     stack = np.zeros((len(gens), n, n), dtype=np.complex128)
     for k, x in enumerate(gens):
         xg = group.cayley[x, g_all]

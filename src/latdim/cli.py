@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,7 @@ from .groups import (
     symmetric_group,
     trivial_subgroup,
 )
-from .reps import ProjectiveRep, formal_dimension, irreducible_subrep, validate_rep
+from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
 from .serialize import (
     cocycle_from_json,
     complex_to_pairs,
@@ -193,7 +193,7 @@ def _resolve_pair(cfg: RunConfig, check: bool = True) -> _Resolved:
             raise InputError("--cocycle trivial needs --group")
         g = _build_group(cfg.group)
         return _Resolved(g, trivial(g))
-    c = cocycle_from_json(load_json(spec), check=check)
+    c = cocycle_from_json(load_json(spec), check=check, tol=cfg.tolerances)
     if cfg.group is not None:
         _check_same_table(_build_group(cfg.group), c.group, "the cocycle file")
     return _Resolved(c.group, c)
@@ -201,7 +201,7 @@ def _resolve_pair(cfg: RunConfig, check: bool = True) -> _Resolved:
 
 def _resolve_rep(cfg: RunConfig) -> tuple[ProjectiveRep, _Resolved]:
     if cfg.rep is not None:
-        rep = rep_from_json(load_json(cfg.rep))
+        rep = rep_from_json(load_json(cfg.rep), tol=cfg.tolerances)
         if cfg.group is not None:
             _check_same_table(_build_group(cfg.group), rep.group, "the rep file")
         return rep, _Resolved(rep.group, rep.cocycle)
@@ -421,8 +421,7 @@ def _cmd_density_audit(cfg: RunConfig) -> int:
 def _cmd_rep_validate(cfg: RunConfig) -> int:
     if cfg.rep is None:
         raise InputError("rep-validate needs --rep FILE")
-    rep = rep_from_json(load_json(cfg.rep), check=False)
-    rpt = validate_rep(rep, cfg.tolerances)
+    rpt = rep_from_json(load_json(cfg.rep), check=False, tol=cfg.tolerances).report
     print(f"rep {'ok' if rpt.ok else 'invalid'}")
     print(f"unitary-residual {rpt.unitary_residual:.6g}")
     print(f"composition-residual {rpt.composition_residual:.6g}")
@@ -456,7 +455,9 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and reused; parsing leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", default=None, metavar="FILE",
                         help="JSON file with defaults; flags override it")

@@ -21,7 +21,7 @@ from .algebra import conv_operator, fixed_space, sandwich_stack
 from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, Tolerances
 from .dimension import ModuleSpec
 from .errors import ConsistencyError, DimensionMismatch, Infeasible, check_residual
-from .groups import Subgroup, generators
+from .groups import Subgroup
 from .reps import ProjectiveRep
 
 
@@ -219,7 +219,7 @@ def intertwiner_basis(spec: ModuleSpec) -> np.ndarray:
     a generating set of the lattice.
     """
     lat = spec.lattice_group
-    gens = list(generators(lat))
+    gens = list(lat.generators)
     deltas = np.eye(lat.order)[gens]  # lambda(x) is convolution by delta_x
     lam = np.array(
         [conv_operator(e, spec.restricted_cocycle) for e in deltas]

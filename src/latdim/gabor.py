@@ -86,12 +86,10 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
     na = a.order
 
     mats = np.zeros((g.order, na, na), dtype=np.complex128)
-    ts = np.arange(na)
-    for gi in range(g.order):
-        x, w = gi // na, gi % na
-        # row t takes its value from position x^-1 t, scaled by the character
-        cols = a.cayley[a.inverse[x], ts]
-        mats[gi, ts, cols] = dual.pairing[w, ts]
+    # element (x, w), row t takes its value from position x^-1 t, scaled by
+    # the character w at t
+    x, w, t = np.ix_(np.arange(na), np.arange(na), np.arange(na))
+    mats.reshape(na, na, na, na)[x, w, t, a.cayley[a.inverse[x], t]] = dual.pairing[w, t]
     rep = ProjectiveRep(g, coc, na, mats)
 
     if not rep.report.ok:

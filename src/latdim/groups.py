@@ -48,6 +48,20 @@ class FiniteGroup:
         yinv_x = self.cayley[self.inverse].T  # [x, y] = y^-1 * x
         return _freeze(self.cayley[yinv_x, np.arange(self.order)])
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy generating set of at most log2|G| elements, computed once per group.
+
+        Appends the first element outside the current span until the span is
+        everything; each addition at least doubles it.
+        """
+        gens: list[int] = []
+        mask = _closure_mask(self, gens)
+        while not mask.all():
+            gens.append(int(np.argmin(mask)))
+            mask = _join(self, mask, np.flatnonzero(mask), np.asarray(gens))
+        return tuple(gens)
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -229,20 +243,6 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:
     return subgroup_generated(g, range(g.order))
-
-
-def generators(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy generating set of at most log2|G| elements.
-
-    Appends the first element outside the current span until the span is
-    everything; each addition at least doubles it.
-    """
-    gens: list[int] = []
-    mask = _closure_mask(g, gens)
-    while not mask.all():
-        gens.append(int(np.argmin(mask)))
-        mask = _closure_mask(g, gens)
-    return tuple(gens)
 
 
 def _cyclic_generators(g: FiniteGroup) -> dict[int, np.ndarray]:

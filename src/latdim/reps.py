@@ -19,7 +19,11 @@ from .errors import (
     WindowNotUnit,
     check_residual,
 )
-from .groups import FiniteGroup, generators
+from .groups import FiniteGroup
+
+# Row blocks of the representation checks hold about this many complex
+# entries (256 KB) per temporary, so that each one stays in cache.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -31,13 +35,14 @@ class ProjectiveRep:
     cocycle: pi(x) pi(y) = sigma(x, y) pi(x y).  The stack is made
     read-only on construction, which is what lets derived data such as
     the validation report and the commutant dimension be computed once
-    per rep.
+    per rep.  ``tol`` holds the tolerances that report validates at.
     """
 
     group: FiniteGroup
     cocycle: Cocycle
     dim: int
     matrices: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
@@ -47,8 +52,8 @@ class ProjectiveRep:
 
     @cached_property
     def report(self) -> RepReport:
-        """``validate_rep`` of this rep at the default tolerances."""
-        return validate_rep(self)
+        """``validate_rep`` of this rep at its tolerances ``tol``."""
+        return validate_rep(self, self.tol)
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -79,7 +84,8 @@ class RepReport:
 
 
 def projective_rep(
-    group: FiniteGroup, cocycle: Cocycle, matrices: np.ndarray
+    group: FiniteGroup, cocycle: Cocycle, matrices: np.ndarray,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ProjectiveRep:
     # a copy, so the caller's array neither aliases nor loses write access
     matrices = np.array(matrices, dtype=np.complex128, order="C")
@@ -91,7 +97,13 @@ def projective_rep(
         raise DimensionMismatch("representation matrices must be square")
     if cocycle.group.order != group.order:
         raise DimensionMismatch("cocycle and group orders differ")
-    return ProjectiveRep(group, cocycle, matrices.shape[1], matrices)
+    return ProjectiveRep(group, cocycle, matrices.shape[1], matrices, tol)
+
+
+def _row_blocks(n: int, per_row: int) -> list[slice]:
+    """Consecutive slices of range(n), each of about _BLOCK / per_row rows."""
+    step = max(1, _BLOCK // per_row)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport:
@@ -103,24 +115,39 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
     by induction on the word length of y these two imply
     pi(x) pi(y) = sigma(x, y) pi(xy) for every pair.  Only when that
     check fails are all pairs multiplied, to locate the worst one.
-    Every reduction is a NumPy max or argmax, which keeps a NaN.
+    The checks run over row blocks of x, so no temporary grows with
+    |G| dim^2 or |G|^2.  Every reduction is a NumPy max or argmax, which
+    keeps a NaN.
     """
-    g = rep.group
-    mats = rep.matrices
-    unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
-
-    t = rep.cocycle.table
-    gens = (g.identity,) + generators(g)
-    comp = np.empty((len(gens), g.order))
-    coc = np.empty(len(gens))
-    for k, s in enumerate(gens):
-        # pi(x) pi(s) = sigma(x, s) pi(xs) for every x
-        r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
-        comp[k] = r.reshape(g.order, -1).max(axis=1)
-        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every x, y
-        coc[k] = np.abs(t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]).max()
-    k, x = divmod(int(comp.argmax()), g.order)
-    comp_res, worst = float(comp[k, x]), (x, gens[k])
+    g, mats, d, t = rep.group, rep.matrices, rep.dim, rep.cocycle.table
+    gens = np.array((g.identity,) + g.generators)
+    k = len(gens)
+    # [pi(e) pi(s_1) ... pi(s_k)] side by side: pi(x) times each is one product
+    right = mats[gens].transpose(1, 0, 2).reshape(d, k * d)
+    ys, t_s = g.cayley[:, gens], t[:, gens]  # [y, j] = y s_j and sigma(y, s_j)
+    eye = np.eye(d)
+    # row x holds k dim^2 entries of the composition law and k |G| of the cocycle identity
+    blocks = _row_blocks(g.order, k * max(d * d, g.order))
+    unit, coc = np.empty(len(blocks)), np.empty(len(blocks))
+    comp = np.empty((g.order, k))
+    for b, xs in enumerate(blocks):
+        pi_x = mats[xs]
+        unit[b] = np.abs(pi_x.conj().transpose(0, 2, 1) @ pi_x - eye).max()
+        # pi(x) pi(s) = sigma(x, s) pi(xs) for every x of the block and every s
+        lhs = (pi_x.reshape(-1, d) @ right).reshape(-1, d, k, d)  # [x, i, j, l]
+        res = np.take(mats, ys[xs], axis=0)  # [x, j] = pi(x s_j)
+        res *= t_s[xs, :, None, None]
+        np.subtract(lhs.transpose(0, 2, 1, 3), res, out=res)
+        comp[xs] = np.abs(res).reshape(res.shape[0], k, -1).max(axis=2)
+        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every y and s
+        t_x = t[xs]
+        res = t_x[..., None] * np.take(t_s, g.cayley[xs], axis=0)
+        res -= np.take(t_x, ys, axis=1) * t_s
+        coc[b] = np.abs(res).max()
+    unit_res = float(unit.max())
+    # first maximum in (s, x) order
+    j, x = divmod(int(comp.T.argmax()), g.order)
+    comp_res, worst = float(comp[x, j]), (x, int(gens[j]))
 
     if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
         comp_res, worst = _worst_pair(rep)
@@ -226,16 +253,7 @@ def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
     a = rep.matrices @ window  # (order, dim), row x = pi(x) eta
     v = a.conj()  # row x: v |-> <v, pi(x) eta> applied by v_mat @ vec
 
-    # V pi(y) = lambda_sigma(y) V for every y; row r of lambda_sigma(y) V
-    # is sigma(y, y^-1 r) times row y^-1 r of V.  Chunks of ceil(|G|/dim)
-    # elements y keep each (y, r, i) temporary near |G| x |G|.
-    g, t, n = rep.group, rep.cocycle.table, rep.group.order
-    step, inter = -(-n // rep.dim), []
-    for ys in np.split(np.arange(n), range(step, n, step)):
-        cols = g.cayley[g.inverse[ys]]  # [y, r] = y^-1 r
-        res = v @ rep.matrices[ys] - t[ys[:, None], cols][..., None] * v[cols]
-        inter.append(np.abs(res).max())
-    check_residual("wavelet intertwining residual", float(np.max(inter)), WAVELET)
+    check_residual("wavelet intertwining residual", _intertwining_residual(rep, v), WAVELET)
 
     gram = d_pi * (v.conj().T @ v)
     iso = float(np.abs(gram - np.eye(rep.dim)).max())
@@ -243,6 +261,26 @@ def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
 
     diag = v @ window  # x |-> <eta, pi(x) eta>
     return WaveletTransform(rep, window, v, diag)
+
+
+def _intertwining_residual(rep: ProjectiveRep, v: np.ndarray) -> float:
+    """Largest entry of V pi(y) - lambda_sigma(y) V over every y.
+
+    Row r of lambda_sigma(y) V is sigma(y, y^-1 r) times row y^-1 r of V.
+    Over each block of y, V times the block's pi(y) side by side is one
+    product, and every temporary holds about _BLOCK entries.
+    """
+    g, t, n, d = rep.group, rep.cocycle.table, rep.group.order, rep.dim
+    blocks = _row_blocks(n, n * d)
+    res = np.empty(len(blocks))
+    for b, ys in enumerate(blocks):
+        lhs = v @ rep.matrices[ys].transpose(1, 0, 2).reshape(d, -1)  # [r, (y, i)]
+        cols = g.cayley[g.inverse[ys]].T  # [r, y] = y^-1 r
+        rhs = np.take(v, cols, axis=0)
+        rhs *= t[np.arange(ys.start, ys.stop), cols][..., None]
+        np.subtract(lhs.reshape(rhs.shape), rhs, out=rhs)
+        res[b] = np.abs(rhs).max()
+    return float(res.max())
 
 
 def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> ProjectiveRep:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, element
 from .cocycles import Cocycle, validate
+from .config import DEFAULT_TOL, Tolerances
 from .errors import InputError
 from .groups import FiniteGroup, from_cayley_table
 from .reps import ProjectiveRep, projective_rep
@@ -96,7 +97,7 @@ def cocycle_to_json(c: Cocycle) -> dict:
     }
 
 
-def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
+def cocycle_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL) -> Cocycle:
     try:
         g = group_from_json(data["group"])
         table = pairs_to_complex(data["table"])
@@ -105,7 +106,7 @@ def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
         raise InputError(f"bad cocycle record: {exc}") from exc
     c = Cocycle(g, np.ascontiguousarray(table), label)
     if check:
-        report = validate(c)
+        report = validate(c, tol)
         if not report.ok:
             raise InputError(f"cocycle table invalid: {report.message}")
     return c
@@ -119,13 +120,14 @@ def rep_to_json(rep: ProjectiveRep) -> dict:
     }
 
 
-def rep_from_json(data: dict, check: bool = True) -> ProjectiveRep:
+def rep_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL) -> ProjectiveRep:
+    """The stored rep, validated at ``tol`` (which it keeps for its report) if ``check``."""
     try:
-        coc = cocycle_from_json(data["cocycle"], check=check)
+        coc = cocycle_from_json(data["cocycle"], check=check, tol=tol)
         mats = pairs_to_complex(data["matrices"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad rep record: {exc}") from exc
-    rep = projective_rep(coc.group, coc, mats)
+    rep = projective_rep(coc.group, coc, mats, tol)
     if check and not rep.report.ok:
         raise InputError(f"rep matrices invalid: {rep.report.message}")
     return rep
@@ -167,9 +169,9 @@ def generators_from_json(data: dict) -> np.ndarray:
 
 
 def dump_json(data: dict, path: str) -> None:
+    text = json.dumps(data, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -554,6 +554,12 @@ def test_tolerances_reach_validate_cocycle(capsys, tmp_path):
         rc, out, _ = run(capsys, "validate-cocycle", "--cocycle", path, *loose)
         assert rc == 0
         assert out.startswith("cocycle ok\n")
+        # every command that loads the file validates it at the same tolerances
+        rc, out, _ = run(capsys, "kleppner", "--cocycle", path, *loose)
+        assert rc == 0
+    rc, _, err = run(capsys, "kleppner", "--cocycle", path)
+    assert rc == 1
+    assert "cocycle table invalid" in err
 
 
 def _worst_gap(out):
@@ -602,3 +608,67 @@ def test_routes_exit_1_on_a_nan_gap(capsys, monkeypatch):
     rc, out, _ = run(capsys, "routes", "--group", "S3")
     assert rc == 1
     assert np.isnan(_worst_gap(out))
+
+
+def _rotated_rep_file(tmp_path):
+    """The Z4 time-frequency rep with pi(1) rotated by the phase e^{1e-7 i}."""
+    rep = tf("Z4").rep
+    data = rep_to_json(rep)
+    mats = rep.matrices.copy()
+    mats[1] *= np.exp(1e-7j)
+    data["matrices"] = np.stack([mats.real, mats.imag], axis=-1).tolist()
+    path = str(tmp_path / "rotated.json")
+    dump_json(data, path)
+    return path
+
+
+def test_tol_id_reaches_rep_validate_and_decide_alike(capsys, tmp_path, monkeypatch):
+    import latdim.reps
+
+    path = _rotated_rep_file(tmp_path)
+    calls = []
+    real = latdim.reps.validate_rep
+    monkeypatch.setattr(latdim.reps, "validate_rep",
+                        lambda rep, *args: calls.append(1) or real(rep, *args))
+    decide = ("decide", "--rep", path, "--lattice", "full")
+    for loose in ((), ("--tol-id", "1e-6")):
+        want = 0 if loose else 1
+        rc, out, _ = run(capsys, "rep-validate", "--rep", path, *loose)
+        assert rc == want
+        assert "composition-residual 2e-07\n" in out
+        del calls[:]
+        rc, _, err = run(capsys, *decide, *loose)
+        assert rc == want
+        assert len(calls) == 1
+        assert ("composition law fails at (1, 1)" in err) == (not loose)
+
+
+def test_parser_is_reused_without_leaking_state(capsys, tmp_path):
+    from latdim.cli import _build_parser
+
+    cfg = str(tmp_path / "run.json")
+    dump_json({"group": "Z2xZ2", "cocycle": "weyl-heisenberg", "lattice": "trivial",
+               "n": 2, "tolerances": {"tol_id": 1e-6}}, cfg)
+    rotated = _rotated_rep_file(tmp_path)
+    calls = [
+        ("decide", "--rep", rotated, "--lattice", "full", "--tol-id", "1e-6"),
+        ("decide", "--rep", rotated, "--lattice", "full"),
+        ("decide", "--config", cfg),
+        ("decide", "--group", "Z2xZ2", "--cocycle", "weyl-heisenberg", "--lattice", "trivial"),
+        ("rep-validate", "--rep", rotated, "--config", cfg),
+        ("rep-validate", "--rep", rotated),
+        ("kleppner", "--group", "Z4xZ4", "--cocycle", "weyl-heisenberg"),
+        ("kleppner", "--group", "Z4xZ4"),
+        ("phi", "--group", "Z2xZ2", "--cocycle", "weyl-heisenberg", "--lattice", "trivial"),
+        ("phi", "--group", "Z2xZ2", "--cocycle", "weyl-heisenberg"),
+    ]
+    assert _build_parser() is _build_parser()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert reused[2][1] != reused[3][1]  # n = 2 from the config, then n = 1
+    assert reused[6][1].startswith("kleppner yes") and reused[7][1].startswith("kleppner no")

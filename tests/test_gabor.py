@@ -46,6 +46,17 @@ def test_build_tf_and_scan_validate_the_rep_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_tf_scatter_matches_per_element_loop():
+    t = build_tf(direct_product(build_cyclic(2), build_cyclic(4)))
+    a, na = t.base, t.base.order
+    want = np.zeros((na * na, na, na), dtype=np.complex128)
+    for x in range(na):
+        for w in range(na):
+            for s in range(na):
+                want[x * na + w, s, a.cayley[a.inverse[x], s]] = t.dual.pairing[w, s]
+    assert np.array_equal(t.rep.matrices, want)
+
+
 def test_build_tf_frozen_matrices():
     t = tf("Z3")
     na = 3

@@ -30,7 +30,6 @@ from latdim.groups import (
     _closure_mask,
     abelian_basis,
     centralizer_transversal,
-    generators,
     right_transversal,
 )
 
@@ -126,12 +125,37 @@ def test_regularity_leaves_classes_unbuilt(name):
     assert "classes" not in report.conjugacy.__dict__
 
 
-@pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "D4xZ2xZ2"))
+def _greedy_generators_by_closure(g):
+    """Reference: the first element outside the span, span recomputed from scratch."""
+    gens = []
+    while not (mask := _closure_mask(g, gens)).all():
+        gens.append(int(np.argmin(mask)))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "D4xZ2xZ2", "Z4xZ4xZ4"))
 def test_generators_span_within_log_bound(name):
     g = group(name)
-    gens = generators(g)
+    gens = g.generators
     assert 2 ** len(gens) <= g.order
     assert subgroup_generated(g, gens).order == g.order
+    assert gens == _greedy_generators_by_closure(g)
+
+
+def test_generators_computed_once_per_group(monkeypatch):
+    calls = []
+    real = groups_mod._join
+    monkeypatch.setattr(groups_mod, "_join",
+                        lambda *args: calls.append(1) or real(*args))
+    g = direct_product(build_cyclic(4), build_cyclic(6))
+    first = g.generators
+    assert len(calls) == len(first) == 2
+    assert g.generators is first
+    assert len(calls) == 2
+    # another group with the same table has its own set
+    h = direct_product(build_cyclic(4), build_cyclic(6))
+    assert h.generators == first
+    assert len(calls) == 4
 
 
 def test_from_cayley_table_errors():

@@ -1,0 +1,174 @@
+"""The blocked representation checks against dense references.
+
+``validate_rep`` and the intertwining check of ``wavelet`` run over row
+blocks of a fixed size.  The references below are the dense forms they
+replace: one |G| x dim^2 product per generator for the composition law,
+one |G| x |G| table per generator for the cocycle identity, and one
+(|G| x dim) product per y for the intertwining check.
+"""
+
+import numpy as np
+import pytest
+
+import latdim.reps
+from latdim import Cocycle, projective_rep, random_window, validate_rep, wavelet
+from latdim.config import DEFAULT_TOL
+from latdim.reps import RepReport, _intertwining_residual
+
+from fixtures_common import rep_fixtures, tf, traced_peak
+
+
+def _all_pairs_worst(rep):
+    g, mats = rep.group, rep.matrices
+    res = np.empty((g.order, g.order))
+    for x in range(g.order):
+        rhs = rep.cocycle.table[x][:, None, None] * mats[g.cayley[x]]
+        res[x] = np.abs(mats[x] @ mats - rhs).reshape(g.order, -1).max(axis=1)
+    x, y = divmod(int(res.argmax()), g.order)
+    return float(res[x, y]), (x, y)
+
+
+def _dense_validate_rep(rep, tol=DEFAULT_TOL):
+    g, mats = rep.group, rep.matrices
+    unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
+    t = rep.cocycle.table
+    gens = (g.identity,) + g.generators
+    comp = np.empty((len(gens), g.order))
+    coc = np.empty(len(gens))
+    for k, s in enumerate(gens):
+        r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
+        comp[k] = r.reshape(g.order, -1).max(axis=1)
+        coc[k] = np.abs(t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]).max()
+    k, x = divmod(int(comp.argmax()), g.order)
+    comp_res, worst = float(comp[k, x]), (x, gens[k])
+    if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
+        comp_res, worst = _all_pairs_worst(rep)
+    ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
+    if ok:
+        message = "ok"
+    elif not unit_res <= tol.tol_unit:
+        message = f"matrix is not unitary (residual {unit_res:.3e})"
+    else:
+        message = f"composition law fails at {worst} (residual {comp_res:.3e})"
+    return RepReport(ok, unit_res, comp_res, worst, message)
+
+
+def _per_y_intertwining(rep, v):
+    g, t = rep.group, rep.cocycle.table
+    res = np.empty(g.order)
+    for y in range(g.order):
+        cols = g.cayley[g.inverse[y]]  # y^-1 r
+        res[y] = np.abs(v @ rep.matrices[y] - t[y, cols][:, None] * v[cols]).max()
+    return float(res.max())
+
+
+def _close(a, b, atol):
+    return (np.isnan(a) and np.isnan(b)) or abs(a - b) <= atol
+
+
+def _assert_same_report(rep):
+    got, want = validate_rep(rep), _dense_validate_rep(rep)
+    assert got.ok == want.ok
+    assert got.unitary_residual == want.unitary_residual or (
+        np.isnan(got.unitary_residual) and np.isnan(want.unitary_residual))
+    assert _close(got.composition_residual, want.composition_residual, 1e-15)
+    assert got.worst_pair == want.worst_pair
+    assert got.message == want.message
+
+
+def _swapped(rep):
+    mats = rep.matrices.copy()
+    last = rep.group.order - 1
+    mats[[last - 1, last]] = mats[[last, last - 1]]
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _nan_entry(rep):
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1, 0, rep.dim - 1] = np.nan
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _scaled(rep):
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1] *= 1 + 1e-6
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _rotated_cocycle_entry(rep):
+    table = rep.cocycle.table.copy()
+    x = rep.group.order // 2
+    table[x, rep.group.order - 1] *= np.exp(0.3j)
+    return projective_rep(rep.group, Cocycle(rep.group, table), rep.matrices)
+
+
+# The fixtures fit in one block of the default size; a block of one
+# entry puts every row in a block of its own.
+BLOCKS = pytest.mark.parametrize("block", [latdim.reps._BLOCK, 1])
+
+
+@BLOCKS
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_blocked_validate_rep_matches_dense_reference(label, rep, block, monkeypatch):
+    monkeypatch.setattr(latdim.reps, "_BLOCK", block)
+    _assert_same_report(rep)
+    assert validate_rep(rep).ok
+
+
+@BLOCKS
+@pytest.mark.parametrize("label, rep, corrupt", [
+    (label, rep, corrupt)
+    for label, rep in rep_fixtures()
+    for corrupt in (_swapped, _nan_entry, _scaled, _rotated_cocycle_entry)
+    if rep.group.order > 1 or corrupt is not _swapped  # Z1 has no two matrices to swap
+])
+def test_blocked_validate_rep_matches_dense_reference_on_corrupted_reps(
+    label, rep, corrupt, block, monkeypatch
+):
+    monkeypatch.setattr(latdim.reps, "_BLOCK", block)
+    bad = corrupt(rep)
+    _assert_same_report(bad)
+    # a swap that is an automorphism of the rep, as on Z3, leaves a sigma-rep
+    assert not validate_rep(bad).ok or corrupt is _swapped
+
+
+@pytest.mark.parametrize("base", ["Z16", "Z4xZ4"])
+def test_blocked_validate_rep_matches_dense_reference_at_256(base):
+    rep = tf(base).rep
+    _assert_same_report(projective_rep(rep.group, rep.cocycle, rep.matrices))
+    _assert_same_report(_rotated_cocycle_entry(rep))
+
+
+@BLOCKS
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_blocked_intertwining_matches_per_y_reference(label, rep, block, monkeypatch):
+    monkeypatch.setattr(latdim.reps, "_BLOCK", block)
+    v = (rep.matrices @ random_window(rep.dim, 11)).conj()
+    got, want = _intertwining_residual(rep, v), _per_y_intertwining(rep, v)
+    assert abs(got - want) <= 1e-15
+    assert got < 1e-12
+
+
+def test_blocked_intertwining_keeps_a_nan():
+    rep = tf("Z3").rep
+    v = (rep.matrices @ random_window(rep.dim, 11)).conj()
+    v[4, 1] = np.nan
+    assert np.isnan(_intertwining_residual(rep, v))
+    assert np.isnan(_per_y_intertwining(rep, v))
+
+
+def test_validate_rep_at_256_in_cache_sized_blocks():
+    rep = tf("Z16").rep  # Weyl-Heisenberg over Z16 x Z16, dim 16
+    fresh = projective_rep(rep.group, rep.cocycle, rep.matrices)
+    report, peak = traced_peak(validate_rep, fresh)
+    assert report.ok
+    assert peak < 1.5e6
+
+
+def test_wavelet_at_256_in_cache_sized_blocks():
+    rep = tf("Z16").rep
+    window = random_window(rep.dim, 3)
+    rep.commutant_dim  # the character norm is not part of the check
+    w, peak = traced_peak(wavelet, rep, window)
+    assert w.matrix.shape == (256, 16)
+    assert peak < 2e6

@@ -24,7 +24,6 @@ from latdim import (
     wavelet,
 )
 from latdim.algebra import fixed_space, sandwich_stack
-from latdim.groups import generators
 
 from fixtures_common import (
     cocycle_fixtures, group, rep_fixtures, tf, traced_peak, trivial_irrep,
@@ -139,7 +138,7 @@ def test_validate_rep_catches_tampered_cocycle_off_generators():
     # the tampered pair (x, y) has y outside the generators, so only the
     # cocycle identity on generator triples can see it
     rep = tf("Z3").rep
-    y = min(set(range(1, rep.group.order)) - set(generators(rep.group)))
+    y = min(set(range(1, rep.group.order)) - set(rep.group.generators))
     x = 2
     table = rep.cocycle.table.copy()
     table[x, y] *= np.exp(0.3j)
@@ -156,7 +155,7 @@ def test_validate_rep_rejects_a_nan_entry(where):
     # y is no generator: a NaN in sigma(2, y) reaches the composition
     # residual only through the cocycle identity and the all-pairs pass
     rep = tf("Z3").rep
-    y = min(set(range(1, rep.group.order)) - set(generators(rep.group)))
+    y = min(set(range(1, rep.group.order)) - set(rep.group.generators))
     mats, table = rep.matrices.copy(), rep.cocycle.table.copy()
     if where == "matrix":
         mats[y, 0, 0] = np.nan
@@ -181,7 +180,7 @@ def test_fixture_reps_irreducible(label, rep):
 
 def _fixed_space_commutant_dim(rep):
     """Reference: A commutes with a generating set X iff vec(A) is fixed by X kron conj(X)."""
-    gens = rep.matrices[list(generators(rep.group))]
+    gens = rep.matrices[list(rep.group.generators)]
     return len(fixed_space(sandwich_stack(gens, gens)))
 
 

@@ -1,9 +1,13 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
     InputError,
+    Tolerances,
     build_cyclic,
     cocycle_from_json,
     cocycle_to_json,
@@ -19,6 +23,7 @@ from latdim import (
     group_to_json,
     load_json,
     pairs_to_complex,
+    projective_rep,
     read_cayley_text,
     rep_from_json,
     rep_to_json,
@@ -153,6 +158,35 @@ def test_generators_json_round_trip():
         generators_from_json(data)
     with pytest.raises(InputError):
         generators_from_json({"n": 1})
+
+
+def test_dump_json_matches_streamed_json_dump(tmp_path):
+    rep = tf("Z3").rep
+    payload = rep_to_json(rep)
+    payload.update({"flags": [True, False, None], "nested": {"z": 1.5e-300, "a": float("nan")},
+                    "text": "caf\u00e9"})
+    path = str(tmp_path / "blob.json")
+    dump_json(payload, path)
+    want = io.StringIO()
+    json.dump(payload, want, indent=2, sort_keys=True)
+    want.write("\n")
+    with open(path, "rb") as fh:
+        assert fh.read() == want.getvalue().encode()
+
+
+def test_rep_json_carries_its_tolerances():
+    rep = tf("Z4").rep
+    mats = rep.matrices.copy()
+    mats[1] = mats[1] * np.exp(1e-7j)
+    data = rep_to_json(projective_rep(rep.group, rep.cocycle, mats))
+    with pytest.raises(InputError, match="composition law fails"):
+        rep_from_json(data)
+    loose = Tolerances(tol_id=1e-6)
+    back = rep_from_json(data, tol=loose)
+    assert back.tol == loose
+    assert back.report.ok
+    assert back.report.composition_residual == pytest.approx(2e-7, rel=1e-2)
+    assert not rep_from_json(data, check=False).report.ok
 
 
 def test_dump_and_load_json(tmp_path):

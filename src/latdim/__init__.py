@@ -39,11 +39,13 @@ from .config import DEFAULT_TOL, Tolerances
 from .dimension import (
     ModuleSpec,
     PhiFunction,
+    WindowedRep,
     cdim_operator,
     make_module_spec,
     phi,
     phi_oracle,
     random_window,
+    windowed_rep,
 )
 from .errors import (
     BoundExceeded,
@@ -67,6 +69,7 @@ from .frames import (
     FrameReport,
     MultiwindowSystem,
     construct_parseval_generators,
+    decision_grid,
     density_check,
     existence_decision,
     frame_operator,

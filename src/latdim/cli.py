@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import center_valued_trace_table
 from .cocycles import Cocycle, regularity, trivial, validate
 from .config import DEFAULT_TOL, Tolerances
-from .dimension import make_module_spec, phi, phi_oracle, random_window
+from .dimension import make_module_spec, phi, phi_oracle, random_window, windowed_rep
 from .errors import Infeasible, InputError, NotIrreducible, PreconditionFailed
 from .frames import (
     construct_parseval_generators,
@@ -373,10 +373,10 @@ def _cmd_routes(cfg: RunConfig) -> int:
         rep = irreducible_subrep(res.group, res.cocycle, seed=cfg.seed)
     g = rep.group
     print(f"group {cfg.group or g.label}, order {g.order}, irrep dim {rep.dim}")
-    window = random_window(rep.dim, cfg.seed)
+    source = windowed_rep(rep, random_window(rep.dim, cfg.seed))
     gaps = []
     for sub in all_subgroups(g):
-        spec = make_module_spec(rep, sub, window=window)
+        spec = source.spec(sub)
         closed = phi(spec)
         gap = float(np.abs(closed.values - phi_oracle(spec).values).max())
         gaps.append(gap)

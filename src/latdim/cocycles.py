@@ -225,7 +225,7 @@ def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:
     gidx = np.arange(big.order)
     x1 = gidx[:, None] // nd
     w2 = gidx[None, :] % nd
-    table = np.conj(dual.pairing[w2, x1])
+    table = np.conj(dual.pairing)[w2, x1]
     table.setflags(write=False)
     return Cocycle(big, table, label="weyl-heisenberg")
 
@@ -235,7 +235,7 @@ def restrict(c: Cocycle, h: Subgroup) -> Cocycle:
     if h.parent is not c.group:
         raise InputError("subgroup does not belong to the cocycle's group")
     elems = np.asarray(h.elements, dtype=np.int64)
-    table = c.table[np.ix_(elems, elems)].copy()
+    table = c.table[elems[:, None], elems]
     table.setflags(write=False)
     lbl = f"{c.label}|{len(elems)}" if c.label else f"restricted|{len(elems)}"
     return Cocycle(subgroup_group(h), table, label=lbl)

@@ -25,26 +25,66 @@ from .errors import (
     check_residual,
 )
 from .groups import FiniteGroup, Subgroup, right_transversal
-from .reps import ProjectiveRep, is_irreducible, unit_window, wavelet
+from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
+
+
+@dataclass(frozen=True)
+class WindowedRep:
+    """An irreducible rep with a unit window: what every lattice of a scan shares.
+
+    ``window`` is a read-only unit vector used to realize modules inside
+    functions on the group; the dimension function does not depend on
+    the choice.  Each route reads its own cached field and never the
+    other's: ``phi`` reads ``diagonal``, ``phi_oracle`` reads
+    ``transform``.  Build one with ``windowed_rep`` and cut a module for
+    each lattice with ``spec``.
+    """
+
+    rep: ProjectiveRep
+    window: np.ndarray
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """x |-> <window, pi(x) window> over the whole group."""
+        a = self.rep.matrices @ self.window
+        diag = a.conj() @ self.window
+        diag.setflags(write=False)
+        return diag
+
+    @cached_property
+    def transform(self) -> WaveletTransform:
+        """The checked wavelet transform of the window."""
+        return wavelet(self.rep, self.window)
+
+    def spec(self, lattice: Subgroup) -> ModuleSpec:
+        """The module of this rep and window over ``lattice``."""
+        if lattice.parent is not self.rep.group:
+            raise DimensionMismatch("lattice does not live in the rep's group")
+        return ModuleSpec(self, lattice, restrict(self.rep.cocycle, lattice))
 
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """An irreducible rep together with a lattice to restrict to.
+    """An irreducible rep and window together with a lattice to restrict to.
 
     ``restricted_cocycle`` lives on the lattice materialized as a group
     of its own (indices 0..|lattice|-1), which ``lattice_group`` returns.
-    ``window`` is a read-only unit vector used to realize the module inside
-    functions on the big group; the dimension function does not depend
-    on the choice.  The regular mask and the dimension function are
-    derived once per spec and read by every decision and construction
-    on it.
+    The rep and window come from ``windowed``, which every spec cut from
+    it shares.  The regular mask and the dimension function are derived
+    once per spec and read by every decision and construction on it.
     """
 
-    rep: ProjectiveRep
+    windowed: WindowedRep
     lattice: Subgroup
     restricted_cocycle: Cocycle
-    window: np.ndarray
+
+    @property
+    def rep(self) -> ProjectiveRep:
+        return self.windowed.rep
+
+    @property
+    def window(self) -> np.ndarray:
+        return self.windowed.window
 
     @property
     def lattice_group(self) -> FiniteGroup:
@@ -92,8 +132,8 @@ class PhiFunction:
     @cached_property
     def off_identity_peak(self) -> np.float64:
         """Largest |phi| off the identity, 0 on the trivial lattice; NaN comes through."""
-        off = np.delete(self.values, self.cocycle.group.identity)
-        return np.abs(off).max(initial=0.0)
+        v, e = self.values, self.cocycle.group.identity
+        return np.maximum(np.abs(v[:e]).max(initial=0.0), np.abs(v[e + 1:]).max(initial=0.0))
 
 
 def random_window(dim: int, seed: int) -> np.ndarray:
@@ -103,19 +143,13 @@ def random_window(dim: int, seed: int) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def make_module_spec(
-    rep: ProjectiveRep,
-    lattice: Subgroup,
-    window: np.ndarray | None = None,
-) -> ModuleSpec:
-    """Assemble and validate a ModuleSpec.
+def windowed_rep(rep: ProjectiveRep, window: np.ndarray | None = None) -> WindowedRep:
+    """Check and pair a rep with a window.
 
     The rep must be irreducible and the window (default: first basis
-    vector) must have unit norm.  The spec keeps a read-only copy of
+    vector) must have unit norm.  The pair keeps a read-only copy of
     the window, so later writes to the caller's array cannot change it.
     """
-    if lattice.parent is not rep.group:
-        raise DimensionMismatch("lattice does not live in the rep's group")
     irr, cdim = is_irreducible(rep)
     if not irr:
         raise NotIrreducible(f"commutant has dimension {cdim}")
@@ -125,13 +159,20 @@ def make_module_spec(
     else:
         w = unit_window(window, rep.dim).copy()
     w.setflags(write=False)
-    return ModuleSpec(rep, lattice, restrict(rep.cocycle, lattice), w)
+    return WindowedRep(rep, w)
 
 
-def _window_diagonal(spec: ModuleSpec) -> np.ndarray:
-    """x |-> <window, pi(x) window> over the big group."""
-    a = spec.rep.matrices @ spec.window
-    return a.conj() @ spec.window
+def make_module_spec(
+    rep: ProjectiveRep,
+    lattice: Subgroup,
+    window: np.ndarray | None = None,
+) -> ModuleSpec:
+    """Assemble and validate the ModuleSpec of one rep, window and lattice.
+
+    A caller with several lattices of one (rep, window) pair builds
+    ``windowed_rep`` once and calls its ``spec`` per lattice instead.
+    """
+    return windowed_rep(rep, window).spec(lattice)
 
 
 def phi(spec: ModuleSpec) -> PhiFunction:
@@ -164,7 +205,7 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     tilde = sigma[gammas] * np.conj(sigma[np.arange(g.order), conj])
     values = np.zeros(lat.order, dtype=np.complex128)
     values[regular] = (d_pi / lat.order) * np.sum(
-        np.conj(tilde) * _window_diagonal(spec)[conj], axis=1
+        np.conj(tilde) * spec.windowed.diagonal[conj], axis=1
     )
 
     dpi_vol = spec.dpi_vol
@@ -193,8 +234,7 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     nl = lat.order
     e_lat = lat.identity
 
-    wt = wavelet(spec.rep, spec.window)
-    v = wt.matrix
+    v = spec.windowed.transform.matrix
     d_pi = spec.rep.dim / g.order
     p_big = d_pi * (v @ v.conj().T)
 

@@ -149,6 +149,33 @@ def frame_report(
     )
 
 
+def _verdicts(spec: ModuleSpec, n, d, tol: Tolerances):
+    """Frame and Riesz verdicts and witnesses at n/d, for scalars or arrays n and d.
+
+    The slack is tol_psd times max(1, |frame witness|, |riesz witness|),
+    where fmax skips a NaN witness as the scalar max does.
+    """
+    eigs = spec.dimension_function.spectrum
+    ratio = n / d
+    frame_witness = ratio - eigs[-1]
+    riesz_witness = eigs[0] - ratio
+    slack = tol.tol_psd * np.fmax(1.0, np.fmax(np.abs(frame_witness), np.abs(riesz_witness)))
+    return frame_witness >= -slack, riesz_witness >= -slack, frame_witness, riesz_witness
+
+
+def decision_grid(
+    spec: ModuleSpec, n_max: int, d_max: int, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame and Riesz existence for every n <= n_max, d <= d_max at once.
+
+    Returns two boolean arrays of shape (n_max, d_max); entry [n-1, d-1]
+    is the verdict ``existence_decision(spec, n, d, tol)`` reports.
+    """
+    n = np.arange(1, n_max + 1)[:, None]
+    frame, riesz, _, _ = _verdicts(spec, n, np.arange(1, d_max + 1), tol)
+    return frame, riesz
+
+
 def existence_decision(
     spec: ModuleSpec,
     n: int,
@@ -163,20 +190,17 @@ def existence_decision(
     smallest is at least n/d; a basis iff both.  Each test allows
     tol_psd times max(1, largest |eigenvalue| of the shifted operator).
     The dimension function and its one eigensolve are cached on the
-    spec, so every (n, d) cell on one spec shares them.
+    spec, so every (n, d) cell on one spec shares them; ``decision_grid``
+    reads many cells through the same verdict code.
     """
     fn = spec.dimension_function
+    frame, riesz, frame_witness, riesz_witness = _verdicts(spec, n, d, tol)
+    frame, riesz = bool(frame), bool(riesz)
     ratio = n / d
-    eigs = fn.spectrum
-    frame_witness = ratio - float(eigs[-1])
-    riesz_witness = float(eigs[0]) - ratio
-    slack = tol.tol_psd * max(1.0, abs(frame_witness), abs(riesz_witness))
-    frame = frame_witness >= -slack
-    riesz = riesz_witness >= -slack
     at_identity = np.abs(fn.values[spec.lattice_group.identity] - ratio)
     residual = np.maximum(at_identity, fn.off_identity_peak)  # a NaN comes through
     return DecisionReport(
-        frame, riesz, frame and riesz, frame_witness, riesz_witness,
+        frame, riesz, frame and riesz, float(frame_witness), float(riesz_witness),
         float(residual), spec.dpi_vol, n, d,
     )
 

@@ -8,21 +8,22 @@ the scan against the exact closed-form density predicate.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycles import Cocycle, regularity, weyl_heisenberg
 from .config import DENSITY_SLACK, PARSEVAL, PHI_IDENTITY
-from .dimension import ModuleSpec, make_module_spec
+from .dimension import ModuleSpec, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import (
     construct_parseval_generators,
-    existence_decision,
+    decision_grid,
     gram_matrix,
     multiwindow_system,
 )
-from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group
+from .groups import DualGroup, FiniteGroup, all_subgroups, dual_group
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -106,21 +107,15 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
     return TimeFrequencyGroup(a, dual, g, coc, rep)
 
 
-def _closed_form(base_order: int, lattice_order: int, n: int, d: int) -> tuple[bool, bool, bool]:
-    """Exact density predicate: compare |base|/|lattice| with n/d, cross-multiplied."""
-    ratio, bound = base_order * d, n * lattice_order
-    return ratio <= bound, ratio >= bound, ratio == bound
-
-
 def _scan_lattice(
     tf: TimeFrequencyGroup,
-    sub: Subgroup,
+    spec: ModuleSpec,
     n_max: int,
     d_max: int,
     construct: bool,
     seed: int,
 ) -> list[dict]:
-    spec = make_module_spec(tf.rep, sub)
+    sub = spec.lattice
     fn = spec.dimension_function
     dpi_vol = spec.dpi_vol
 
@@ -128,40 +123,35 @@ def _scan_lattice(
     check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {sub.order}",
                    float(np.maximum(at_identity, fn.off_identity_peak)), PHI_IDENTITY)
 
-    rows = []
-    for n in range(1, n_max + 1):
-        for d in range(1, d_max + 1):
-            decision = existence_decision(spec, n, d)
-            got = (decision.frame, decision.riesz, decision.basis)
-            want = _closed_form(tf.base.order, sub.order, n, d)
-            if got != want:
-                raise ConsistencyError(
-                    f"decision disagrees with closed form at |lattice|={sub.order}, "
-                    f"n={n}, d={d}: got {got}, want {want}"
-                )
-            if (
-                construct
-                and decision.frame
-                and n * sub.order <= 2 * d * tf.base.order
-            ):
-                gens = construct_parseval_generators(spec, n, d, seed=seed)
-                if decision.basis:
-                    _check_orthonormal(spec, gens)
-            rows.append(
-                {
-                    "base": tf.base.label,
-                    "group": tf.group.label,
-                    "cocycle": tf.cocycle.label,
-                    "lattice_order": sub.order,
-                    "n": n,
-                    "d": d,
-                    "dpi_vol": dpi_vol,
-                    "frame": "yes" if decision.frame else "no",
-                    "riesz": "yes" if decision.riesz else "no",
-                    "basis": "yes" if decision.basis else "no",
-                }
-            )
-    return rows
+    # n |lattice| - d |base| has the sign of n/d - |base|/|lattice|: the exact
+    # density predicate every verdict must match
+    ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
+    excess = ns * sub.order - ds * tf.base.order
+    frame, riesz = decision_grid(spec, n_max, d_max)
+    bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
+    if bad.size:
+        i, j = divmod(int(bad[0]), d_max)
+        f, r, e = bool(frame[i, j]), bool(riesz[i, j]), int(excess[i, j])
+        raise ConsistencyError(
+            f"decision disagrees with closed form at |lattice|={sub.order}, "
+            f"n={i + 1}, d={j + 1}: got {(f, r, f and r)}, want {(e >= 0, e <= 0, e == 0)}"
+        )
+
+    if construct:
+        # feasible cells of bounded size: n |lattice| <= 2 d |base|
+        for i, j in zip(*np.nonzero(frame & (excess <= ds * tf.base.order))):
+            gens = construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
+            if riesz[i, j]:  # a frame and a Riesz sequence: a basis
+                _check_orthonormal(spec, gens)
+
+    head = {"base": tf.base.label, "group": tf.group.label, "cocycle": tf.cocycle.label,
+            "lattice_order": sub.order}
+    cells = itertools.product(range(1, n_max + 1), range(1, d_max + 1))
+    return [
+        {**head, "n": n, "d": d, "dpi_vol": dpi_vol, "frame": "yes" if f else "no",
+         "riesz": "yes" if r else "no", "basis": "yes" if f and r else "no"}
+        for (n, d), f, r in zip(cells, frame.ravel().tolist(), riesz.ravel().tolist())
+    ]
 
 
 def _check_orthonormal(spec: ModuleSpec, gens: np.ndarray) -> None:
@@ -185,9 +175,10 @@ def gabor_scan(
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.
     """
+    source = windowed_rep(tf.rep)
     rows: list[dict] = []
     for sub in all_subgroups(tf.group):
-        rows.extend(_scan_lattice(tf, sub, n_max, d_max, construct, seed))
+        rows.extend(_scan_lattice(tf, source.spec(sub), n_max, d_max, construct, seed))
     return rows
 
 

@@ -337,8 +337,12 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
     """Class labels in minimal-representative order.
 
     Row x of the conjugation table is the class of x, so its minimum is
-    the least member of the class and labels it.
+    the least member of the class and labels it.  In an abelian group
+    every class is a single element, labelled by itself, so no table is
+    built.
     """
+    if g.is_abelian():
+        return ConjugacyData(_freeze(np.arange(g.order, dtype=np.int64)))
     _, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
     return ConjugacyData(_freeze(class_of.astype(np.int64)))
 
@@ -366,11 +370,10 @@ def subgroup_group(sub: Subgroup) -> FiniteGroup:
     elems = np.asarray(sub.elements, dtype=np.int64)
     pos = np.full(sub.parent.order, -1, dtype=np.int64)
     pos[elems] = np.arange(len(elems))
-    cay = pos[sub.parent.cayley[np.ix_(elems, elems)]]
+    cay = pos[sub.parent.cayley[elems[:, None], elems]]
     inverse = pos[sub.parent.inverse[elems]]
     identity = int(pos[sub.parent.identity])
-    return FiniteGroup(len(elems), _freeze(cay.astype(np.int64)), identity,
-                       _freeze(inverse.astype(np.int64)),
+    return FiniteGroup(len(elems), _freeze(cay), identity, _freeze(inverse),
                        f"{sub.parent.label}<{len(elems)}>")
 
 

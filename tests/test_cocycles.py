@@ -22,7 +22,8 @@ from latdim import (
     verify_tilde_identities,
     weyl_heisenberg,
 )
-from latdim.groups import all_subgroups
+from latdim.cli import _token_group
+from latdim.groups import all_subgroups, cyclic_factor_generators
 
 from fixtures_common import (
     cocycle_fixtures,
@@ -289,3 +290,15 @@ def test_regularity_is_class_constant_nonabelian():
     for members in r.conjugacy.classes:
         flags = {bool(r.regular_elements[m]) for m in members}
         assert len(flags) == 1
+
+
+@pytest.mark.parametrize("base", [f"Z{m}" for m in range(1, 17)] + ["Z2xZ2", "Z2xZ4", "Z3xZ3", "Z4xZ4"])
+def test_weyl_heisenberg_table_is_the_gathered_conjugate_pairing(base):
+    """Bit-identical to gathering the pairing over the whole table, then conjugating."""
+    a, factors = _token_group(base)
+    dual = dual_group(a, *cyclic_factor_generators(list(factors)))
+    got = weyl_heisenberg(a, dual).table
+    nd = dual.group.order
+    gidx = np.arange(a.order * nd)
+    want = np.conj(dual.pairing[gidx[None, :] % nd, gidx[:, None] // nd])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

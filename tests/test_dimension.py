@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from latdim import (
     NotIrreducible,
     PhiFunction,
     WindowNotUnit,
+    WindowedRep,
     all_subgroups,
     build_cyclic,
     cdim_operator,
     conjugate_cocycle,
     full_subgroup,
+    gabor_scan,
     is_sigma_positive_definite,
     make_module_spec,
     phi,
@@ -28,7 +31,10 @@ from latdim import (
     trivial,
     trivial_subgroup,
     wavelet,
+    windowed_rep,
 )
+import latdim.dimension as dim_mod
+from latdim import cli
 
 from fixtures_common import rep_fixtures, tf, traced_peak, trivial_irrep
 
@@ -271,8 +277,6 @@ def test_spec_keeps_its_own_window():
 
 
 def test_one_regularity_per_spec(monkeypatch):
-    import latdim.dimension as dim_mod
-
     calls = []
     real = dim_mod.regularity
     monkeypatch.setattr(
@@ -298,3 +302,65 @@ def test_cdim_operator_rejects_nonhermitian_values():
     fn = PhiFunction(values=np.array([0.0, 1.0, 0.0], dtype=np.complex128), cocycle=trivial(g))
     with pytest.raises(NotHermitian):
         cdim_operator(fn)
+
+
+def _count_computations(monkeypatch, name):
+    """Replace the cached field ``name`` of WindowedRep by one that records each computation."""
+    calls = []
+    real = getattr(WindowedRep, name).func
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    field = cached_property(counted)
+    field.__set_name__(WindowedRep, name)
+    monkeypatch.setattr(WindowedRep, name, field)
+    return calls
+
+
+def test_scan_computes_one_diagonal_per_rep_window(monkeypatch):
+    diagonals = _count_computations(monkeypatch, "diagonal")
+    rows = gabor_scan(tf("Z4"), 1, 1)
+    assert len(rows) == len(all_subgroups(tf("Z4").group)) > 1
+    assert len(diagonals) == 1
+
+
+def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
+    diagonals = _count_computations(monkeypatch, "diagonal")
+    wavelets = []
+    real = dim_mod.wavelet
+    monkeypatch.setattr(dim_mod, "wavelet", lambda *a: wavelets.append(1) or real(*a))
+    assert cli.main(["routes", "--group", "Z3xZ3", "--cocycle", "weyl-heisenberg"]) == 0
+    lattices = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|lattice|")]
+    assert len(lattices) == len(all_subgroups(tf("Z3").group)) > 1
+    assert (len(diagonals), len(wavelets)) == (1, 1)
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
+    """phi never reads the wavelet transform, phi_oracle never the diagonal."""
+    source = windowed_rep(rep, random_window(rep.dim, 2))
+    spec = source.spec(full_subgroup(rep.group))
+    with monkeypatch.context() as m:
+        m.setattr(WindowedRep, "transform", property(lambda self: pytest.fail("phi read transform")))
+        closed = phi(spec)
+    with monkeypatch.context() as m:
+        m.setattr(WindowedRep, "diagonal", property(lambda self: pytest.fail("phi_oracle read diagonal")))
+        oracle = phi_oracle(spec)
+    assert np.abs(closed.values - oracle.values).max() < 1e-9
+
+
+def test_windowed_rep_window_is_a_checked_read_only_copy():
+    rep = trivial_irrep("S3")
+    window = random_window(rep.dim, 4)
+    source = windowed_rep(rep, window)
+    window *= 2
+    assert not source.window.flags.writeable
+    assert not source.diagonal.flags.writeable
+    assert np.linalg.norm(source.window) == pytest.approx(1.0)
+    with pytest.raises(WindowNotUnit):
+        windowed_rep(rep, window)
+    other = tf("Z2").rep
+    with pytest.raises(DimensionMismatch):
+        source.spec(full_subgroup(other.group))

@@ -10,6 +10,7 @@ from latdim import (
     all_subgroups,
     build_cyclic,
     construct_parseval_generators,
+    decision_grid,
     density_check,
     existence_decision,
     frame_operator,
@@ -471,3 +472,41 @@ def test_construct_rejects_a_large_commutation_residual(monkeypatch):
     monkeypatch.setattr(frames_mod, "_commutation_residual", lambda op, pis, d: 2e-8)
     with pytest.raises(ConsistencyError, match="commutation residual"):
         construct_parseval_generators(spec, 1, 1)
+
+
+def _assert_grid_matches_decisions(spec):
+    frame, riesz = decision_grid(spec, 3, 3)
+    assert frame.shape == riesz.shape == (3, 3)
+    for n in range(1, 4):
+        for d in range(1, 4):
+            dec = existence_decision(spec, n, d)
+            cell = (frame[n - 1, d - 1], riesz[n - 1, d - 1])
+            assert (*cell, cell[0] and cell[1]) == (dec.frame, dec.riesz, dec.basis), (n, d)
+    return frame, riesz
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_decision_grid_matches_existence_decision(label, rep):
+    for sub in all_subgroups(rep.group):
+        _assert_grid_matches_decisions(make_module_spec(rep, sub))
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_decision_grid_skips_a_nan_witness_in_the_slack(end):
+    """A NaN at one end of the spectrum fails only the verdict that reads it.
+
+    The slack takes max(1, |frame witness|, |riesz witness|), which skips
+    a NaN witness, so the other verdict keeps its value.
+    """
+    spec = _wh_spec("Z2")
+    clean_frame, clean_riesz = decision_grid(spec, 3, 3)
+    assert clean_frame.any() and clean_riesz.any()
+    fn = spec.dimension_function
+    eigs = fn.spectrum.copy()
+    eigs[end] = np.nan
+    vars(fn)["spectrum"] = eigs  # the cached value every decision reads
+    frame, riesz = _assert_grid_matches_decisions(spec)
+    if end == 0:  # the smallest eigenvalue: no Riesz sequence, frames as before
+        assert not riesz.any() and np.array_equal(frame, clean_frame)
+    else:
+        assert not frame.any() and np.array_equal(riesz, clean_riesz)

@@ -194,20 +194,20 @@ def test_audit_rows_catches_doctored_row():
 
 
 def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
-    # force the decision path to disagree with the closed form
+    # flip two frame verdicts of the grid: the scan names the first in row-major order
     import latdim.gabor as gabor_mod
 
     t = tf("Z2")
-    real = gabor_mod.existence_decision
+    real = gabor_mod.decision_grid
 
-    def lying(spec, n, d, tol=None):
-        decision = real(spec, n, d)
-        object.__setattr__(decision, "frame", not decision.frame)
-        return decision
+    def lying(spec, n_max, d_max, tol=None):
+        frame, riesz = real(spec, n_max, d_max)
+        frame[[0, 1], [1, 0]] ^= True
+        return frame, riesz
 
-    monkeypatch.setattr(gabor_mod, "existence_decision", lying)
-    with pytest.raises(ConsistencyError):
-        gabor_scan(t, n_max=1, d_max=1)
+    monkeypatch.setattr(gabor_mod, "decision_grid", lying)
+    with pytest.raises(ConsistencyError, match=r"\|lattice\|=1, n=1, d=2: got"):
+        gabor_scan(t, n_max=2, d_max=2)
 
 
 @pytest.mark.parametrize("where, shift, order", [

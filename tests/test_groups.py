@@ -19,12 +19,14 @@ from latdim import (
     full_subgroup,
     quaternion,
     regularity,
+    restrict,
     subgroup_generated,
     subgroup_group,
     symmetric_group,
     trivial,
     trivial_subgroup,
 )
+import latdim.cocycles as cocycles_mod
 import latdim.groups as groups_mod
 from latdim.groups import (
     _closure_mask,
@@ -401,3 +403,40 @@ def test_element_order():
     g = quaternion()
     orders = sorted(g.element_order(x) for x in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def _table_labels(g):
+    """Class labels read off the conjugation table: the reference for abelian groups."""
+    return np.unique(g.conjugation.min(axis=1), return_inverse=True)[1]
+
+
+SCAN_BASES = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z2xZ2", "Z8", "Z2xZ4", "Z3xZ3", "Z9")
+
+
+def _abelian_cocycles():
+    """Time-frequency twists of the scan bases, trivial Z16xZ16, and every lattice of the Z4xZ4 one."""
+    out = [(f"wh-{b}", tf(b).cocycle) for b in SCAN_BASES]
+    out.append(("Z16xZ16", trivial(group("Z16xZ16"))))
+    wh = tf("Z4xZ4").cocycle
+    out += [(f"wh-Z4xZ4<{h.order}>", restrict(wh, h)) for h in all_subgroups(wh.group)]
+    return out
+
+
+def test_abelian_conjugacy_matches_the_conjugation_table(monkeypatch):
+    cocycles = _abelian_cocycles()
+    assert len(cocycles) == len(SCAN_BASES) + 1 + 1983
+    for label, coc in cocycles:
+        g = coc.group
+        assert g.is_abelian(), label
+        labels = conjugacy(g).class_of
+        assert labels.dtype == np.int64 and not labels.flags.writeable
+        assert np.array_equal(labels, _table_labels(g)), label
+    # regularity reads the same classes through either labelling
+    reports = [regularity(coc) for _, coc in cocycles]
+    monkeypatch.setattr(cocycles_mod, "conjugacy",
+                        lambda g: groups_mod.ConjugacyData(_table_labels(g)))
+    for (label, coc), got in zip(cocycles, reports):
+        want = regularity(coc)
+        assert np.array_equal(got.regular_elements, want.regular_elements), label
+        assert np.array_equal(got.regular_classes, want.regular_classes), label
+        assert got.kleppner == want.kleppner, label

@@ -20,8 +20,6 @@ from .algebra import (
     multiply,
     right_regular,
     trace_tau,
-    twisted_convolution,
-    verify_commutant,
 )
 from .cocycles import (
     Cocycle,
@@ -60,7 +58,6 @@ from .errors import (
     NotIrreducible,
     NotLatinSquare,
     NoIdentity,
-    PreconditionFailed,
     WindowNotUnit,
 )
 from .frames import (
@@ -72,9 +69,7 @@ from .frames import (
     decision_grid,
     density_check,
     existence_decision,
-    frame_operator,
     frame_report,
-    gram_matrix,
     intertwiner_basis,
     multiwindow_system,
     random_system,
@@ -116,8 +111,6 @@ from .serialize import (
     cocycle_to_json,
     complex_to_pairs,
     dump_json,
-    element_from_json,
-    element_to_json,
     generators_from_json,
     generators_to_json,
     group_from_json,

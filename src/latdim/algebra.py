@@ -77,37 +77,6 @@ def _average_column(group: FiniteGroup, table: np.ndarray, side: str,
     return terms.sum(axis=0) / group.order
 
 
-def verify_commutant(group: FiniteGroup, cocycle: Cocycle) -> float:
-    """Max Frobenius norm of [lam_sigma(x), rho_sigmabar(y)] over all pairs.
-
-    Both products send delta_z to a multiple of delta_{x z y^-1}, so the
-    commutator's norm is that of the coefficient differences over z.  One
-    x at a time keeps memory O(|G|^2).
-    """
-    lam_rows, lam_phases = _monomial(group, cocycle.table, "left")
-    rho_rows, rho_phases = _monomial(group, np.conj(cocycle.table), "right")
-    worst = 0.0
-    for x in range(group.order):
-        lr = lam_phases[x][rho_rows] * rho_phases           # [y, z]: lam(x) rho(y) delta_z
-        rl = rho_phases[:, lam_rows[x]] * lam_phases[x]     # [y, z]: rho(y) lam(x) delta_z
-        worst = max(worst, float(np.linalg.norm(lr - rl, axis=1).max()))
-    return worst
-
-
-def twisted_convolution(f: np.ndarray, g_vec: np.ndarray, cocycle: Cocycle) -> np.ndarray:
-    """(f * g)(c) = sum_b sigma(b, b^-1 c) f(b) g(b^-1 c)."""
-    grp = cocycle.group
-    n = grp.order
-    f = np.asarray(f, dtype=np.complex128)
-    g_vec = np.asarray(g_vec, dtype=np.complex128)
-    if f.shape != (n,) or g_vec.shape != (n,):
-        raise DimensionMismatch("coefficient vectors must match the group order")
-    ldiv = grp.cayley[grp.inverse, :]          # ldiv[b, c] = b^-1 c
-    b_grid = np.arange(n)[:, None]
-    weights = cocycle.table[b_grid, ldiv] * g_vec[ldiv]
-    return f @ weights
-
-
 def conv_operator(values: np.ndarray, cocycle: Cocycle) -> np.ndarray:
     """Matrix of f -> values * f, equal to sum_g values[g] lam(g)."""
     grp = cocycle.group
@@ -138,7 +107,8 @@ def element(cocycle: Cocycle, coeffs) -> AlgebraElement:
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return element(a.cocycle, twisted_convolution(a.coeffs, b.coeffs, a.cocycle))
+    """Twisted convolution (a * b)(c) = sum_x sigma(x, x^-1 c) a(x) b(x^-1 c)."""
+    return element(a.cocycle, conv_operator(a.coeffs, a.cocycle) @ b.coeffs)
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

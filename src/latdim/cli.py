@@ -2,8 +2,8 @@
 
 Every subcommand reads plain files (JSON, Cayley text, CSV), prints
 deterministic output for a fixed seed, and signals problems through
-exit codes: 0 success, 1 bad input or failed validation, 2 a request
-that is provably infeasible.
+exit codes: 0 success, 1 bad input, failed validation or a failed
+internal check, 2 a request that is provably infeasible.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .algebra import center_valued_trace_table
 from .cocycles import Cocycle, regularity, trivial, validate
 from .config import DEFAULT_TOL, Tolerances
 from .dimension import make_module_spec, phi, phi_oracle, random_window, windowed_rep
-from .errors import Infeasible, InputError, NotIrreducible, PreconditionFailed
+from .errors import Infeasible, InputError, LatdimError, NotIrreducible
 from .frames import (
     construct_parseval_generators,
     existence_decision,
@@ -578,13 +578,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _merge(args)
         return _HANDLERS[args.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (Infeasible, PreconditionFailed, NotIrreducible) as exc:
+    except (Infeasible, NotIrreducible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (LatdimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -163,7 +163,7 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
 
     # class constancy on regular elements: same conjugate means same value,
     # compared against the first y of each (x, conjugate) pair
-    xs = np.flatnonzero(regularity(c).regular_elements)
+    xs = np.flatnonzero(regularity(c, tol).regular_elements)
     keys = (xs[:, None] * n + ci[xs]).ravel()
     _, first, pair = np.unique(keys, return_index=True, return_inverse=True)
     vals = tt[xs].ravel()

@@ -98,8 +98,8 @@ class ModuleSpec:
 
     @cached_property
     def regular(self) -> np.ndarray:
-        """Lattice elements that are regular for the restricted cocycle."""
-        return regularity(self.restricted_cocycle).regular_elements
+        """Lattice elements that are regular for the restricted cocycle, at the rep's tol."""
+        return regularity(self.restricted_cocycle, self.rep.tol).regular_elements
 
     @cached_property
     def dimension_function(self) -> PhiFunction:

@@ -45,10 +45,6 @@ class NotHermitian(LatdimError):
     pass
 
 
-class PreconditionFailed(LatdimError):
-    pass
-
-
 class Infeasible(LatdimError):
     """The requested object cannot exist at the given parameters."""
 

@@ -111,18 +111,6 @@ def _system_vectors(sys: MultiwindowSystem) -> np.ndarray:
     return orbit.reshape(sys.n * nl, sys.d * dim)
 
 
-def frame_operator(sys: MultiwindowSystem) -> np.ndarray:
-    """Sum of rank-one operators of the system vectors, on the stacked space."""
-    w = _system_vectors(sys)
-    return w.T @ w.conj()
-
-
-def gram_matrix(sys: MultiwindowSystem) -> np.ndarray:
-    """Pairwise inner products of the system vectors."""
-    w = _system_vectors(sys)
-    return w @ w.conj().T
-
-
 def frame_report(
     sys: MultiwindowSystem, tol: Tolerances = DEFAULT_TOL
 ) -> FrameReport:
@@ -267,8 +255,10 @@ def construct_parseval_generators(
     takes the canonical tight frame S^-1/2 g of a seeded random system,
     drawing a fresh one (at most 8 times) while the draw is not a frame.
     S^-1/2 must commute with the lattice action, and the result is
-    verified Parseval before it is returned; on square cells
-    (n |lattice| = d dim) a Parseval system is orthonormal.
+    verified Parseval before it is returned: both frame bounds within
+    PARSEVAL of 1.  On a square cell (n |lattice| = d dim) those are the
+    extreme eigenvalues of the Gram matrix G, so the same check bounds
+    max |G - I| <= ||G - I||_2 and is the orthonormality check.
     """
     decision = existence_decision(spec, n, d, tol=tol)
     if not decision.frame:
@@ -303,7 +293,8 @@ def tighten(sys: MultiwindowSystem, tol: Tolerances = DEFAULT_TOL):
     correction against the lattice action, which the theory says is
     zero.
     """
-    s = frame_operator(sys)
+    w = _system_vectors(sys)
+    s = w.T @ w.conj()
     s = (s + s.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(s)
     if eigvals[-1] <= 0 or eigvals[0] <= tol.tol_frame * eigvals[-1]:

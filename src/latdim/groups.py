@@ -56,7 +56,7 @@ class FiniteGroup:
         everything; each addition at least doubles it.
         """
         gens: list[int] = []
-        mask = _closure_mask(self, gens)
+        mask = _trivial_mask(self)
         while not mask.all():
             gens.append(int(np.argmin(mask)))
             mask = _join(self, mask, np.flatnonzero(mask), np.asarray(gens))
@@ -211,19 +211,8 @@ def quaternion() -> FiniteGroup:
     return from_cayley_table(cay, label="Q8")
 
 
-def _closure_mask(g: FiniteGroup, gens) -> np.ndarray:
-    mask = np.zeros(g.order, dtype=bool)
-    mask[g.identity] = True
-    for x in gens:
-        mask[x] = True
-        mask[g.inverse[x]] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = np.zeros_like(mask)
-        new[g.cayley[np.ix_(idx, idx)].ravel()] = True
-        if np.array_equal(new, mask):
-            return mask
-        mask = new
+def _trivial_mask(g: FiniteGroup) -> np.ndarray:
+    return np.arange(g.order) == g.identity
 
 
 def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
@@ -231,18 +220,24 @@ def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
+    """The subgroup generated by ``gens``, joining each one not yet in the span."""
     for x in gens:
         if not 0 <= x < g.order:
             raise InputError(f"generator {x} outside 0..{g.order - 1}")
-    return _subgroup_from_mask(g, _closure_mask(g, gens))
+    mask, span = _trivial_mask(g), []
+    for x in gens:
+        if not mask[x]:
+            span.append(x)
+            mask = _join(g, mask, np.flatnonzero(mask), np.asarray(span))
+    return _subgroup_from_mask(g, mask)
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return subgroup_generated(g, [])
+    return Subgroup(g, (g.identity,))
 
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return subgroup_generated(g, range(g.order))
+    return Subgroup(g, tuple(range(g.order)))
 
 
 def _cyclic_generators(g: FiniteGroup) -> dict[int, np.ndarray]:
@@ -296,7 +291,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
         )
     cyclic = _cyclic_generators(g)
-    triv = _closure_mask(g, [])
+    triv = _trivial_mask(g)
     seen = {triv.tobytes(): triv}
     queue: list[tuple[np.ndarray, tuple[int, ...]]] = [(triv, ())]
     for mask, gens in queue:  # appended to while it is walked

@@ -228,7 +228,6 @@ class WaveletTransform:
     rep: ProjectiveRep
     window: np.ndarray
     matrix: np.ndarray
-    diagonal: np.ndarray  # transform of the window itself, as a vector over G
 
 
 def unit_window(window: np.ndarray, dim: int) -> np.ndarray:
@@ -258,9 +257,7 @@ def wavelet(rep: ProjectiveRep, window: np.ndarray) -> WaveletTransform:
     gram = d_pi * (v.conj().T @ v)
     iso = float(np.abs(gram - np.eye(rep.dim)).max())
     check_residual("wavelet isometry residual", iso, WAVELET)
-
-    diag = v @ window  # x |-> <eta, pi(x) eta>
-    return WaveletTransform(rep, window, v, diag)
+    return WaveletTransform(rep, window, v)
 
 
 def _intertwining_residual(rep: ProjectiveRep, v: np.ndarray) -> float:

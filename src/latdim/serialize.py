@@ -10,7 +10,6 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraElement, element
 from .cocycles import Cocycle, validate
 from .config import DEFAULT_TOL, Tolerances
 from .errors import InputError
@@ -131,18 +130,6 @@ def rep_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL)
     if check and not rep.report.ok:
         raise InputError(f"rep matrices invalid: {rep.report.message}")
     return rep
-
-
-def element_to_json(a: AlgebraElement) -> dict:
-    return {"coeffs": complex_to_pairs(a.coeffs)}
-
-
-def element_from_json(data: dict, cocycle: Cocycle) -> AlgebraElement:
-    try:
-        coeffs = pairs_to_complex(data["coeffs"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad element record: {exc}") from exc
-    return element(cocycle, coeffs)
 
 
 def generators_to_json(gens: np.ndarray) -> dict:

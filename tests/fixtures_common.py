@@ -13,11 +13,13 @@ import numpy as np
 
 from latdim import (
     Cocycle,
+    Tolerances,
     build_cyclic,
     build_tf,
     dihedral,
     direct_product,
     irreducible_subrep,
+    projective_rep,
     quaternion,
     symmetric_group,
     trivial,
@@ -72,6 +74,23 @@ def pauli_product():
 def pauli_product_irrep():
     g, c = pauli_product()
     return irreducible_subrep(g, c, seed=1)
+
+
+NEAR_TOL = Tolerances(tol_id=1e-6)
+
+
+@cache
+def near_rep():
+    """pi = 1, a 1x1 rep of Z4xZ4 (element 4a + b) under sigma(x, y) = exp(1e-8 i b_x a_y).
+
+    sigma misses the cocycle identity by about 1e-7, so the rep is valid at
+    NEAR_TOL (tol_id 1e-6) and not at the defaults.  At 1e-6 every element
+    is regular; at the default 1e-9 only the identity is.
+    """
+    g = group("Z4xZ4")
+    a, b = np.divmod(np.arange(g.order), 4)
+    coc = Cocycle(g, np.exp(1e-8j * np.outer(b, a)), label="near")
+    return projective_rep(g, coc, np.ones((g.order, 1, 1)), NEAR_TOL)
 
 
 def rep_fixtures():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
-    Cocycle,
     adjoint,
     build_cyclic,
     center_dimension,
@@ -19,8 +18,6 @@ from latdim import (
     right_regular,
     trace_tau,
     trivial,
-    twisted_convolution,
-    verify_commutant,
 )
 
 from latdim.algebra import center_valued_trace_table, fixed_space
@@ -61,12 +58,6 @@ def test_regular_reps_unitary_and_twisted(label, coc):
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@pytest.mark.parametrize("label", ["S3-trivial", "wh-Z4"])
-def test_left_right_commute(label):
-    coc = dict(cocycle_fixtures())[label]
-    assert verify_commutant(coc.group, coc) < 1e-12
-
-
 def _reference_commutant(group, cocycle):
     """Max commutator norm from the dense regular stacks, one batched matmul per x."""
     lam = left_regular(group, cocycle).matrices
@@ -78,20 +69,15 @@ def _reference_commutant(group, cocycle):
     return worst
 
 
-@pytest.mark.parametrize("label, coc", cocycle_fixtures())
-def test_verify_commutant_matches_dense_reference(label, coc):
-    for c in (coc, gauge_twisted(coc)):
-        assert abs(verify_commutant(c.group, c) - _reference_commutant(c.group, c)) < 1e-14
+@pytest.mark.parametrize("label", ["S3-trivial", "wh-Z4"])
+def test_left_right_commute(label):
+    coc = dict(cocycle_fixtures())[label]
+    assert _reference_commutant(coc.group, coc) < 1e-12
 
 
-def test_verify_commutant_sees_a_broken_cocycle():
-    coc = tf("Z3").cocycle
-    t = np.array(coc.table)
-    t[4, 5] *= -1
-    bad = Cocycle(coc.group, t, label="broken")
-    got = verify_commutant(bad.group, bad)
-    assert got > 0.5
-    assert got == pytest.approx(_reference_commutant(bad.group, bad), abs=1e-14)
+def _conv(f, h, coc):
+    """Twisted convolution f * h through ``multiply``."""
+    return multiply(element(coc, f), element(coc, h)).coeffs
 
 
 def test_convolution_identity_and_deltas():
@@ -101,12 +87,12 @@ def test_convolution_identity_and_deltas():
     f = rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
     de = np.zeros(g.order, complex)
     de[g.identity] = 1
-    assert np.allclose(twisted_convolution(de, f, coc), f)
+    assert np.allclose(_conv(de, f, coc), f)
     for a in (2, 5):
         for b in (1, 7):
             da = np.zeros(g.order, complex); da[a] = 1
             db = np.zeros(g.order, complex); db[b] = 1
-            out = twisted_convolution(da, db, coc)
+            out = _conv(da, db, coc)
             want = np.zeros(g.order, complex)
             want[g.cayley[a, b]] = coc.table[a, b]
             assert np.allclose(out, want)
@@ -124,7 +110,7 @@ def test_convolution_against_double_loop():
         for gp in range(6):
             rest = g.cayley[g.inverse[gp], gamma]
             want[gamma] += coc.table[gp, rest] * f[gp] * h[rest]
-    assert np.abs(twisted_convolution(f, h, coc) - want).max() < 1e-12
+    assert np.abs(_conv(f, h, coc) - want).max() < 1e-12
 
 
 def test_twisted_double_loop_wh():
@@ -137,7 +123,7 @@ def test_twisted_double_loop_wh():
         for gp in range(g.order):
             rest = g.cayley[g.inverse[gp], gamma]
             want[gamma] += coc.table[gp, rest] * f[gp] * h[rest]
-    assert np.abs(twisted_convolution(f, h, coc) - want).max() < 1e-12
+    assert np.abs(_conv(f, h, coc) - want).max() < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -145,14 +131,16 @@ def test_conv_operator_applies_convolution(seed):
     coc = tf("Z2").cocycle
     f = _rand_coeffs(coc, seed)
     h = _rand_coeffs(coc, seed + 1)
-    assert np.allclose(conv_operator(f, coc) @ h, twisted_convolution(f, h, coc))
+    # the operator is sum_g f[g] lam(g), read off the dense left regular stack
+    lam = left_regular(coc.group, coc).matrices
+    assert np.allclose(conv_operator(f, coc) @ h, np.einsum("g,gij,j->i", f, lam, h))
 
 
 def test_convolution_associative():
     coc = tf("Z3").cocycle
     f, g_, h = (_rand_coeffs(coc, s) for s in (1, 2, 3))
-    lhs = twisted_convolution(twisted_convolution(f, g_, coc), h, coc)
-    rhs = twisted_convolution(f, twisted_convolution(g_, h, coc), coc)
+    lhs = _conv(_conv(f, g_, coc), h, coc)
+    rhs = _conv(f, _conv(g_, h, coc), coc)
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -401,10 +389,3 @@ def test_routes_at_256_in_quadratic_memory():
     oracle, peak_oracle = traced_peak(center_valued_trace_oracle, a)
     assert np.abs(formula.coeffs - oracle.coeffs).max() < 1e-12
     assert max(peak_formula, peak_oracle) < 64e6
-
-
-def test_verify_commutant_at_256_in_quadratic_memory():
-    coc = tf("Z16").cocycle
-    res, peak = traced_peak(verify_commutant, coc.group, coc)
-    assert res < 1e-12
-    assert peak < 64e6

@@ -27,7 +27,7 @@ from latdim.serialize import (
 )
 from latdim.groups import symmetric_group
 
-from fixtures_common import pauli_product, tf
+from fixtures_common import near_rep, pauli_product, tf
 
 
 def run(capsys, *argv):
@@ -672,3 +672,33 @@ def test_parser_is_reused_without_leaking_state(capsys, tmp_path):
     assert [rc for rc, _, _ in reused] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
     assert reused[2][1] != reused[3][1]  # n = 2 from the config, then n = 1
     assert reused[6][1].startswith("kleppner yes") and reused[7][1].startswith("kleppner no")
+
+
+def _near_rep_file(tmp_path):
+    path = str(tmp_path / "near.json")
+    dump_json(rep_to_json(near_rep()), path)
+    return path
+
+
+def test_failed_internal_check_exits_1_without_a_traceback(tmp_path):
+    """A ConsistencyError from the wavelet check is one error line, not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "latdim.cli", "routes", "--rep", _near_rep_file(tmp_path),
+         "--tol-id", "1e-6"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: wavelet intertwining residual is ")
+
+
+def test_decide_regular_mask_follows_tol_id(capsys, tmp_path):
+    """At tol_id 1e-6 every element is regular, and phi is not Hermitian to 1e-9."""
+    path = _near_rep_file(tmp_path)
+    rc, out, err = run(capsys, "decide", "--rep", path, "--lattice", "full",
+                       "--n", "1", "--d", "2", "--tol-id", "1e-6")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: convolution operator asymmetry is ")

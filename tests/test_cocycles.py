@@ -26,9 +26,11 @@ from latdim.cli import _token_group
 from latdim.groups import all_subgroups, cyclic_factor_generators
 
 from fixtures_common import (
+    NEAR_TOL,
     cocycle_fixtures,
     gauge_twisted,
     group,
+    near_rep,
     pauli_product,
     tf,
     traced_peak,
@@ -120,6 +122,14 @@ def test_tilde_multiplicativity_matches_triple_broadcast(label, coc):
         res, worst = _reference_multiplicativity(c)
         assert rpt.residual_multiplicativity == res
         assert rpt.worst["multiplicativity"] == worst
+
+
+def test_tilde_class_constancy_checks_the_elements_regular_at_tol():
+    coc = near_rep().cocycle
+    # at the default tol_id only the identity is regular and nothing is compared
+    assert verify_tilde_identities(coc).residual_class_constancy == 0
+    rpt = verify_tilde_identities(coc, NEAR_TOL)
+    assert 0 < rpt.residual_class_constancy <= NEAR_TOL.tol_id
 
 
 def test_tilde_identities_memory_is_quadratic():

@@ -25,6 +25,7 @@ from latdim import (
     phi_oracle,
     projective_rep,
     random_window,
+    regularity,
     right_regular,
     right_transversal,
     subgroup_generated,
@@ -36,7 +37,7 @@ from latdim import (
 import latdim.dimension as dim_mod
 from latdim import cli
 
-from fixtures_common import rep_fixtures, tf, traced_peak, trivial_irrep
+from fixtures_common import near_rep, rep_fixtures, tf, traced_peak, trivial_irrep
 
 
 def _sign_character():
@@ -364,3 +365,14 @@ def test_windowed_rep_window_is_a_checked_read_only_copy():
     other = tf("Z2").rep
     with pytest.raises(DimensionMismatch):
         source.spec(full_subgroup(other.group))
+
+
+def test_regular_mask_uses_the_rep_tolerances():
+    """A rep valid only at tol_id 1e-6 gets its regular mask at 1e-6 too."""
+    rep = near_rep()
+    spec = make_module_spec(rep, full_subgroup(rep.group))
+    assert spec.regular.all()
+    assert np.array_equal(spec.regular,
+                          regularity(spec.restricted_cocycle, rep.tol).regular_elements)
+    # the defaults would have left only the identity regular
+    assert np.flatnonzero(regularity(spec.restricted_cocycle).regular_elements).tolist() == [0]

@@ -13,10 +13,8 @@ from latdim import (
     decision_grid,
     density_check,
     existence_decision,
-    frame_operator,
     frame_report,
     full_subgroup,
-    gram_matrix,
     intertwiner_basis,
     make_module_spec,
     multiwindow_system,
@@ -34,6 +32,18 @@ def _wh_spec(base="Z2", lattice=None):
     t = tf(base)
     sub = lattice if lattice is not None else full_subgroup(t.rep.group)
     return make_module_spec(t.rep, sub)
+
+
+def _frame_operator(sys):
+    """Sum of rank-one operators of the system vectors, on the stacked space."""
+    w = _system_vectors(sys)
+    return w.T @ w.conj()
+
+
+def _gram(sys):
+    """Pairwise inner products of the system vectors."""
+    w = _system_vectors(sys)
+    return w @ w.conj().T
 
 
 def _translations(t):
@@ -59,7 +69,7 @@ def test_frame_operator_matches_double_loop():
     rng = np.random.default_rng(0)
     gens = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     sys = multiwindow_system(t.rep, sub, gens)
-    s = frame_operator(sys)
+    s = _frame_operator(sys)
 
     dd = sys.d * t.rep.dim
     expected = np.zeros((dd, dd), dtype=np.complex128)
@@ -71,7 +81,7 @@ def test_frame_operator_matches_double_loop():
             expected += np.outer(stacked, stacked.conj())
     assert np.abs(s - expected).max() < 1e-12
 
-    g = gram_matrix(sys)
+    g = _gram(sys)
     assert g.shape == (sys.n * sub.order, sys.n * sub.order)
     # frame operator and Gram share their nonzero spectrum
     se = np.sort(np.linalg.eigvalsh((s + s.conj().T) / 2))[::-1]
@@ -99,9 +109,9 @@ def test_system_vector_rows_match_double_loop(lattice):
 
 def _reference_frame_report(sys, tol=frames_mod.DEFAULT_TOL):
     """Two eigensolves: frame bounds from S, Riesz bounds from the Gram."""
-    s = frame_operator(sys)
+    s = _frame_operator(sys)
     s_eigs = np.linalg.eigvalsh((s + s.conj().T) / 2)
-    g = gram_matrix(sys)
+    g = _gram(sys)
     g_eigs = np.linalg.eigvalsh((g + g.conj().T) / 2)
     lower, upper = float(s_eigs[0]), float(s_eigs[-1])
     riesz_lower, riesz_upper = float(g_eigs[0]), float(g_eigs[-1])
@@ -333,9 +343,25 @@ def test_construct_orthonormal_on_basis_cell():
     spec = _wh_spec("Z2")
     gens = construct_parseval_generators(spec, 1, 2, seed=3)
     sys = multiwindow_system(spec.rep, spec.lattice, gens)
-    g = gram_matrix(sys)
+    g = _gram(sys)
     assert np.abs(g - np.eye(g.shape[0])).max() < 1e-8
     assert frame_report(sys).is_riesz_basis
+
+
+def test_construct_catches_a_non_orthonormal_basis_cell(monkeypatch):
+    """The Parseval bound check is what rejects a basis cell that is not orthonormal."""
+    spec = _wh_spec("Z2")
+    assert existence_decision(spec, 1, 2).basis  # 4 vectors in dimension 4
+    real = frames_mod.tighten
+
+    def scaled(sys, tol=frames_mod.DEFAULT_TOL):
+        tight, comm_res = real(sys, tol)
+        off = multiwindow_system(tight.rep, tight.lattice, tight.generators * (1 + 1e-6))
+        return off, comm_res
+
+    monkeypatch.setattr(frames_mod, "tighten", scaled)
+    with pytest.raises(ConsistencyError, match="distance of the frame bounds from 1"):
+        construct_parseval_generators(spec, 1, 2, seed=3)
 
 
 def test_construct_infeasible_cell():
@@ -418,7 +444,7 @@ def test_construction_on_every_nonabelian_cell(label):
                 assert abs(rep_out.lower - 1.0) < 1e-8
                 assert abs(rep_out.upper - 1.0) < 1e-8
                 if decision.basis:
-                    g = gram_matrix(sys)
+                    g = _gram(sys)
                     assert np.abs(g - np.eye(g.shape[0])).max() < 1e-8
 
 
@@ -432,7 +458,7 @@ def _kron_commutation_residual(op, pis, d):
 
 
 def _inv_sqrt_frame_operator(sys):
-    s = frame_operator(sys)
+    s = _frame_operator(sys)
     eigvals, eigvecs = np.linalg.eigh((s + s.conj().T) / 2)
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 

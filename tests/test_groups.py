@@ -11,7 +11,9 @@ from latdim import (
     NotLatinSquare,
     all_subgroups,
     build_cyclic,
+    build_tf,
     conjugacy,
+    cyclic_factor_generators,
     dihedral,
     direct_product,
     dual_group,
@@ -29,7 +31,6 @@ from latdim import (
 import latdim.cocycles as cocycles_mod
 import latdim.groups as groups_mod
 from latdim.groups import (
-    _closure_mask,
     abelian_basis,
     centralizer_transversal,
     right_transversal,
@@ -125,6 +126,50 @@ def test_classes_are_built_on_first_read(name):
 def test_regularity_leaves_classes_unbuilt(name):
     report = regularity(trivial(group(name)))
     assert "classes" not in report.conjugacy.__dict__
+
+
+def _closure_mask(g, gens):
+    """Reference span of ``gens``: square the element set until it stops growing."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[g.identity] = True
+    for x in gens:
+        mask[x] = True
+        mask[g.inverse[x]] = True
+    while True:
+        idx = np.flatnonzero(mask)
+        new = np.zeros_like(mask)
+        new[g.cayley[np.ix_(idx, idx)].ravel()] = True
+        if np.array_equal(new, mask):
+            return mask
+        mask = new
+
+
+def _elements(mask):
+    return tuple(int(x) for x in np.flatnonzero(mask))
+
+
+def _coordinate_tf_group(base_name):
+    """Time-frequency group over a base in row-major coordinates, and its radices."""
+    base = group(base_name)
+    factors = [int(t[1:]) for t in base_name.split("x")]
+    gens, orders = cyclic_factor_generators(factors)
+    return build_tf(base, dual_group(base, gens, orders)).group, tuple(factors) * 2
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "D4xZ2xZ2", "tf-Z16", "tf-Z4xZ4"))
+def test_subgroup_generated_matches_closure_reference(name):
+    if name.startswith("tf-"):
+        g, radices = _coordinate_tf_group(name[3:])
+    else:
+        g, radices = group(name), (group(name).order,)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for k in (0, 1, 1, 2, 2, 3, 4):
+        # generators given as coordinate tuples, as the CLI lattice spec does
+        coords = rng.integers(0, radices, size=(k, len(radices)))
+        gens = [int(np.ravel_multi_index(c, radices)) for c in coords]
+        assert subgroup_generated(g, gens).elements == _elements(_closure_mask(g, gens))
+    assert trivial_subgroup(g).elements == _elements(_closure_mask(g, []))
+    assert full_subgroup(g).elements == _elements(_closure_mask(g, range(g.order)))
 
 
 def _greedy_generators_by_closure(g):

@@ -22,6 +22,7 @@ from latdim import (
     trivial,
     validate_rep,
     wavelet,
+    windowed_rep,
 )
 from latdim.algebra import fixed_space, sandwich_stack
 
@@ -263,9 +264,10 @@ def test_wavelet_isometry_and_intertwining(label, rep):
     d_pi = rep.dim / rep.group.order
     gram = d_pi * (w.matrix.conj().T @ w.matrix)
     assert np.abs(gram - np.eye(rep.dim)).max() < 1e-10
-    # diagonal holds the transform of the window itself
-    assert np.allclose(w.diagonal, w.matrix @ w.window)
-    assert w.diagonal[rep.group.identity] == pytest.approx(1.0)
+    # the transform of the window itself is the diagonal that phi reads
+    diagonal = windowed_rep(rep, w.window).diagonal
+    assert np.allclose(diagonal, w.matrix @ w.window)
+    assert diagonal[rep.group.identity] == pytest.approx(1.0)
 
 
 def test_wavelet_matrix_rows_are_coefficients():

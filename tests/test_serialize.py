@@ -8,15 +8,11 @@ from hypothesis import given, strategies as st
 from latdim import (
     InputError,
     Tolerances,
-    build_cyclic,
     cocycle_from_json,
     cocycle_to_json,
     complex_to_pairs,
     dihedral,
     dump_json,
-    element,
-    element_from_json,
-    element_to_json,
     generators_from_json,
     generators_to_json,
     group_from_json,
@@ -27,7 +23,6 @@ from latdim import (
     read_cayley_text,
     rep_from_json,
     rep_to_json,
-    trivial,
     write_cayley_text,
 )
 
@@ -133,17 +128,6 @@ def test_rep_json_check_catches_corruption():
         rep_from_json(data)
     with pytest.raises(InputError):
         rep_from_json({"dim": 2})
-
-
-def test_element_json_round_trip():
-    g = build_cyclic(5)
-    coc = trivial(g)
-    rng = np.random.default_rng(3)
-    a = element(coc, rng.normal(size=5) + 1j * rng.normal(size=5))
-    back = element_from_json(element_to_json(a), coc)
-    assert np.array_equal(back.coeffs, a.coeffs)
-    with pytest.raises(InputError):
-        element_from_json({}, coc)
 
 
 def test_generators_json_round_trip():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latdim import (
+    Cocycle,
     adjoint,
     build_cyclic,
     center_dimension,
@@ -69,10 +70,19 @@ def _reference_commutant(group, cocycle):
     return worst
 
 
-@pytest.mark.parametrize("label", ["S3-trivial", "wh-Z4"])
+@pytest.mark.parametrize("label", [label for label, _ in cocycle_fixtures()])
 def test_left_right_commute(label):
     coc = dict(cocycle_fixtures())[label]
-    assert _reference_commutant(coc.group, coc) < 1e-12
+    for c in (coc, gauge_twisted(coc)):
+        assert _reference_commutant(c.group, c) < 1e-12
+
+
+def test_left_right_fail_to_commute_on_a_broken_cocycle():
+    coc = tf("Z3").cocycle
+    t = np.array(coc.table)
+    t[4, 5] *= -1
+    bad = Cocycle(coc.group, t, label="broken")
+    assert _reference_commutant(bad.group, bad) > 0.5
 
 
 def _conv(f, h, coc):

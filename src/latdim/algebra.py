@@ -135,11 +135,11 @@ def center_valued_trace(a: AlgebraElement) -> AlgebraElement:
     return element(a.cocycle, a.coeffs @ center_valued_trace_table(a.cocycle))
 
 
-def center_valued_trace_table(cocycle: Cocycle) -> np.ndarray:
+def center_valued_trace_table(cocycle: Cocycle, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Row x holds the class formula's image of lam(x), all filled by one scatter."""
     g = cocycle.group
     n = g.order
-    vals = (regularity(cocycle).regular_elements / n)[:, None] * tilde_table(cocycle)
+    vals = (regularity(cocycle, tol).regular_elements / n)[:, None] * tilde_table(cocycle)
     at = (np.arange(0, n * n, n)[:, None] + g.conjugation).ravel()
     out = np.empty((n, n), dtype=np.complex128)
     out.real.flat = np.bincount(at, vals.real.ravel(), n * n)

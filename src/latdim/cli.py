@@ -2,8 +2,9 @@
 
 Every subcommand reads plain files (JSON, Cayley text, CSV), prints
 deterministic output for a fixed seed, and signals problems through
-exit codes: 0 success, 1 bad input, failed validation or a failed
-internal check, 2 a request that is provably infeasible.
+exit codes: 0 success, 1 a bad command line, bad input, failed
+validation or a failed internal check, 2 a request that is provably
+infeasible.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _cmd_kleppner(cfg: RunConfig) -> int:
 def _cmd_cvt(cfg: RunConfig) -> int:
     res = _resolve_pair(cfg)
     g = res.group
-    table = complex_to_pairs(center_valued_trace_table(res.cocycle))
+    table = complex_to_pairs(center_valued_trace_table(res.cocycle, cfg.tolerances))
     rows = [{"gamma": gamma, "coeffs": coeffs} for gamma, coeffs in enumerate(table)]
     _emit({"group": g.label, "order": g.order, "rows": rows}, cfg.out)
     return 0
@@ -440,98 +441,82 @@ def _cmd_rep_dpi(cfg: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate-cocycle": _cmd_validate_cocycle,
-    "kleppner": _cmd_kleppner,
-    "cvt": _cmd_cvt,
-    "phi": _cmd_phi,
-    "decide": _cmd_decide,
-    "construct": _cmd_construct,
-    "routes": _cmd_routes,
-    "gabor-scan": _cmd_gabor_scan,
-    "density-audit": _cmd_density_audit,
-    "rep-validate": _cmd_rep_validate,
-    "rep-dpi": _cmd_rep_dpi,
+_FLAGS = {
+    "config": dict(metavar="FILE", help="JSON file with defaults; flags override it"),
+    "group": dict(metavar="SPEC", help="builtin tokens joined by x (Z4, Z2xZ4, S3, D4, "
+                                       "Q8) or a Cayley table file"),
+    "cocycle": dict(metavar="SPEC", help="trivial, weyl-heisenberg, or a JSON file"),
+    "rep": dict(metavar="FILE", help="representation JSON (overrides --group/--cocycle)"),
+    "lattice": dict(metavar="SPEC", help="full, trivial, element indices 0,3,5, or "
+                                         "coordinate tuples (1,0,2,0),(0,1,0,0)"),
+    "n": dict(type=int, help="number of generator windows"),
+    "d": dict(type=int, help="number of stacked copies of the module"),
+    "base": dict(metavar="SPEC", help="abelian base, builtin tokens only, e.g. Z2xZ4"),
+    "nmax": dict(type=int),
+    "dmax": dict(type=int),
+    "construct": dict(action="store_true", help="also build generators on feasible cells"),
+    "in": dict(dest="in_path", metavar="FILE"),
+    "out": dict(metavar="FILE"),
+    "seed": dict(type=int),
+    "tol-unit": dict(type=float),
+    "tol-id": dict(type=float),
+    "tol-psd": dict(type=float),
+    "tol-frame": dict(type=float),
 }
+
+# subcommand -> (handler, help, the flags that some input path of it reads)
+_COMMANDS = {
+    "validate-cocycle": (_cmd_validate_cocycle, "check the two-variable composition law",
+                         "group cocycle tol-unit tol-id"),
+    "kleppner": (_cmd_kleppner, "is the identity class the only regular one",
+                 "group cocycle tol-unit tol-id"),
+    "cvt": (_cmd_cvt, "center-valued trace of every group translate",
+            "group cocycle out tol-unit tol-id"),
+    "phi": (_cmd_phi, "dimension function of the module on a lattice",
+            "group cocycle rep lattice out tol-unit tol-id"),
+    "decide": (_cmd_decide, "frame / Riesz / basis existence for (n, d)",
+               "group cocycle rep lattice n d out tol-unit tol-id tol-psd"),
+    "construct": (_cmd_construct, "build Parseval generators when they exist",
+                  "group cocycle rep lattice n d seed out tol-unit tol-id tol-psd tol-frame"),
+    "routes": (_cmd_routes, "class formula against module embedding on every lattice",
+               "group cocycle rep seed tol-unit tol-id"),
+    "gabor-scan": (_cmd_gabor_scan, "scan every lattice of a time-frequency group",
+                   "base nmax dmax construct seed out"),
+    "density-audit": (_cmd_density_audit, "re-check a scan CSV against the density bound",
+                      "in"),
+    "rep-validate": (_cmd_rep_validate, "unitarity and twisted composition of a stored rep",
+                     "rep tol-unit tol-id"),
+    "rep-dpi": (_cmd_rep_dpi, "formal dimension of an irreducible rep",
+                "group cocycle rep tol-unit tol-id"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as InputError, which exits 1 like any bad input."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and reused; parsing leaves it unchanged."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", default=None, metavar="FILE",
-                        help="JSON file with defaults; flags override it")
-    shared.add_argument("--out", default=None, metavar="FILE")
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--tol-unit", dest="tol_unit", type=float, default=None)
-    shared.add_argument("--tol-id", dest="tol_id", type=float, default=None)
-    shared.add_argument("--tol-psd", dest="tol_psd", type=float, default=None)
-    shared.add_argument("--tol-frame", dest="tol_frame", type=float,
-                        default=None)
-
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--group", default=None, metavar="SPEC",
-                      help="builtin tokens joined by x (Z4, Z2xZ4, S3, D4, "
-                           "Q8) or a Cayley table file")
-    pair.add_argument("--cocycle", default=None, metavar="SPEC",
-                      help="trivial, weyl-heisenberg, or a JSON file")
-
-    repfile = argparse.ArgumentParser(add_help=False)
-    repfile.add_argument("--rep", default=None, metavar="FILE",
-                         help="representation JSON (overrides --group/--cocycle)")
-    module = argparse.ArgumentParser(add_help=False, parents=[repfile])
-    module.add_argument("--lattice", default=None, metavar="SPEC",
-                        help="full, trivial, element indices 0,3,5, or "
-                             "coordinate tuples (1,0,2,0),(0,1,0,0)")
-
-    counts = argparse.ArgumentParser(add_help=False)
-    counts.add_argument("--n", type=int, default=None,
-                        help="number of generator windows")
-    counts.add_argument("--d", type=int, default=None,
-                        help="number of stacked copies of the module")
-
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="latdim",
         description="Twisted group algebras: dimension functions, frame "
                     "and Riesz existence, explicit tight systems.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate-cocycle", parents=[shared, pair],
-                   help="check the two-variable composition law")
-    sub.add_parser("kleppner", parents=[shared, pair],
-                   help="is the identity class the only regular one")
-    sub.add_parser("cvt", parents=[shared, pair],
-                   help="center-valued trace of every group translate")
-    sub.add_parser("phi", parents=[shared, pair, module],
-                   help="dimension function of the module on a lattice")
-    sub.add_parser("decide", parents=[shared, pair, module, counts],
-                   help="frame / Riesz / basis existence for (n, d)")
-    sub.add_parser("construct", parents=[shared, pair, module, counts],
-                   help="build Parseval generators when they exist")
-    sub.add_parser("routes", parents=[shared, pair, repfile],
-                   help="class formula against module embedding on every "
-                        "lattice")
-    scan = sub.add_parser("gabor-scan", parents=[shared],
-                          help="scan every lattice of a time-frequency group")
-    scan.add_argument("--base", default=None, metavar="SPEC",
-                      help="abelian base, builtin tokens only, e.g. Z2xZ4")
-    scan.add_argument("--nmax", type=int, default=None)
-    scan.add_argument("--dmax", type=int, default=None)
-    scan.add_argument("--construct", action="store_true", default=None,
-                      help="also build generators on feasible cells")
-    audit = sub.add_parser("density-audit", parents=[shared],
-                           help="re-check a scan CSV against the density bound")
-    audit.add_argument("--in", dest="in_path", default=None, metavar="FILE")
-    sub.add_parser("rep-validate", parents=[shared, module],
-                   help="unitarity and twisted composition of a stored rep")
-    sub.add_parser("rep-dpi", parents=[shared, pair, module],
-                   help="formal dimension of an irreducible rep")
+    for name, (_, text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        for flag in ("config", *flags.split()):
+            cmd.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return p
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
     file_data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         raw = load_json(args.config)
         if not isinstance(raw, dict):
             raise InputError("config file must hold a JSON object")
@@ -574,10 +559,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
-        return _HANDLERS[args.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](_merge(args))
     except (Infeasible, NotIrreducible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -702,3 +704,86 @@ def test_decide_regular_mask_follows_tol_id(capsys, tmp_path):
                        "--n", "1", "--d", "2", "--tol-id", "1e-6")
     assert (rc, out) == (1, "")
     assert err.startswith("error: convolution operator asymmetry is ")
+
+
+# What each subcommand accepts besides --config (and -h), written out
+# independently of the parser's own tables.
+_ACCEPTED_FLAGS = {
+    "validate-cocycle": "--group --cocycle --tol-unit --tol-id",
+    "kleppner": "--group --cocycle --tol-unit --tol-id",
+    "cvt": "--group --cocycle --out --tol-unit --tol-id",
+    "phi": "--group --cocycle --rep --lattice --out --tol-unit --tol-id",
+    "decide": "--group --cocycle --rep --lattice --out --n --d --tol-unit --tol-id --tol-psd",
+    "construct": "--group --cocycle --rep --lattice --out --n --d --tol-unit --tol-id "
+                 "--tol-psd --seed --tol-frame",
+    "routes": "--group --cocycle --rep --seed --tol-unit --tol-id",
+    "gabor-scan": "--base --nmax --dmax --construct --seed --out",
+    "density-audit": "--in",
+    "rep-validate": "--rep --tol-unit --tol-id",
+    "rep-dpi": "--group --cocycle --rep --tol-unit --tol-id",
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    from latdim.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    want = {name: {"--config", *flags.split()} for name, flags in _ACCEPTED_FLAGS.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 74
+
+
+@pytest.mark.parametrize("argv", [
+    ("routes", "--group", "Z2xZ2", "--out", "OUT"),
+    ("gabor-scan", "--base", "Z2", "--out", "OUT", "--tol-psd", "1e-3"),
+    ("density-audit", "--in", "CSV", "--seed", "1"),
+    ("rep-validate", "--rep", "REP", "--lattice", "full"),
+    ("rep-dpi", *_WH, "--lattice", "full"),
+    ("decide", *_WH, "--seed", "1"),
+    ("phi", *_WH, "--tol-frame", "1e-3"),
+    ("cvt", *_WH, "--seed", "1"),
+    ("kleppner", *_WH, "--out", "OUT"),
+    ("validate-cocycle", *_WH, "--tol-psd", "1e-3"),
+    ("decide", *_WH, "--nn", "1"),
+    ("decide", *_WH, "--n", "abc"),
+    (),
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]) or "no-command")
+def test_bad_command_lines_exit_1_with_one_error_line(capsys, tmp_path, argv):
+    """A flag the subcommand never reads, a misspelt flag, a bad value, no subcommand."""
+    files = {"OUT": str(tmp_path / "out"), "CSV": str(tmp_path / "scan.csv"),
+             "REP": str(tmp_path / "rep.json")}
+    dump_json(rep_to_json(tf("Z2").rep), files["REP"])
+    assert run(capsys, "gabor-scan", "--base", "Z2", "--out", files["CSV"])[0] == 0
+    rc, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert not os.path.exists(files["OUT"])
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["decide", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--tol-psd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol_id", ["1e-6", "1e-2"])
+def test_cvt_regular_mask_follows_tol_id(capsys, tmp_path, tol_id):
+    """cvt keeps the rows of exactly the elements kleppner counts regular."""
+    path = str(tmp_path / "near-cocycle.json")
+    dump_json(cocycle_to_json(near_rep().cocycle), path)
+    rc, out, _ = run(capsys, "kleppner", "--cocycle", path, "--tol-id", tol_id)
+    assert rc == 0
+    regular = int(out.split("regular-elements ")[1].split()[0])
+    assert regular == 16
+    rc, out, _ = run(capsys, "cvt", "--cocycle", path, "--tol-id", tol_id)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert sum(bool(np.any(r["coeffs"])) for r in rows) == regular

@@ -77,16 +77,28 @@ def _average_column(group: FiniteGroup, table: np.ndarray, side: str,
     return terms.sum(axis=0) / group.order
 
 
+def conv_operators(values: np.ndarray, cayley: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Matrices of f -> values[b] * f for a block of equal-order groups.
+
+    ``values`` is (B, m); ``cayley`` and ``table`` are the (B, m, m) Cayley
+    tables, in block places as ``subgroup_tables`` gives them, and cocycle
+    tables.  lam(x) sends delta_mu to sigma(x, mu) delta_{x mu}, so entry
+    [b, x mu, mu] of the result is values[b, x] sigma_b(x, mu): one scatter
+    into the flattened block.
+    """
+    nb, m = values.shape
+    op = np.empty(nb * m * m, dtype=np.result_type(values, table))
+    op[cayley * m + np.arange(m)] = values[:, :, None] * table
+    return op.reshape(nb, m, m)
+
+
 def conv_operator(values: np.ndarray, cocycle: Cocycle) -> np.ndarray:
     """Matrix of f -> values * f, equal to sum_g values[g] lam(g)."""
     grp = cocycle.group
-    n = grp.order
     values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (n,):
+    if values.shape != (grp.order,):
         raise DimensionMismatch("coefficient vector must match the group order")
-    mu = np.arange(n)[None, :]
-    diff = grp.cayley[:, grp.inverse]          # diff[c, mu] = c mu^-1
-    return values[diff] * cocycle.table[diff, mu]
+    return conv_operators(values[None], grp.cayley[None], cocycle.table[None])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -550,10 +550,13 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         f.name: f.default if (v := pick(f.name)) is None else v
         for f in fields(RunConfig) if f.name != "tolerances"
     })
+    # range checks only for the counts this subcommand reads; a shared config
+    # file may hold other subcommands' keys
+    reads = _COMMANDS[args.command][2].split()
     for name in ("n", "d", "nmax", "dmax"):
-        if getattr(cfg, name) < 1:
+        if name in reads and getattr(cfg, name) < 1:
             raise InputError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if cfg.seed < 0:
+    if "seed" in reads and cfg.seed < 0:
         raise InputError(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 

@@ -181,29 +181,46 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
                        {"multiplicativity": w1, "inverse": w2, "class_constancy": w3})
 
 
-def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
-    """Symmetry of sigma on commuting pairs, per element and per class.
+def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | int,
+                 class_rep: np.ndarray | None, tol_id: float) -> np.ndarray:
+    """Regular elements of each group of a block of equal-order groups.
 
-    An element is regular when sigma(x, y) = sigma(y, x) for every y in its
-    centralizer. Regularity is constant on conjugacy classes; that constancy
-    is asserted rather than assumed. kleppner is true when the identity class
-    is the only regular one.
+    ``cayley`` and ``table`` are (B, m, m) Cayley and cocycle tables and
+    ``identity`` the identities, all in block places as ``subgroup_tables``
+    gives them.  An element is regular when sigma(x, y) = sigma(y, x) for
+    every y in its centralizer.  Regularity is constant on conjugacy
+    classes; that constancy is asserted rather than assumed, against
+    ``class_rep``, the place of the least member of each element's class,
+    or not at all when ``class_rep`` is None because every group of the
+    block is abelian.  The identity must be regular.  The first group of
+    the block that fails a check raises.
+    """
+    comm = cayley == cayley.transpose(0, 2, 1)
+    asym = np.abs(table - table.transpose(0, 2, 1))
+    regular = ~np.any(comm & (asym > tol_id), axis=2)
+    if class_rep is not None:
+        off = regular.ravel()[class_rep] != regular
+        if off.any():
+            b = int(np.argmax(off.any(axis=1)))
+            reps = class_rep[b]
+            # classes are numbered in order of their least members
+            k = int(np.searchsorted(np.unique(reps), reps[off[b]].min()))
+            raise ConsistencyError(f"regularity not constant on class {k}")
+    if not regular.ravel()[identity].all():
+        raise ConsistencyError("identity class must be regular")
+    return regular
+
+
+def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
+    """Regular elements and classes of one cocycle: ``regular_mask`` on a block of one.
+
+    kleppner is true when the identity class is the only regular one.
     """
     g = c.group
-    comm = g.cayley == g.cayley.T
-    asym = np.abs(c.table - c.table.T)
-    regular_elements = ~np.any(comm & (asym > tol.tol_id), axis=1)
-
     cj = conjugacy(g)
-    regular_classes = regular_elements[np.unique(cj.class_of, return_index=True)[1]]
-    off = regular_classes[cj.class_of] != regular_elements
-    if off.any():
-        k = int(cj.class_of[off].min())
-        raise ConsistencyError(f"regularity not constant on class {k}")
-
-    identity_class = int(cj.class_of[g.identity])
-    if not regular_classes[identity_class]:
-        raise ConsistencyError("identity class must be regular")
+    regular_elements = regular_mask(g.cayley[None], c.table[None], g.identity,
+                                    cj.least[cj.class_of][None], tol.tol_id)[0]
+    regular_classes = regular_elements[cj.least]
     kleppner = bool(regular_classes.sum() == 1)
     regular_elements.setflags(write=False)
     regular_classes.setflags(write=False)
@@ -230,12 +247,20 @@ def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:
     return Cocycle(big, table, label="weyl-heisenberg")
 
 
+def restricted_tables(c: Cocycle, elems: np.ndarray) -> np.ndarray:
+    """Cocycle tables of a block of equal-order subgroups, shape (B, m, m).
+
+    Row b of ``elems`` holds one subgroup's elements in increasing order,
+    indexed as ``subgroup_tables`` indexes them.
+    """
+    return c.table[elems[:, :, None], elems[:, None, :]]
+
+
 def restrict(c: Cocycle, h: Subgroup) -> Cocycle:
     """Restriction to a subgroup, reindexed on the materialized subgroup."""
     if h.parent is not c.group:
         raise InputError("subgroup does not belong to the cocycle's group")
-    elems = np.asarray(h.elements, dtype=np.int64)
-    table = c.table[elems[:, None], elems]
+    table = restricted_tables(c, h.members[None])[0]
     table.setflags(write=False)
-    lbl = f"{c.label}|{len(elems)}" if c.label else f"restricted|{len(elems)}"
+    lbl = f"{c.label}|{h.order}" if c.label else f"restricted|{h.order}"
     return Cocycle(subgroup_group(h), table, label=lbl)

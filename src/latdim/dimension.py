@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _average_column, conv_operator
+from .algebra import _average_column, conv_operators
 from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict
 from .config import BLOCK_TRACE, CDIM_ASYMMETRY, PHI_IDENTITY
 from .errors import (
@@ -132,8 +132,7 @@ class PhiFunction:
     @cached_property
     def off_identity_peak(self) -> np.float64:
         """Largest |phi| off the identity, 0 on the trivial lattice; NaN comes through."""
-        v, e = self.values, self.cocycle.group.identity
-        return np.maximum(np.abs(v[:e]).max(initial=0.0), np.abs(v[e + 1:]).max(initial=0.0))
+        return off_identity_peaks(self.values[None], self.cocycle.group.identity)[0]
 
 
 def random_window(dim: int, seed: int) -> np.ndarray:
@@ -176,10 +175,18 @@ def make_module_spec(
 
 
 def phi(spec: ModuleSpec) -> PhiFunction:
-    """Dimension function by the closed-form class sum.
+    """Dimension function by the closed-form class sum: ``phi_values`` on a block of one."""
+    values = phi_values(spec.windowed, spec.lattice.members[None], spec.regular[None])[0]
+    return PhiFunction(values, spec.restricted_cocycle)
 
-    For a lattice element gamma that is regular for the restricted
-    cocycle,
+
+def phi_values(source: WindowedRep, elems: np.ndarray, regular: np.ndarray) -> np.ndarray:
+    """Dimension function on each lattice of a block of equal-order lattices.
+
+    Row b of ``elems``, ``regular`` and the result belongs to one lattice:
+    its elements in increasing order, its regular mask and phi at each
+    element.  For a lattice element gamma that is regular for the
+    restricted cocycle,
 
         phi(gamma) = d_pi / |lattice| * sum_y conj(tilde(gamma, y))
                         * <window, pi(y^-1 gamma y) window>
@@ -191,27 +198,38 @@ def phi(spec: ModuleSpec) -> PhiFunction:
     tilde(gamma, c y) = tilde(gamma, c) tilde(gamma, y) and
     tilde(gamma, c) = 1 for a regular gamma.  So the sum is |C| times a
     sum over coset representatives, and |C| k = |lattice| for the class
-    size k.  Off regular elements phi is zero.
+    size k.  Off regular elements phi is zero.  The sum depends on gamma
+    and not on the lattice, so it is taken once per distinct regular
+    element of the block.  phi(e) must be dpi_vol; it is one number for
+    the whole block, since every lattice holds e as a regular element.
     """
-    g = spec.rep.group
-    lat = spec.lattice_group
-    elems = np.asarray(spec.lattice.elements, dtype=np.int64)
-    d_pi = spec.rep.dim / g.order
-
-    regular = spec.regular
+    g = source.rep.group
     gammas = elems[regular]
-    conj = g.conjugation[gammas]  # [i, y] = y^-1 gammas[i] y
-    sigma = spec.rep.cocycle.table
-    tilde = sigma[gammas] * np.conj(sigma[np.arange(g.order), conj])
-    values = np.zeros(lat.order, dtype=np.complex128)
-    values[regular] = (d_pi / lat.order) * np.sum(
-        np.conj(tilde) * spec.windowed.diagonal[conj], axis=1
-    )
+    distinct = np.flatnonzero(np.bincount(gammas, minlength=g.order))
+    conj = g.conjugation[distinct]  # [i, y] = y^-1 distinct[i] y
+    sigma = source.rep.cocycle.table
+    tilde = sigma[distinct] * np.conj(sigma[np.arange(g.order), conj])
+    sums = np.zeros(g.order, dtype=np.complex128)
+    sums[distinct] = np.sum(np.conj(tilde) * source.diagonal[conj], axis=1)
+    scale = source.rep.dim / g.order / elems.shape[1]
+    values = np.zeros(elems.shape, dtype=np.complex128)
+    values[regular] = scale * sums[gammas]
 
-    dpi_vol = spec.dpi_vol
-    check_residual("|phi(e) - dpi_vol|", abs(values[lat.identity] - dpi_vol),
+    dpi_vol = source.rep.dim / elems.shape[1]
+    check_residual("|phi(e) - dpi_vol|", abs(scale * sums[g.identity] - dpi_vol),
                    PHI_IDENTITY * max(1.0, dpi_vol))
-    return PhiFunction(values, spec.restricted_cocycle)
+    return values
+
+
+def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int) -> np.ndarray:
+    """Largest |phi| off the identity on each row of a block; 0 on the trivial lattice.
+
+    ``identity`` holds block places, as ``subgroup_tables`` gives them.  A
+    NaN off the identity comes through.
+    """
+    peaks = np.abs(values)
+    peaks.ravel()[identity] = 0.0
+    return peaks.max(axis=1)
 
 
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
@@ -239,7 +257,7 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     p_big = d_pi * (v @ v.conj().T)
 
     # x = gamma * y is unique for y in a right transversal
-    elems = np.asarray(spec.lattice.elements, dtype=np.int64)
+    elems = spec.lattice.members
     bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
     nb = len(bs)
     flat = g.cayley[elems[:, None], bs[None, :]].ravel()
@@ -262,15 +280,23 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
 
 
 def cdim_operator(fn: PhiFunction) -> np.ndarray:
-    """Matrix of twisted convolution by phi on lattice functions.
+    """Matrix of twisted convolution by phi on lattice functions: a block of one."""
+    return cdim_operators(fn.values[None], fn.cocycle.group.cayley[None],
+                          fn.cocycle.table[None])[0]
 
-    The operator this represents is positive, so the matrix must come
-    out Hermitian; a failure here means phi was computed wrong.
+
+def cdim_operators(values: np.ndarray, cayley: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Twisted convolution by each row of ``values`` over a block of lattices.
+
+    The block's tables are those ``conv_operators`` reads.  Each operator
+    is positive, so its matrix must come out Hermitian; a failure here
+    means phi was computed wrong, and the first lattice that fails raises.
+    The Hermitian parts are returned.
     """
-    op = conv_operator(fn.values, fn.cocycle)
-    scale = max(1.0, float(np.abs(op).max()))
-    asym = float(np.abs(op - op.conj().T).max())
+    op = conv_operators(values, cayley, table)
+    adj = op.conj().transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(op).max(axis=(1, 2)))
+    asym = np.abs(op - adj).max(axis=(1, 2))
     check_residual("convolution operator asymmetry", asym, CDIM_ASYMMETRY * scale,
                    NotHermitian)
-    return (op + op.conj().T) / 2
-
+    return (op + adj) / 2

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class LatdimError(Exception):
     """Base class for every library error."""
@@ -53,8 +55,16 @@ class ConsistencyError(LatdimError):
     """An internal invariant failed, which indicates a bug upstream."""
 
 
-def check_residual(what: str, residual: float, bound: float,
+def check_residual(what: str, residual, bound,
                    exc: type[LatdimError] = ConsistencyError) -> None:
-    """Raise ``exc`` unless ``residual <= bound``, so a NaN residual fails too."""
-    if not residual <= bound:
-        raise exc(f"{what} is {residual:.3e}, bound {bound:.3e}")
+    """Raise ``exc`` unless ``residual <= bound``, so a NaN residual fails too.
+
+    Residuals and bounds may be arrays with one entry per lattice of a
+    block; the first entry that fails is the one reported.
+    """
+    ok = residual <= bound
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    at = np.argmin(ok)
+    residual, bound = (np.broadcast_to(v, np.shape(ok)).flat[at] for v in (residual, bound))
+    raise exc(f"{what} is {residual:.3e}, bound {bound:.3e}")

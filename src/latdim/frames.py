@@ -137,18 +137,34 @@ def frame_report(
     )
 
 
-def _verdicts(spec: ModuleSpec, n, d, tol: Tolerances):
-    """Frame and Riesz verdicts and witnesses at n/d, for scalars or arrays n and d.
+def _verdicts(eigs: np.ndarray, n, d, tol: Tolerances):
+    """Frame and Riesz verdicts and witnesses at n/d from an ascending spectrum of Phi.
 
-    The slack is tol_psd times max(1, |frame witness|, |riesz witness|),
-    where fmax skips a NaN witness as the scalar max does.
+    The spectrum runs along the last axis of ``eigs``; the rest broadcasts
+    against scalars or arrays n and d.  The slack is tol_psd times
+    max(1, |frame witness|, |riesz witness|), where fmax skips a NaN
+    witness as the scalar max does.
     """
-    eigs = spec.dimension_function.spectrum
     ratio = n / d
-    frame_witness = ratio - eigs[-1]
-    riesz_witness = eigs[0] - ratio
+    frame_witness = ratio - eigs[..., -1]
+    riesz_witness = eigs[..., 0] - ratio
     slack = tol.tol_psd * np.fmax(1.0, np.fmax(np.abs(frame_witness), np.abs(riesz_witness)))
     return frame_witness >= -slack, riesz_witness >= -slack, frame_witness, riesz_witness
+
+
+def decision_grids(
+    spectra: np.ndarray, n_max: int, d_max: int, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame and Riesz existence on a block of lattices for every n <= n_max, d <= d_max.
+
+    ``spectra`` is (B, m), one ascending spectrum of Phi per lattice.
+    Returns two boolean arrays of shape (B, n_max, d_max); entry
+    [b, n-1, d-1] is the verdict ``existence_decision`` reports on
+    lattice b at (n, d).
+    """
+    n = np.arange(1, n_max + 1)[:, None]
+    frame, riesz, _, _ = _verdicts(spectra[:, None, None, :], n, np.arange(1, d_max + 1), tol)
+    return frame, riesz
 
 
 def decision_grid(
@@ -159,9 +175,8 @@ def decision_grid(
     Returns two boolean arrays of shape (n_max, d_max); entry [n-1, d-1]
     is the verdict ``existence_decision(spec, n, d, tol)`` reports.
     """
-    n = np.arange(1, n_max + 1)[:, None]
-    frame, riesz, _, _ = _verdicts(spec, n, np.arange(1, d_max + 1), tol)
-    return frame, riesz
+    frame, riesz = decision_grids(spec.dimension_function.spectrum[None], n_max, d_max, tol)
+    return frame[0], riesz[0]
 
 
 def existence_decision(
@@ -182,7 +197,7 @@ def existence_decision(
     reads many cells through the same verdict code.
     """
     fn = spec.dimension_function
-    frame, riesz, frame_witness, riesz_witness = _verdicts(spec, n, d, tol)
+    frame, riesz, frame_witness, riesz_witness = _verdicts(fn.spectrum, n, d, tol)
     frame, riesz = bool(frame), bool(riesz)
     ratio = n / d
     at_identity = np.abs(fn.values[spec.lattice_group.identity] - ratio)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, regularity, weyl_heisenberg
+from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
 from .config import DENSITY_SLACK, PHI_IDENTITY
-from .dimension import ModuleSpec, windowed_rep
+from .dimension import WindowedRep, cdim_operators, off_identity_peaks, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
-from .frames import construct_parseval_generators, decision_grid
-from .groups import DualGroup, FiniteGroup, all_subgroups, dual_group
+from .frames import construct_parseval_generators, decision_grids
+from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group, subgroup_tables
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -40,6 +40,10 @@ SCAN_COLUMNS = {
     "riesz": _text,
     "basis": _text,
 }
+
+# A scan decides its lattices in blocks of equal order holding at most about
+# this many entries of Phi (lattices x order^2), one array kernel per step.
+_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -102,49 +106,65 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
     return TimeFrequencyGroup(a, dual, g, coc, rep)
 
 
-def _scan_lattice(
+def _scan_block(
     tf: TimeFrequencyGroup,
-    spec: ModuleSpec,
+    source: WindowedRep,
+    subs: list[Subgroup],
     n_max: int,
     d_max: int,
     construct: bool,
     seed: int,
 ) -> list[dict]:
-    sub = spec.lattice
-    fn = spec.dimension_function
-    dpi_vol = spec.dpi_vol
+    """Scan rows of a block of lattices of one order, in the block's order."""
+    order = subs[0].order
+    dpi_vol = source.rep.dim / order
+    elems = np.array([sub.elements for sub in subs], dtype=np.int64)
+    cayley, _, identity = subgroup_tables(tf.group, elems)
+    table = restricted_tables(tf.cocycle, elems)
+    # every lattice of the abelian time-frequency group is abelian
+    regular = regular_mask(cayley, table, identity, None, source.rep.tol.tol_id)
+    values = phi_values(source, elems, regular)
 
-    at_identity = np.abs(fn.values[spec.lattice_group.identity] - dpi_vol)
-    check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {sub.order}",
-                   float(np.maximum(at_identity, fn.off_identity_peak)), PHI_IDENTITY)
+    at_identity = np.abs(values.ravel()[identity] - dpi_vol)
+    check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {order}",
+                   np.maximum(at_identity, off_identity_peaks(values, identity)), PHI_IDENTITY)
 
     # n |lattice| - d |base| has the sign of n/d - |base|/|lattice|: the exact
     # density predicate every verdict must match
     ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
-    excess = ns * sub.order - ds * tf.base.order
-    frame, riesz = decision_grid(spec, n_max, d_max)
+    excess = ns * order - ds * tf.base.order
+    spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
+    frame, riesz = decision_grids(spectra, n_max, d_max)
     bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
     if bad.size:
-        i, j = divmod(int(bad[0]), d_max)
-        f, r, e = bool(frame[i, j]), bool(riesz[i, j]), int(excess[i, j])
+        i, j = divmod(int(bad[0]) % excess.size, d_max)
+        f, r = bool(frame.flat[bad[0]]), bool(riesz.flat[bad[0]])
+        e = int(excess[i, j])
         raise ConsistencyError(
-            f"decision disagrees with closed form at |lattice|={sub.order}, "
+            f"decision disagrees with closed form at |lattice|={order}, "
             f"n={i + 1}, d={j + 1}: got {(f, r, f and r)}, want {(e >= 0, e <= 0, e == 0)}"
         )
 
     if construct:
         # feasible cells of bounded size: n |lattice| <= 2 d |base|; on a basis
         # cell the Parseval check is the orthonormality check
-        for i, j in zip(*np.nonzero(frame & (excess <= ds * tf.base.order))):
-            construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
+        small = excess <= ds * tf.base.order
+        for b, sub in enumerate(subs):
+            cells = np.nonzero(frame[b] & small)
+            if cells[0].size:
+                spec = source.spec(sub)
+                for i, j in zip(*cells):
+                    construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
 
     head = {"base": tf.base.label, "group": tf.group.label, "cocycle": tf.cocycle.label,
-            "lattice_order": sub.order}
-    cells = itertools.product(range(1, n_max + 1), range(1, d_max + 1))
+            "lattice_order": order}
+    cells = list(itertools.product(range(1, n_max + 1), range(1, d_max + 1)))
     return [
         {**head, "n": n, "d": d, "dpi_vol": dpi_vol, "frame": "yes" if f else "no",
          "riesz": "yes" if r else "no", "basis": "yes" if f and r else "no"}
-        for (n, d), f, r in zip(cells, frame.ravel().tolist(), riesz.ravel().tolist())
+        for fs, rs in zip(frame.reshape(len(subs), -1).tolist(),
+                          riesz.reshape(len(subs), -1).tolist())
+        for (n, d), f, r in zip(cells, fs, rs)
     ]
 
 
@@ -160,12 +180,18 @@ def gabor_scan(
     Every cell's decision is checked against the exact predicate
     |base|/|lattice| vs n/d; a mismatch raises immediately.  With
     ``construct`` the feasible cells of bounded size also get explicit
-    Parseval generators built and verified.
+    Parseval generators built and verified.  Lattices come in order of
+    their order, and each run of equal order is decided in blocks of at
+    most about ``_BLOCK_ENTRIES`` entries of Phi.
     """
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for sub in all_subgroups(tf.group):
-        rows.extend(_scan_lattice(tf, source.spec(sub), n_max, d_max, construct, seed))
+    for order, run in itertools.groupby(all_subgroups(tf.group), key=lambda sub: sub.order):
+        run = list(run)
+        size = max(1, _BLOCK_ENTRIES // order**2)
+        for start in range(0, len(run), size):
+            rows.extend(_scan_block(tf, source, run[start:start + size],
+                                    n_max, d_max, construct, seed))
     return rows
 
 

@@ -85,6 +85,11 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The elements as a read-only int64 array, built on first read."""
+        return _freeze(np.array(self.elements, dtype=np.int64))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -216,7 +221,7 @@ def _trivial_mask(g: FiniteGroup) -> np.ndarray:
 
 
 def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
-    return Subgroup(g, tuple(int(x) for x in np.flatnonzero(mask)))
+    return Subgroup(g, tuple(np.flatnonzero(mask).tolist()))
 
 
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
@@ -319,7 +324,19 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyData:
+    """Class labels, numbered in order of their least members, and those members.
+
+    ``least[k]`` is the least member of class k; it is found from the
+    labels when not given.
+    """
+
     class_of: np.ndarray
+    least: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.least is None:
+            least = np.unique(self.class_of, return_index=True)[1]
+            object.__setattr__(self, "least", _freeze(least))
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -337,9 +354,10 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
     built.
     """
     if g.is_abelian():
-        return ConjugacyData(_freeze(np.arange(g.order, dtype=np.int64)))
-    _, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
-    return ConjugacyData(_freeze(class_of.astype(np.int64)))
+        labels = _freeze(np.arange(g.order, dtype=np.int64))
+        return ConjugacyData(labels, labels)
+    least, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
+    return ConjugacyData(_freeze(class_of.astype(np.int64)), _freeze(least))
 
 
 def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:
@@ -357,19 +375,32 @@ def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
     return tuple(np.unique(g.cayley[H].min(axis=0)).tolist())
 
 
+def subgroup_tables(parent: FiniteGroup, elems: np.ndarray):
+    """Cayley tables, inverses and identities of a block of equal-order subgroups.
+
+    Row b of ``elems``, shape (B, m), holds the elements of one subgroup in
+    increasing order.  Block tables name element i of subgroup b by its
+    place b*m + i in the flattened block, so a block of one subgroup names
+    its elements 0..m-1, as a group of its own does.  Returns the (B, m, m)
+    Cayley tables, the (B, m) inverses and the (B,) identities.
+    """
+    nb, m = elems.shape
+    # pos[b * order + x] is the place of parent element x in subgroup b
+    shift = np.arange(0, nb * parent.order, parent.order)[:, None]
+    pos = np.full(nb * parent.order, -1, dtype=np.int64)
+    pos[elems + shift] = np.arange(nb * m).reshape(nb, m)
+    cay = pos[parent.cayley[elems[:, :, None], elems[:, None, :]] + shift[:, :, None]]
+    return cay, pos[parent.inverse[elems] + shift], pos.reshape(nb, -1)[:, parent.identity]
+
+
 def subgroup_group(sub: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a standalone group on 0..order-1.
 
     Index i corresponds to parent element sub.elements[i].
     """
-    elems = np.asarray(sub.elements, dtype=np.int64)
-    pos = np.full(sub.parent.order, -1, dtype=np.int64)
-    pos[elems] = np.arange(len(elems))
-    cay = pos[sub.parent.cayley[elems[:, None], elems]]
-    inverse = pos[sub.parent.inverse[elems]]
-    identity = int(pos[sub.parent.identity])
-    return FiniteGroup(len(elems), _freeze(cay), identity, _freeze(inverse),
-                       f"{sub.parent.label}<{len(elems)}>")
+    cay, inverse, identity = subgroup_tables(sub.parent, sub.members[None])
+    return FiniteGroup(sub.order, _freeze(cay[0]), int(identity[0]), _freeze(inverse[0]),
+                       f"{sub.parent.label}<{sub.order}>")
 
 
 def abelian_basis(g: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -496,6 +496,19 @@ def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
     assert err.startswith("error:")
 
 
+def test_counts_are_range_checked_only_where_read(capsys, tmp_path):
+    # one config file shared by decide, which never reads nmax, and gabor-scan
+    cfg = str(tmp_path / "run.json")
+    dump_json({"nmax": 0, "group": "Z2xZ2", "cocycle": "weyl-heisenberg"}, cfg)
+    rc, out, err = run(capsys, "decide", "--config", cfg)
+    assert (rc, err) == (0, "")
+    assert out.startswith("frame ")
+    rc, _, err = run(capsys, "gabor-scan", "--base", "Z2", "--out", str(tmp_path / "s.csv"),
+                     "--config", cfg)
+    assert rc == 1
+    assert err == "error: nmax must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("command", ["validate-cocycle", "rep-validate"])
 def test_ragged_complex_pairs_are_rejected(capsys, tmp_path, command):
     path = str(tmp_path / "in.json")

@@ -198,14 +198,14 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     import latdim.gabor as gabor_mod
 
     t = tf("Z2")
-    real = gabor_mod.decision_grid
+    real = gabor_mod.decision_grids
 
-    def lying(spec, n_max, d_max, tol=None):
-        frame, riesz = real(spec, n_max, d_max)
-        frame[[0, 1], [1, 0]] ^= True
+    def lying(spectra, n_max, d_max, tol=None):
+        frame, riesz = real(spectra, n_max, d_max)
+        frame[0, [0, 1], [1, 0]] ^= True
         return frame, riesz
 
-    monkeypatch.setattr(gabor_mod, "decision_grid", lying)
+    monkeypatch.setattr(gabor_mod, "decision_grids", lying)
     with pytest.raises(ConsistencyError, match=r"\|lattice\|=1, n=1, d=2: got"):
         gabor_scan(t, n_max=2, d_max=2)
 
@@ -215,19 +215,19 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
 ])
 def test_scan_rejects_phi_off_dpi_vol_delta(monkeypatch, where, shift, order):
     """The scan checks phi = dpi_vol delta_e on every lattice, NaN included."""
-    import latdim.dimension as dim_mod
+    import latdim.gabor as gabor_mod
 
-    real = dim_mod.phi
+    real = gabor_mod.phi_values
 
-    def tampered(spec):
-        fn = real(spec)
-        values = fn.values.copy()
+    def tampered(source, elems, regular):
+        values = real(source, elems, regular)
+        at_identity = elems == source.rep.group.identity
         if where == "identity":
-            values[spec.lattice_group.identity] += shift
-        elif values.size > 1:
-            values[values.size - 1 - spec.lattice_group.identity] += shift
-        return type(fn)(values, fn.cocycle)
+            values[at_identity] += shift
+        elif values.shape[1] > 1:
+            values[at_identity[:, ::-1]] += shift
+        return values
 
-    monkeypatch.setattr(dim_mod, "phi", tampered)
+    monkeypatch.setattr(gabor_mod, "phi_values", tampered)
     with pytest.raises(ConsistencyError, match=rf"delta_e\| on the lattice of order {order} is"):
         gabor_scan(tf("Z2"), 1, 1)

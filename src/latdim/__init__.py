@@ -66,7 +66,7 @@ from .frames import (
     FrameReport,
     MultiwindowSystem,
     construct_parseval_generators,
-    decision_grid,
+    decision_grids,
     density_check,
     existence_decision,
     frame_report,

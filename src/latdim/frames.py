@@ -167,18 +167,6 @@ def decision_grids(
     return frame, riesz
 
 
-def decision_grid(
-    spec: ModuleSpec, n_max: int, d_max: int, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame and Riesz existence for every n <= n_max, d <= d_max at once.
-
-    Returns two boolean arrays of shape (n_max, d_max); entry [n-1, d-1]
-    is the verdict ``existence_decision(spec, n, d, tol)`` reports.
-    """
-    frame, riesz = decision_grids(spec.dimension_function.spectrum[None], n_max, d_max, tol)
-    return frame[0], riesz[0]
-
-
 def existence_decision(
     spec: ModuleSpec,
     n: int,
@@ -193,7 +181,7 @@ def existence_decision(
     smallest is at least n/d; a basis iff both.  Each test allows
     tol_psd times max(1, largest |eigenvalue| of the shifted operator).
     The dimension function and its one eigensolve are cached on the
-    spec, so every (n, d) cell on one spec shares them; ``decision_grid``
+    spec, so every (n, d) cell on one spec shares them; ``decision_grids``
     reads many cells through the same verdict code.
     """
     fn = spec.dimension_function

@@ -10,7 +10,7 @@ from latdim import (
     all_subgroups,
     build_cyclic,
     construct_parseval_generators,
-    decision_grid,
+    decision_grids,
     density_check,
     existence_decision,
     frame_report,
@@ -500,8 +500,14 @@ def test_construct_rejects_a_large_commutation_residual(monkeypatch):
         construct_parseval_generators(spec, 1, 1)
 
 
+def _grid(spec):
+    """The 3 x 3 decision grid of one spec, as a block of one spectrum."""
+    frame, riesz = decision_grids(spec.dimension_function.spectrum[None], 3, 3)
+    return frame[0], riesz[0]
+
+
 def _assert_grid_matches_decisions(spec):
-    frame, riesz = decision_grid(spec, 3, 3)
+    frame, riesz = _grid(spec)
     assert frame.shape == riesz.shape == (3, 3)
     for n in range(1, 4):
         for d in range(1, 4):
@@ -525,7 +531,7 @@ def test_decision_grid_skips_a_nan_witness_in_the_slack(end):
     a NaN witness, so the other verdict keeps its value.
     """
     spec = _wh_spec("Z2")
-    clean_frame, clean_riesz = decision_grid(spec, 3, 3)
+    clean_frame, clean_riesz = _grid(spec)
     assert clean_frame.any() and clean_riesz.any()
     fn = spec.dimension_function
     eigs = fn.spectrum.copy()

@@ -186,11 +186,11 @@ def gabor_scan(
     """
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for order, run in itertools.groupby(all_subgroups(tf.group), key=lambda sub: sub.order):
-        run = list(run)
+    for order, same in itertools.groupby(all_subgroups(tf.group), key=lambda sub: sub.order):
+        subs = list(same)
         size = max(1, _BLOCK_ENTRIES // order**2)
-        for start in range(0, len(run), size):
-            rows.extend(_scan_block(tf, source, run[start:start + size],
+        for start in range(0, len(subs), size):
+            rows.extend(_scan_block(tf, source, subs[start:start + size],
                                     n_max, d_max, construct, seed))
     return rows
 

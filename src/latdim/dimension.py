@@ -205,7 +205,7 @@ def phi_values(source: WindowedRep, elems: np.ndarray, regular: np.ndarray) -> n
     """
     g = source.rep.group
     gammas = elems[regular]
-    distinct = np.flatnonzero(np.bincount(gammas, minlength=g.order))
+    distinct = np.bincount(gammas, minlength=g.order).nonzero()[0]
     conj = g.conjugation[distinct]  # [i, y] = y^-1 distinct[i] y
     sigma = source.rep.cocycle.table
     tilde = sigma[distinct] * np.conj(sigma[np.arange(g.order), conj])

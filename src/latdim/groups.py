@@ -387,7 +387,8 @@ def subgroup_tables(parent: FiniteGroup, elems: np.ndarray):
     nb, m = elems.shape
     # pos[b * order + x] is the place of parent element x in subgroup b
     shift = np.arange(0, nb * parent.order, parent.order)[:, None]
-    pos = np.full(nb * parent.order, -1, dtype=np.int64)
+    pos = np.empty(nb * parent.order, dtype=np.int64)
+    pos.fill(-1)
     pos[elems + shift] = np.arange(nb * m).reshape(nb, m)
     cay = pos[parent.cayley[elems[:, :, None], elems[:, None, :]] + shift[:, :, None]]
     return cay, pos[parent.inverse[elems] + shift], pos.reshape(nb, -1)[:, parent.identity]

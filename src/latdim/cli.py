@@ -143,11 +143,12 @@ def _token_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
     return reduce(direct_product, atoms), factors
 
 
-def _tf_group(base_spec: str) -> tuple[TimeFrequencyGroup, tuple[int, ...]]:
-    """Time-frequency data over builtin base tokens, in row-major coordinates."""
+def _tf_group(base_spec: str,
+              tol: Tolerances = DEFAULT_TOL) -> tuple[TimeFrequencyGroup, tuple[int, ...]]:
+    """Time-frequency data over builtin base tokens, in row-major coordinates, rep at ``tol``."""
     base, factors = _token_group(base_spec)
     gens, orders = cyclic_factor_generators(list(factors))
-    return build_tf(base, dual_group(base, gens, orders)), factors
+    return build_tf(base, dual_group(base, gens, orders), tol), factors
 
 
 def _build_group(spec: str) -> FiniteGroup:
@@ -175,7 +176,9 @@ class _Resolved:
     factors: tuple[int, ...] | None = None
 
 
-def _resolve_pair(cfg: RunConfig, check: bool = True) -> _Resolved:
+def _resolve_pair(cfg: RunConfig, check: bool = True,
+                  rep_tol: Tolerances = DEFAULT_TOL) -> _Resolved:
+    """Group and cocycle; a built-in Weyl-Heisenberg rep carries ``rep_tol``, set on rep paths."""
     spec = cfg.cocycle
     if spec == "weyl-heisenberg":
         if cfg.group is None:
@@ -187,7 +190,7 @@ def _resolve_pair(cfg: RunConfig, check: bool = True) -> _Resolved:
                 "weyl-heisenberg needs a group of the form AxA, two "
                 "identical token halves"
             )
-        tf, factors = _tf_group("x".join(tokens[:half]))
+        tf, factors = _tf_group("x".join(tokens[:half]), rep_tol)
         return _Resolved(tf.group, tf.cocycle, tf, factors)
     if spec == "trivial":
         if cfg.group is None:
@@ -206,7 +209,7 @@ def _resolve_rep(cfg: RunConfig) -> tuple[ProjectiveRep, _Resolved]:
         if cfg.group is not None:
             _check_same_table(_build_group(cfg.group), rep.group, "the rep file")
         return rep, _Resolved(rep.group, rep.cocycle)
-    res = _resolve_pair(cfg)
+    res = _resolve_pair(cfg, rep_tol=cfg.tolerances)
     if res.tf is None:
         raise InputError(
             "this command needs a representation: pass --rep FILE or "
@@ -334,7 +337,7 @@ def _cmd_decide(cfg: RunConfig) -> int:
     rep, res = _resolve_rep(cfg)
     lat = _parse_lattice(cfg, res)
     spec = make_module_spec(rep, lat)
-    dec = existence_decision(spec, cfg.n, cfg.d, cfg.tolerances)
+    dec = existence_decision(spec, cfg.n, cfg.d)
     print(f"frame {'yes' if dec.frame else 'no'}")
     print(f"riesz {'yes' if dec.riesz else 'no'}")
     print(f"basis {'yes' if dec.basis else 'no'}")
@@ -348,10 +351,8 @@ def _cmd_construct(cfg: RunConfig) -> int:
     rep, res = _resolve_rep(cfg)
     lat = _parse_lattice(cfg, res)
     spec = make_module_spec(rep, lat)
-    gens = construct_parseval_generators(
-        spec, cfg.n, cfg.d, seed=cfg.seed, tol=cfg.tolerances
-    )
-    rpt = frame_report(multiwindow_system(rep, lat, gens), cfg.tolerances)
+    gens = construct_parseval_generators(spec, cfg.n, cfg.d, seed=cfg.seed)
+    rpt = frame_report(multiwindow_system(rep, lat, gens))
     print("parseval ok")
     print(f"bounds {rpt.lower:.12g} {rpt.upper:.12g}")
     if cfg.out is not None:
@@ -371,7 +372,7 @@ def _cmd_routes(cfg: RunConfig) -> int:
         rep, _ = _resolve_rep(cfg)
     else:
         res = _resolve_pair(cfg)
-        rep = irreducible_subrep(res.group, res.cocycle, seed=cfg.seed)
+        rep = irreducible_subrep(res.group, res.cocycle, seed=cfg.seed, tol=cfg.tolerances)
     g = rep.group
     print(f"group {cfg.group or g.label}, order {g.order}, irrep dim {rep.dim}")
     source = windowed_rep(rep, random_window(rep.dim, cfg.seed))
@@ -388,7 +389,7 @@ def _cmd_routes(cfg: RunConfig) -> int:
         )
     worst = float(np.max(gaps))  # keeps a NaN gap, which then fails
     print(f"worst formula/embedding gap {worst:.3e}")
-    return 0 if worst <= cfg.tolerances.tol_id else 1
+    return 0 if worst <= rep.tol.tol_id else 1
 
 
 def _cmd_gabor_scan(cfg: RunConfig) -> int:

@@ -111,15 +111,13 @@ def _system_vectors(sys: MultiwindowSystem) -> np.ndarray:
     return orbit.reshape(sys.n * nl, sys.d * dim)
 
 
-def frame_report(
-    sys: MultiwindowSystem, tol: Tolerances = DEFAULT_TOL
-) -> FrameReport:
+def frame_report(sys: MultiwindowSystem) -> FrameReport:
     """Frame and Riesz bounds from one eigensolve.
 
     S and the Gram matrix share their nonzero spectrum, so the smaller
     gives all four bounds; the larger one's lower bound is exactly 0.
-    The verdicts use a threshold relative to the upper bound, so the
-    zero system is cleanly rejected.
+    The verdicts use a threshold of the rep's tol_frame relative to the
+    upper bound, so the zero system is cleanly rejected.
     """
     w = _system_vectors(sys)
     rows, cols = w.shape
@@ -129,8 +127,8 @@ def frame_report(
     lower = low if cols <= rows else 0.0
     riesz_lower = low if rows <= cols else 0.0
 
-    is_frame = lower > tol.tol_frame * upper
-    is_riesz = riesz_lower > tol.tol_frame * upper
+    is_frame = lower > sys.rep.tol.tol_frame * upper
+    is_riesz = riesz_lower > sys.rep.tol.tol_frame * upper
     is_basis = is_frame and is_riesz and rows == cols
     return FrameReport(
         lower, upper, is_frame, riesz_lower, upper, is_riesz, is_basis
@@ -160,32 +158,27 @@ def decision_grids(
     ``spectra`` is (B, m), one ascending spectrum of Phi per lattice.
     Returns two boolean arrays of shape (B, n_max, d_max); entry
     [b, n-1, d-1] is the verdict ``existence_decision`` reports on
-    lattice b at (n, d).
+    lattice b at (n, d) when the lattice's rep carries ``tol``.
     """
     n = np.arange(1, n_max + 1)[:, None]
     frame, riesz, _, _ = _verdicts(spectra[:, None, None, :], n, np.arange(1, d_max + 1), tol)
     return frame, riesz
 
 
-def existence_decision(
-    spec: ModuleSpec,
-    n: int,
-    d: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> DecisionReport:
+def existence_decision(spec: ModuleSpec, n: int, d: int) -> DecisionReport:
     """Decide frame/Riesz/basis existence for n generators, d copies.
 
     A frame exists iff (n/d) delta_e - phi is positive definite in the
     twisted sense, i.e. iff the largest eigenvalue of Phi is at most
     n/d; a Riesz sequence iff phi - (n/d) delta_e is, i.e. iff the
-    smallest is at least n/d; a basis iff both.  Each test allows
-    tol_psd times max(1, largest |eigenvalue| of the shifted operator).
+    smallest is at least n/d; a basis iff both.  Each test allows the
+    rep's tol_psd times max(1, largest |eigenvalue| of the shifted operator).
     The dimension function and its one eigensolve are cached on the
     spec, so every (n, d) cell on one spec shares them; ``decision_grids``
     reads many cells through the same verdict code.
     """
     fn = spec.dimension_function
-    frame, riesz, frame_witness, riesz_witness = _verdicts(fn.spectrum, n, d, tol)
+    frame, riesz, frame_witness, riesz_witness = _verdicts(fn.spectrum, n, d, spec.rep.tol)
     frame, riesz = bool(frame), bool(riesz)
     ratio = n / d
     at_identity = np.abs(fn.values[spec.lattice_group.identity] - ratio)
@@ -245,11 +238,7 @@ def intertwiner_basis(spec: ModuleSpec) -> np.ndarray:
 
 
 def construct_parseval_generators(
-    spec: ModuleSpec,
-    n: int,
-    d: int,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
+    spec: ModuleSpec, n: int, d: int, seed: int = 0
 ) -> np.ndarray:
     """Generators of an n-window d-copy Parseval system, shape (n, d, dim).
 
@@ -263,7 +252,7 @@ def construct_parseval_generators(
     extreme eigenvalues of the Gram matrix G, so the same check bounds
     max |G - I| <= ||G - I||_2 and is the orthonormality check.
     """
-    decision = existence_decision(spec, n, d, tol=tol)
+    decision = existence_decision(spec, n, d)
     if not decision.frame:
         raise Infeasible(
             f"no frame at n={n}, d={d}: dpi_vol {spec.dpi_vol:.6g}, "
@@ -272,9 +261,7 @@ def construct_parseval_generators(
     for attempt in range(8):
         try:
             # one stream per (seed, attempt)
-            tight, comm_res = tighten(
-                random_system(spec, n, d, seed=8 * seed + attempt), tol
-            )
+            tight, comm_res = tighten(random_system(spec, n, d, seed=8 * seed + attempt))
             break
         except Infeasible:
             continue
@@ -282,25 +269,26 @@ def construct_parseval_generators(
         raise ConsistencyError("no seeded system is a frame on a feasible cell")
     check_residual("commutation residual of S^-1/2", comm_res, PARSEVAL)
 
-    report = frame_report(tight, tol=tol)
+    report = frame_report(tight)
     dev = np.abs(np.array([report.lower, report.upper]) - 1.0).max()
     check_residual("distance of the frame bounds from 1", float(dev), PARSEVAL)
     return tight.generators
 
 
-def tighten(sys: MultiwindowSystem, tol: Tolerances = DEFAULT_TOL):
+def tighten(sys: MultiwindowSystem):
     """Canonical tight version of a frame system.
 
     Applies the inverse square root of the frame operator to every
     stacked generator.  Also returns the commutation residual of that
     correction against the lattice action, which the theory says is
-    zero.
+    zero.  A system whose smallest frame-operator eigenvalue is at most
+    the rep's tol_frame times the largest is not a frame: Infeasible.
     """
     w = _system_vectors(sys)
     s = w.T @ w.conj()
     s = (s + s.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(s)
-    if eigvals[-1] <= 0 or eigvals[0] <= tol.tol_frame * eigvals[-1]:
+    if eigvals[-1] <= 0 or eigvals[0] <= sys.rep.tol.tol_frame * eigvals[-1]:
         raise Infeasible("system is not a frame, cannot tighten")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
-from .config import DENSITY_SLACK, PHI_IDENTITY
+from .config import DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, Tolerances
 from .dimension import WindowedRep, cdim_operators, off_identity_peaks, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
@@ -66,13 +66,15 @@ class TimeFrequencyGroup:
         return 1.0 / self.base.order
 
 
-def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGroup:
+def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
+             tol: Tolerances = DEFAULT_TOL) -> TimeFrequencyGroup:
     """Construct the time-frequency data for an abelian base group.
 
-    Validates the whole stack: twisted composition law, unitarity,
-    irreducibility, and that only the identity class is regular for
-    the twist.  Pass a precomputed dual to pin the coordinate basis;
-    by default the largest-order-first decomposition is used.
+    Validates the whole stack: twisted composition law and unitarity at
+    ``tol``, which the rep carries, irreducibility, and that only the
+    identity class is regular for the twist at the default tolerances.
+    Pass a precomputed dual to pin the coordinate basis; by default the
+    largest-order-first decomposition is used.
     """
     if a.order > 16:
         raise BoundExceeded(
@@ -90,7 +92,7 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None) -> TimeFrequencyGrou
     # the character w at t
     x, w, t = np.ix_(np.arange(na), np.arange(na), np.arange(na))
     mats.reshape(na, na, na, na)[x, w, t, a.cayley[a.inverse[x], t]] = dual.pairing[w, t]
-    rep = ProjectiveRep(g, coc, na, mats)
+    rep = ProjectiveRep(g, coc, na, mats, tol)
 
     if not rep.report.ok:
         raise ConsistencyError(f"time-frequency rep invalid: {rep.report.message}")
@@ -134,7 +136,7 @@ def _scan_block(
     ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
     excess = ns * order - ds * tf.base.order
     spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
-    frame, riesz = decision_grids(spectra, n_max, d_max)
+    frame, riesz = decision_grids(spectra, n_max, d_max, source.rep.tol)
     bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
     if bad.size:
         i, j = divmod(int(bad[0]) % excess.size, d_max)
@@ -177,8 +179,9 @@ def gabor_scan(
 ) -> list[dict]:
     """Scan all lattices and all (n, d) up to the given limits.
 
-    Every cell's decision is checked against the exact predicate
-    |base|/|lattice| vs n/d; a mismatch raises immediately.  With
+    Every cell's decision, at the tolerances of ``tf.rep``, is checked
+    against the exact predicate |base|/|lattice| vs n/d; a mismatch
+    raises immediately.  With
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.  Lattices come in order of
     their order, and each run of equal order is decided in blocks of at

@@ -35,7 +35,7 @@ class ProjectiveRep:
     cocycle: pi(x) pi(y) = sigma(x, y) pi(x y).  The stack is made
     read-only on construction, which is what lets derived data such as
     the validation report and the commutant dimension be computed once
-    per rep.  ``tol`` holds the tolerances that report validates at.
+    per rep.  ``tol`` holds the tolerances that everything built on it reads.
     """
 
     group: FiniteGroup
@@ -53,7 +53,7 @@ class ProjectiveRep:
     @cached_property
     def report(self) -> RepReport:
         """``validate_rep`` of this rep at its tolerances ``tol``."""
-        return validate_rep(self, self.tol)
+        return validate_rep(self)
 
     @cached_property
     def commutant_dim(self) -> int:
@@ -106,8 +106,8 @@ def _row_blocks(n: int, per_row: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport:
-    """Check unitarity of every matrix and the twisted composition law.
+def validate_rep(rep: ProjectiveRep) -> RepReport:
+    """Check unitarity of every matrix and the twisted composition law, at ``rep.tol``.
 
     The law is checked for every x against the generators s (and the
     identity), together with the cocycle identity
@@ -119,7 +119,7 @@ def validate_rep(rep: ProjectiveRep, tol: Tolerances = DEFAULT_TOL) -> RepReport
     |G| dim^2 or |G|^2.  Every reduction is a NumPy max or argmax, which
     keeps a NaN.
     """
-    g, mats, d, t = rep.group, rep.matrices, rep.dim, rep.cocycle.table
+    g, mats, d, t, tol = rep.group, rep.matrices, rep.dim, rep.cocycle.table, rep.tol
     gens = np.array((g.identity,) + g.generators)
     k = len(gens)
     # [pi(e) pi(s_1) ... pi(s_k)] side by side: pi(x) times each is one product
@@ -280,14 +280,16 @@ def _intertwining_residual(rep: ProjectiveRep, v: np.ndarray) -> float:
     return float(res.max())
 
 
-def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> ProjectiveRep:
-    """Cut an irreducible summand out of the twisted left regular rep.
+def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0,
+                       tol: Tolerances = DEFAULT_TOL) -> ProjectiveRep:
+    """Cut an irreducible summand, carrying ``tol``, out of the twisted left regular rep.
 
     Averages a random Hermitian matrix over the rep to get a commutant
     element, takes the eigenspace cluster of largest dimension (ties go
     to the lowest eigenvalue), and compresses the rep onto it.  Retries
-    with fresh randomness, at most 8 times, if the cut summand is not
-    irreducible.  The rep is read as the monomial
+    with fresh randomness, at most 8 times, while the cut summand is not
+    valid at ``tol`` or not irreducible; then raises InputError or
+    NotIrreducible, for the last cut.  The rep is read as the monomial
     lam(b) delta_i = sigma(b, i) delta_{b i}, so both steps are gathers
     in O(|G|^2) memory.
     """
@@ -316,8 +318,12 @@ def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0) -> P
         q = eigvecs[:, best]  # (n, k) orthonormal
         # (q* lam(x) q)[i, j] = sum_s conj(q[x s, i]) sigma(x, s) q[s, j]
         mats = np.stack([(q[rows[x]].conj().T * phases[x]) @ q for x in range(n)])
-        candidate = ProjectiveRep(group, cocycle, q.shape[1], mats)
-        if candidate.report.ok and is_irreducible(candidate)[0]:
+        candidate = ProjectiveRep(group, cocycle, q.shape[1], mats, tol)
+        if not candidate.report.ok:
+            failure = InputError(f"cut summand invalid: {candidate.report.message}")
+        elif is_irreducible(candidate)[0]:
             return candidate
-    raise NotIrreducible("no irreducible summand found in 8 attempts")
+        else:
+            failure = NotIrreducible("no irreducible summand found in 8 attempts")
+    raise failure
 

@@ -13,6 +13,7 @@ from latdim import (
     existence_decision,
     frame_report,
     full_subgroup,
+    irreducible_subrep,
     make_module_spec,
     multiwindow_system,
     phi_oracle,
@@ -777,6 +778,38 @@ def test_bad_command_lines_exit_1_with_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
     assert not os.path.exists(files["OUT"])
+
+
+_TOLS = [pytest.param((), id="defaults"), pytest.param(("--tol-id", "3"), id="tol-id-3")]
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("command", [
+    ("phi",), ("decide", "--n", "1", "--d", "2"), ("construct", "--n", "1", "--d", "1"),
+    ("rep-dpi",), ("routes",),
+], ids=lambda command: command[0])
+def test_built_in_and_file_reps_agree(capsys, tmp_path, command, tol):
+    """The built-in Weyl-Heisenberg rep and the same rep from a file read one set of tolerances.
+
+    At tol_id 3 every element is regular.  Both runs pass --group, which
+    routes prints as the group's name.
+    """
+    path = str(tmp_path / "rep.json")
+    dump_json(rep_to_json(tf("Z2").rep), path)
+    built = run(capsys, *command, *_WH, *tol)
+    assert built[0] == 0
+    assert built == run(capsys, *command, "--group", "Z2xZ2", "--rep", path, *tol)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_routes_on_a_cocycle_file_agrees_with_its_cut_rep_from_a_file(capsys, tmp_path, tol):
+    t = tf("Z2")
+    coc, rep = str(tmp_path / "cocycle.json"), str(tmp_path / "rep.json")
+    dump_json(cocycle_to_json(t.cocycle), coc)
+    dump_json(rep_to_json(irreducible_subrep(t.group, t.cocycle, seed=2)), rep)
+    cut = run(capsys, "routes", "--cocycle", coc, "--seed", "2", *tol)
+    assert cut[0] == 0
+    assert cut == run(capsys, "routes", "--rep", rep, "--seed", "2", *tol)
 
 
 def test_help_exits_0(capsys):

@@ -7,6 +7,7 @@ from latdim import (
     DimensionMismatch,
     FrameReport,
     Infeasible,
+    Tolerances,
     all_subgroups,
     build_cyclic,
     construct_parseval_generators,
@@ -18,6 +19,7 @@ from latdim import (
     intertwiner_basis,
     make_module_spec,
     multiwindow_system,
+    projective_rep,
     random_system,
     riesz_basis_criterion,
     subgroup_generated,
@@ -32,6 +34,13 @@ def _wh_spec(base="Z2", lattice=None):
     t = tf(base)
     sub = lattice if lattice is not None else full_subgroup(t.rep.group)
     return make_module_spec(t.rep, sub)
+
+
+def _carrying(spec, **tol):
+    """The same module, its rep carrying the given non-default tolerances."""
+    rep = spec.rep
+    return make_module_spec(projective_rep(rep.group, rep.cocycle, rep.matrices,
+                                           Tolerances(**tol)), spec.lattice)
 
 
 def _frame_operator(sys):
@@ -354,8 +363,8 @@ def test_construct_catches_a_non_orthonormal_basis_cell(monkeypatch):
     assert existence_decision(spec, 1, 2).basis  # 4 vectors in dimension 4
     real = frames_mod.tighten
 
-    def scaled(sys, tol=frames_mod.DEFAULT_TOL):
-        tight, comm_res = real(sys, tol)
+    def scaled(sys):
+        tight, comm_res = real(sys)
         off = multiwindow_system(tight.rep, tight.lattice, tight.generators * (1 + 1e-6))
         return off, comm_res
 
@@ -542,3 +551,35 @@ def test_decision_grid_skips_a_nan_witness_in_the_slack(end):
         assert not riesz.any() and np.array_equal(frame, clean_frame)
     else:
         assert not frame.any() and np.array_equal(riesz, clean_riesz)
+
+
+def test_decisions_read_the_rep_tol_psd():
+    """existence_decision at the rep's tolerances is the grid decided at them explicitly."""
+    spec = _wh_spec("Z2")  # Phi = 1/2, so (1, 3) misses a frame by 1/6
+    loose = _carrying(spec, tol_psd=0.2)
+    frame, riesz = decision_grids(spec.dimension_function.spectrum[None], 3, 3, loose.rep.tol)
+    for n in range(1, 4):
+        for d in range(1, 4):
+            dec = existence_decision(loose, n, d)
+            assert (dec.frame, dec.riesz) == (frame[0, n - 1, d - 1], riesz[0, n - 1, d - 1])
+    assert existence_decision(loose, 1, 3).frame and not existence_decision(spec, 1, 3).frame
+
+
+def test_frame_report_and_construction_read_the_rep_tol_frame():
+    """A tol_frame of 0.4 rejects the draws whose frame bounds are further apart.
+
+    On Z2 at (1, 2) the seed-0 draws have lower/upper 0.031, 0.108, 0.442, ...,
+    so the construction tightens the third draw instead of the first.
+    """
+    spec = _wh_spec("Z2")
+    strict = _carrying(spec, tol_frame=0.4)
+    first = frame_report(random_system(spec, 1, 2, seed=0))
+    first_strict = frame_report(random_system(strict, 1, 2, seed=0))
+    assert (first.lower, first.upper) == (first_strict.lower, first_strict.upper)
+    assert first.is_frame and not first_strict.is_frame
+    with pytest.raises(Infeasible):
+        tighten(random_system(strict, 1, 2, seed=0))
+    want = tighten(random_system(spec, 1, 2, seed=2))[0].generators
+    assert np.array_equal(construct_parseval_generators(strict, 1, 2, seed=0), want)
+    assert not np.array_equal(construct_parseval_generators(spec, 1, 2, seed=0), want)
+

@@ -6,6 +6,7 @@ from latdim import (
     ConsistencyError,
     Infeasible,
     InputError,
+    Tolerances,
     all_subgroups,
     audit_rows,
     build_cyclic,
@@ -200,7 +201,7 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     t = tf("Z2")
     real = gabor_mod.decision_grids
 
-    def lying(spectra, n_max, d_max, tol=None):
+    def lying(spectra, n_max, d_max, tol):
         frame, riesz = real(spectra, n_max, d_max)
         frame[0, [0, 1], [1, 0]] ^= True
         return frame, riesz
@@ -208,6 +209,14 @@ def test_scan_internal_cross_check_trips_on_tampered_phi(monkeypatch):
     monkeypatch.setattr(gabor_mod, "decision_grids", lying)
     with pytest.raises(ConsistencyError, match=r"\|lattice\|=1, n=1, d=2: got"):
         gabor_scan(t, n_max=2, d_max=2)
+
+
+def test_scan_decides_at_the_rep_tolerances():
+    """At a PSD slack of 10 every cell is a frame and a Riesz sequence: not the closed form."""
+    t = build_tf(build_cyclic(2), tol=Tolerances(tol_psd=10))
+    assert t.rep.tol == Tolerances(tol_psd=10)
+    with pytest.raises(ConsistencyError, match=r"=1, n=1, d=1: got \(True, True, True\)"):
+        gabor_scan(t, 2, 2)
 
 
 @pytest.mark.parametrize("where, shift, order", [

@@ -27,7 +27,7 @@ from latdim import (
 from latdim.algebra import fixed_space, sandwich_stack
 
 from fixtures_common import (
-    cocycle_fixtures, group, rep_fixtures, tf, traced_peak, trivial_irrep,
+    NEAR_TOL, cocycle_fixtures, group, near_rep, rep_fixtures, tf, traced_peak, trivial_irrep,
 )
 
 
@@ -306,6 +306,15 @@ def test_irreducible_subrep_fixture_groups(name):
     assert validate_rep(rep).ok
     irr, cdim = is_irreducible(rep)
     assert irr and cdim == 1
+
+
+def test_irreducible_subrep_cuts_at_the_tolerances_it_is_given():
+    """The near cocycle misses the cocycle identity by about 1e-7; a cut at NEAR_TOL is valid."""
+    near = near_rep()
+    rep = irreducible_subrep(near.group, near.cocycle, tol=NEAR_TOL)
+    assert rep.tol == NEAR_TOL and rep.report.ok
+    with pytest.raises(InputError, match="cut summand invalid: composition law fails"):
+        irreducible_subrep(near.group, near.cocycle)
 
 
 def _dense_irreducible_subrep(group, cocycle, seed, max_attempts=8):

@@ -36,3 +36,7 @@ CDIM_ASYMMETRY = 1e-9  # Phi asymmetry vs its largest entry (rel)
 EIG_CUT = 1e-6  # relative eigenvalue cut: fixed-space null space, irrep clusters
 FIXED_RESIDUAL = 1e-7  # |U v - v| a fixed-space candidate may keep
 CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)
+
+# Bounds on request sizes, checked before the allocations they would cause.
+SCAN_CELLS = 1 << 10  # n_max * d_max cells a scan decides per lattice
+SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed system

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import conv_operator, fixed_space, sandwich_stack
-from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, Tolerances
+from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, SYSTEM_ENTRIES, Tolerances
 from .dimension import ModuleSpec
-from .errors import ConsistencyError, DimensionMismatch, Infeasible, check_residual
+from .errors import (BoundExceeded, ConsistencyError, DimensionMismatch, Infeasible,
+                     check_residual)
 from .groups import Subgroup
 from .reps import ProjectiveRep
 
@@ -243,7 +244,9 @@ def construct_parseval_generators(
     """Generators of an n-window d-copy Parseval system, shape (n, d, dim).
 
     Requires the existence decision to be positive; raises Infeasible
-    otherwise.  On a feasible cell a generic system is a frame, so this
+    otherwise, and BoundExceeded if the system would have more than
+    SYSTEM_ENTRIES entries (n |lattice| vectors of length d dim).  On a
+    feasible cell a generic system is a frame, so this
     takes the canonical tight frame S^-1/2 g of a seeded random system,
     drawing a fresh one (at most 8 times) while the draw is not a frame.
     S^-1/2 must commute with the lattice action, and the result is
@@ -257,6 +260,11 @@ def construct_parseval_generators(
         raise Infeasible(
             f"no frame at n={n}, d={d}: dpi_vol {spec.dpi_vol:.6g}, "
             f"witness {decision.frame_witness:.3e}"
+        )
+    rows, cols = n * spec.lattice.order, d * spec.rep.dim
+    if rows * cols > SYSTEM_ENTRIES:
+        raise BoundExceeded(
+            f"a system of {rows} vectors of length {cols} exceeds {SYSTEM_ENTRIES} entries"
         )
     for attempt in range(8):
         try:

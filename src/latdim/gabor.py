@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
-from .config import DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, Tolerances
+from .config import DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, Tolerances
 from .dimension import WindowedRep, cdim_operators, off_identity_peaks, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
@@ -181,12 +181,17 @@ def gabor_scan(
 
     Every cell's decision, at the tolerances of ``tf.rep``, is checked
     against the exact predicate |base|/|lattice| vs n/d; a mismatch
-    raises immediately.  With
+    raises immediately.  More than SCAN_CELLS cells per lattice raise
+    BoundExceeded before any lattice is enumerated.  With
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.  Lattices come in order of
     their order, and each run of equal order is decided in blocks of at
     most about ``_BLOCK_ENTRIES`` entries of Phi.
     """
+    if n_max * d_max > SCAN_CELLS:
+        raise BoundExceeded(
+            f"{n_max} x {d_max} cells per lattice exceed the scan bound of {SCAN_CELLS}"
+        )
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
     for order, same in itertools.groupby(all_subgroups(tf.group), key=lambda sub: sub.order):

@@ -19,6 +19,7 @@ from latdim import (
     phi_oracle,
 )
 from latdim.cli import main
+from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES
 from latdim.gabor import SCAN_COLUMNS
 from latdim.serialize import (
     cocycle_to_json,
@@ -778,6 +779,22 @@ def test_bad_command_lines_exit_1_with_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
     assert not os.path.exists(files["OUT"])
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    pytest.param(("gabor-scan", "--base", "Z2", "--nmax", "1000000", "--dmax", "1000000"),
+                 f"exceed the scan bound of {SCAN_CELLS}", id="scan"),
+    pytest.param(("construct", *_WH, "--n", "100000", "--d", "100000"),
+                 f"exceeds {SYSTEM_ENTRIES} entries", id="construct"),
+])
+def test_oversized_counts_exit_1_with_one_error_line(capsys, tmp_path, argv, refusal):
+    """Counts whose arrays could not be allocated are refused before the allocation."""
+    out_path = tmp_path / "out"
+    rc, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and refusal in err
+    assert not out_path.exists()
 
 
 _TOLS = [pytest.param((), id="defaults"), pytest.param(("--tol-id", "3"), id="tol-id-3")]

@@ -3,6 +3,7 @@ import pytest
 
 import latdim.frames as frames_mod
 from latdim import (
+    BoundExceeded,
     ConsistencyError,
     DimensionMismatch,
     FrameReport,
@@ -25,6 +26,7 @@ from latdim import (
     subgroup_generated,
     tighten,
 )
+from latdim.config import SYSTEM_ENTRIES
 
 from fixtures_common import pauli_product_irrep, rep_fixtures, tf, trivial_irrep
 from latdim.frames import _commutation_residual, _system_vectors
@@ -583,3 +585,13 @@ def test_frame_report_and_construction_read_the_rep_tol_frame():
     assert np.array_equal(construct_parseval_generators(strict, 1, 2, seed=0), want)
     assert not np.array_equal(construct_parseval_generators(spec, 1, 2, seed=0), want)
 
+
+def test_construct_refuses_an_oversized_system_before_drawing(monkeypatch):
+    spec = _wh_spec("Z2")  # |lattice| 4, dim 2
+    monkeypatch.setattr(frames_mod, "random_system", lambda *args, **kw: pytest.fail("drew"))
+    assert (4 * 512) * (2 * 512) > SYSTEM_ENTRIES
+    with pytest.raises(BoundExceeded, match="2048 vectors of length 1024 exceeds"):
+        construct_parseval_generators(spec, 512, 512)
+    # an infeasible cell is infeasible at any size
+    with pytest.raises(Infeasible):
+        construct_parseval_generators(spec, 1, 10**6)

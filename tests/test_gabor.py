@@ -21,6 +21,7 @@ from latdim import (
     write_scan_csv,
 )
 
+from latdim.config import SCAN_CELLS
 from latdim.gabor import SCAN_COLUMNS
 
 from fixtures_common import tf
@@ -217,6 +218,16 @@ def test_scan_decides_at_the_rep_tolerances():
     assert t.rep.tol == Tolerances(tol_psd=10)
     with pytest.raises(ConsistencyError, match=r"=1, n=1, d=1: got \(True, True, True\)"):
         gabor_scan(t, 2, 2)
+
+
+def test_scan_refuses_oversized_counts_before_enumerating(monkeypatch):
+    import latdim.gabor as gabor_mod
+
+    t = tf("Z2")
+    assert len(gabor_scan(t, SCAN_CELLS, 1)) == 5 * SCAN_CELLS
+    monkeypatch.setattr(gabor_mod, "all_subgroups", lambda g: pytest.fail("enumerated"))
+    with pytest.raises(BoundExceeded, match=f"1 x {SCAN_CELLS + 1} cells per lattice exceed"):
+        gabor_scan(t, 1, SCAN_CELLS + 1)
 
 
 @pytest.mark.parametrize("where, shift, order", [

@@ -38,5 +38,5 @@ FIXED_RESIDUAL = 1e-7  # |U v - v| a fixed-space candidate may keep
 CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)
 
 # Bounds on request sizes, checked before the allocations they would cause.
-SCAN_CELLS = 1 << 10  # n_max * d_max cells a scan decides per lattice
+SCAN_CELLS = 64  # n_max * d_max cells per lattice; a scan holds one row per lattice and cell
 SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed system

@@ -289,8 +289,8 @@ def tighten(sys: MultiwindowSystem):
     Applies the inverse square root of the frame operator to every
     stacked generator.  Also returns the commutation residual of that
     correction against the lattice action, which the theory says is
-    zero.  A system whose smallest frame-operator eigenvalue is at most
-    the rep's tol_frame times the largest is not a frame: Infeasible.
+    zero.  Raises Infeasible when the smallest eigenvalue of the frame
+    operator is at most the rep's tol_frame times the largest.
     """
     w = _system_vectors(sys)
     s = w.T @ w.conj()

@@ -39,4 +39,5 @@ CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)
 
 # Bounds on request sizes, checked before the allocations they would cause.
 SCAN_CELLS = 64  # n_max * d_max cells per lattice; a scan holds one row per lattice and cell
+SCAN_ROWS = 1 << 20  # lattices x cells of a whole scan, each row a dict held in memory
 SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed system

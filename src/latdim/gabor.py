@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
-from .config import DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, Tolerances
+from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS,
+                     Tolerances)
 from .dimension import WindowedRep, cdim_operators, off_identity_peaks, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
@@ -73,6 +74,8 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     Validates the whole stack: twisted composition law and unitarity at
     ``tol``, which the rep carries, irreducibility, and that only the
     identity class is regular for the twist at the default tolerances.
+    A rep that fails validation at a ``tol`` other than the default is
+    bad input (InputError); at the default it is an internal fault.
     Pass a precomputed dual to pin the coordinate basis; by default the
     largest-order-first decomposition is used.
     """
@@ -95,6 +98,10 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     rep = ProjectiveRep(g, coc, na, mats, tol)
 
     if not rep.report.ok:
+        if tol != DEFAULT_TOL:
+            raise InputError(
+                f"time-frequency rep fails validation at the given {tol}: {rep.report.message}"
+            )
         raise ConsistencyError(f"time-frequency rep invalid: {rep.report.message}")
     irr, cdim = is_irreducible(rep)
     if not irr:
@@ -158,16 +165,16 @@ def _scan_block(
                 for i, j in zip(*cells):
                     construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
 
+    # past the closed-form check every lattice of the block has the same verdicts
     head = {"base": tf.base.label, "group": tf.group.label, "cocycle": tf.cocycle.label,
             "lattice_order": order}
-    cells = list(itertools.product(range(1, n_max + 1), range(1, d_max + 1)))
-    return [
+    cells = itertools.product(range(1, n_max + 1), range(1, d_max + 1))
+    rows = [
         {**head, "n": n, "d": d, "dpi_vol": dpi_vol, "frame": "yes" if f else "no",
          "riesz": "yes" if r else "no", "basis": "yes" if f and r else "no"}
-        for fs, rs in zip(frame.reshape(len(subs), -1).tolist(),
-                          riesz.reshape(len(subs), -1).tolist())
-        for (n, d), f, r in zip(cells, fs, rs)
+        for (n, d), f, r in zip(cells, frame[0].ravel().tolist(), riesz[0].ravel().tolist())
     ]
+    return [dict(row) for _ in subs for row in rows]
 
 
 def gabor_scan(
@@ -182,7 +189,8 @@ def gabor_scan(
     Every cell's decision, at the tolerances of ``tf.rep``, is checked
     against the exact predicate |base|/|lattice| vs n/d; a mismatch
     raises immediately.  More than SCAN_CELLS cells per lattice raise
-    BoundExceeded before any lattice is enumerated.  With
+    BoundExceeded before any lattice is enumerated, and more than
+    SCAN_ROWS rows in all before any lattice is decided.  With
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.  Lattices come in order of
     their order, and each run of equal order is decided in blocks of at
@@ -192,9 +200,15 @@ def gabor_scan(
         raise BoundExceeded(
             f"{n_max} x {d_max} cells per lattice exceed the scan bound of {SCAN_CELLS}"
         )
+    lattices = all_subgroups(tf.group)
+    if len(lattices) * n_max * d_max > SCAN_ROWS:
+        raise BoundExceeded(
+            f"{len(lattices)} lattices x {n_max * d_max} cells exceed the scan bound "
+            f"of {SCAN_ROWS} rows"
+        )
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for order, same in itertools.groupby(all_subgroups(tf.group), key=lambda sub: sub.order):
+    for order, same in itertools.groupby(lattices, key=lambda sub: sub.order):
         subs = list(same)
         size = max(1, _BLOCK_ENTRIES // order**2)
         for start in range(0, len(subs), size):

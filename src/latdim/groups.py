@@ -66,6 +66,11 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
+        return self._abelian
+
+    @cached_property
+    def _abelian(self) -> bool:
+        """Whether the Cayley table is symmetric, compared once per group."""
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
     def element_order(self, x: int) -> int:
@@ -281,8 +286,8 @@ def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray)
     return mask
 
 
-def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, by cyclic extension, ordered by (order, elements).
+def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Elements of every subgroup, by cyclic extension.
 
     Every subgroup is a join of cyclic subgroups, so growing each known
     subgroup H by one generator x of each cyclic subgroup outside it
@@ -291,10 +296,6 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     x normalizes H the join is the product set H<x>, one gather; only a
     non-normalizing x needs the frontier walk of ``_join``.
     """
-    if g.order > SUBGROUP_ENUM_BOUND:
-        raise BoundExceeded(
-            f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
-        )
     cyclic = _cyclic_generators(g)
     triv = _trivial_mask(g)
     seen = {triv.tobytes(): triv}
@@ -317,7 +318,70 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
             if key not in seen:
                 seen[key] = grown
                 queue.append((grown, grown_gens))
-    subs = [_subgroup_from_mask(g, m) for m in seen.values()]
+    return [tuple(np.flatnonzero(m).tolist()) for m in seen.values()]
+
+
+def _series_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Elements of every subgroup of an abelian group, each built once.
+
+    Walks the series {e} = B_0 < B_1 < ... < B_k = G, where B_i joins
+    B_{i-1} and g_i, the least element outside it (the greedy generators
+    of ``FiniteGroup.generators``), and m_i = [B_i : B_{i-1}]. Every
+    subgroup H of B_i is K<x> for exactly one triple (K, d, b):
+    K = H n B_{i-1}, a subgroup of the step before; d | m_i, the index of
+    the image of H in the cyclic quotient B_i / B_{i-1}; and b, the least
+    element of a coset of K in B_{i-1} with x^(m_i/d) in K, where
+    x = g_i^d b. The case d = m_i is H = K, so each step keeps the
+    subgroups it had and adds one product gather per (K, d < m_i).
+    """
+    blocks = [np.array([[g.identity]])]  # subgroups of one order per block, one per row
+    span = blocks[0][0]
+    while span.size < g.order:
+        inside = np.zeros(g.order, dtype=bool)
+        inside[span] = True
+        x = int(np.argmin(inside))
+        powers = [g.identity, x]  # g_i^0 .. g_i^m_i
+        while not inside[powers[-1]]:
+            powers.append(int(g.cayley[powers[-1], x]))
+        m = len(powers) - 1
+        grown = []
+        for block in blocks:
+            for k in block:
+                in_k = np.zeros(g.order, dtype=bool)
+                in_k[k] = True
+                # b is the least element of K b
+                reps = span[g.cayley[k[:, None], span].min(axis=0) == span]
+                for d in range(1, m):
+                    if m % d:
+                        continue
+                    t = m // d
+                    xs = g.cayley[powers[d], reps]
+                    xpow = np.empty((t + 1, reps.size), dtype=np.int64)  # xpow[j] = xs^j
+                    xpow[0] = g.identity
+                    for j in range(t):
+                        xpow[j + 1] = g.cayley[xpow[j], xs]
+                    cosets = xpow[:t, in_k[xpow[t]]]
+                    if cosets.size:
+                        h = g.cayley[k[:, None, None], cosets]  # (|K|, t, subgroups)
+                        grown.append(np.sort(h.reshape(-1, h.shape[2]).T, axis=1))
+        blocks += grown
+        span = np.sort(g.cayley[span[:, None], powers[:m]].ravel())
+    return [tuple(row) for block in blocks for row in block.tolist()]
+
+
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, ordered by (order, elements).
+
+    An abelian group has each subgroup built once along a cyclic series
+    (``_series_subgroups``); any other group is searched by cyclic
+    extension (``_extension_subgroups``).
+    """
+    if g.order > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(
+            f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
+        )
+    found = _series_subgroups(g) if g.is_abelian() else _extension_subgroups(g)
+    subs = [Subgroup(g, elems) for elems in found]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 

@@ -307,6 +307,14 @@ def test_phi_needs_a_representation(capsys):
     assert "needs a representation" in err
 
 
+def test_phi_blames_a_time_frequency_rep_failure_on_the_tolerance_flags(capsys):
+    rc, out, err = run(capsys, "phi", "--group", "Z3xZ3", "--cocycle", "weyl-heisenberg",
+                       "--tol-unit", "1e-20")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: time-frequency rep fails validation at the given "
+                          "Tolerances(tol_unit=1e-20,")
+
+
 def test_bad_group_token(capsys):
     rc, _, err = run(capsys, "kleppner", "--group", "Z4xW2")
     assert rc == 1

@@ -21,7 +21,7 @@ from latdim import (
     write_scan_csv,
 )
 
-from latdim.config import SCAN_CELLS
+from latdim.config import SCAN_CELLS, SCAN_ROWS
 from latdim.gabor import SCAN_COLUMNS
 
 from fixtures_common import tf
@@ -114,6 +114,11 @@ def test_scan_with_construction(base):
     rows = gabor_scan(tf(base), n_max=2, d_max=2, construct=True)
     assert all(r["base"] == base for r in rows)
     assert audit_rows(rows) == []
+
+
+def test_scan_rows_are_distinct_objects():
+    rows = gabor_scan(tf("Z2"), n_max=2, d_max=2)
+    assert len({id(row) for row in rows}) == len(rows)
 
 
 def test_superframe_small_lattice_infeasible():
@@ -228,6 +233,35 @@ def test_scan_refuses_oversized_counts_before_enumerating(monkeypatch):
     monkeypatch.setattr(gabor_mod, "all_subgroups", lambda g: pytest.fail("enumerated"))
     with pytest.raises(BoundExceeded, match=f"1 x {SCAN_CELLS + 1} cells per lattice exceed"):
         gabor_scan(t, 1, SCAN_CELLS + 1)
+
+
+def test_scan_refuses_too_many_rows_before_deciding(monkeypatch):
+    import latdim.gabor as gabor_mod
+
+    t = tf("Z2")
+    monkeypatch.setattr(gabor_mod, "SCAN_ROWS", 5 * 4)
+    assert len(gabor_scan(t, 2, 2)) == 5 * 4
+    monkeypatch.setattr(gabor_mod, "windowed_rep", lambda rep: pytest.fail("decided"))
+    with pytest.raises(BoundExceeded, match="5 lattices x 6 cells exceed the scan bound of 20 rows"):
+        gabor_scan(t, 2, 3)
+
+
+def test_scan_bound_admits_every_cell_of_the_z2xz2xz4_lattices():
+    lattices = all_subgroups(tf("Z2xZ2xZ4").group)
+    assert len(lattices) == 12015
+    assert len(lattices) * SCAN_CELLS <= SCAN_ROWS
+
+
+def test_build_tf_blames_a_failed_validation_on_given_tolerances(monkeypatch):
+    import latdim.reps
+
+    strict = Tolerances(tol_unit=1e-20)
+    with pytest.raises(InputError, match=r"at the given Tolerances\(tol_unit=1e-20,"):
+        build_tf(build_cyclic(3), tol=strict)
+    failed = latdim.reps.RepReport(False, 1.0, 1.0, (0, 0), "matrix is not unitary")
+    monkeypatch.setattr(latdim.reps, "validate_rep", lambda rep: failed)
+    with pytest.raises(ConsistencyError, match="time-frequency rep invalid"):
+        build_tf(build_cyclic(3))
 
 
 @pytest.mark.parametrize("where, shift, order", [

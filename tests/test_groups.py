@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -298,6 +301,58 @@ def test_all_subgroups_match_reference(monkeypatch, name):
     got = [s.elements for s in all_subgroups(g)]
     assert bool(walked) == WALKS[name]
     assert got == _reference_subgroups(g)
+
+
+def _relabelled(g, seed):
+    """``g`` with each element x renamed name[x], for a seeded random permutation ``name``."""
+    name = np.random.default_rng(seed).permutation(g.order)
+    table = np.empty_like(g.cayley)
+    table[name[:, None], name] = name[g.cayley]
+    return from_cayley_table(table, label=f"{g.label}~{seed}"), name
+
+
+def _series_group(name):
+    """A builtin product, or with a suffix ~seed that product relabelled."""
+    base, _, seed = name.partition("~")
+    return _relabelled(group(base), int(seed))[0] if seed else group(base)
+
+
+@pytest.mark.parametrize("name", ["Z2xZ4xZ3", "Z8xZ2", "Z4xZ2~7"])
+def test_abelian_subgroups_match_reference_without_a_walk(monkeypatch, name):
+    """Groups no time-frequency build makes: mixed primes, and a relabelled table."""
+    g = _series_group(name)
+    monkeypatch.setattr(groups_mod, "_join", lambda *args: pytest.fail("frontier walk"))
+    got = [s.elements for s in all_subgroups(g)]
+    assert got == _reference_subgroups(g)
+
+
+def test_relabelled_group_has_greedy_generators_off_the_unit_vectors():
+    g, name = _relabelled(group("Z4xZ2"), 7)
+    # read back in Z4xZ2 coordinates, where the unit vectors are 2 = (1, 0) and 1 = (0, 1)
+    assert sorted(np.argsort(name)[list(g.generators)].tolist()) != [1, 2]
+
+
+@pytest.mark.parametrize("name, path", [
+    *((name, "_series_subgroups") for name in ("Z2xZ4xZ3", "Z4xZ2~7", "tf-Z3xZ3")),
+    *((name, "_extension_subgroups") for name in ("S4", "Q8xZ2", "D4xZ2xZ2")),
+])
+def test_only_abelian_groups_take_the_cyclic_series(monkeypatch, name, path):
+    g = tf(name[3:]).group if name.startswith("tf-") else _series_group(name)
+    ran = []
+    for helper in ("_series_subgroups", "_extension_subgroups"):
+        real = getattr(groups_mod, helper)
+        monkeypatch.setattr(groups_mod, helper,
+                            lambda g_, helper=helper, real=real: ran.append(helper) or real(g_))
+    all_subgroups(g)
+    assert ran == [path]
+
+
+@pytest.mark.parametrize("m, n", list(itertools.combinations_with_replacement((4, 6, 8, 9, 12, 16), 2)))
+def test_cyclic_pair_subgroup_count(m, n):
+    """Z_m x Z_n has sum over a | m, b | n of gcd(a, b) subgroups (Hampejs et al. 2014)."""
+    divisors = lambda k: [a for a in range(1, k + 1) if k % a == 0]
+    want = sum(math.gcd(a, b) for a in divisors(m) for b in divisors(n))
+    assert len(all_subgroups(direct_product(build_cyclic(m), build_cyclic(n)))) == want
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)

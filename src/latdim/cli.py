@@ -204,18 +204,19 @@ def _resolve_pair(cfg: RunConfig, check: bool = True,
 
 
 def _resolve_rep(cfg: RunConfig) -> tuple[ProjectiveRep, _Resolved]:
+    """The rep of --rep, the built-in Weyl-Heisenberg rep, or an irrep cut from the cocycle.
+
+    The cut is ``irreducible_subrep`` seeded by --seed, at the configured tolerances.
+    """
     if cfg.rep is not None:
         rep = rep_from_json(load_json(cfg.rep), tol=cfg.tolerances)
         if cfg.group is not None:
             _check_same_table(_build_group(cfg.group), rep.group, "the rep file")
         return rep, _Resolved(rep.group, rep.cocycle)
     res = _resolve_pair(cfg, rep_tol=cfg.tolerances)
-    if res.tf is None:
-        raise InputError(
-            "this command needs a representation: pass --rep FILE or "
-            "--cocycle weyl-heisenberg"
-        )
-    return res.tf.rep, res
+    if res.tf is not None:
+        return res.tf.rep, res
+    return irreducible_subrep(res.group, res.cocycle, seed=cfg.seed, tol=cfg.tolerances), res
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -368,13 +369,9 @@ def _cmd_construct(cfg: RunConfig) -> int:
 
 def _cmd_routes(cfg: RunConfig) -> int:
     """phi against phi_oracle on every lattice; exit 1 above tol_id."""
-    if cfg.rep is not None or cfg.cocycle == "weyl-heisenberg":
-        rep, _ = _resolve_rep(cfg)
-    else:
-        res = _resolve_pair(cfg)
-        rep = irreducible_subrep(res.group, res.cocycle, seed=cfg.seed, tol=cfg.tolerances)
+    rep, _ = _resolve_rep(cfg)
     g = rep.group
-    print(f"group {cfg.group or g.label}, order {g.order}, irrep dim {rep.dim}")
+    print(f"group {g.label}, order {g.order}, irrep dim {rep.dim}")
     source = windowed_rep(rep, random_window(rep.dim, cfg.seed))
     gaps = []
     for sub in all_subgroups(g):
@@ -397,7 +394,7 @@ def _cmd_gabor_scan(cfg: RunConfig) -> int:
         raise InputError("gabor-scan needs --base, e.g. --base Z4")
     if cfg.out is None:
         raise InputError("gabor-scan needs --out FILE.csv")
-    tf, _ = _tf_group(cfg.base)
+    tf, _ = _tf_group(cfg.base, cfg.tolerances)
     rows = gabor_scan(
         tf, cfg.nmax, cfg.dmax, construct=cfg.construct, seed=cfg.seed
     )
@@ -458,7 +455,7 @@ _FLAGS = {
     "construct": dict(action="store_true", help="also build generators on feasible cells"),
     "in": dict(dest="in_path", metavar="FILE"),
     "out": dict(metavar="FILE"),
-    "seed": dict(type=int),
+    "seed": dict(type=int, help="seeds the irrep cut from a cocycle and every random draw"),
     "tol-unit": dict(type=float),
     "tol-id": dict(type=float),
     "tol-psd": dict(type=float),
@@ -474,15 +471,15 @@ _COMMANDS = {
     "cvt": (_cmd_cvt, "center-valued trace of every group translate",
             "group cocycle out tol-unit tol-id"),
     "phi": (_cmd_phi, "dimension function of the module on a lattice",
-            "group cocycle rep lattice out tol-unit tol-id"),
+            "group cocycle rep lattice seed out tol-unit tol-id"),
     "decide": (_cmd_decide, "frame / Riesz / basis existence for (n, d)",
-               "group cocycle rep lattice n d out tol-unit tol-id tol-psd"),
+               "group cocycle rep lattice n d seed out tol-unit tol-id tol-psd"),
     "construct": (_cmd_construct, "build Parseval generators when they exist",
                   "group cocycle rep lattice n d seed out tol-unit tol-id tol-psd tol-frame"),
     "routes": (_cmd_routes, "class formula against module embedding on every lattice",
                "group cocycle rep seed tol-unit tol-id"),
     "gabor-scan": (_cmd_gabor_scan, "scan every lattice of a time-frequency group",
-                   "base nmax dmax construct seed out"),
+                   "base nmax dmax construct seed out tol-unit tol-id tol-psd tol-frame"),
     "density-audit": (_cmd_density_audit, "re-check a scan CSV against the density bound",
                       "in"),
     "rep-validate": (_cmd_rep_validate, "unitarity and twisted composition of a stored rep",

@@ -27,6 +27,10 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, right_transversal
 from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
 
+# Lattices below this order keep the dense solve of Phi: a stacked eigvalsh
+# of such small operators costs less than closing each row's support.
+_REDUCE_FROM = 32
+
 
 @dataclass(frozen=True)
 class WindowedRep:
@@ -126,8 +130,10 @@ class PhiFunction:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of twisted convolution by phi."""
-        return np.linalg.eigvalsh(cdim_operator(self))
+        """Ascending eigenvalues of twisted convolution by phi: ``phi_spectra`` on a block of one."""
+        g = self.cocycle.group
+        return phi_spectra(self.values[None], g.cayley[None], self.cocycle.table[None],
+                           g.identity)[0]
 
     @cached_property
     def off_identity_peak(self) -> np.float64:
@@ -300,3 +306,66 @@ def cdim_operators(values: np.ndarray, cayley: np.ndarray, table: np.ndarray) ->
     check_residual("convolution operator asymmetry", asym, CDIM_ASYMMETRY * scale,
                    NotHermitian)
     return (op + adj) / 2
+
+
+def _closure(cayley: np.ndarray, mask: np.ndarray, shift: int) -> np.ndarray:
+    """Places of the subgroup generated by ``mask``, which holds the identity.
+
+    ``cayley`` names the element at place i by i + ``shift``, as one
+    lattice's table in block places does.  The set S is squared to S S
+    until it stops growing; a finite set that holds e and is closed under
+    products is a subgroup.
+    """
+    elems = np.flatnonzero(mask)
+    while True:
+        grown = np.zeros_like(mask)
+        grown[cayley[elems[:, None], elems] - shift] = True
+        if np.count_nonzero(grown) == elems.size:
+            return elems
+        elems = np.flatnonzero(grown)
+
+
+def phi_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
+                identity: np.ndarray | int) -> np.ndarray:
+    """Ascending spectra of Phi, twisted convolution by each row of ``values``.
+
+    The tables and identities are in block places, as ``subgroup_tables``
+    gives them.  Row b of phi vanishes off a set S; let H be the subgroup
+    of the lattice generated by S and e, closed in the lattice's own Cayley
+    table.  Then Phi = sum_{h in H} phi(h) lam(h) maps l2(H c) to itself for
+    every coset H c, and entries between two cosets are exactly 0.  The
+    twisted right translation by c is a phase permutation that commutes
+    with every lam(h) by the cocycle identity and carries the H block onto
+    the H c block, so every coset block has the spectrum of the H block,
+    and its asymmetry entries are those of the H block up to unit phases.
+    So only the |H| x |H| operator is built, checked Hermitian by
+    ``cdim_operators`` and solved, and each eigenvalue is repeated [L:H]
+    times, which keeps the order ascending.  No tolerance decides S: the
+    class sum writes exact zeros off the regular mask, so under Kleppner's
+    condition H = {e} and Phi = dpi_vol I.  Rows with full support, and
+    every row of a lattice of order below ``_REDUCE_FROM``, are solved
+    densely; rows are stacked by |H|.
+    """
+    nb, m = values.shape
+    if m < _REDUCE_FROM:
+        return np.linalg.eigvalsh(cdim_operators(values, cayley, table))
+    shift = np.arange(nb) * m
+    support = values != 0
+    support.ravel()[identity] = True
+    subs = [np.arange(m) if row.all() else _closure(cayley[b], row, shift[b])
+            for b, row in enumerate(support)]
+    sizes = np.array([sub.size for sub in subs])
+    spectra = np.empty((nb, m))
+    for k in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == k)
+        h = np.array([subs[b] for b in rows])
+        # H's Cayley tables, naming its elements by their places in a block of H's
+        pos = np.empty(m, dtype=np.int64)
+        cay = np.empty((rows.size, k, k), dtype=np.int64)
+        for r, b in enumerate(rows):
+            pos[h[r]] = np.arange(r * k, (r + 1) * k)
+            cay[r] = pos[cayley[b][h[r][:, None], h[r]] - shift[b]]
+        tab = table[rows[:, None, None], h[:, :, None], h[:, None, :]]
+        ops = cdim_operators(values[rows[:, None], h], cay, tab)
+        spectra[rows] = np.repeat(np.linalg.eigvalsh(ops), m // k, axis=1)
+    return spectra

@@ -16,7 +16,7 @@ import numpy as np
 from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
 from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS,
                      Tolerances)
-from .dimension import WindowedRep, cdim_operators, off_identity_peaks, phi_values, windowed_rep
+from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
 from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group, subgroup_tables
@@ -142,7 +142,7 @@ def _scan_block(
     # density predicate every verdict must match
     ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
     excess = ns * order - ds * tf.base.order
-    spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
+    spectra = phi_spectra(values, cayley, table, identity)
     frame, riesz = decision_grids(spectra, n_max, d_max, source.rep.tol)
     bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
     if bad.size:

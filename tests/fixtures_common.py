@@ -62,17 +62,24 @@ def trivial_irrep(name):
 
 
 @cache
-def pauli_product():
-    """S3 times the order-4 time-frequency group, twist from the second factor."""
+def pauli_product(name="S3"):
+    """The group ``name`` times the order-4 time-frequency group, twist from the second factor."""
     p = tf("Z2")
-    g = direct_product(symmetric_group(3), p.group)
-    table = np.kron(np.ones((6, 6)), p.cocycle.table)
+    f = group(name)
+    g = direct_product(f, p.group)
+    table = np.kron(np.ones((f.order, f.order)), p.cocycle.table)
     return g, Cocycle(g, table, label="lifted-pauli")
 
 
 @cache
-def pauli_product_irrep():
-    g, c = pauli_product()
+def pauli_product_irrep(name="S3"):
+    """An irrep of ``pauli_product(name)``: a rep of the first factor times the Pauli rep.
+
+    Its phi lives on the regular elements, the first factor, where the
+    trace does not vanish.  For S4 the cut has dimension 6, a three-dimensional
+    rep of S4 whose trace vanishes on the 3-cycles.
+    """
+    g, c = pauli_product(name)
     return irreducible_subrep(g, c, seed=1)
 
 
@@ -101,12 +108,25 @@ def rep_fixtures():
     return pairs
 
 
+def _gauge(g, seed):
+    """Seeded phases f on the group, f(e) = 1."""
+    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(g.order))
+    f[g.identity] = 1.0
+    return f
+
+
 def gauge_twisted(coc, seed=5):
     """coc times the coboundary f(x) f(y) / f(xy) of seeded phases f, f(e) = 1."""
     g = coc.group
-    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(g.order))
-    f[g.identity] = 1.0
+    f = _gauge(g, seed)
     return Cocycle(g, coc.table * np.outer(f, f) / f[g.cayley], label="gauged")
+
+
+def gauge_twisted_rep(rep, seed=5):
+    """x -> f(x) pi(x), a rep for ``gauge_twisted(rep.cocycle, seed)`` with the same phases."""
+    f = _gauge(rep.group, seed)
+    return projective_rep(rep.group, gauge_twisted(rep.cocycle, seed),
+                          f[:, None, None] * rep.matrices, rep.tol)
 
 
 def cocycle_fixtures():

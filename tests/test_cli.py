@@ -17,6 +17,7 @@ from latdim import (
     make_module_spec,
     multiwindow_system,
     phi_oracle,
+    trivial,
 )
 from latdim.cli import main
 from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES
@@ -301,10 +302,29 @@ def test_tuple_lattice_requires_builtin_route(capsys, tmp_path):
     assert "coordinate tuples" in err
 
 
-def test_phi_needs_a_representation(capsys):
-    rc, _, err = run(capsys, "phi", "--group", "Z4", "--cocycle", "trivial")
-    assert rc == 1
-    assert "needs a representation" in err
+@pytest.mark.parametrize("command", [("phi",), ("decide", "--n", "1", "--d", "2")],
+                         ids=lambda command: command[0])
+def test_a_cocycle_without_a_rep_cuts_the_seeded_irrep(capsys, tmp_path, command):
+    """Without --rep, a cocycle that is not Weyl-Heisenberg gives the irrep routes cuts."""
+    g = symmetric_group(3)
+    for seed in (0, 1, 2):
+        path = str(tmp_path / f"rep{seed}.json")
+        dump_json(rep_to_json(irreducible_subrep(g, trivial(g), seed=seed)), path)
+        cut = run(capsys, *command, "--group", "S3", "--cocycle", "trivial", "--seed", str(seed))
+        assert cut[0] == 0
+        assert cut == run(capsys, *command, "--rep", path)
+
+
+def test_decide_where_the_density_converse_fails(capsys):
+    """Z2, full lattice: phi = [1/2, -1/2], so Phi has spectrum {0, 1} and dpi_vol = 1/2.
+
+    At n/d = 1/2 the density predicate says basis, but neither a frame nor
+    a Riesz sequence exists.
+    """
+    for seed in ("0", "1"):
+        rc, out, _ = run(capsys, "decide", "--group", "Z2", "--cocycle", "trivial",
+                         "--lattice", "full", "--n", "1", "--d", "2", "--seed", seed)
+        assert (rc, out) == (0, "frame no\nriesz no\nbasis no\n")
 
 
 def test_phi_blames_a_time_frequency_rep_failure_on_the_tolerance_flags(capsys):
@@ -385,6 +405,24 @@ def test_gabor_scan_csv_bytes_are_pinned(capsys, tmp_path):
     assert rc == 0
     assert out.startswith("rows 2241\nlattices 249\n")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"
+    )
+
+
+def test_gabor_scan_decides_at_the_tolerance_flags(capsys, tmp_path):
+    """At tol_psd 10 every cell passes both tests, which the closed form refuses."""
+    loose = tmp_path / "loose.csv"
+    rc, out, err = run(capsys, "gabor-scan", "--base", "Z2xZ4", "--out", str(loose),
+                       "--tol-psd", "10")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: decision disagrees with closed form")
+    assert not loose.exists()
+    at_defaults = tmp_path / "defaults.csv"
+    rc, _, _ = run(capsys, "gabor-scan", "--base", "Z2xZ4", "--out", str(at_defaults),
+                   "--tol-unit", "1e-9", "--tol-id", "1e-9", "--tol-psd", "1e-9",
+                   "--tol-frame", "1e-8")
+    assert rc == 0
+    assert hashlib.sha256(at_defaults.read_bytes()).hexdigest() == (
         "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"
     )
 
@@ -609,6 +647,16 @@ def test_routes_agree(capsys, tmp_path, argv):
     assert _worst_gap(out) < 1e-12
 
 
+def test_routes_names_the_rep_group_on_every_path(capsys, tmp_path):
+    path = str(tmp_path / "rep.json")
+    dump_json(rep_to_json(tf("Z2").rep), path)
+    built = run(capsys, "routes", *_WH)
+    from_file = run(capsys, "routes", "--rep", path)
+    assert built[0] == from_file[0] == 0
+    assert built[1].splitlines()[0] == from_file[1].splitlines()[0]
+    assert built[1].startswith("group Z2xZ2^, order 4, irrep dim 2\n")
+
+
 def test_routes_exit_1_when_the_routes_disagree(capsys, monkeypatch):
     def perturbed(spec):
         fn = phi_oracle(spec)
@@ -735,12 +783,14 @@ _ACCEPTED_FLAGS = {
     "validate-cocycle": "--group --cocycle --tol-unit --tol-id",
     "kleppner": "--group --cocycle --tol-unit --tol-id",
     "cvt": "--group --cocycle --out --tol-unit --tol-id",
-    "phi": "--group --cocycle --rep --lattice --out --tol-unit --tol-id",
-    "decide": "--group --cocycle --rep --lattice --out --n --d --tol-unit --tol-id --tol-psd",
+    "phi": "--group --cocycle --rep --lattice --seed --out --tol-unit --tol-id",
+    "decide": "--group --cocycle --rep --lattice --out --n --d --seed --tol-unit --tol-id "
+              "--tol-psd",
     "construct": "--group --cocycle --rep --lattice --out --n --d --tol-unit --tol-id "
                  "--tol-psd --seed --tol-frame",
     "routes": "--group --cocycle --rep --seed --tol-unit --tol-id",
-    "gabor-scan": "--base --nmax --dmax --construct --seed --out",
+    "gabor-scan": "--base --nmax --dmax --construct --seed --out --tol-unit --tol-id "
+                  "--tol-psd --tol-frame",
     "density-audit": "--in",
     "rep-validate": "--rep --tol-unit --tol-id",
     "rep-dpi": "--group --cocycle --rep --tol-unit --tol-id",
@@ -758,16 +808,16 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     }
     want = {name: {"--config", *flags.split()} for name, flags in _ACCEPTED_FLAGS.items()}
     assert got == want
-    assert sum(map(len, got.values())) == 74
+    assert sum(map(len, got.values())) == 80
 
 
 @pytest.mark.parametrize("argv", [
     ("routes", "--group", "Z2xZ2", "--out", "OUT"),
-    ("gabor-scan", "--base", "Z2", "--out", "OUT", "--tol-psd", "1e-3"),
+    ("gabor-scan", "--base", "Z2", "--out", "OUT", "--lattice", "full"),
     ("density-audit", "--in", "CSV", "--seed", "1"),
     ("rep-validate", "--rep", "REP", "--lattice", "full"),
     ("rep-dpi", *_WH, "--lattice", "full"),
-    ("decide", *_WH, "--seed", "1"),
+    ("decide", *_WH, "--tol-frame", "1e-3"),
     ("phi", *_WH, "--tol-frame", "1e-3"),
     ("cvt", *_WH, "--seed", "1"),
     ("kleppner", *_WH, "--out", "OUT"),
@@ -816,8 +866,8 @@ _TOLS = [pytest.param((), id="defaults"), pytest.param(("--tol-id", "3"), id="to
 def test_built_in_and_file_reps_agree(capsys, tmp_path, command, tol):
     """The built-in Weyl-Heisenberg rep and the same rep from a file read one set of tolerances.
 
-    At tol_id 3 every element is regular.  Both runs pass --group, which
-    routes prints as the group's name.
+    At tol_id 3 every element is regular.  Both runs pass --group, which the
+    file run checks against the rep's table.
     """
     path = str(tmp_path / "rep.json")
     dump_json(rep_to_json(tf("Z2").rep), path)

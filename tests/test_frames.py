@@ -279,29 +279,35 @@ def test_decisions_share_one_eigensolve(monkeypatch):
 
 
 def test_decision_and_construction_share_one_phi(monkeypatch):
-    # phi and the eigensolve of Phi each run once per spec, not once per call
+    # phi and the spectrum kernel of Phi, with its one eigensolve, each run once
+    # per spec, not once per call
     import latdim.dimension as dim_mod
 
-    phi_calls, ops, solves = [], [], []
-    real_phi, real_op, solve = dim_mod.phi, dim_mod.cdim_operator, np.linalg.eigvalsh
+    phi_calls, kernel_calls, solves = [], [], []
+    real_phi, real_kernel, solve = dim_mod.phi, dim_mod.phi_spectra, np.linalg.eigvalsh
 
-    def counted_op(fn):
-        ops.append(real_op(fn))  # kept alive, so identity tests stay exact
-        return ops[-1]
+    def counted_kernel(*args):
+        kernel_calls.append(1)
+        try:
+            return real_kernel(*args)
+        finally:
+            kernel_calls.append(0)  # closes the call: solves after it are not the kernel's
 
     for mod in (dim_mod, frames_mod):  # every binding of phi, wherever it is read
         if vars(mod).get("phi") is real_phi:
             monkeypatch.setattr(
                 mod, "phi", lambda spec: phi_calls.append(1) or real_phi(spec)
             )
-    monkeypatch.setattr(dim_mod, "cdim_operator", counted_op)
+    monkeypatch.setattr(dim_mod, "phi_spectra", counted_kernel)
     monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda a: solves.append(any(a is op for op in ops)) or solve(a)
+        np.linalg, "eigvalsh",
+        lambda a: solves.append(kernel_calls[-1:] == [1]) or solve(a)
     )
     spec = _wh_spec("Z2", _translations(tf("Z2")))
     assert existence_decision(spec, 1, 1).frame
     construct_parseval_generators(spec, 1, 1)
     assert len(phi_calls) == 1
+    assert kernel_calls == [1, 0]
     assert solves.count(True) == 1
 
 

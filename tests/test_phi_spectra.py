@@ -1,0 +1,159 @@
+"""The spectrum kernel of Phi against the dense solve of the whole operator.
+
+``phi_spectra`` builds and solves Phi only on the subgroup H that the
+support of phi generates, and repeats each eigenvalue [L:H] times.  These
+tests compare it with ``eigvalsh`` of the dense |L| x |L| operator, on
+single lattices and on blocks of equal order as a scan stacks them.
+Lattices of order below 32 keep the dense solve; setting the private
+floor to 1 sends every fixture lattice through the reduced path.
+"""
+
+import numpy as np
+import pytest
+
+import latdim.dimension as dim_mod
+from latdim import (
+    NotHermitian,
+    PhiFunction,
+    all_subgroups,
+    cdim_operator,
+    existence_decision,
+    full_subgroup,
+    make_module_spec,
+    phi,
+    phi_oracle,
+    subgroup_generated,
+    windowed_rep,
+)
+from latdim.cocycles import restricted_tables
+from latdim.dimension import cdim_operators, phi_spectra
+from latdim.groups import subgroup_tables
+
+from fixtures_common import gauge_twisted_rep, pauli_product_irrep, rep_fixtures, tf, traced_peak
+
+# lifted Pauli twists with lattices of order 32 and more, where H is proper
+_LIFTED = ("Z4xZ4", "S4")
+
+
+def _worst_gap(rep, min_order=1):
+    """Largest gap between the kernel and the dense solve over the lattices of ``rep``.
+
+    Both routes' values are checked, each lattice on its own and each order
+    as one block.
+    """
+    source = windowed_rep(rep)
+    by_order = {}
+    for sub in all_subgroups(rep.group):
+        if sub.order >= min_order:
+            by_order.setdefault(sub.order, []).append(sub)
+    worst = 0.0
+    for subs in by_order.values():
+        elems = np.array([sub.elements for sub in subs], dtype=np.int64)
+        cayley, _, identity = subgroup_tables(rep.group, elems)
+        table = restricted_tables(rep.cocycle, elems)
+        specs = [source.spec(sub) for sub in subs]
+        for route in (phi, phi_oracle):
+            fns = [route(spec) for spec in specs]
+            for fn in fns:
+                dense = np.linalg.eigvalsh(cdim_operator(fn))
+                worst = max(worst, float(np.abs(fn.spectrum - dense).max()))
+            values = np.array([fn.values for fn in fns])
+            got = phi_spectra(values, cayley, table, identity)
+            dense = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
+            worst = max(worst, float(np.abs(got - dense).max()))
+    return worst
+
+
+@pytest.mark.parametrize("floor", [None, 1], ids=["default-floor", "floor-1"])
+@pytest.mark.parametrize("gauged", [False, True], ids=["rep", "gauged"])
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_the_kernel_agrees_with_the_dense_solve(monkeypatch, label, rep, gauged, floor):
+    if floor is not None:
+        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
+    if gauged:
+        rep = gauge_twisted_rep(rep)
+    assert _worst_gap(rep) <= 1e-12, label
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["rep", "gauged"])
+@pytest.mark.parametrize("name", _LIFTED)
+def test_the_kernel_agrees_on_large_lattices(name, gauged):
+    rep = pauli_product_irrep(name)
+    if gauged:
+        rep = gauge_twisted_rep(rep)
+    assert _worst_gap(rep, min_order=32) <= 1e-12, name
+
+
+@pytest.mark.parametrize("name", _LIFTED)
+def test_the_kernel_solves_on_the_subgroup_the_support_generates(monkeypatch, name):
+    """H is the closure of supp phi and e, checked against ``subgroup_generated``.
+
+    The Z4xZ4 lift gives a proper nontrivial H on abelian lattices.  The S4
+    lift has dimension 6, so its trace vanishes on the 3-cycles and the
+    support of phi on S4 x {e} is not a subgroup: it must be closed.
+    """
+    rep = pauli_product_irrep(name)
+    closed = []
+    real = dim_mod._closure
+    monkeypatch.setattr(dim_mod, "_closure", lambda *args: closed.append(real(*args)) or closed[-1])
+    source = windowed_rep(rep)
+    seen = set()
+    for sub in all_subgroups(rep.group):
+        if sub.order < 32:
+            continue
+        spec = source.spec(sub)
+        fn = phi(spec)
+        lattice = spec.lattice_group
+        support = np.flatnonzero(fn.values != 0)
+        h = subgroup_generated(lattice, support.tolist())
+        closed.clear()
+        fn.spectrum
+        got = closed[0] if closed else np.arange(lattice.order)  # full support is not closed
+        assert tuple(got.tolist()) == h.elements, (name, sub.elements)
+        if 1 < h.order < lattice.order:
+            seen.add("proper")
+            if support.size < h.order and not lattice.is_abelian():
+                seen.add("nonabelian, closed")
+    want = {"proper", "nonabelian, closed"} if name == "S4" else {"proper"}
+    assert want <= seen
+    if name == "S4":
+        assert rep.dim == 6
+
+
+@pytest.mark.parametrize("floor", [None, 10**9], ids=["reduced", "dense"])
+def test_a_phi_tampered_on_h_is_not_hermitian(monkeypatch, floor):
+    rep = pauli_product_irrep("Z4xZ4")
+    spec = make_module_spec(rep, full_subgroup(rep.group))
+    fn = phi(spec)
+    values = fn.values.copy()
+    assert np.count_nonzero(values) == 16  # H = Z4xZ4 x {e}, of index 4
+    h = next(int(i) for i in np.flatnonzero(values) if i != spec.lattice_group.identity)
+    values[h] *= np.exp(0.5j)
+    if floor is not None:
+        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
+    tampered = PhiFunction(values, fn.cocycle)
+    with pytest.raises(NotHermitian):
+        tampered.spectrum
+    g = fn.cocycle.group
+    with pytest.raises(NotHermitian):
+        phi_spectra(np.stack([fn.values, values]), np.stack([g.cayley, g.cayley + g.order]),
+                    np.stack([fn.cocycle.table] * 2), np.array([0, g.order]) + g.identity)
+
+
+def test_a_kleppner_lattice_solves_only_a_1x1_operator(monkeypatch):
+    """On the Z16xZ16 full lattice H = {e}, so deciding builds no |L| x |L| operator.
+
+    phi is computed first: its group conjugation table and regular mask are
+    not the decision's work.
+    """
+    t = tf("Z16")
+    spec = make_module_spec(t.rep, full_subgroup(t.rep.group))
+    spec.dimension_function
+    shapes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape[-2:]) or solve(a))
+    decision, peak = traced_peak(existence_decision, spec, 1, 1)
+    assert (decision.frame, decision.riesz) == (True, False)
+    assert shapes == [(1, 1)]
+    assert peak < 512 * 1024
+    assert np.array_equal(spec.dimension_function.spectrum, np.full(256, 1 / 16))

@@ -14,106 +14,32 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields
 from functools import cache, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import center_valued_trace_table
-from .cocycles import Cocycle, regularity, trivial, validate
-from .config import DEFAULT_TOL, Tolerances
-from .dimension import make_module_spec, phi, phi_oracle, random_window, windowed_rep
-from .errors import Infeasible, InputError, LatdimError, NotIrreducible
-from .frames import (
-    construct_parseval_generators,
-    existence_decision,
-    frame_report,
-    multiwindow_system,
-)
-from .gabor import (
-    TimeFrequencyGroup,
-    audit_rows,
-    build_tf,
-    gabor_scan,
-    read_scan_csv,
-    write_scan_csv,
-)
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    all_subgroups,
-    build_cyclic,
-    cyclic_factor_generators,
-    dihedral,
-    direct_product,
-    dual_group,
-    full_subgroup,
-    quaternion,
-    subgroup_generated,
-    symmetric_group,
-    trivial_subgroup,
-)
+from .cocycles import Cocycle, regularity, trivial, validate, weyl_heisenberg
+from .config import TF_BASE, Tolerances
+from .dimension import (ModuleSpec, make_module_spec, phi, phi_oracle, random_window,
+                        windowed_rep)
+from .errors import BoundExceeded, Infeasible, InputError, LatdimError, NotIrreducible
+from .frames import (construct_parseval_generators, existence_decision, frame_report,
+                     multiwindow_system)
+from .gabor import audit_rows, build_tf, gabor_scan, read_scan_csv, write_scan_csv
+from .groups import (DualGroup, FiniteGroup, Subgroup, all_subgroups, build_cyclic,
+                     cyclic_factor_generators, dihedral, direct_product, dual_group,
+                     full_subgroup, quaternion, subgroup_generated, symmetric_group,
+                     trivial_subgroup)
 from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
-from .serialize import (
-    cocycle_from_json,
-    complex_to_pairs,
-    dump_json,
-    generators_to_json,
-    load_json,
-    read_cayley_text,
-    rep_from_json,
-)
+from .serialize import (cocycle_from_json, complex_to_pairs, dump_json, generators_to_json,
+                        load_json, read_cayley_text, rep_from_json)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged settings for one invocation.
-
-    Precedence is defaults, then the --config file, then explicit
-    command line flags.
-    """
-
-    group: str | None = None
-    cocycle: str = "trivial"
-    rep: str | None = None
-    lattice: str | None = None
-    n: int = 1
-    d: int = 1
-    seed: int = 0
-    base: str | None = None
-    nmax: int = 3
-    dmax: int = 3
-    construct: bool = False
-    in_path: str | None = None
-    out: str | None = None
-    tolerances: Tolerances = DEFAULT_TOL
-
-
-# JSON type each config key must hold; null means "not set"
-_CONFIG_TYPES = {
-    "group": str, "cocycle": str, "rep": str, "lattice": str, "base": str,
-    "in": str, "out": str, "n": int, "d": int, "seed": int, "nmax": int,
-    "dmax": int, "construct": bool, "tolerances": dict,
-}
 
 _ATOM = re.compile(r"^([ZDSQ])(\d+)$")
 _TUPLE = re.compile(r"\(([^()]*)\)")
-
-
-def _build_tolerances(data) -> Tolerances:
-    if not data:
-        return DEFAULT_TOL
-    if not isinstance(data, dict):
-        raise InputError("config key 'tolerances' must be an object")
-    allowed = {f.name for f in fields(Tolerances)}
-    bad = sorted(set(data) - allowed)
-    if bad:
-        raise InputError(f"unknown tolerance keys: {bad}")
-    try:
-        return replace(DEFAULT_TOL, **{k: float(v) for k, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad tolerance value: {exc}") from None
 
 
 def _build_atom(token: str) -> FiniteGroup:
@@ -143,12 +69,14 @@ def _token_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
     return reduce(direct_product, atoms), factors
 
 
-def _tf_group(base_spec: str,
-              tol: Tolerances = DEFAULT_TOL) -> tuple[TimeFrequencyGroup, tuple[int, ...]]:
-    """Time-frequency data over builtin base tokens, in row-major coordinates, rep at ``tol``."""
+def _tf_parts(base_spec: str) -> tuple[FiniteGroup, DualGroup, tuple[int, ...]]:
+    """Base of builtin tokens, its dual in row-major coordinates, and the factor orders."""
     base, factors = _token_group(base_spec)
-    gens, orders = cyclic_factor_generators(list(factors))
-    return build_tf(base, dual_group(base, gens, orders), tol), factors
+    if base.order > TF_BASE:
+        raise BoundExceeded(
+            f"base order {base.order} exceeds {TF_BASE}; the product group would be too large"
+        )
+    return base, dual_group(base, *cyclic_factor_generators(list(factors))), factors
 
 
 def _build_group(spec: str) -> FiniteGroup:
@@ -168,55 +96,49 @@ def _check_same_table(a: FiniteGroup, b: FiniteGroup, what: str) -> None:
         raise InputError(f"--group disagrees with the group inside {what}")
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    group: FiniteGroup
-    cocycle: Cocycle
-    tf: TimeFrequencyGroup | None = None
-    factors: tuple[int, ...] | None = None
+def _wh_parts(cfg: argparse.Namespace) -> tuple[FiniteGroup, DualGroup, tuple[int, ...]]:
+    """``_tf_parts`` of the base A of --group AxA."""
+    if cfg.group is None:
+        raise InputError("--cocycle weyl-heisenberg needs --group AxA")
+    tokens = cfg.group.split("x")
+    half = len(tokens) // 2
+    if len(tokens) % 2 or tokens[:half] != tokens[half:]:
+        raise InputError(
+            "weyl-heisenberg needs a group of the form AxA, two identical token halves"
+        )
+    return _tf_parts("x".join(tokens[:half]))
 
 
-def _resolve_pair(cfg: RunConfig, check: bool = True,
-                  rep_tol: Tolerances = DEFAULT_TOL) -> _Resolved:
-    """Group and cocycle; a built-in Weyl-Heisenberg rep carries ``rep_tol``, set on rep paths."""
-    spec = cfg.cocycle
-    if spec == "weyl-heisenberg":
-        if cfg.group is None:
-            raise InputError("--cocycle weyl-heisenberg needs --group AxA")
-        tokens = cfg.group.split("x")
-        half = len(tokens) // 2
-        if len(tokens) % 2 or tokens[:half] != tokens[half:]:
-            raise InputError(
-                "weyl-heisenberg needs a group of the form AxA, two "
-                "identical token halves"
-            )
-        tf, factors = _tf_group("x".join(tokens[:half]), rep_tol)
-        return _Resolved(tf.group, tf.cocycle, tf, factors)
-    if spec == "trivial":
+def _cocycle(cfg: argparse.Namespace, check: bool = True) -> Cocycle:
+    """The cocycle of --cocycle over --group; no rep is built."""
+    if cfg.cocycle == "weyl-heisenberg":
+        return weyl_heisenberg(*_wh_parts(cfg)[:2])
+    if cfg.cocycle == "trivial":
         if cfg.group is None:
             raise InputError("--cocycle trivial needs --group")
-        g = _build_group(cfg.group)
-        return _Resolved(g, trivial(g))
-    c = cocycle_from_json(load_json(spec), check=check, tol=cfg.tolerances)
+        return trivial(_build_group(cfg.group))
+    c = cocycle_from_json(load_json(cfg.cocycle), check=check, tol=cfg.tolerances)
     if cfg.group is not None:
         _check_same_table(_build_group(cfg.group), c.group, "the cocycle file")
-    return _Resolved(c.group, c)
+    return c
 
 
-def _resolve_rep(cfg: RunConfig) -> tuple[ProjectiveRep, _Resolved]:
+def _resolve_rep(cfg: argparse.Namespace) -> tuple[ProjectiveRep, tuple[int, ...] | None]:
     """The rep of --rep, the built-in Weyl-Heisenberg rep, or an irrep cut from the cocycle.
 
-    The cut is ``irreducible_subrep`` seeded by --seed, at the configured tolerances.
+    Every rep carries the configured tolerances; the cut is ``irreducible_subrep``
+    seeded by --seed.  The factor orders come back on the built-in route only.
     """
     if cfg.rep is not None:
         rep = rep_from_json(load_json(cfg.rep), tol=cfg.tolerances)
         if cfg.group is not None:
             _check_same_table(_build_group(cfg.group), rep.group, "the rep file")
-        return rep, _Resolved(rep.group, rep.cocycle)
-    res = _resolve_pair(cfg, rep_tol=cfg.tolerances)
-    if res.tf is not None:
-        return res.tf.rep, res
-    return irreducible_subrep(res.group, res.cocycle, seed=cfg.seed, tol=cfg.tolerances), res
+        return rep, None
+    if cfg.cocycle == "weyl-heisenberg":
+        base, dual, factors = _wh_parts(cfg)
+        return build_tf(base, dual, cfg.tolerances).rep, factors
+    c = _cocycle(cfg)
+    return irreducible_subrep(c.group, c, seed=cfg.seed, tol=cfg.tolerances), None
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -226,25 +148,26 @@ def _parse_int(text: str, what: str) -> int:
         raise InputError(f"bad {what} {text!r}; expected an integer") from None
 
 
-def _parse_lattice(cfg: RunConfig, res: _Resolved) -> Subgroup:
-    g = res.group
-    s = (cfg.lattice or "full").strip()
+def _parse_lattice(spec: str | None, g: FiniteGroup,
+                   factors: tuple[int, ...] | None) -> Subgroup:
+    s = "full" if spec is None else spec.strip()
     if s == "full":
         return full_subgroup(g)
     if s == "trivial":
         return trivial_subgroup(g)
     if "(" in s:
-        if res.factors is None:
+        if factors is None:
             raise InputError(
                 "coordinate tuples only make sense with the built-in "
                 "weyl-heisenberg construction; pass element indices instead"
             )
-        radices = res.factors + res.factors
-        leftover = _TUPLE.sub("", s).replace(",", "").strip()
-        if leftover:
+        radices = factors + factors
+        bodies = _TUPLE.findall(s)
+        # tuples joined by single commas, with nothing else between them
+        if "".join(_TUPLE.sub("()", s).split()) != ",".join(["()"] * len(bodies)):
             raise InputError(f"malformed lattice spec {s!r}")
         gens = []
-        for body in _TUPLE.findall(s):
+        for body in bodies:
             parts = body.split(",")
             if len(parts) != len(radices):
                 raise InputError(
@@ -266,6 +189,13 @@ def _parse_lattice(cfg: RunConfig, res: _Resolved) -> Subgroup:
     return subgroup_generated(g, gens)
 
 
+def _module(cfg: argparse.Namespace) -> tuple[ProjectiveRep, Subgroup, ModuleSpec]:
+    """The rep, the lattice of --lattice, and the module over it."""
+    rep, factors = _resolve_rep(cfg)
+    lat = _parse_lattice(cfg.lattice, rep.group, factors)
+    return rep, lat, make_module_spec(rep, lat)
+
+
 def _emit(data: dict, out: str | None) -> None:
     if out is not None:
         dump_json(data, out)
@@ -274,9 +204,8 @@ def _emit(data: dict, out: str | None) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _cmd_validate_cocycle(cfg: RunConfig) -> int:
-    res = _resolve_pair(cfg, check=False)
-    rpt = validate(res.cocycle, cfg.tolerances)
+def _cmd_validate_cocycle(cfg: argparse.Namespace) -> int:
+    rpt = validate(_cocycle(cfg, check=False), cfg.tolerances)
     print(f"cocycle {'ok' if rpt.ok else 'invalid'}")
     print(f"unit-residual {rpt.unit_residual:.6g}")
     print(f"identity-residual {rpt.identity_residual:.6g}")
@@ -289,28 +218,26 @@ def _cmd_validate_cocycle(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_kleppner(cfg: RunConfig) -> int:
-    res = _resolve_pair(cfg)
-    r = regularity(res.cocycle, cfg.tolerances)
+def _cmd_kleppner(cfg: argparse.Namespace) -> int:
+    c = _cocycle(cfg)
+    r = regularity(c, cfg.tolerances)
     n_el = int(np.count_nonzero(r.regular_elements))
     print(f"kleppner {'yes' if r.kleppner else 'no'}")
-    print(f"regular-elements {n_el} of {res.group.order}")
+    print(f"regular-elements {n_el} of {c.group.order}")
     return 0
 
 
-def _cmd_cvt(cfg: RunConfig) -> int:
-    res = _resolve_pair(cfg)
-    g = res.group
-    table = complex_to_pairs(center_valued_trace_table(res.cocycle, cfg.tolerances))
+def _cmd_cvt(cfg: argparse.Namespace) -> int:
+    c = _cocycle(cfg)
+    g = c.group
+    table = complex_to_pairs(center_valued_trace_table(c, cfg.tolerances))
     rows = [{"gamma": gamma, "coeffs": coeffs} for gamma, coeffs in enumerate(table)]
     _emit({"group": g.label, "order": g.order, "rows": rows}, cfg.out)
     return 0
 
 
-def _cmd_phi(cfg: RunConfig) -> int:
-    rep, res = _resolve_rep(cfg)
-    lat = _parse_lattice(cfg, res)
-    spec = make_module_spec(rep, lat)
+def _cmd_phi(cfg: argparse.Namespace) -> int:
+    rep, lat, spec = _module(cfg)
     fn = spec.dimension_function
     rows = []
     for i in range(lat.order):
@@ -334,10 +261,8 @@ def _cmd_phi(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_decide(cfg: RunConfig) -> int:
-    rep, res = _resolve_rep(cfg)
-    lat = _parse_lattice(cfg, res)
-    spec = make_module_spec(rep, lat)
+def _cmd_decide(cfg: argparse.Namespace) -> int:
+    _, _, spec = _module(cfg)
     dec = existence_decision(spec, cfg.n, cfg.d)
     print(f"frame {'yes' if dec.frame else 'no'}")
     print(f"riesz {'yes' if dec.riesz else 'no'}")
@@ -348,10 +273,8 @@ def _cmd_decide(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    rep, res = _resolve_rep(cfg)
-    lat = _parse_lattice(cfg, res)
-    spec = make_module_spec(rep, lat)
+def _cmd_construct(cfg: argparse.Namespace) -> int:
+    rep, lat, spec = _module(cfg)
     gens = construct_parseval_generators(spec, cfg.n, cfg.d, seed=cfg.seed)
     rpt = frame_report(multiwindow_system(rep, lat, gens))
     print("parseval ok")
@@ -367,7 +290,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_routes(cfg: RunConfig) -> int:
+def _cmd_routes(cfg: argparse.Namespace) -> int:
     """phi against phi_oracle on every lattice; exit 1 above tol_id."""
     rep, _ = _resolve_rep(cfg)
     g = rep.group
@@ -389,15 +312,13 @@ def _cmd_routes(cfg: RunConfig) -> int:
     return 0 if worst <= rep.tol.tol_id else 1
 
 
-def _cmd_gabor_scan(cfg: RunConfig) -> int:
+def _cmd_gabor_scan(cfg: argparse.Namespace) -> int:
     if cfg.base is None:
         raise InputError("gabor-scan needs --base, e.g. --base Z4")
     if cfg.out is None:
         raise InputError("gabor-scan needs --out FILE.csv")
-    tf, _ = _tf_group(cfg.base, cfg.tolerances)
-    rows = gabor_scan(
-        tf, cfg.nmax, cfg.dmax, construct=cfg.construct, seed=cfg.seed
-    )
+    tf = build_tf(*_tf_parts(cfg.base)[:2], cfg.tolerances)
+    rows = gabor_scan(tf, cfg.nmax, cfg.dmax, construct=cfg.construct, seed=cfg.seed)
     write_scan_csv(rows, cfg.out)
     print(f"rows {len(rows)}")
     print(f"lattices {len(rows) // (cfg.nmax * cfg.dmax)}")
@@ -405,10 +326,11 @@ def _cmd_gabor_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_density_audit(cfg: RunConfig) -> int:
-    if cfg.in_path is None:
+def _cmd_density_audit(cfg: argparse.Namespace) -> int:
+    path = getattr(cfg, "in")  # "in" is a keyword
+    if path is None:
         raise InputError("density-audit needs --in FILE.csv")
-    rows = read_scan_csv(cfg.in_path)
+    rows = read_scan_csv(path)
     problems = audit_rows(rows)
     for p in problems:
         print(f"violation: {p}")
@@ -417,7 +339,7 @@ def _cmd_density_audit(cfg: RunConfig) -> int:
     return 1 if problems else 0
 
 
-def _cmd_rep_validate(cfg: RunConfig) -> int:
+def _cmd_rep_validate(cfg: argparse.Namespace) -> int:
     if cfg.rep is None:
         raise InputError("rep-validate needs --rep FILE")
     rpt = rep_from_json(load_json(cfg.rep), check=False, tol=cfg.tolerances).report
@@ -430,7 +352,7 @@ def _cmd_rep_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_rep_dpi(cfg: RunConfig) -> int:
+def _cmd_rep_dpi(cfg: argparse.Namespace) -> int:
     rep, _ = _resolve_rep(cfg)
     d = formal_dimension(rep)
     print(f"dim {rep.dim}")
@@ -439,28 +361,39 @@ def _cmd_rep_dpi(cfg: RunConfig) -> int:
     return 0
 
 
-_FLAGS = {
-    "config": dict(metavar="FILE", help="JSON file with defaults; flags override it"),
-    "group": dict(metavar="SPEC", help="builtin tokens joined by x (Z4, Z2xZ4, S3, D4, "
-                                       "Q8) or a Cayley table file"),
-    "cocycle": dict(metavar="SPEC", help="trivial, weyl-heisenberg, or a JSON file"),
-    "rep": dict(metavar="FILE", help="representation JSON (overrides --group/--cocycle)"),
-    "lattice": dict(metavar="SPEC", help="full, trivial, element indices 0,3,5, or "
-                                         "coordinate tuples (1,0,2,0),(0,1,0,0)"),
-    "n": dict(type=int, help="number of generator windows"),
-    "d": dict(type=int, help="number of stacked copies of the module"),
-    "base": dict(metavar="SPEC", help="abelian base, builtin tokens only, e.g. Z2xZ4"),
-    "nmax": dict(type=int),
-    "dmax": dict(type=int),
-    "construct": dict(action="store_true", help="also build generators on feasible cells"),
-    "in": dict(dest="in_path", metavar="FILE"),
-    "out": dict(metavar="FILE"),
-    "seed": dict(type=int, help="seeds the irrep cut from a cocycle and every random draw"),
-    "tol-unit": dict(type=float),
-    "tol-id": dict(type=float),
-    "tol-psd": dict(type=float),
-    "tol-frame": dict(type=float),
+class _Setting(NamedTuple):
+    """One setting, declared once for argparse, the --config file and the range check."""
+
+    kind: type  # JSON type in a --config file; a JSON integer passes as a float
+    default: object = None
+    low: int | None = None  # least value, checked only where a subcommand reads it
+    metavar: str | None = None
+    help: str | None = None
+
+
+# The four tolerances sit under "tolerances" in a --config file; their
+# defaults and their domain are those of Tolerances.
+_SETTINGS = {
+    "group": _Setting(str, metavar="SPEC", help="builtin tokens joined by x (Z4, Z2xZ4, S3, "
+                                                "D4, Q8) or a Cayley table file"),
+    "cocycle": _Setting(str, "trivial", metavar="SPEC",
+                        help="trivial, weyl-heisenberg, or a JSON file"),
+    "rep": _Setting(str, metavar="FILE",
+                    help="representation JSON (overrides --group/--cocycle)"),
+    "lattice": _Setting(str, metavar="SPEC", help="full, trivial, element indices 0,3,5, or "
+                                                  "coordinate tuples (1,0,2,0),(0,1,0,0)"),
+    "n": _Setting(int, 1, 1, help="number of generator windows"),
+    "d": _Setting(int, 1, 1, help="number of stacked copies of the module"),
+    "seed": _Setting(int, 0, 0, help="seeds the irrep cut from a cocycle and every random draw"),
+    "base": _Setting(str, metavar="SPEC", help="abelian base, builtin tokens only, e.g. Z2xZ4"),
+    "nmax": _Setting(int, 3, 1),
+    "dmax": _Setting(int, 3, 1),
+    "construct": _Setting(bool, False, help="also build generators on feasible cells"),
+    "in": _Setting(str, metavar="FILE"),
+    "out": _Setting(str, metavar="FILE"),
+    **{f.name: _Setting(float, f.default) for f in fields(Tolerances)},
 }
+_TOLERANCES = [f.name for f in fields(Tolerances)]
 
 # subcommand -> (handler, help, the flags that some input path of it reads)
 _COMMANDS = {
@@ -507,55 +440,57 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
-        for flag in ("config", *flags.split()):
-            cmd.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
+        cmd.add_argument("--config", metavar="FILE",
+                         help="JSON file with defaults; flags override it")
+        for flag in flags.split():
+            s = _SETTINGS[flag.replace("-", "_")]
+            how = (dict(action="store_true") if s.kind is bool
+                   else dict(type=s.kind, metavar=s.metavar))
+            cmd.add_argument(f"--{flag}", default=None, help=s.help, **how)
     return p
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    file_data: dict = {}
-    if args.config:
-        raw = load_json(args.config)
-        if not isinstance(raw, dict):
-            raise InputError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+def _typed(what: str, value, kind: type):
+    """``value`` unless it is a JSON value of another type than ``kind``; null passes."""
+    # type() rather than isinstance: JSON true is not a count
+    if value is None or type(value) is kind or (kind is float and type(value) is int):
+        return value
+    name = "number" if kind is float else kind.__name__
+    raise InputError(f"{what} must be a JSON {name}, got {value!r}")
+
+
+def _read_config(path: str) -> dict:
+    """The non-null settings of a --config file, type-checked, tolerances flattened."""
+    raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise InputError("config file must hold a JSON object")
+    tols = _typed("config key 'tolerances'", raw.pop("tolerances", None), dict) or {}
+    for keys, where, known in ((raw, "config", _SETTINGS.keys() - _TOLERANCES),
+                               (tols, "tolerance", _TOLERANCES)):
+        unknown = sorted(set(keys) - set(known))
         if unknown:
-            raise InputError(f"unknown config keys: {unknown}")
-        for key, v in raw.items():
-            # type() rather than isinstance: JSON true is not a count
-            if v is not None and type(v) is not _CONFIG_TYPES[key]:
-                raise InputError(
-                    f"config key {key!r} must be a JSON "
-                    f"{_CONFIG_TYPES[key].__name__}, got {v!r}"
-                )
-        file_data = raw
+            raise InputError(f"unknown {where} keys: {unknown}")
+    return {k: _typed(f"config key {k!r}" if k in raw else f"tolerance {k!r}",
+                      v, _SETTINGS[k].kind)
+            for k, v in {**raw, **tols}.items() if v is not None}
 
-    def pick(name: str):
-        v = getattr(args, name, None)
-        if v is None:
-            v = file_data.get("in" if name == "in_path" else name)
-        return v
 
-    tols = _build_tolerances(file_data.get("tolerances"))
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(Tolerances)
-        if getattr(args, f.name, None) is not None
-    }
-    if overrides:
-        tols = replace(tols, **overrides)
-    cfg = RunConfig(tolerances=tols, **{
-        f.name: f.default if (v := pick(f.name)) is None else v
-        for f in fields(RunConfig) if f.name != "tolerances"
-    })
-    # range checks only for the counts this subcommand reads; a shared config
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Every setting from its flag, else the --config file, else its default."""
+    given = _read_config(args.config) if args.config else {}
+    cfg = argparse.Namespace()
+    for name, setting in _SETTINGS.items():
+        value = getattr(args, name, None)
+        value = given.get(name, setting.default) if value is None else value
+        setattr(cfg, name, float(value) if setting.kind is float else value)
+    # range checks only for the settings this subcommand reads; a shared config
     # file may hold other subcommands' keys
-    reads = _COMMANDS[args.command][2].split()
-    for name in ("n", "d", "nmax", "dmax"):
-        if name in reads and getattr(cfg, name) < 1:
-            raise InputError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if "seed" in reads and cfg.seed < 0:
-        raise InputError(f"seed must be non-negative, got {cfg.seed}")
+    for name in _COMMANDS[args.command][2].replace("-", "_").split():
+        low, value = _SETTINGS[name].low, getattr(cfg, name)
+        if low is not None and value < low:
+            least = "non-negative" if low == 0 else f"at least {low}"
+            raise InputError(f"{name} must be {least}, got {value}")
+    cfg.tolerances = Tolerances(**{name: vars(cfg).pop(name) for name in _TOLERANCES})
     return cfg
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from .errors import InputError
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance knobs.
+    """Tolerance knobs, each finite and non-negative (InputError otherwise).
 
     tol_unit and tol_id are absolute. tol_psd and tol_frame are relative
     factors: PSD checks scale tol_psd by max(1, operator norm) and frame
@@ -18,6 +21,12 @@ class Tolerances:
     tol_id: float = 1e-9
     tol_psd: float = 1e-9
     tol_frame: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:  # false on NaN too
+                raise InputError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -38,6 +47,7 @@ FIXED_RESIDUAL = 1e-7  # |U v - v| a fixed-space candidate may keep
 CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)
 
 # Bounds on request sizes, checked before the allocations they would cause.
+TF_BASE = 16  # order of a time-frequency base; its group has TF_BASE**2 elements
 SCAN_CELLS = 64  # n_max * d_max cells per lattice; a scan holds one row per lattice and cell
 SCAN_ROWS = 1 << 20  # lattices x cells of a whole scan, each row a dict held in memory
 SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed system

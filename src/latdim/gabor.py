@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
-from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS,
+from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS, TF_BASE,
                      Tolerances)
 from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
@@ -79,10 +79,9 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     Pass a precomputed dual to pin the coordinate basis; by default the
     largest-order-first decomposition is used.
     """
-    if a.order > 16:
+    if a.order > TF_BASE:
         raise BoundExceeded(
-            f"base order {a.order} exceeds 16; the product group would "
-            "be too large"
+            f"base order {a.order} exceeds {TF_BASE}; the product group would be too large"
         )
     if dual is None:
         dual = dual_group(a)

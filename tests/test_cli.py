@@ -368,6 +368,14 @@ def test_config_file_with_cli_override(capsys, tmp_path):
     assert out == "frame yes\nriesz no\nbasis no\n"
 
 
+def test_config_nulls_set_nothing(capsys, tmp_path):
+    """A null, a plain key or a tolerance, leaves the default in place."""
+    cfg = str(tmp_path / "run.json")
+    dump_json({"group": "Z2xZ2", "cocycle": "weyl-heisenberg", "n": None,
+               "tolerances": {"tol_id": None, "tol_psd": None}}, cfg)
+    assert run(capsys, "decide", "--config", cfg) == run(capsys, "decide", *_WH)
+
+
 def test_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = str(tmp_path / "run.json")
     dump_json({"grp": "Z4"}, cfg)
@@ -524,6 +532,8 @@ _WH = ("--group", "Z2xZ2", "--cocycle", "weyl-heisenberg")
     pytest.param(("decide", *_WH), {"d": True}, id="config-d-bool"),
     pytest.param(("gabor-scan", "--base", "Z2"), {"construct": "false"}, id="config-construct-string"),
     pytest.param(("decide", *_WH), ["group"], id="config-array"),
+    pytest.param(("decide", *_WH), {"tolerances": {"tol_id": True}}, id="config-tol-bool"),
+    pytest.param(("decide", *_WH), {"tolerances": {"tol_id": "1e-6"}}, id="config-tol-string"),
 ])
 def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
     argv = list(argv)
@@ -542,6 +552,47 @@ def test_bad_counts_are_rejected(capsys, tmp_path, argv, config):
     rc, _, err = run(capsys, *argv)
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(("--tol-psd", "-1"), None, id="tol-psd-negative"),
+    pytest.param(("--tol-psd", "inf", "--n", "1", "--d", "3"), None, id="tol-psd-inf"),
+    pytest.param(("--tol-id", "nan"), None, id="tol-id-nan"),
+    pytest.param((), {"tolerances": {"tol_id": -1}}, id="config-tol-id-negative"),
+])
+def test_tolerances_outside_their_domain_exit_1_with_one_error_line(capsys, tmp_path,
+                                                                    argv, config):
+    """Each tolerance is finite and non-negative; at Z2xZ2 these used to decide wrongly."""
+    if config is not None:
+        cfg = str(tmp_path / "run.json")
+        dump_json(config, cfg)
+        argv += ("--config", cfg)
+    rc, out, err = run(capsys, "decide", *_WH, *argv)
+    assert (rc, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: tol_") and "must be finite and non-negative" in err
+
+
+def test_cocycle_only_subcommands_build_no_rep(capsys, monkeypatch):
+    """kleppner, cvt and validate-cocycle read the Weyl-Heisenberg cocycle alone."""
+    import latdim.cli
+    import latdim.reps
+
+    argv = ("--group", "Z4xZ4", "--cocycle", "weyl-heisenberg")
+    commands = ("kleppner", "cvt", "validate-cocycle")
+    unpatched = [run(capsys, command, *argv) for command in commands]
+    monkeypatch.setattr(latdim.cli, "build_tf", lambda *a, **k: pytest.fail("built a rep"))
+    monkeypatch.setattr(latdim.reps, "validate_rep", lambda *a: pytest.fail("validated a rep"))
+    got = [run(capsys, command, *argv) for command in commands]
+    assert got == unpatched
+    (rc, kleppner, _), (_, cvt, _), (_, cocycle, _) = got
+    assert (rc, kleppner) == (0, "kleppner yes\nregular-elements 1 of 16\n")
+    assert hashlib.sha256(cvt.encode()).hexdigest() == (
+        "0896c05ded4e6e64a7dbab00ba86344e20bb1fda5f523ff6220348f1c898205d"
+    )
+    lines = cocycle.splitlines()
+    assert lines[:2] + lines[3:] == ["cocycle ok", "unit-residual 0", "normalization-residual 0"]
+    assert float(lines[2].removeprefix("identity-residual ")) < 1e-15
 
 
 def test_counts_are_range_checked_only_where_read(capsys, tmp_path):
@@ -824,6 +875,8 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     ("validate-cocycle", *_WH, "--tol-psd", "1e-3"),
     ("decide", *_WH, "--nn", "1"),
     ("decide", *_WH, "--n", "abc"),
+    ("decide", *_WH, "--lattice", ""),
+    ("decide", *_WH, "--lattice", "(1,0),,"),
     (),
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]) or "no-command")
 def test_bad_command_lines_exit_1_with_one_error_line(capsys, tmp_path, argv):

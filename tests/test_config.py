@@ -7,7 +7,8 @@ import tokenize
 import pytest
 
 import latdim
-from latdim.errors import ConsistencyError, WindowNotUnit, check_residual
+from latdim.config import Tolerances
+from latdim.errors import ConsistencyError, InputError, WindowNotUnit, check_residual
 
 SRC = pathlib.Path(latdim.__file__).parent
 
@@ -43,3 +44,11 @@ def test_check_residual_fails_above_the_bound_and_on_nan(residual):
 def test_check_residual_passes_at_the_bound():
     check_residual("test residual", 1e-9, 1e-9)
     check_residual("test residual", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [-1e-12, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["tol_unit", "tol_id", "tol_psd", "tol_frame"])
+def test_tolerances_are_finite_and_non_negative(name, value):
+    with pytest.raises(InputError, match=f"^{name} must be finite and non-negative"):
+        Tolerances(**{name: value})
+    assert getattr(Tolerances(**{name: 0.0}), name) == 0.0

@@ -17,6 +17,7 @@ from latdim import (
     build_cyclic,
     cdim_operator,
     conjugate_cocycle,
+    existence_decision,
     full_subgroup,
     gabor_scan,
     is_sigma_positive_definite,
@@ -37,7 +38,8 @@ from latdim import (
 import latdim.dimension as dim_mod
 from latdim import cli
 
-from fixtures_common import near_rep, rep_fixtures, tf, traced_peak, trivial_irrep
+from fixtures_common import (gauge_twisted_rep, near_rep, rep_fixtures, tf, traced_peak,
+                             trivial_irrep)
 
 
 def _sign_character():
@@ -376,3 +378,49 @@ def test_regular_mask_uses_the_rep_tolerances():
                           regularity(spec.restricted_cocycle, rep.tol).regular_elements)
     # the defaults would have left only the identity regular
     assert np.flatnonzero(regularity(spec.restricted_cocycle).regular_elements).tolist() == [0]
+
+
+_CELLS = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_a_gauge_change_of_the_rep_multiplies_phi_by_its_conjugate_phases(label, rep):
+    """x -> f(x) pi(x) turns phi into conj(f) phi on every lattice, by both routes.
+
+    The regular mask, the spectrum of Phi and every (n, d) verdict stay as they were.
+    """
+    gauged = gauge_twisted_rep(rep)
+    # pi and f pi are unitary, so <f pi(x), pi(x)> = f(x) dim
+    f = np.einsum("xij,xij->x", gauged.matrices, rep.matrices.conj()) / rep.dim
+    source, gauged_source = windowed_rep(rep), windowed_rep(gauged)
+    for sub in all_subgroups(rep.group):
+        spec, gauged_spec = source.spec(sub), gauged_source.spec(sub)
+        fn = phi(spec)
+        want = np.conj(f[list(sub.elements)]) * fn.values
+        for route in (phi, phi_oracle):
+            assert np.abs(route(gauged_spec).values - want).max() <= 1e-12
+        assert np.abs(phi(gauged_spec).spectrum - fn.spectrum).max() <= 1e-12
+        assert np.array_equal(gauged_spec.regular, spec.regular)
+        for n, d in _CELLS:
+            before, after = existence_decision(spec, n, d), existence_decision(gauged_spec, n, d)
+            verdicts = [(r.frame, r.riesz, r.basis) for r in (before, after)]
+            assert verdicts[0] == verdicts[1], (sub.order, n, d)
+
+
+def test_conjugate_lattices_have_equal_phi_spectra():
+    """pi(g) intertwines the restrictions to L and g L g^-1, so Phi has one spectrum on both."""
+    pairs = 0
+    for label, rep in rep_fixtures():
+        g, source = rep.group, windowed_rep(rep)
+        subs = all_subgroups(g)
+        by_elements = {frozenset(sub.elements): sub for sub in subs}
+        for sub in subs:
+            spectrum = phi(source.spec(sub)).spectrum
+            elems = list(sub.elements)
+            for x in range(g.order):
+                conj = by_elements[frozenset(g.cayley[g.cayley[x, elems], g.inverse[x]])]
+                if conj is not sub:
+                    pairs += 1
+                    gap = np.abs(phi(source.spec(conj)).spectrum - spectrum).max()
+                    assert gap <= 1e-9, (label, sub.elements, x)
+    assert pairs == 556  # every (lattice, g) pair of the fixtures that moves the lattice

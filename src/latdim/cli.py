@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -29,10 +30,10 @@ from .errors import BoundExceeded, Infeasible, InputError, LatdimError, NotIrred
 from .frames import (construct_parseval_generators, existence_decision, frame_report,
                      multiwindow_system)
 from .gabor import audit_rows, build_tf, gabor_scan, read_scan_csv, write_scan_csv
-from .groups import (DualGroup, FiniteGroup, Subgroup, all_subgroups, build_cyclic,
-                     cyclic_factor_generators, dihedral, direct_product, dual_group,
-                     full_subgroup, quaternion, subgroup_generated, symmetric_group,
-                     trivial_subgroup)
+from .groups import (SUBGROUP_ENUM_BOUND, DualGroup, FiniteGroup, Subgroup, all_subgroups,
+                     build_cyclic, cyclic_factor_generators, dihedral, direct_product,
+                     dual_group, full_subgroup, quaternion, subgroup_generated,
+                     symmetric_group, trivial_subgroup)
 from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
 from .serialize import (cocycle_from_json, complex_to_pairs, dump_json, generators_to_json,
                         load_json, read_cayley_text, rep_from_json)
@@ -42,30 +43,38 @@ _ATOM = re.compile(r"^([ZDSQ])(\d+)$")
 _TUPLE = re.compile(r"\(([^()]*)\)")
 
 
-def _build_atom(token: str) -> FiniteGroup:
+def _atom_order(token: str) -> int:
+    """The order of a builtin token, read off the token itself."""
     m = _ATOM.match(token)
     if m is None:
         raise InputError(
             f"unknown group token {token!r}; expected Z<n>, D<n>, S<n>, or Q8"
         )
     kind, num = m.group(1), int(m.group(2))
-    if kind == "Z":
-        return build_cyclic(num)
-    if kind == "S":
-        return symmetric_group(num)
-    if kind == "D":
-        return dihedral(num)
-    if num != 8:
+    if kind == "Q" and num != 8:
         raise InputError(f"unknown group token {token!r}; only Q8 is built in")
-    return quaternion()
+    if num < 1:  # an empty factor would let any other factor past the bound
+        raise InputError(f"group token {token!r} needs n >= 1")
+    if kind == "S":
+        if num > 5:
+            raise InputError("symmetric_group supports 1 <= n <= 5")
+        return math.factorial(num)
+    return {"Z": num, "D": 2 * num, "Q": 8}[kind]
+
+
+_BUILDERS = {"Z": build_cyclic, "D": dihedral, "S": symmetric_group, "Q": lambda _: quaternion()}
 
 
 def _token_group(spec: str) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The product of builtin tokens and the factor orders; the order is bounded first."""
     tokens = spec.split("x")
     if not all(tokens):
         raise InputError(f"malformed group spec {spec!r}")
-    atoms = [_build_atom(t) for t in tokens]
-    factors = tuple(a.order for a in atoms)
+    factors = tuple(_atom_order(t) for t in tokens)
+    order = math.prod(factors)
+    if order > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(f"group order {order} exceeds {SUBGROUP_ENUM_BOUND}")
+    atoms = [_BUILDERS[t[0]](int(t[1:])) for t in tokens]
     return reduce(direct_product, atoms), factors
 
 
@@ -476,16 +485,19 @@ def _read_config(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Every setting from its flag, else the --config file, else its default."""
+    """Every setting the subcommand reads from its flag, else the --config file,
+    else its default; every other setting keeps its default."""
+    listed = _COMMANDS[args.command][2].replace("-", "_").split()
     given = _read_config(args.config) if args.config else {}
     cfg = argparse.Namespace()
     for name, setting in _SETTINGS.items():
         value = getattr(args, name, None)
-        value = given.get(name, setting.default) if value is None else value
+        if value is None:
+            value = given.get(name, setting.default) if name in listed else setting.default
         setattr(cfg, name, float(value) if setting.kind is float else value)
-    # range checks only for the settings this subcommand reads; a shared config
-    # file may hold other subcommands' keys
-    for name in _COMMANDS[args.command][2].replace("-", "_").split():
+    # a shared config file may hold other subcommands' keys, so only the
+    # settings this subcommand reads are range checked
+    for name in listed:
         low, value = _SETTINGS[name].low, getattr(cfg, name)
         if low is not None and value < low:
             least = "non-negative" if low == 0 else f"at least {low}"

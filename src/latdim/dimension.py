@@ -24,7 +24,7 @@ from .errors import (
     NotIrreducible,
     check_residual,
 )
-from .groups import FiniteGroup, Subgroup, right_transversal
+from .groups import FiniteGroup, Subgroup, generated_subgroups, right_transversal
 from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
 
 # Lattices below this order keep the dense solve of Phi: a stacked eigvalsh
@@ -308,23 +308,6 @@ def cdim_operators(values: np.ndarray, cayley: np.ndarray, table: np.ndarray) ->
     return (op + adj) / 2
 
 
-def _closure(cayley: np.ndarray, mask: np.ndarray, shift: int) -> np.ndarray:
-    """Places of the subgroup generated by ``mask``, which holds the identity.
-
-    ``cayley`` names the element at place i by i + ``shift``, as one
-    lattice's table in block places does.  The set S is squared to S S
-    until it stops growing; a finite set that holds e and is closed under
-    products is a subgroup.
-    """
-    elems = np.flatnonzero(mask)
-    while True:
-        grown = np.zeros_like(mask)
-        grown[cayley[elems[:, None], elems] - shift] = True
-        if np.count_nonzero(grown) == elems.size:
-            return elems
-        elems = np.flatnonzero(grown)
-
-
 def phi_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
                 identity: np.ndarray | int) -> np.ndarray:
     """Ascending spectra of Phi, twisted convolution by each row of ``values``.
@@ -342,29 +325,26 @@ def phi_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
     ``cdim_operators`` and solved, and each eigenvalue is repeated [L:H]
     times, which keeps the order ascending.  No tolerance decides S: the
     class sum writes exact zeros off the regular mask, so under Kleppner's
-    condition H = {e} and Phi = dpi_vol I.  Rows with full support, and
-    every row of a lattice of order below ``_REDUCE_FROM``, are solved
-    densely; rows are stacked by |H|.
+    condition H = {e} and Phi = dpi_vol I.  Lattices of order below
+    ``_REDUCE_FROM`` are solved densely; above it one ``generated_subgroups``
+    call closes every row's H, and rows are stacked by |H|.
     """
     nb, m = values.shape
     if m < _REDUCE_FROM:
         return np.linalg.eigvalsh(cdim_operators(values, cayley, table))
-    shift = np.arange(nb) * m
     support = values != 0
     support.ravel()[identity] = True
-    subs = [np.arange(m) if row.all() else _closure(cayley[b], row, shift[b])
-            for b, row in enumerate(support)]
-    sizes = np.array([sub.size for sub in subs])
+    closed = generated_subgroups(cayley, support)
+    sizes = np.count_nonzero(closed, axis=1)
     spectra = np.empty((nb, m))
     for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == k)
-        h = np.array([subs[b] for b in rows])
+        h = np.nonzero(closed[rows])[1].reshape(rows.size, k)  # ascending in each row
         # H's Cayley tables, naming its elements by their places in a block of H's
-        pos = np.empty(m, dtype=np.int64)
-        cay = np.empty((rows.size, k, k), dtype=np.int64)
-        for r, b in enumerate(rows):
-            pos[h[r]] = np.arange(r * k, (r + 1) * k)
-            cay[r] = pos[cayley[b][h[r][:, None], h[r]] - shift[b]]
+        places = h + m * rows[:, None]
+        pos = np.empty(nb * m, dtype=np.int64)
+        pos[places] = np.arange(places.size).reshape(places.shape)
+        cay = pos[cayley[rows[:, None, None], h[:, :, None], h[:, None, :]]]
         tab = table[rows[:, None, None], h[:, :, None], h[:, None, :]]
         ops = cdim_operators(values[rows[:, None], h], cay, tab)
         spectra[rows] = np.repeat(np.linalg.eigvalsh(ops), m // k, axis=1)

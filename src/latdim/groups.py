@@ -9,7 +9,7 @@ H * y for callers that need the unique factorization x = h * y.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -74,11 +74,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
     def element_order(self, x: int) -> int:
-        k, acc = 1, x
-        while acc != self.identity:
-            acc = int(self.cayley[acc, x])
-            k += 1
-        return k
+        return _powers(self, x).size
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,21 +246,25 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
+def _powers(g: FiniteGroup, x: int) -> np.ndarray:
+    """[e, x, x^2, ...], every power of x once; its length is the order of x."""
+    powers = [g.identity]
+    while (acc := int(g.cayley[powers[-1], x])) != g.identity:
+        powers.append(acc)
+    return np.asarray(powers)
+
+
 def _cyclic_generators(g: FiniteGroup) -> dict[int, np.ndarray]:
     """The least generator x of each cyclic subgroup, in increasing order,
     mapped to its powers [e, x, x^2, ...]."""
     seen: set[frozenset[int]] = set()
     out = {}
     for x in range(g.order):
-        powers = [g.identity]
-        acc = x
-        while acc != g.identity:
-            powers.append(acc)
-            acc = int(g.cayley[acc, x])
-        key = frozenset(powers)
+        powers = _powers(g, x)
+        key = frozenset(powers.tolist())
         if key not in seen:
             seen.add(key)
-            out[x] = np.asarray(powers)
+            out[x] = powers
     return out
 
 
@@ -458,6 +458,23 @@ def subgroup_tables(parent: FiniteGroup, elems: np.ndarray):
     return cay, pos[parent.inverse[elems] + shift], pos.reshape(nb, -1)[:, parent.identity]
 
 
+def generated_subgroups(cayley: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masks of the subgroups that the rows of ``mask`` generate, a whole block at once.
+
+    ``cayley`` holds a block's (B, m, m) Cayley tables in block places, as
+    ``subgroup_tables`` gives them, and row b of the (B, m) ``mask`` a set S
+    that holds the identity of group b.  Every S is squared to S S until no
+    row grows; a finite set that holds e and is closed under products is a
+    subgroup.
+    """
+    while True:
+        grown = np.zeros(mask.size, dtype=bool)
+        grown[cayley[mask[:, :, None] & mask[:, None, :]]] = True
+        if np.count_nonzero(grown) == np.count_nonzero(mask):
+            return mask
+        mask = grown.reshape(mask.shape)
+
+
 def subgroup_group(sub: Subgroup) -> FiniteGroup:
     """Materialize a subgroup as a standalone group on 0..order-1.
 
@@ -477,35 +494,28 @@ def abelian_basis(g: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if not g.is_abelian():
         raise NotAbelian(f"group {g.label or g.order} is not abelian")
-    orders = [g.element_order(x) for x in range(g.order)]
-    by_pref = sorted(range(g.order), key=lambda x: (-orders[x], x))
+    powers = [_powers(g, x) for x in range(g.order)]
+    by_pref = sorted(range(g.order), key=lambda x: (-powers[x].size, x))
 
-    def extend(members: list[int], gens: list[int]) -> list[int] | None:
-        if len(members) == g.order:
+    def extend(members: np.ndarray, gens: list[int]) -> list[int] | None:
+        if members.size == g.order:
             return gens
-        mset = set(members)
         for x in by_pref:
-            if x in mset:
+            if x in members:
                 continue
-            powers = [g.identity]
-            acc = x
-            while acc != g.identity:
-                powers.append(acc)
-                acc = g.mul(acc, x)
-            prod = set()
-            for m in members:
-                row = g.cayley[m, powers]
-                prod.update(int(v) for v in row)
-            if len(prod) == len(members) * len(powers):
-                res = extend(sorted(prod), gens + [x])
+            prod = g.cayley[members[:, None], powers[x]]
+            grown = np.zeros(g.order, dtype=bool)
+            grown[prod] = True
+            if np.count_nonzero(grown) == prod.size:
+                res = extend(np.flatnonzero(grown), gens + [x])
                 if res is not None:
                     return res
         return None
 
-    gens = extend([g.identity], [])
+    gens = extend(np.array([g.identity]), [])
     if gens is None:
         raise ConsistencyError("abelian decomposition search failed")
-    return tuple(gens), tuple(orders[x] for x in gens)
+    return tuple(gens), tuple(powers[x].size for x in gens)
 
 
 def cyclic_factor_generators(factors: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -529,8 +539,6 @@ class DualGroup:
     """
 
     group: FiniteGroup
-    orders: tuple[int, ...]
-    primal_coords: np.ndarray
     pairing: np.ndarray
 
 
@@ -541,45 +549,28 @@ def dual_group(a: FiniteGroup, gens=None, orders=None) -> DualGroup:
         gens, orders = abelian_basis(a)
     elif not a.is_abelian():
         raise NotAbelian("dual_group needs an abelian group")
-    gens = tuple(gens)
-    orders = tuple(orders)
+    gens, orders = tuple(gens), tuple(orders)
+    if len(gens) != len(orders):
+        raise InputError("pass one order per generator")
 
-    k = len(gens)
-    coords = np.zeros((a.order, k), dtype=np.int64)
+    # elems[j] = prod_i gens[i]^(j_i) for the mixed-radix digits j_i of j; a
+    # factor of order 1 contributes e, so its generator is never multiplied
+    elems = np.array([a.identity])
+    for x, m in zip(gens, orders):
+        powers = np.resize(_powers(a, x), m) if m > 1 else [a.identity]  # x^0 .. x^(m-1)
+        elems = a.cayley[elems[:, None], powers].ravel()
     seen = np.zeros(a.order, dtype=bool)
-    for tup in itertools.product(*(range(m) for m in orders)):
-        x = a.identity
-        for gidx, e in zip(gens, tup):
-            p = a.identity
-            for _ in range(e):
-                p = a.mul(p, gidx)
-            x = a.mul(x, p)
-        if seen[x]:
-            raise InputError("given generators do not decompose the group directly")
-        seen[x] = True
-        coords[x] = tup
-    if not seen.all():
+    seen[elems] = True
+    if np.count_nonzero(seen) != elems.size:
+        raise InputError("given generators do not decompose the group directly")
+    if elems.size != a.order:
         raise InputError("given generators do not span the group")
 
-    if k == 0:
-        dual = build_cyclic(1, label=f"{a.label}^")
-    else:
-        dual = reduce(direct_product, [build_cyclic(m) for m in orders])
-        dual = FiniteGroup(dual.order, dual.cayley, dual.identity, dual.inverse,
-                           label=f"{a.label}^")
-
-    dual_coords = np.zeros((dual.order, k), dtype=np.int64)
-    for j in range(dual.order):
-        rem = j
-        for i in range(k - 1, -1, -1):
-            dual_coords[j, i] = rem % orders[i]
-            rem //= orders[i]
-
-    if k == 0:
-        pairing = np.ones((1, a.order), dtype=np.complex128)
-    else:
-        phases = np.zeros((dual.order, a.order))
-        for i, m in enumerate(orders):
-            phases += np.outer(dual_coords[:, i], coords[:, i]) / m
-        pairing = np.exp(2j * np.pi * phases)
-    return DualGroup(dual, orders, _freeze(coords), _freeze(pairing))
+    dual = reduce(direct_product, [build_cyclic(m) for m in orders], build_cyclic(1))
+    dual_coords = np.indices(orders).reshape(len(orders), dual.order)
+    coords = np.empty_like(dual_coords)
+    coords[:, elems] = dual_coords
+    phases = np.zeros((dual.order, a.order))
+    for i, m in enumerate(orders):
+        phases += np.outer(dual_coords[i], coords[i]) / m
+    return DualGroup(replace(dual, label=f"{a.label}^"), _freeze(np.exp(2j * np.pi * phases)))

@@ -19,6 +19,7 @@ from latdim import (
     phi_oracle,
     trivial,
 )
+import latdim.cli
 from latdim.cli import main
 from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES
 from latdim.gabor import SCAN_COLUMNS
@@ -32,7 +33,7 @@ from latdim.serialize import (
 )
 from latdim.groups import symmetric_group
 
-from fixtures_common import near_rep, pauli_product, tf
+from fixtures_common import near_rep, pauli_product, tf, traced_peak
 
 
 def run(capsys, *argv):
@@ -342,6 +343,26 @@ def test_bad_group_token(capsys):
     assert "neither builtin tokens nor an existing file" in err
 
 
+@pytest.mark.parametrize("spec, err", [
+    ("Z1000", "group order 1000 exceeds 256"),
+    ("Z16xZ32", "group order 512 exceeds 256"),
+    ("D300", "group order 600 exceeds 256"),
+    ("Z2000xZ0", "group token 'Z0' needs n >= 1"),
+])
+def test_builtin_tokens_above_the_bound_are_refused_before_a_table_is_built(capsys, spec, err):
+    rc, peak = traced_peak(main, ["kleppner", "--group", spec])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("spec", ["Z256", "Z16xZ16", "Z4xZ4xZ4xZ4", "S4xZ2xZ2"])
+def test_builtin_tokens_up_to_the_bound_run(capsys, spec):
+    rc, out, err = run(capsys, "kleppner", "--group", spec)
+    assert (rc, err) == (0, "")
+    assert out.startswith("kleppner no\n")
+
+
 def test_lattice_index_out_of_range(capsys):
     rc, _, err = run(
         capsys,
@@ -503,6 +524,21 @@ def test_rep_dpi(capsys):
     )
     assert rc == 0
     assert out == "dim 3\ngroup-order 9\nformal-dimension 0.333333333333\n"
+
+
+@pytest.mark.parametrize("seed", [-3, 2])
+def test_rep_dpi_cuts_with_seed_0_whatever_the_config_says(capsys, tmp_path, monkeypatch, seed):
+    """rep-dpi takes no --seed, so a config file's seed does not reach it."""
+    cfg = str(tmp_path / "run.json")
+    dump_json({"group": "S3", "cocycle": "trivial", "seed": seed}, cfg)
+    seeds = []
+    cut = latdim.cli.irreducible_subrep
+    monkeypatch.setattr(latdim.cli, "irreducible_subrep",
+                        lambda *args, seed, **kw: seeds.append(seed) or cut(*args, seed=seed, **kw))
+    got = run(capsys, "rep-dpi", "--config", cfg)
+    assert got == run(capsys, "rep-dpi", "--group", "S3", "--cocycle", "trivial")
+    assert got[0] == 0
+    assert seeds == [0, 0]
 
 
 def test_console_script_smoke():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -492,6 +493,67 @@ def test_dual_group_explicit_basis_checked():
         dual_group(a, gens=(2,), orders=(4,))  # element 2 has order 2
     with pytest.raises(InputError):
         dual_group(a, gens=(1,), orders=None)
+    with pytest.raises(InputError):
+        dual_group(a, gens=(1,), orders=(4, 2))  # one order too many
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+# abelian_basis gens and orders, and a digest of the dual_group(a) pairing, as recorded
+_BASES = {
+    "Z1": ((), (), "3239b05c38b825eb"),
+    "Z2": ((1,), (2,), "dec9a858b6020d47"),
+    "Z3": ((1,), (3,), "8714ece930b609ad"),
+    "Z4": ((1,), (4,), "47d99e712a95802c"),
+    "Z5": ((1,), (5,), "3dc44038cfa6e1be"),
+    "Z6": ((1,), (6,), "52fbe4b81f50a07c"),
+    "Z7": ((1,), (7,), "9218f2328dbc4cd8"),
+    "Z8": ((1,), (8,), "e0e542368924c027"),
+    "Z9": ((1,), (9,), "0ec9aa3df302b28c"),
+    "Z10": ((1,), (10,), "b63c81e9dda7ba0e"),
+    "Z11": ((1,), (11,), "ea7dd3d4b612115f"),
+    "Z12": ((1,), (12,), "bbc748c0c1136f7c"),
+    "Z13": ((1,), (13,), "a88d1570a75061ce"),
+    "Z14": ((1,), (14,), "c0bf41633ea0caf6"),
+    "Z15": ((1,), (15,), "73fd948515242d13"),
+    "Z16": ((1,), (16,), "09dac42d5bdca94e"),
+    "Z2xZ2": ((1, 2), (2, 2), "65816e7fbccf48c2"),
+    "Z2xZ4": ((1, 4), (4, 2), "55450c98af23ea3d"),
+    "Z3xZ3": ((1, 3), (3, 3), "348361f76209eeaf"),
+    "Z4xZ4": ((1, 4), (4, 4), "2319148f19082d8a"),
+    "Z2xZ2xZ4": ((1, 4, 8), (4, 2, 2), "58fde2751a5dfa90"),
+    "Z4xZ2~7": ((1, 5), (4, 2), "c198df350fa91c39"),
+}
+
+# the pairing of dual_group under cyclic_factor_generators, the row-major unit vectors
+_ROW_MAJOR = {
+    "Z1": "3239b05c38b825eb",
+    "Z1xZ4": "47d99e712a95802c",
+    "Z4xZ1": "47d99e712a95802c",
+    "Z6": "52fbe4b81f50a07c",
+    "Z2xZ4": "6fab7424862fd1d4",
+    "Z3xZ3": "614e7737ef8f2687",
+    "Z4xZ4": "e2dfad840a2a8c3a",
+    "Z2xZ2xZ4": "01e345a2bbc5e3cd",
+}
+
+
+@pytest.mark.parametrize("name", _BASES)
+def test_abelian_basis_and_dual_pairing_are_pinned(name):
+    base, _, seed = name.partition("~")
+    g = _relabelled(group(base), int(seed))[0] if seed else group(base)
+    gens, orders = abelian_basis(g)
+    assert (gens, orders, _digest(dual_group(g).pairing)) == _BASES[name]
+
+
+@pytest.mark.parametrize("name", _ROW_MAJOR)
+def test_row_major_dual_pairing_is_pinned(name):
+    """Z1xZ4's factor of order 1 has generator index 4, outside the group; it is never multiplied."""
+    factors = [int(t[1:]) for t in name.split("x")]
+    dual = dual_group(group(name), *cyclic_factor_generators(factors))
+    assert _digest(dual.pairing) == _ROW_MAJOR[name]
 
 
 def test_all_subgroups_bound():

@@ -17,19 +17,22 @@ from latdim import (
     PhiFunction,
     all_subgroups,
     cdim_operator,
+    dihedral,
     existence_decision,
     full_subgroup,
     make_module_spec,
     phi,
     phi_oracle,
+    quaternion,
     subgroup_generated,
     windowed_rep,
 )
 from latdim.cocycles import restricted_tables
 from latdim.dimension import cdim_operators, phi_spectra
-from latdim.groups import subgroup_tables
+from latdim.groups import generated_subgroups, subgroup_tables
 
-from fixtures_common import gauge_twisted_rep, pauli_product_irrep, rep_fixtures, tf, traced_peak
+from fixtures_common import (gauge_twisted_rep, group, pauli_product_irrep, rep_fixtures, tf,
+                             traced_peak)
 
 # lifted Pauli twists with lattices of order 32 and more, where H is proper
 _LIFTED = ("Z4xZ4", "S4")
@@ -85,39 +88,53 @@ def test_the_kernel_agrees_on_large_lattices(name, gauged):
 
 
 @pytest.mark.parametrize("name", _LIFTED)
-def test_the_kernel_solves_on_the_subgroup_the_support_generates(monkeypatch, name):
+def test_the_kernel_solves_on_the_subgroup_the_support_generates(name):
     """H is the closure of supp phi and e, checked against ``subgroup_generated``.
 
-    The Z4xZ4 lift gives a proper nontrivial H on abelian lattices.  The S4
-    lift has dimension 6, so its trace vanishes on the 3-cycles and the
-    support of phi on S4 x {e} is not a subgroup: it must be closed.
+    Each order's lattices are closed as one block, as ``phi_spectra`` closes
+    them.  The Z4xZ4 lift gives a proper nontrivial H on abelian lattices.
+    The S4 lift has dimension 6, so its trace vanishes on the 3-cycles and
+    the support of phi on S4 x {e} is not a subgroup: it must be closed.
     """
     rep = pauli_product_irrep(name)
-    closed = []
-    real = dim_mod._closure
-    monkeypatch.setattr(dim_mod, "_closure", lambda *args: closed.append(real(*args)) or closed[-1])
     source = windowed_rep(rep)
-    seen = set()
+    by_order = {}
     for sub in all_subgroups(rep.group):
-        if sub.order < 32:
-            continue
-        spec = source.spec(sub)
-        fn = phi(spec)
-        lattice = spec.lattice_group
-        support = np.flatnonzero(fn.values != 0)
-        h = subgroup_generated(lattice, support.tolist())
-        closed.clear()
-        fn.spectrum
-        got = closed[0] if closed else np.arange(lattice.order)  # full support is not closed
-        assert tuple(got.tolist()) == h.elements, (name, sub.elements)
-        if 1 < h.order < lattice.order:
-            seen.add("proper")
-            if support.size < h.order and not lattice.is_abelian():
-                seen.add("nonabelian, closed")
+        if sub.order >= 32:
+            by_order.setdefault(sub.order, []).append(source.spec(sub))
+    seen = set()
+    for specs in by_order.values():
+        elems = np.array([spec.lattice.elements for spec in specs])
+        cayley, _, identity = subgroup_tables(rep.group, elems)
+        support = np.array([phi(spec).values for spec in specs]) != 0
+        support.ravel()[identity] = True
+        closed = generated_subgroups(cayley, support)
+        for spec, row, got in zip(specs, support, closed):
+            lattice = spec.lattice_group
+            h = subgroup_generated(lattice, np.flatnonzero(row).tolist())
+            assert tuple(np.flatnonzero(got).tolist()) == h.elements, (name, spec.lattice.elements)
+            if 1 < h.order < lattice.order:
+                seen.add("proper")
+                if np.count_nonzero(row) < h.order and not lattice.is_abelian():
+                    seen.add("nonabelian, closed")
     want = {"proper", "nonabelian, closed"} if name == "S4" else {"proper"}
     assert want <= seen
     if name == "S4":
         assert rep.dim == 6
+
+
+def test_one_closure_closes_rows_of_different_sizes():
+    """A block of Z8, Q8 and D4 whose rows close to {e}, to a proper H and to the whole group."""
+    groups = [group("Z8"), quaternion(), dihedral(4)]
+    seeds = [[0], [0, 2], [0, 1, 4]]  # e; e and i; e, r and s
+    cayley = np.stack([g.cayley + b * 8 for b, g in enumerate(groups)])
+    mask = np.zeros((3, 8), dtype=bool)
+    for row, seed in zip(mask, seeds):
+        row[seed] = True
+    got = [tuple(np.flatnonzero(row).tolist()) for row in generated_subgroups(cayley, mask)]
+    want = [subgroup_generated(g, seed).elements for g, seed in zip(groups, seeds)]
+    assert got == want
+    assert [len(h) for h in want] == [1, 4, 8]
 
 
 @pytest.mark.parametrize("floor", [None, 10**9], ids=["reduced", "dense"])

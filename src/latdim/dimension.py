@@ -40,8 +40,8 @@ class WindowedRep:
     functions on the group; the dimension function does not depend on
     the choice.  Each route reads its own cached field and never the
     other's: ``phi`` reads ``diagonal``, ``phi_oracle`` reads
-    ``transform``.  Build one with ``windowed_rep`` and cut a module for
-    each lattice with ``spec``.
+    ``projection``, built from ``transform``.  Build one with
+    ``windowed_rep`` and cut a module for each lattice with ``spec``.
     """
 
     rep: ProjectiveRep
@@ -59,6 +59,14 @@ class WindowedRep:
     def transform(self) -> WaveletTransform:
         """The checked wavelet transform of the window."""
         return wavelet(self.rep, self.window)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """d_pi V V*, the range projection of the module inside functions on the group."""
+        t = self.transform
+        p_big = t.rep.dim / t.rep.group.order * (t.matrix @ t.matrix.conj().T)
+        p_big.setflags(write=False)
+        return p_big
 
     def spec(self, lattice: Subgroup) -> ModuleSpec:
         """The module of this rep and window over ``lattice``."""
@@ -258,9 +266,7 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     nl = lat.order
     e_lat = lat.identity
 
-    v = spec.windowed.transform.matrix
-    d_pi = spec.rep.dim / g.order
-    p_big = d_pi * (v @ v.conj().T)
+    p_big = spec.windowed.projection
 
     # x = gamma * y is unique for y in a right transversal
     elems = spec.lattice.members

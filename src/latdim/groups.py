@@ -160,61 +160,45 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> 
                        label if label is not None else f"{g.label}x{h.label}")
 
 
+def _table_group(cay: np.ndarray, label: str) -> FiniteGroup:
+    """A group from a table that is one by construction, with its identity at 0."""
+    inverse = np.argmax(cay == 0, axis=1).astype(np.int64)
+    return FiniteGroup(cay.shape[0], _freeze(cay), 0, _freeze(inverse), label)
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     """Permutations of n points in lexicographic one-line order; p*q applies q first."""
     if not 1 <= n <= 5:
         raise InputError("symmetric_group supports 1 <= n <= 5")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    cay = np.empty((m, m), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            cay[i, j] = index[tuple(p[q[k]] for k in range(n))]
-    return from_cayley_table(cay, label=f"S{n}")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    code = n ** np.arange(n - 1, -1, -1)  # base-n digits, increasing in lexicographic order
+    index = np.empty(n ** n, dtype=np.int64)
+    index[perms @ code] = np.arange(len(perms))
+    # perms[:, perms][p, q, k] = p[q[k]]
+    return _table_group(index[perms[:, perms] @ code], f"S{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; index e*n + k encodes s^e r^k with r*s = s*r^-1."""
     if n < 1:
         raise InputError("dihedral needs n >= 1")
-    m = 2 * n
-    cay = np.empty((m, m), dtype=np.int64)
-    for e1 in (0, 1):
-        for k1 in range(n):
-            for e2 in (0, 1):
-                for k2 in range(n):
-                    e = e1 ^ e2
-                    k = (k2 + (-k1 if e2 else k1)) % n
-                    cay[e1 * n + k1, e2 * n + k2] = e * n + k
-    return from_cayley_table(cay, label=f"D{n}")
+    if 2 * n > SUBGROUP_ENUM_BOUND:
+        raise BoundExceeded(f"group order {2 * n} exceeds {SUBGROUP_ENUM_BOUND}")
+    e, k = np.divmod(np.arange(2 * n), n)
+    # s^e1 r^k1 * s^e2 r^k2 = s^(e1 + e2) r^(k2 + (-1)^e2 k1)
+    return _table_group((e[:, None] ^ e) * n + (k + (1 - 2 * e) * k[:, None]) % n, f"D{n}")
 
 
 def quaternion() -> FiniteGroup:
-    """Order 8 quaternion group on the units 1, -1, i, -i, j, -j, k, -k."""
-    units = [
-        (1, 0, 0, 0), (-1, 0, 0, 0),
-        (0, 1, 0, 0), (0, -1, 0, 0),
-        (0, 0, 1, 0), (0, 0, -1, 0),
-        (0, 0, 0, 1), (0, 0, 0, -1),
-    ]
-    index = {u: i for i, u in enumerate(units)}
+    """Order 8 quaternion group on the units 1, -1, i, -i, j, -j, k, -k.
 
-    def qmul(a, b):
-        w1, x1, y1, z1 = a
-        w2, x2, y2, z2 = b
-        return (
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    cay = np.empty((8, 8), dtype=np.int64)
-    for i, a in enumerate(units):
-        for j, b in enumerate(units):
-            cay[i, j] = index[qmul(a, b)]
-    return from_cayley_table(cay, label="Q8")
+    Index 2b + s is (-1)^s times the basis unit b of 1, i, j, k. The product
+    of basis units b and c is the unit b xor c, negated where neg[b, c] is
+    set: i*i = j*j = k*k = -1, and i*k, j*i, k*j take a minus sign.
+    """
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    b, s = np.divmod(np.arange(8), 2)
+    return _table_group(2 * (b[:, None] ^ b) + (s[:, None] ^ s ^ neg[b[:, None], b]), "Q8")
 
 
 def _trivial_mask(g: FiniteGroup) -> np.ndarray:
@@ -321,25 +305,55 @@ def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     return [tuple(np.flatnonzero(m).tolist()) for m in seen.values()]
 
 
-def _series_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Elements of every subgroup of an abelian group, each built once.
+def _derived_series(g: FiniteGroup) -> list[np.ndarray] | None:
+    """Masks of the derived series G, G', G'', ... down to the last term above {e}.
 
-    Walks the series {e} = B_0 < B_1 < ... < B_k = G, where B_i joins
-    B_{i-1} and g_i, the least element outside it (the greedy generators
-    of ``FiniteGroup.generators``), and m_i = [B_i : B_{i-1}]. Every
-    subgroup H of B_i is K<x> for exactly one triple (K, d, b):
-    K = H n B_{i-1}, a subgroup of the step before; d | m_i, the index of
-    the image of H in the cyclic quotient B_i / B_{i-1}; and b, the least
-    element of a coset of K in B_{i-1} with x^(m_i/d) in K, where
-    x = g_i^d b. The case d = m_i is H = K, so each step keeps the
-    subgroups it had and adds one product gather per (K, d < m_i).
+    G^(j+1) is generated by the commutators a^-1 b^-1 a b of G^(j). An
+    abelian group's series is G alone, with no table read. Returns None
+    when a term is its own commutator subgroup above {e}, that is when G is
+    not solvable.
     """
+    terms = [np.ones(g.order, dtype=bool)]
+    if g.is_abelian():
+        return terms
+    while True:
+        d = np.flatnonzero(terms[-1])
+        comm = np.zeros(g.order, dtype=bool)
+        comm[g.cayley[g.inverse[d][:, None], g.conjugation[d[:, None], d]]] = True
+        nxt = generated_subgroups(g.cayley[None], comm[None])[0]
+        size = np.count_nonzero(nxt)
+        if size == 1:
+            return terms
+        if size == d.size:
+            return None
+        terms.append(nxt)
+
+
+def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """Elements of every subgroup of a solvable group, each built once.
+
+    Walks a series {e} = B_0 < B_1 < ... < B_k = G with cyclic factors:
+    B_i joins B_{i-1} and g_i, the least element outside B_{i-1} of the
+    deepest term of ``_derived_series`` that B_{i-1} does not yet hold, and
+    m_i = [B_i : B_{i-1}]. The factors of the derived series are abelian,
+    so B_{i-1} is normal in B_i. For an abelian group the series is that of
+    its greedy generators (``FiniteGroup.generators``). Every subgroup H
+    of B_i is K<x> for exactly one triple (K, d, b): K = H n B_{i-1}, a
+    subgroup of the step before; d | m_i, the index of the image of H in
+    the cyclic quotient B_i / B_{i-1}; and b, the least element of a right
+    coset K b in B_{i-1}, where x = b g_i^d normalizes K and x^(m_i/d)
+    lies in K. The case d = m_i is H = K, so each step keeps the subgroups
+    it had and adds one product gather per (K, d < m_i). Every x of an
+    abelian group normalizes K, so only a nonabelian one is tested.
+    """
+    abelian = g.is_abelian()
     blocks = [np.array([[g.identity]])]  # subgroups of one order per block, one per row
     span = blocks[0][0]
     while span.size < g.order:
         inside = np.zeros(g.order, dtype=bool)
         inside[span] = True
-        x = int(np.argmin(inside))
+        term = next(t for t in reversed(terms) if np.count_nonzero(t) > span.size)
+        x = int(np.argmax(term & ~inside))
         powers = [g.identity, x]  # g_i^0 .. g_i^m_i
         while not inside[powers[-1]]:
             powers.append(int(g.cayley[powers[-1], x]))
@@ -355,12 +369,15 @@ def _series_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
                     if m % d:
                         continue
                     t = m // d
-                    xs = g.cayley[powers[d], reps]
+                    xs = g.cayley[reps, powers[d]]
                     xpow = np.empty((t + 1, reps.size), dtype=np.int64)  # xpow[j] = xs^j
                     xpow[0] = g.identity
                     for j in range(t):
                         xpow[j + 1] = g.cayley[xpow[j], xs]
-                    cosets = xpow[:t, in_k[xpow[t]]]
+                    keep = in_k[xpow[t]]
+                    if not abelian:
+                        keep &= in_k[g.conjugation[k[:, None], xs]].all(axis=0)
+                    cosets = xpow[:t, keep]
                     if cosets.size:
                         h = g.cayley[k[:, None, None], cosets]  # (|K|, t, subgroups)
                         grown.append(np.sort(h.reshape(-1, h.shape[2]).T, axis=1))
@@ -372,15 +389,16 @@ def _series_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, ordered by (order, elements).
 
-    An abelian group has each subgroup built once along a cyclic series
-    (``_series_subgroups``); any other group is searched by cyclic
-    extension (``_extension_subgroups``).
+    A solvable group has each subgroup built once along a cyclic series
+    that refines its derived series (``_series_subgroups``); a group that
+    is not solvable is searched by cyclic extension (``_extension_subgroups``).
     """
     if g.order > SUBGROUP_ENUM_BOUND:
         raise BoundExceeded(
             f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
         )
-    found = _series_subgroups(g) if g.is_abelian() else _extension_subgroups(g)
+    terms = _derived_series(g)
+    found = _extension_subgroups(g) if terms is None else _series_subgroups(g, terms)
     subs = [Subgroup(g, elems) for elems in found]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs

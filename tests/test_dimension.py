@@ -330,26 +330,31 @@ def test_scan_computes_one_diagonal_per_rep_window(monkeypatch):
 
 
 def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
+    """And one oracle projection, shared by every lattice."""
     diagonals = _count_computations(monkeypatch, "diagonal")
+    projections = _count_computations(monkeypatch, "projection")
     wavelets = []
     real = dim_mod.wavelet
     monkeypatch.setattr(dim_mod, "wavelet", lambda *a: wavelets.append(1) or real(*a))
     assert cli.main(["routes", "--group", "Z3xZ3", "--cocycle", "weyl-heisenberg"]) == 0
     lattices = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|lattice|")]
     assert len(lattices) == len(all_subgroups(tf("Z3").group)) > 1
-    assert (len(diagonals), len(wavelets)) == (1, 1)
+    assert (len(diagonals), len(wavelets), len(projections)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
-    """phi never reads the wavelet transform, phi_oracle never the diagonal."""
+    """phi never reads the wavelet transform or its projection, phi_oracle never
+    the diagonal or phi."""
     source = windowed_rep(rep, random_window(rep.dim, 2))
     spec = source.spec(full_subgroup(rep.group))
     with monkeypatch.context() as m:
-        m.setattr(WindowedRep, "transform", property(lambda self: pytest.fail("phi read transform")))
+        for name in ("transform", "projection"):
+            m.setattr(WindowedRep, name, property(lambda self, name=name: pytest.fail(f"phi read {name}")))
         closed = phi(spec)
     with monkeypatch.context() as m:
         m.setattr(WindowedRep, "diagonal", property(lambda self: pytest.fail("phi_oracle read diagonal")))
+        m.setattr(dim_mod, "phi", lambda *a: pytest.fail("phi_oracle called phi"))
         oracle = phi_oracle(spec)
     assert np.abs(closed.values - oracle.values).max() < 1e-9
 
@@ -361,6 +366,7 @@ def test_windowed_rep_window_is_a_checked_read_only_copy():
     window *= 2
     assert not source.window.flags.writeable
     assert not source.diagonal.flags.writeable
+    assert not source.projection.flags.writeable
     assert np.linalg.norm(source.window) == pytest.approx(1.0)
     with pytest.raises(WindowNotUnit):
         windowed_rep(rep, window)

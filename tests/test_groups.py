@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from latdim.groups import (
     right_transversal,
 )
 
-from fixtures_common import GROUP_NAMES, group, tf
+from fixtures_common import GROUP_NAMES, group, tf, traced_peak
 
 
 def test_cyclic_basics():
@@ -89,6 +90,76 @@ def test_order8_class_sizes(build, sizes):
     g = build()
     assert g.order == 8
     assert sorted(len(c) for c in conjugacy(g).classes) == sizes
+
+
+def _reference_symmetric_table(n):
+    """S_n's table filled entry by entry: permutations in lexicographic order, p*q applies q first."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    cay = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            cay[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    return cay
+
+
+def _reference_dihedral_table(n):
+    """D_n's table filled entry by entry; index e*n + k is s^e r^k with r*s = s*r^-1."""
+    cay = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for e1 in (0, 1):
+        for k1 in range(n):
+            for e2 in (0, 1):
+                for k2 in range(n):
+                    k = (k2 + (-k1 if e2 else k1)) % n
+                    cay[e1 * n + k1, e2 * n + k2] = (e1 ^ e2) * n + k
+    return cay
+
+
+def _reference_quaternion_table():
+    """Q8's table from Hamilton's product of the units 1, -1, i, -i, j, -j, k, -k."""
+    units = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+             (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
+    index = {u: i for i, u in enumerate(units)}
+
+    def qmul(a, b):
+        w1, x1, y1, z1 = a
+        w2, x2, y2, z2 = b
+        return (
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    cay = np.empty((8, 8), dtype=np.int64)
+    for i, a in enumerate(units):
+        for j, b in enumerate(units):
+            cay[i, j] = index[qmul(a, b)]
+    return cay
+
+
+@pytest.mark.parametrize("build, reference, label", [
+    *((lambda n=n: symmetric_group(n), lambda n=n: _reference_symmetric_table(n), f"S{n}")
+      for n in range(1, 6)),
+    *((lambda n=n: dihedral(n), lambda n=n: _reference_dihedral_table(n), f"D{n}")
+      for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 127, 128)),
+    (quaternion, _reference_quaternion_table, "Q8"),
+])
+def test_builtin_tables_match_entrywise_references(build, reference, label):
+    """Each constructor's table, dtype, identity and inverses are those of its reference table."""
+    g, want = build(), from_cayley_table(reference(), label=label)
+    assert g.cayley.dtype == g.inverse.dtype == np.int64
+    assert np.array_equal(g.cayley, want.cayley)
+    assert (g.order, g.identity, g.label) == (want.order, want.identity, want.label)
+    assert np.array_equal(g.inverse, want.inverse)
+    assert not g.cayley.flags.writeable and not g.inverse.flags.writeable
+
+
+def test_dihedral_above_the_bound_is_refused_before_a_table_is_built():
+    assert dihedral(128).order == 256
+    for n in (129, 300, 10**6):
+        _, peak = traced_peak(lambda: pytest.raises(BoundExceeded, dihedral, n))
+        assert peak < 64 * 1024
 
 
 def test_conjugacy_centralizer_orders():
@@ -240,7 +311,7 @@ def test_from_cayley_table_roundtrip():
 @pytest.mark.parametrize("name, count", [
     ("Z4", 3), ("Z6", 4), ("Z8", 4), ("Z2xZ2", 5), ("Z2xZ4", 8),
     ("S3", 6), ("D4", 10), ("Q8", 6), ("Z2xZ2xZ2xZ2xZ2xZ2", 2825),
-    ("S5", 156),
+    ("S5", 156), ("S4xZ2xZ2", 420), ("D8xD8", 1795),
 ])
 def test_subgroup_counts(name, count):
     assert len(all_subgroups(group(name))) == count
@@ -278,9 +349,10 @@ def _reference_subgroups(g):
     return sorted(subs, key=lambda s: (len(s), s))
 
 
-# Whether the enumeration reaches the frontier walk of ``_join``: only a
-# generator that does not normalize the subgroup it joins needs it, so
-# abelian and Hamiltonian groups (Q8xZ2) never do; S4 and D4xZ2xZ2 run both paths.
+# Whether the cyclic-extension search reaches the frontier walk of ``_join``:
+# only a generator that does not normalize the subgroup it joins needs it, so
+# Hamiltonian groups (Q8xZ2) never do; S4 and D4xZ2xZ2 run both paths. The
+# cyclic series, which every solvable group takes, never walks.
 WALKS = {
     "S4": True, "D4xZ2xZ2": True, "Q8xZ2": False, "tf-Z2xZ4": False, "tf-Z3xZ3": False,
     "Z2xZ2xZ2xZ2xZ2xZ2": False,
@@ -289,6 +361,8 @@ WALKS = {
 
 @pytest.mark.parametrize("name", list(WALKS))
 def test_all_subgroups_match_reference(monkeypatch, name):
+    """Abelian groups through ``all_subgroups``; nonabelian ones through the
+    extension search itself, which every solvable group now bypasses."""
     g = tf(name[3:]).group if name.startswith("tf-") else group(name)
     walked = []
     real = groups_mod._join
@@ -299,7 +373,10 @@ def test_all_subgroups_match_reference(monkeypatch, name):
         return real(g_, mask, elems, gens)
 
     monkeypatch.setattr(groups_mod, "_join", spy)
-    got = [s.elements for s in all_subgroups(g)]
+    if g.is_abelian():
+        got = [s.elements for s in all_subgroups(g)]
+    else:
+        got = sorted(groups_mod._extension_subgroups(g), key=lambda s: (len(s), s))
     assert bool(walked) == WALKS[name]
     assert got == _reference_subgroups(g)
 
@@ -318,9 +395,10 @@ def _series_group(name):
     return _relabelled(group(base), int(seed))[0] if seed else group(base)
 
 
-@pytest.mark.parametrize("name", ["Z2xZ4xZ3", "Z8xZ2", "Z4xZ2~7"])
-def test_abelian_subgroups_match_reference_without_a_walk(monkeypatch, name):
-    """Groups no time-frequency build makes: mixed primes, and a relabelled table."""
+@pytest.mark.parametrize("name", ["Z2xZ4xZ3", "Z8xZ2", "Z4xZ2~7", "S4~7", "D4xZ2xZ2~3"])
+def test_series_subgroups_match_reference_without_a_walk(monkeypatch, name):
+    """Groups no time-frequency build makes: mixed primes, and relabelled tables,
+    abelian and not."""
     g = _series_group(name)
     monkeypatch.setattr(groups_mod, "_join", lambda *args: pytest.fail("frontier walk"))
     got = [s.elements for s in all_subgroups(g)]
@@ -335,17 +413,31 @@ def test_relabelled_group_has_greedy_generators_off_the_unit_vectors():
 
 @pytest.mark.parametrize("name, path", [
     *((name, "_series_subgroups") for name in ("Z2xZ4xZ3", "Z4xZ2~7", "tf-Z3xZ3")),
-    *((name, "_extension_subgroups") for name in ("S4", "Q8xZ2", "D4xZ2xZ2")),
+    *((name, "_series_subgroups") for name in ("S4", "Q8xZ2", "D4xZ2xZ2")),
+    ("S5", "_extension_subgroups"),
 ])
-def test_only_abelian_groups_take_the_cyclic_series(monkeypatch, name, path):
+def test_solvable_groups_take_the_cyclic_series(monkeypatch, name, path):
+    """Only a group whose derived series stalls above {e} is searched by extension;
+    an abelian group builds no conjugation table on the way."""
     g = tf(name[3:]).group if name.startswith("tf-") else _series_group(name)
+    g = replace(g)  # the same table with nothing cached
     ran = []
     for helper in ("_series_subgroups", "_extension_subgroups"):
         real = getattr(groups_mod, helper)
         monkeypatch.setattr(groups_mod, helper,
-                            lambda g_, helper=helper, real=real: ran.append(helper) or real(g_))
+                            lambda *args, helper=helper, real=real: ran.append(helper) or real(*args))
     all_subgroups(g)
     assert ran == [path]
+    assert ("conjugation" in vars(g)) == (not g.is_abelian())
+
+
+@pytest.mark.parametrize("name, orders", [
+    ("Z2xZ4xZ3", [24]), ("S3", [6, 3]), ("Q8xZ2", [16, 2]), ("S4", [24, 12, 4]),
+    ("S4xS3", [144, 36, 4]), ("S5", None), ("S5xZ2", None),
+])
+def test_derived_series(name, orders):
+    terms = groups_mod._derived_series(group(name))
+    assert orders == (None if terms is None else [int(t.sum()) for t in terms])
 
 
 @pytest.mark.parametrize("m, n", list(itertools.combinations_with_replacement((4, 6, 8, 9, 12, 16), 2)))

@@ -311,7 +311,7 @@ def _cmd_routes(cfg: argparse.Namespace) -> int:
         closed = phi(spec)
         gap = float(np.abs(closed.values - phi_oracle(spec).values).max())
         gaps.append(gap)
-        vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values)
+        vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values.tolist())
         print(
             f"|lattice| {sub.order:3d}  dpi_vol {spec.dpi_vol:8.4f}  "
             f"regular {int(spec.regular.sum()):3d}  gap {gap:.2e}  phi [{vals}]"

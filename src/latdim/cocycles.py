@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, Tolerances, row_blocks
+from .config import ROW_BLOCK as _BLOCK
 from .errors import ConsistencyError, DimensionMismatch, InputError, NotAbelian
 from .groups import (
     ConjugacyData,
@@ -193,11 +194,16 @@ def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | i
     ``class_rep``, the place of the least member of each element's class,
     or not at all when ``class_rep`` is None because every group of the
     block is abelian.  The identity must be regular.  The first group of
-    the block that fails a check raises.
+    the block that fails a check raises.  The comparison runs over blocks
+    of rows x, each holding about ``_BLOCK`` entries, so no temporary
+    grows with the whole block's tables.
     """
-    comm = cayley == cayley.transpose(0, 2, 1)
-    asym = np.abs(table - table.transpose(0, 2, 1))
-    regular = ~np.any(comm & (asym > tol_id), axis=2)
+    nb, m = cayley.shape[:2]
+    regular = np.empty((nb, m), dtype=bool)
+    for xs in row_blocks(m, nb * m, _BLOCK):
+        comm = cayley[:, xs] == cayley[:, :, xs].transpose(0, 2, 1)
+        asym = np.abs(table[:, xs] - table[:, :, xs].transpose(0, 2, 1))
+        regular[:, xs] = ~np.any(comm & (asym > tol_id), axis=2)
     if class_rep is not None:
         off = regular.ravel()[class_rep] != regular
         if off.any():
@@ -257,9 +263,15 @@ def restricted_tables(c: Cocycle, elems: np.ndarray) -> np.ndarray:
 
 
 def restrict(c: Cocycle, h: Subgroup) -> Cocycle:
-    """Restriction to a subgroup, reindexed on the materialized subgroup."""
+    """Restriction to a subgroup, reindexed on the materialized subgroup.
+
+    The whole group is its own materialization, so its restriction is
+    ``c`` itself and shares its tables.
+    """
     if h.parent is not c.group:
         raise InputError("subgroup does not belong to the cocycle's group")
+    if h.order == c.group.order:
+        return c
     table = restricted_tables(c, h.members[None])[0]
     table.setflags(write=False)
     lbl = f"{c.label}|{h.order}" if c.label else f"restricted|{h.order}"

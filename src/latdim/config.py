@@ -1,4 +1,4 @@
-"""Numerical tolerances: the settable ones and every fixed check bound."""
+"""Numerical tolerances (the settable ones and every fixed check bound) and size bounds."""
 
 from __future__ import annotations
 
@@ -51,3 +51,14 @@ TF_BASE = 16  # order of a time-frequency base; its group has TF_BASE**2 element
 SCAN_CELLS = 64  # n_max * d_max cells per lattice; a scan holds one row per lattice and cell
 SCAN_ROWS = 1 << 20  # lattices x cells of a whole scan, each row a dict held in memory
 SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed system
+
+# Row blocks of the blocked checks hold about this many entries (256 KB
+# complex) per temporary, so that each one stays in cache.  Each module
+# that blocks reads it as its own ``_BLOCK``, which a test may shrink.
+ROW_BLOCK = 1 << 14
+
+
+def row_blocks(n: int, per_row: int, block: int) -> list[slice]:
+    """Consecutive slices of range(n), each of about block / per_row rows."""
+    step = max(1, block // per_row)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]

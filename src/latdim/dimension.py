@@ -39,7 +39,8 @@ class WindowedRep:
     ``window`` is a read-only unit vector used to realize modules inside
     functions on the group; the dimension function does not depend on
     the choice.  Each route reads its own cached field and never the
-    other's: ``phi`` reads ``diagonal``, ``phi_oracle`` reads
+    other's: ``phi`` reads ``diagonal`` through ``class_sums``, which
+    keeps every class sum it takes, and ``phi_oracle`` reads
     ``projection``, built from ``transform``.  Build one with
     ``windowed_rep`` and cut a module for each lattice with ``spec``.
     """
@@ -54,6 +55,35 @@ class WindowedRep:
         diag = a.conj() @ self.window
         diag.setflags(write=False)
         return diag
+
+    @cached_property
+    def _class_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sums ``class_sums`` has taken so far, and a mask of where they sit."""
+        n = self.rep.group.order
+        return np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=bool)
+
+    def class_sums(self, gammas: np.ndarray) -> np.ndarray:
+        """Read-only array holding the class sum of ``phi_values`` at each of ``gammas``.
+
+        The sum at gamma, sum_y conj(tilde(gamma, y)) <window, pi(y^-1
+        gamma y) window>, depends on gamma alone and not on a lattice, so
+        each one is taken once per pair, on first request, and kept.
+        Entries at elements never requested are meaningless.
+        """
+        sums, known = self._class_sums
+        want = np.zeros_like(known)
+        want[gammas] = True
+        new = np.flatnonzero(want & ~known)
+        if new.size:
+            g = self.rep.group
+            conj = g.conjugation[new]  # [i, y] = y^-1 new[i] y
+            sigma = self.rep.cocycle.table
+            tilde = sigma[new] * np.conj(sigma[np.arange(g.order), conj])
+            sums[new] = np.sum(np.conj(tilde) * self.diagonal[conj], axis=1)
+            known[new] = True
+        out = sums.view()
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def transform(self) -> WaveletTransform:
@@ -213,18 +243,14 @@ def phi_values(source: WindowedRep, elems: np.ndarray, regular: np.ndarray) -> n
     tilde(gamma, c) = 1 for a regular gamma.  So the sum is |C| times a
     sum over coset representatives, and |C| k = |lattice| for the class
     size k.  Off regular elements phi is zero.  The sum depends on gamma
-    and not on the lattice, so it is taken once per distinct regular
-    element of the block.  phi(e) must be dpi_vol; it is one number for
-    the whole block, since every lattice holds e as a regular element.
+    and not on the lattice, so ``source.class_sums`` takes it once per
+    distinct regular element, for every block cut from ``source``.
+    phi(e) must be dpi_vol; it is one number for the whole block, since
+    every lattice holds e as a regular element.
     """
     g = source.rep.group
     gammas = elems[regular]
-    distinct = np.bincount(gammas, minlength=g.order).nonzero()[0]
-    conj = g.conjugation[distinct]  # [i, y] = y^-1 distinct[i] y
-    sigma = source.rep.cocycle.table
-    tilde = sigma[distinct] * np.conj(sigma[np.arange(g.order), conj])
-    sums = np.zeros(g.order, dtype=np.complex128)
-    sums[distinct] = np.sum(np.conj(tilde) * source.diagonal[conj], axis=1)
+    sums = source.class_sums(gammas)
     scale = source.rep.dim / g.order / elems.shape[1]
     values = np.zeros(elems.shape, dtype=np.complex128)
     values[regular] = scale * sums[gammas]
@@ -253,17 +279,18 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     the scaled wavelet isometry, with range projection P; transport P
     to lattice x transversal coordinates through the coset relabeling
     u delta_(gamma, y) = sigma(gamma, y) delta_(gamma y), a
-    permutation-phase unitary, so u* P u is the gather
-    conj(vals[k]) P[flat[k], flat[l]] vals[l]; sum the diagonal blocks
-    into B; average B over the twisted right translations of the
+    permutation-phase unitary, so (u* P u)[(a, i), (b, i')] is
+    conj(sigma(a, y_i)) P[a y_i, b y_i'] sigma(b, y_i'); sum its
+    diagonal blocks i = i' into B, gathering only those |lattice| |G|
+    entries of P; average B over the twisted right translations of the
     conjugate restricted cocycle (the center-valued trace of the block
     algebra) and read phi off the identity column, which is the gather
     |lattice|^-1 sum_b sigma(i b^-1, b) conj(sigma(b^-1, b))
-    B[i b^-1, b^-1].  No use of the class formula anywhere.
+    B[i b^-1, b^-1].  Only ``WindowedRep.projection`` is read; no use of
+    the class formula anywhere.
     """
     g = spec.rep.group
     lat = spec.lattice_group
-    nl = lat.order
     e_lat = lat.identity
 
     p_big = spec.windowed.projection
@@ -271,15 +298,14 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     # x = gamma * y is unique for y in a right transversal
     elems = spec.lattice.members
     bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
-    nb = len(bs)
-    flat = g.cayley[elems[:, None], bs[None, :]].ravel()
-    if np.unique(flat).size != g.order:
+    flat = g.cayley[elems[:, None], bs[None, :]]  # [a, i] = a y_i
+    hit = np.zeros(g.order, dtype=bool)
+    hit[flat] = True
+    if flat.size != g.order or not hit.all():
         raise ConsistencyError("coset factorization is not unique")
-    vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]].ravel()
-    p = np.conj(vals)[:, None] * p_big[flat[:, None], flat] * vals
-    p4 = p.reshape(nl, nb, nl, nb)
-
-    block_sum = np.einsum("aibi->ab", p4)
+    vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]]
+    blocks = np.take(p_big, flat[:, None, :] * g.order + flat[None, :, :])  # [a, b, i]
+    block_sum = np.einsum("abi,ai,bi->ab", blocks, np.conj(vals), vals)
     scalar = float(np.real(block_sum[e_lat, e_lat]))
     dpi_vol = spec.dpi_vol
     check_residual("|diagonal block trace - dpi_vol|", abs(scalar - dpi_vol),

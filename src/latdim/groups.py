@@ -44,9 +44,17 @@ class FiniteGroup:
 
     @cached_property
     def conjugation(self) -> np.ndarray:
-        """Read-only table indexed [x, y] holding y^-1 * x * y."""
+        """Read-only table indexed [x, y] holding y^-1 * x * y.
+
+        In an abelian group y^-1 x y = x, so the table is a read-only
+        broadcast view of 0..order-1 along y: the same values in O(|G|)
+        memory, where a nonabelian group gathers all |G|^2 entries.
+        """
+        n = self.order
+        if self.is_abelian():
+            return np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
         yinv_x = self.cayley[self.inverse].T  # [x, y] = y^-1 * x
-        return _freeze(self.cayley[yinv_x, np.arange(self.order)])
+        return _freeze(self.cayley[yinv_x, np.arange(n)])
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -142,19 +150,19 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
 def build_cyclic(n: int, label: str | None = None) -> FiniteGroup:
     if n <= 0:
         raise InputError(f"cyclic order must be positive, got {n}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int64)
     cay = (idx[:, None] + idx[None, :]) % n
-    inverse = (-idx) % n
-    return FiniteGroup(n, _freeze(cay.astype(np.int64)), 0, _freeze(inverse.astype(np.int64)),
+    return FiniteGroup(n, _freeze(cay), 0, _freeze((-idx) % n),
                        label if label is not None else f"Z{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
     """Product group on pairs, encoded row major: index = g_index * h.order + h_index."""
+    # both factors' tables are int64, so the product's are too
     cay = (g.cayley[:, None, :, None] * h.order + h.cayley[None, :, None, :])
     n = g.order * h.order
-    cay = cay.reshape(n, n).astype(np.int64)
-    inverse = (g.inverse[:, None] * h.order + h.inverse[None, :]).reshape(n).astype(np.int64)
+    cay = cay.reshape(n, n)
+    inverse = (g.inverse[:, None] * h.order + h.inverse[None, :]).reshape(n)
     identity = g.identity * h.order + h.identity
     return FiniteGroup(n, _freeze(cay), int(identity), _freeze(inverse),
                        label if label is not None else f"{g.label}x{h.label}")
@@ -431,15 +439,17 @@ def conjugacy(g: FiniteGroup) -> ConjugacyData:
     """Class labels in minimal-representative order.
 
     Row x of the conjugation table is the class of x, so its minimum is
-    the least member of the class and labels it.  In an abelian group
-    every class is a single element, labelled by itself, so no table is
-    built.
+    the least member of the class and labels it; x is that member when
+    the minimum is x itself.  In an abelian group every class is a single
+    element, labelled by itself, so no table is read.
     """
+    idx = np.arange(g.order, dtype=np.int64)
     if g.is_abelian():
-        labels = _freeze(np.arange(g.order, dtype=np.int64))
-        return ConjugacyData(labels, labels)
-    least, class_of = np.unique(g.conjugation.min(axis=1), return_inverse=True)
-    return ConjugacyData(_freeze(class_of.astype(np.int64)), _freeze(least))
+        return ConjugacyData(_freeze(idx), _freeze(idx))
+    mins = g.conjugation.min(axis=1)
+    is_least = mins == idx
+    label = np.cumsum(is_least) - 1  # label[least member of class k] = k
+    return ConjugacyData(_freeze(label[mins]), _freeze(np.flatnonzero(is_least)))
 
 
 def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:
@@ -452,9 +462,12 @@ def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:
 
 
 def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
-    """Minimal representatives y, one per orbit H*y of left multiplication by H."""
+    """Minimal representatives y, one per orbit H*y of left multiplication by H.
+
+    H holds e, so y is the least member of H*y exactly when no h*y is less.
+    """
     H = np.asarray(list(subgroup_elems), dtype=np.int64)
-    return tuple(np.unique(g.cayley[H].min(axis=0)).tolist())
+    return tuple(np.flatnonzero(g.cayley[H].min(axis=0) == np.arange(g.order)).tolist())
 
 
 def subgroup_tables(parent: FiniteGroup, elems: np.ndarray):

@@ -9,8 +9,9 @@ import numpy as np
 
 from .algebra import _monomial
 from .cocycles import Cocycle
+from .config import ROW_BLOCK as _BLOCK
 from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
-                     WINDOW_NORM, Tolerances)
+                     WINDOW_NORM, Tolerances, row_blocks)
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -20,10 +21,6 @@ from .errors import (
     check_residual,
 )
 from .groups import FiniteGroup
-
-# Row blocks of the representation checks hold about this many complex
-# entries (256 KB) per temporary, so that each one stays in cache.
-_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,6 @@ def projective_rep(
     return ProjectiveRep(group, cocycle, matrices.shape[1], matrices, tol)
 
 
-def _row_blocks(n: int, per_row: int) -> list[slice]:
-    """Consecutive slices of range(n), each of about _BLOCK / per_row rows."""
-    step = max(1, _BLOCK // per_row)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def validate_rep(rep: ProjectiveRep) -> RepReport:
     """Check unitarity of every matrix and the twisted composition law, at ``rep.tol``.
 
@@ -127,7 +118,7 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     ys, t_s = g.cayley[:, gens], t[:, gens]  # [y, j] = y s_j and sigma(y, s_j)
     eye = np.eye(d)
     # row x holds k dim^2 entries of the composition law and k |G| of the cocycle identity
-    blocks = _row_blocks(g.order, k * max(d * d, g.order))
+    blocks = row_blocks(g.order, k * max(d * d, g.order), _BLOCK)
     unit, coc = np.empty(len(blocks)), np.empty(len(blocks))
     comp = np.empty((g.order, k))
     for b, xs in enumerate(blocks):
@@ -139,11 +130,16 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
         res *= t_s[xs, :, None, None]
         np.subtract(lhs.transpose(0, 2, 1, 3), res, out=res)
         comp[xs] = np.abs(res).reshape(res.shape[0], k, -1).max(axis=2)
-        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every y and s
+        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every y and s,
+        # in place and after the law's arrays are freed: two block temporaries at a time
+        del lhs, res
         t_x = t[xs]
-        res = t_x[..., None] * np.take(t_s, g.cayley[xs], axis=0)
-        res -= np.take(t_x, ys, axis=1) * t_s
-        coc[b] = np.abs(res).max()
+        lhs = np.take(t_s, g.cayley[xs], axis=0)
+        lhs *= t_x[..., None]
+        res = np.take(t_x, ys, axis=1)
+        res *= t_s
+        lhs -= res
+        coc[b] = np.abs(lhs).max()
     unit_res = float(unit.max())
     # first maximum in (s, x) order
     j, x = divmod(int(comp.T.argmax()), g.order)
@@ -268,7 +264,7 @@ def _intertwining_residual(rep: ProjectiveRep, v: np.ndarray) -> float:
     product, and every temporary holds about _BLOCK entries.
     """
     g, t, n, d = rep.group, rep.cocycle.table, rep.group.order, rep.dim
-    blocks = _row_blocks(n, n * d)
+    blocks = row_blocks(n, n * d, _BLOCK)
     res = np.empty(len(blocks))
     for b, ys in enumerate(blocks):
         lhs = v @ rep.matrices[ys].transpose(1, 0, 2).reshape(d, -1)  # [r, (y, i)]

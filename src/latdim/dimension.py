@@ -39,8 +39,8 @@ class WindowedRep:
     ``window`` is a read-only unit vector used to realize modules inside
     functions on the group; the dimension function does not depend on
     the choice.  Each route reads its own cached field and never the
-    other's: ``phi`` reads ``diagonal`` through ``class_sums``, which
-    keeps every class sum it takes, and ``phi_oracle`` reads
+    other's: ``phi`` reads ``class_sums``, built from ``diagonal`` on
+    the group's regular elements, and ``phi_oracle`` reads
     ``projection``, built from ``transform``.  Build one with
     ``windowed_rep`` and cut a module for each lattice with ``spec``.
     """
@@ -57,33 +57,25 @@ class WindowedRep:
         return diag
 
     @cached_property
-    def _class_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sums ``class_sums`` has taken so far, and a mask of where they sit."""
-        n = self.rep.group.order
-        return np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=bool)
-
-    def class_sums(self, gammas: np.ndarray) -> np.ndarray:
-        """Read-only array holding the class sum of ``phi_values`` at each of ``gammas``.
+    def class_sums(self) -> np.ndarray:
+        """Read-only class sum of ``phi_values`` at each element of the group.
 
         The sum at gamma, sum_y conj(tilde(gamma, y)) <window, pi(y^-1
-        gamma y) window>, depends on gamma alone and not on a lattice, so
-        each one is taken once per pair, on first request, and kept.
-        Entries at elements never requested are meaningless.
+        gamma y) window>, depends on gamma alone and not on a lattice.  It
+        is taken at each element that ``regularity`` at the rep's tol marks
+        regular in the group; elsewhere tilde(gamma, .) is a nontrivial
+        character of the centralizer of gamma, the sum is exactly 0, and 0
+        is written rather than rounding residue.
         """
-        sums, known = self._class_sums
-        want = np.zeros_like(known)
-        want[gammas] = True
-        new = np.flatnonzero(want & ~known)
-        if new.size:
-            g = self.rep.group
-            conj = g.conjugation[new]  # [i, y] = y^-1 new[i] y
-            sigma = self.rep.cocycle.table
-            tilde = sigma[new] * np.conj(sigma[np.arange(g.order), conj])
-            sums[new] = np.sum(np.conj(tilde) * self.diagonal[conj], axis=1)
-            known[new] = True
-        out = sums.view()
-        out.setflags(write=False)
-        return out
+        g = self.rep.group
+        regular = np.flatnonzero(regularity(self.rep.cocycle, self.rep.tol).regular_elements)
+        conj = g.conjugation[regular]  # [i, y] = y^-1 regular[i] y
+        sigma = self.rep.cocycle.table
+        tilde = sigma[regular] * np.conj(sigma[np.arange(g.order), conj])
+        sums = np.zeros(g.order, dtype=np.complex128)
+        sums[regular] = np.sum(np.conj(tilde) * self.diagonal[conj], axis=1)
+        sums.setflags(write=False)
+        return sums
 
     @cached_property
     def transform(self) -> WaveletTransform:
@@ -112,8 +104,9 @@ class ModuleSpec:
     ``restricted_cocycle`` lives on the lattice materialized as a group
     of its own (indices 0..|lattice|-1), which ``lattice_group`` returns.
     The rep and window come from ``windowed``, which every spec cut from
-    it shares.  The regular mask and the dimension function are derived
-    once per spec and read by every decision and construction on it.
+    it shares.  The dimension function is derived once per spec and read
+    by every decision and construction on it.  ``regular``, the lattice's
+    own regular mask, is only printed: phi reads the group's.
     """
 
     windowed: WindowedRep
@@ -220,17 +213,16 @@ def make_module_spec(
 
 def phi(spec: ModuleSpec) -> PhiFunction:
     """Dimension function by the closed-form class sum: ``phi_values`` on a block of one."""
-    values = phi_values(spec.windowed, spec.lattice.members[None], spec.regular[None])[0]
+    values = phi_values(spec.windowed, spec.lattice.members[None])[0]
     return PhiFunction(values, spec.restricted_cocycle)
 
 
-def phi_values(source: WindowedRep, elems: np.ndarray, regular: np.ndarray) -> np.ndarray:
+def phi_values(source: WindowedRep, elems: np.ndarray) -> np.ndarray:
     """Dimension function on each lattice of a block of equal-order lattices.
 
-    Row b of ``elems``, ``regular`` and the result belongs to one lattice:
-    its elements in increasing order, its regular mask and phi at each
-    element.  For a lattice element gamma that is regular for the
-    restricted cocycle,
+    Row b of ``elems`` and of the result belongs to one lattice: its
+    elements in increasing order and phi at each element.  For a lattice
+    element gamma,
 
         phi(gamma) = d_pi / |lattice| * sum_y conj(tilde(gamma, y))
                         * <window, pi(y^-1 gamma y) window>
@@ -242,23 +234,18 @@ def phi_values(source: WindowedRep, elems: np.ndarray, regular: np.ndarray) -> n
     tilde(gamma, c y) = tilde(gamma, c) tilde(gamma, y) and
     tilde(gamma, c) = 1 for a regular gamma.  So the sum is |C| times a
     sum over coset representatives, and |C| k = |lattice| for the class
-    size k.  Off regular elements phi is zero.  The sum depends on gamma
-    and not on the lattice, so ``source.class_sums`` takes it once per
-    distinct regular element, for every block cut from ``source``.
-    phi(e) must be dpi_vol; it is one number for the whole block, since
-    every lattice holds e as a regular element.
+    size k.  The sum depends on gamma and not on the lattice, and is 0
+    unless gamma is regular in the big group, so it is read from
+    ``source.class_sums``.  phi(e) must be dpi_vol; it is one number for
+    the whole block.
     """
     g = source.rep.group
-    gammas = elems[regular]
-    sums = source.class_sums(gammas)
+    sums = source.class_sums
     scale = source.rep.dim / g.order / elems.shape[1]
-    values = np.zeros(elems.shape, dtype=np.complex128)
-    values[regular] = scale * sums[gammas]
-
     dpi_vol = source.rep.dim / elems.shape[1]
     check_residual("|phi(e) - dpi_vol|", abs(scale * sums[g.identity] - dpi_vol),
                    PHI_IDENTITY * max(1.0, dpi_vol))
-    return values
+    return scale * sums[elems]
 
 
 def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int) -> np.ndarray:
@@ -356,10 +343,11 @@ def phi_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
     So only the |H| x |H| operator is built, checked Hermitian by
     ``cdim_operators`` and solved, and each eigenvalue is repeated [L:H]
     times, which keeps the order ascending.  No tolerance decides S: the
-    class sum writes exact zeros off the regular mask, so under Kleppner's
-    condition H = {e} and Phi = dpi_vol I.  Lattices of order below
-    ``_REDUCE_FROM`` are solved densely; above it one ``generated_subgroups``
-    call closes every row's H, and rows are stacked by |H|.
+    class sums hold exact zeros off the group's regular elements, so under
+    Kleppner's condition H = {e} and Phi = dpi_vol I on every lattice.
+    Lattices of order below ``_REDUCE_FROM`` are solved densely; above it
+    one ``generated_subgroups`` call closes every row's H, and rows are
+    stacked by |H|.
     """
     nb, m = values.shape
     if m < _REDUCE_FROM:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, regular_mask, regularity, restricted_tables, weyl_heisenberg
+from .cocycles import Cocycle, regularity, restricted_tables, weyl_heisenberg
 from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS, TF_BASE,
                      Tolerances)
 from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
@@ -129,9 +129,7 @@ def _scan_block(
     elems = np.array([sub.elements for sub in subs], dtype=np.int64)
     cayley, _, identity = subgroup_tables(tf.group, elems)
     table = restricted_tables(tf.cocycle, elems)
-    # every lattice of the abelian time-frequency group is abelian
-    regular = regular_mask(cayley, table, identity, None, source.rep.tol.tol_id)
-    values = phi_values(source, elems, regular)
+    values = phi_values(source, elems)
 
     at_identity = np.abs(values.ravel()[identity] - dpi_vol)
     check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {order}",

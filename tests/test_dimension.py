@@ -38,8 +38,8 @@ from latdim import (
 import latdim.dimension as dim_mod
 from latdim import cli
 
-from fixtures_common import (gauge_twisted_rep, near_rep, rep_fixtures, tf, traced_peak,
-                             trivial_irrep)
+from fixtures_common import (gauge_twisted_rep, near_rep, pauli_product_irrep, rep_fixtures, tf,
+                             traced_peak, trivial_irrep)
 
 
 def _sign_character():
@@ -167,6 +167,37 @@ def test_phi_matches_transversal_reference(label, rep):
             assert np.array_equal(spec.regular, regular)
 
 
+def _lattice_masked_phi(spec):
+    """The class sum at each element regular in the lattice, 0 elsewhere.
+
+    Each sum runs over the whole group, but the mask is the lattice's own,
+    so an element regular in the lattice and not in the group gets the
+    rounding residue of a sum that is exactly 0.
+    """
+    g, rep = spec.rep.group, spec.rep
+    gammas = spec.lattice.members[spec.regular]
+    conj = g.conjugation[gammas]
+    sigma = rep.cocycle.table
+    tilde = sigma[gammas] * np.conj(sigma[np.arange(g.order), conj])
+    values = np.zeros(spec.lattice.order, dtype=np.complex128)
+    values[spec.regular] = (rep.dim / g.order / spec.lattice.order
+                            * np.sum(np.conj(tilde) * spec.windowed.diagonal[conj], axis=1))
+    return values
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures()
+                         + [(f"lifted-{n}", pauli_product_irrep(n)) for n in ("Z4xZ4", "S4")])
+def test_phi_vanishes_exactly_off_the_regular_elements_of_the_group(label, rep):
+    """And matches the class sum taken under each lattice's own regular mask."""
+    source = windowed_rep(rep, random_window(rep.dim, 6))
+    regular = regularity(rep.cocycle, rep.tol).regular_elements
+    for sub in all_subgroups(rep.group):
+        spec = source.spec(sub)
+        values = phi(spec).values
+        assert not values[~regular[sub.members]].any(), (label, sub.elements)
+        assert np.abs(values - _lattice_masked_phi(spec)).max() <= 1e-15, (label, sub.elements)
+
+
 def _reference_phi_oracle(spec):
     """The embedding route on dense matrices: the coset unitary u, the
     product u* P u, and the average of the block sum over the dense
@@ -279,16 +310,19 @@ def test_spec_keeps_its_own_window():
     assert np.array_equal(phi(spec).values, before)
 
 
-def test_one_regularity_per_spec(monkeypatch):
+def test_one_regularity_of_the_group_per_windowed_rep(monkeypatch):
+    """phi reads the group's regular elements, once for every spec cut from one source."""
     calls = []
     real = dim_mod.regularity
     monkeypatch.setattr(
-        dim_mod, "regularity", lambda c, *args: calls.append(1) or real(c, *args)
+        dim_mod, "regularity", lambda c, *args: calls.append(c) or real(c, *args)
     )
     rep = trivial_irrep("S3")
-    spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
-    phi(spec), phi_oracle(spec)
-    assert len(calls) == 1
+    source = windowed_rep(rep)
+    for sub in all_subgroups(rep.group):
+        spec = source.spec(sub)
+        phi(spec), phi_oracle(spec)
+    assert calls == [rep.cocycle]
 
 
 def test_random_window_seeded_and_unit():
@@ -323,10 +357,12 @@ def _count_computations(monkeypatch, name):
 
 
 def test_scan_computes_one_diagonal_per_rep_window(monkeypatch):
+    """And one vector of class sums."""
     diagonals = _count_computations(monkeypatch, "diagonal")
+    sums = _count_computations(monkeypatch, "class_sums")
     rows = gabor_scan(tf("Z4"), 1, 1)
     assert len(rows) == len(all_subgroups(tf("Z4").group)) > 1
-    assert len(diagonals) == 1
+    assert (len(diagonals), len(sums)) == (1, 1)
 
 
 def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
@@ -345,7 +381,7 @@ def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
     """phi never reads the wavelet transform or its projection, phi_oracle never
-    the diagonal or phi."""
+    the diagonal, the class sums or phi."""
     source = windowed_rep(rep, random_window(rep.dim, 2))
     spec = source.spec(full_subgroup(rep.group))
     with monkeypatch.context() as m:
@@ -353,7 +389,8 @@ def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
             m.setattr(WindowedRep, name, property(lambda self, name=name: pytest.fail(f"phi read {name}")))
         closed = phi(spec)
     with monkeypatch.context() as m:
-        m.setattr(WindowedRep, "diagonal", property(lambda self: pytest.fail("phi_oracle read diagonal")))
+        for name in ("diagonal", "class_sums"):
+            m.setattr(WindowedRep, name, property(lambda self, name=name: pytest.fail(f"phi_oracle read {name}")))
         m.setattr(dim_mod, "phi", lambda *a: pytest.fail("phi_oracle called phi"))
         oracle = phi_oracle(spec)
     assert np.abs(closed.values - oracle.values).max() < 1e-9

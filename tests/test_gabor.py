@@ -273,8 +273,8 @@ def test_scan_rejects_phi_off_dpi_vol_delta(monkeypatch, where, shift, order):
 
     real = gabor_mod.phi_values
 
-    def tampered(source, elems, regular):
-        values = real(source, elems, regular)
+    def tampered(source, elems):
+        values = real(source, elems)
         at_identity = elems == source.rep.group.identity
         if where == "identity":
             values[at_identity] += shift

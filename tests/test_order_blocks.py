@@ -47,7 +47,7 @@ def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
     source = windowed_rep(rep)
     for subs, elems in _blocks(rep.group):
         cayley, inverse, identity, table, regular = _block(rep, subs, elems)
-        values = phi_values(source, elems, regular)
+        values = phi_values(source, elems)
         spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
         shift = np.arange(len(subs))[:, None] * elems.shape[1]  # block places to local
         for b, sub in enumerate(subs):

@@ -93,8 +93,10 @@ def test_the_kernel_solves_on_the_subgroup_the_support_generates(name):
 
     Each order's lattices are closed as one block, as ``phi_spectra`` closes
     them.  The Z4xZ4 lift gives a proper nontrivial H on abelian lattices.
-    The S4 lift has dimension 6, so its trace vanishes on the 3-cycles and
-    the support of phi on S4 x {e} is not a subgroup: it must be closed.
+    phi's support is a subgroup on every lattice of both lifts, so on S4 the
+    rows of phi cut to e and the involutions are closed too: each is still
+    Hermitian, as x = x^-1, and on a nonabelian lattice its support need not
+    be a subgroup.  Their spectra must match the dense solve.
     """
     rep = pauli_product_irrep(name)
     source = windowed_rep(rep)
@@ -103,20 +105,30 @@ def test_the_kernel_solves_on_the_subgroup_the_support_generates(name):
         if sub.order >= 32:
             by_order.setdefault(sub.order, []).append(source.spec(sub))
     seen = set()
-    for specs in by_order.values():
+    for order, specs in by_order.items():
         elems = np.array([spec.lattice.elements for spec in specs])
         cayley, _, identity = subgroup_tables(rep.group, elems)
-        support = np.array([phi(spec).values for spec in specs]) != 0
-        support.ravel()[identity] = True
-        closed = generated_subgroups(cayley, support)
-        for spec, row, got in zip(specs, support, closed):
-            lattice = spec.lattice_group
-            h = subgroup_generated(lattice, np.flatnonzero(row).tolist())
-            assert tuple(np.flatnonzero(got).tolist()) == h.elements, (name, spec.lattice.elements)
-            if 1 < h.order < lattice.order:
-                seen.add("proper")
-                if np.count_nonzero(row) < h.order and not lattice.is_abelian():
-                    seen.add("nonabelian, closed")
+        values = np.array([phi(spec).values for spec in specs])
+        rows = [values]
+        if name == "S4":
+            involution = cayley[:, range(order), range(order)] == identity[:, None]
+            cut = np.where(involution, values, 0)
+            table = restricted_tables(rep.cocycle, elems)
+            dense = np.linalg.eigvalsh(cdim_operators(cut, cayley, table))
+            assert np.abs(phi_spectra(cut, cayley, table, identity) - dense).max() <= 1e-12
+            rows.append(cut)
+        for vals in rows:
+            support = vals != 0
+            support.ravel()[identity] = True
+            closed = generated_subgroups(cayley, support)
+            for spec, row, got in zip(specs, support, closed):
+                lattice = spec.lattice_group
+                h = subgroup_generated(lattice, np.flatnonzero(row).tolist())
+                assert tuple(np.flatnonzero(got).tolist()) == h.elements, (name, spec.lattice.elements)
+                if 1 < h.order < lattice.order:
+                    seen.add("proper")
+                    if np.count_nonzero(row) < h.order and not lattice.is_abelian():
+                        seen.add("nonabelian, closed")
     want = {"proper", "nonabelian, closed"} if name == "S4" else {"proper"}
     assert want <= seen
     if name == "S4":

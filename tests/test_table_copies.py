@@ -3,8 +3,8 @@
 ``phi_oracle`` gathers only the diagonal blocks of the transported
 projection, an abelian group's conjugation table is a broadcast view,
 the restriction to the whole group is the cocycle itself, ``regular_mask``
-runs over row blocks, and ``phi_values`` keeps each class sum once per
-(rep, window).  The references below are the forms these replace: the
+runs over row blocks, and ``WindowedRep.class_sums`` takes each class sum
+once per (rep, window).  The references below are the forms these replace: the
 whole |G| x |G| gather summed by ``einsum("aibi->ab")``, the gathered
 conjugation table, the gathered restricted table, the unblocked mask,
 ``np.unique`` class labels, and a class sum taken afresh for every lattice.
@@ -15,7 +15,6 @@ import pytest
 
 import latdim.cocycles
 from latdim import (
-    WindowedRep,
     all_subgroups,
     build_cyclic,
     conjugacy,
@@ -165,10 +164,3 @@ def test_kept_class_sums_match_a_fresh_source_on_every_lattice(label, rep):
         kept = phi(shared.spec(sub)).values
         fresh = phi(windowed_rep(rep, window).spec(sub)).values
         assert np.array_equal(kept, fresh), (label, sub.elements)
-
-
-def test_phi_oracle_reads_no_class_sum(monkeypatch):
-    rep = rep_fixtures()[-1][1]
-    spec = windowed_rep(rep).spec(full_subgroup(rep.group))
-    monkeypatch.setattr(WindowedRep, "class_sums", lambda *a: pytest.fail("read a class sum"))
-    phi_oracle(spec)

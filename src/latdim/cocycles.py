@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances, row_blocks
 from .config import ROW_BLOCK as _BLOCK
-from .errors import ConsistencyError, DimensionMismatch, InputError, NotAbelian
+from .errors import ConsistencyError, DimensionMismatch, InputError, NotAbelian, worst_entry
 from .groups import (
     ConjugacyData,
     DualGroup,
@@ -94,24 +94,19 @@ def validate(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> CocycleReport:
     e = g.identity
     norm_res = float(max(np.abs(t[e, :] - 1.0).max(), np.abs(t[:, e] - 1.0).max()))
 
-    # one x at a time keeps memory O(n^2); the first strict maximum in
-    # (x, y, z) order is the worst triple
-    id_res, worst = 0.0, (0, 0, 0)
-    for x in range(n):
-        lhs = t[x][:, None] * t[g.cayley[x]]  # [y, z] = sigma(x, y) sigma(xy, z)
-        rhs = t[x][g.cayley] * t              # [y, z] = sigma(x, yz) sigma(y, z)
-        diff = np.abs(lhs - rhs)
-        at = int(np.argmax(diff))
-        if diff.flat[at] > id_res:
-            id_res = float(diff.flat[at])
-            worst = (x, *map(int, np.unravel_index(at, diff.shape)))
+    def identity_gap(x):  # [y, z]
+        lhs = t[x][:, None] * t[g.cayley[x]]  # sigma(x, y) sigma(xy, z)
+        rhs = t[x][g.cayley] * t              # sigma(x, yz) sigma(y, z)
+        return np.abs(lhs - rhs)
+
+    id_res, worst = worst_entry(n, identity_gap)
 
     ok = unit_res <= tol.tol_unit and id_res <= tol.tol_id and norm_res <= tol.tol_id
     if ok:
         msg = "ok"
     elif not unit_res <= tol.tol_unit:  # negated, so a NaN entry is reported here
         msg = f"entry modulus off by {unit_res:.3e}"
-    elif id_res > tol.tol_id:
+    elif not id_res <= tol.tol_id:
         msg = f"cocycle identity fails at triple {worst} with residual {id_res:.3e}"
     else:
         msg = f"identity-row normalization off by {norm_res:.3e}"
@@ -140,18 +135,12 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
     ci = g.conjugation
     idx = np.arange(n)
 
-    # multiplicativity: tilde(x, y z) = tilde(x, y) tilde(y^-1 x y, z);
-    # one x at a time keeps memory O(n^2), and the first strict maximum
-    # in (x, y, z) order is the worst triple
-    res1, w1 = 0.0, (0, 0, 0)
-    for x in range(n):
-        lhs = tt[x][g.cayley]                   # [y, z] = tilde(x, y z)
-        rhs = tt[x][:, None] * tt[ci[x]]        # [y, z] = tilde(x, y) tilde(y^-1 x y, z)
-        d1 = np.abs(lhs - rhs)
-        at = int(np.argmax(d1))
-        if d1.flat[at] > res1:
-            res1 = float(d1.flat[at])
-            w1 = (x, *map(int, np.unravel_index(at, d1.shape)))
+    def multiplicativity_gap(x):  # [y, z]
+        lhs = tt[x][g.cayley]             # tilde(x, y z)
+        rhs = tt[x][:, None] * tt[ci[x]]  # tilde(x, y) tilde(y^-1 x y, z)
+        return np.abs(lhs - rhs)
+
+    res1, w1 = worst_entry(n, multiplicativity_gap)
 
     # inverse: tilde(x, y^-1) = conj(tilde(y x y^-1, y))
     x2 = idx[:, None]
@@ -172,7 +161,7 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
     at = int(np.argmax(d3))
     res3 = float(d3[at])
     w3: tuple = ()
-    if res3 > 0:
+    if not res3 <= 0:  # negated, so a NaN is placed too
         x, y = int(xs[at // n]), at % n
         w3 = (x, y, int(ci[x, y]))
 
@@ -183,7 +172,7 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
 
 
 def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | int,
-                 class_rep: np.ndarray | None, tol_id: float) -> np.ndarray:
+                 class_rep: np.ndarray, tol_id: float) -> np.ndarray:
     """Regular elements of each group of a block of equal-order groups.
 
     ``cayley`` and ``table`` are (B, m, m) Cayley and cocycle tables and
@@ -191,9 +180,8 @@ def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | i
     gives them.  An element is regular when sigma(x, y) = sigma(y, x) for
     every y in its centralizer.  Regularity is constant on conjugacy
     classes; that constancy is asserted rather than assumed, against
-    ``class_rep``, the place of the least member of each element's class,
-    or not at all when ``class_rep`` is None because every group of the
-    block is abelian.  The identity must be regular.  The first group of
+    ``class_rep``, the place of the least member of each element's class.
+    The identity must be regular.  The first group of
     the block that fails a check raises.  The comparison runs over blocks
     of rows x, each holding about ``_BLOCK`` entries, so no temporary
     grows with the whole block's tables.
@@ -204,14 +192,13 @@ def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | i
         comm = cayley[:, xs] == cayley[:, :, xs].transpose(0, 2, 1)
         asym = np.abs(table[:, xs] - table[:, :, xs].transpose(0, 2, 1))
         regular[:, xs] = ~np.any(comm & (asym > tol_id), axis=2)
-    if class_rep is not None:
-        off = regular.ravel()[class_rep] != regular
-        if off.any():
-            b = int(np.argmax(off.any(axis=1)))
-            reps = class_rep[b]
-            # classes are numbered in order of their least members
-            k = int(np.searchsorted(np.unique(reps), reps[off[b]].min()))
-            raise ConsistencyError(f"regularity not constant on class {k}")
+    off = regular.ravel()[class_rep] != regular
+    if off.any():
+        b = int(np.argmax(off.any(axis=1)))
+        reps = class_rep[b]
+        # classes are numbered in order of their least members
+        k = int(np.searchsorted(np.unique(reps), reps[off[b]].min()))
+        raise ConsistencyError(f"regularity not constant on class {k}")
     if not regular.ravel()[identity].all():
         raise ConsistencyError("identity class must be regular")
     return regular

@@ -68,3 +68,19 @@ def check_residual(what: str, residual, bound,
     at = np.argmin(ok)
     residual, bound = (np.broadcast_to(v, np.shape(ok)).flat[at] for v in (residual, bound))
     raise exc(f"{what} is {residual:.3e}, bound {bound:.3e}")
+
+
+def worst_entry(n: int, slab) -> tuple[float, tuple[int, ...]]:
+    """``np.argmax`` over the stack slab(0), ..., slab(n - 1), one slab in memory at a time.
+
+    Returns the first maximum in index order, or the first NaN, and its
+    index (x, ...) in the stack.
+    """
+    for x in range(n):
+        s = slab(x)
+        at = int(np.argmax(s))
+        if x == 0 or not s.flat[at] <= worst:  # negated, so a NaN is taken
+            worst, where = float(s.flat[at]), (x, *map(int, np.unravel_index(at, s.shape)))
+            if np.isnan(worst):
+                break
+    return worst, where

@@ -22,6 +22,7 @@ from .errors import (
     NotAbelian,
     NotAssociative,
     NotLatinSquare,
+    worst_entry,
 )
 
 SUBGROUP_ENUM_BOUND = 256
@@ -124,24 +125,26 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
         raise InputError("table entries must be element indices in 0..order-1")
 
     ref = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(cay[i]), ref):
-            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if not np.array_equal(np.sort(cay[:, j]), ref):
-            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+    bad_rows = (np.sort(cay, axis=1) != ref).any(axis=1)
+    if bad_rows.any():
+        raise NotLatinSquare(f"row {np.argmax(bad_rows)} is not a permutation of 0..{n - 1}")
+    bad_cols = (np.sort(cay, axis=0) != ref[:, None]).any(axis=0)
+    if bad_cols.any():
+        raise NotLatinSquare(f"column {np.argmax(bad_cols)} is not a permutation of 0..{n - 1}")
 
-    id_candidates = [e for e in range(n) if np.array_equal(cay[e], ref) and np.array_equal(cay[:, e], ref)]
-    if not id_candidates:
+    id_candidates = np.flatnonzero((cay == ref).all(axis=1) & (cay.T == ref).all(axis=1))
+    if not id_candidates.size:
         raise NoIdentity("no two-sided identity element")
-    identity = id_candidates[0]
+    identity = int(id_candidates[0])
 
-    for x in range(n):  # one left factor at a time keeps memory O(n^2)
-        left = cay[cay[x]]   # left[y, z] = (x*y)*z
-        right = cay[x][cay]  # right[y, z] = x*(y*z)
-        if not np.array_equal(left, right):
-            y, z = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(f"(x*y)*z != x*(y*z) at triple ({x}, {y}, {z})")
+    def mismatch(x):  # [y, z]: (x*y)*z != x*(y*z), one left factor at a time
+        left = cay[cay[x]]
+        right = cay[x][cay]
+        return left != right
+
+    bad, triple = worst_entry(n, mismatch)
+    if bad:
+        raise NotAssociative(f"(x*y)*z != x*(y*z) at triple {triple}")
 
     inverse = np.argmax(cay == identity, axis=1).astype(np.int64)
     return FiniteGroup(n, _freeze(cay), identity, _freeze(inverse), label)
@@ -246,18 +249,10 @@ def _powers(g: FiniteGroup, x: int) -> np.ndarray:
     return np.asarray(powers)
 
 
-def _cyclic_generators(g: FiniteGroup) -> dict[int, np.ndarray]:
-    """The least generator x of each cyclic subgroup, in increasing order,
-    mapped to its powers [e, x, x^2, ...]."""
-    seen: set[frozenset[int]] = set()
-    out = {}
-    for x in range(g.order):
-        powers = _powers(g, x)
-        key = frozenset(powers.tolist())
-        if key not in seen:
-            seen.add(key)
-            out[x] = powers
-    return out
+def _cyclic_generators(g: FiniteGroup) -> list[int]:
+    """The least generator of each cyclic subgroup, in increasing order."""
+    least = {frozenset(_powers(g, x).tolist()): x for x in range(g.order - 1, -1, -1)}
+    return sorted(least.values())
 
 
 def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -284,9 +279,7 @@ def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     Every subgroup is a join of cyclic subgroups, so growing each known
     subgroup H by one generator x of each cyclic subgroup outside it
     reaches them all (Neubueser 1960). Since join(H, x) = join(H, hx) for
-    h in H, only the first such x of each right coset H x is tried. When
-    x normalizes H the join is the product set H<x>, one gather; only a
-    non-normalizing x needs the frontier walk of ``_join``.
+    h in H, only the first such x of each right coset H x is tried.
     """
     cyclic = _cyclic_generators(g)
     triv = _trivial_mask(g)
@@ -295,17 +288,12 @@ def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     for mask, gens in queue:  # appended to while it is walked
         elems = np.flatnonzero(mask)
         tried = mask.copy()
-        normalizer = mask[g.conjugation[elems]].all(axis=0)
-        for x, powers in cyclic.items():
+        for x in cyclic:
             if tried[x]:
                 continue
             tried[g.cayley[elems, x]] = True
             grown_gens = gens + (x,)
-            if normalizer[x]:
-                grown = np.zeros(g.order, dtype=bool)
-                grown[g.cayley[elems[:, None], powers]] = True
-            else:
-                grown = _join(g, mask, elems, np.asarray(grown_gens))
+            grown = _join(g, mask, elems, np.asarray(grown_gens))
             key = grown.tobytes()
             if key not in seen:
                 seen[key] = grown
@@ -416,17 +404,11 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 class ConjugacyData:
     """Class labels, numbered in order of their least members, and those members.
 
-    ``least[k]`` is the least member of class k; it is found from the
-    labels when not given.
+    ``least[k]`` is the least member of class k.
     """
 
     class_of: np.ndarray
-    least: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.least is None:
-            least = np.unique(self.class_of, return_index=True)[1]
-            object.__setattr__(self, "least", _freeze(least))
+    least: np.ndarray
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:

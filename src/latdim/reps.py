@@ -19,6 +19,7 @@ from .errors import (
     NotIrreducible,
     WindowNotUnit,
     check_residual,
+    worst_entry,
 )
 from .groups import FiniteGroup
 
@@ -146,7 +147,12 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     comp_res, worst = float(comp[x, j]), (x, int(gens[j]))
 
     if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
-        comp_res, worst = _worst_pair(rep)
+        def law_gap(x):  # [y]: largest entry of pi(x) pi(y) - sigma(x, y) pi(xy)
+            lhs = mats[x] @ mats
+            rhs = t[x][:, None, None] * mats[g.cayley[x]]
+            return np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
+
+        comp_res, worst = worst_entry(g.order, law_gap)
 
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
     if not ok:
@@ -159,19 +165,6 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     else:
         message = "ok"
     return RepReport(ok, unit_res, comp_res, worst, message)
-
-
-def _worst_pair(rep: ProjectiveRep) -> tuple[float, tuple[int, int]]:
-    """Largest composition-law residual over all pairs, and where it sits."""
-    g = rep.group
-    mats = rep.matrices
-    res = np.empty((g.order, g.order))
-    for x in range(g.order):
-        lhs = mats[x] @ mats  # (order, d, d)
-        rhs = rep.cocycle.table[x][:, None, None] * mats[g.cayley[x]]
-        res[x] = np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
-    x, y = divmod(int(res.argmax()), g.order)
-    return float(res[x, y]), (x, y)
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:

@@ -13,6 +13,8 @@ import numpy as np
 
 from latdim import (
     Cocycle,
+    all_subgroups,
+    conjugacy,
     Tolerances,
     build_cyclic,
     build_tf,
@@ -21,6 +23,7 @@ from latdim import (
     irreducible_subrep,
     projective_rep,
     quaternion,
+    subgroup_group,
     symmetric_group,
     trivial,
 )
@@ -145,3 +148,21 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def order_blocks(group):
+    """Every lattice of ``group`` in one block per order: (lattices, their elements)."""
+    by_order = {}
+    for sub in all_subgroups(group):
+        by_order.setdefault(sub.order, []).append(sub)
+    return [(subs, np.array([sub.elements for sub in subs], dtype=np.int64))
+            for subs in by_order.values()]
+
+
+def class_places(subs):
+    """Block place of the least member of each element's class, lattice by lattice."""
+    rows = []
+    for b, sub in enumerate(subs):
+        cj = conjugacy(subgroup_group(sub))
+        rows.append(b * sub.order + cj.least[cj.class_of])
+    return np.array(rows)

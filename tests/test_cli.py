@@ -74,6 +74,14 @@ def test_oversized_cayley_file_is_rejected(capsys, tmp_path):
     assert "exceeds 256" in err
 
 
+def test_nonassociative_cayley_file_is_rejected_at_its_first_bad_triple(capsys, tmp_path):
+    path = tmp_path / "q5.txt"  # the order-5 latin square with identity 0 of test_groups
+    path.write_text("order 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    rc, _, err = run(capsys, "kleppner", "--group", str(path))
+    assert rc == 1
+    assert "at triple (1, 1, 2)" in err
+
+
 def test_validate_cocycle_ok(capsys, tmp_path):
     path = str(tmp_path / "coc.json")
     dump_json(cocycle_to_json(tf("Z2").cocycle), path)
@@ -92,6 +100,17 @@ def test_validate_cocycle_catches_corruption(capsys, tmp_path):
     assert rc == 1
     assert out.startswith("cocycle invalid\n")
     assert "worst-triple" in out
+
+
+def test_validate_cocycle_reports_a_nan_entry_at_its_first_triple(capsys, tmp_path):
+    data = cocycle_to_json(trivial(symmetric_group(3)))
+    data["table"][2][3] = [float("nan"), 0.0]
+    path = str(tmp_path / "nan.json")
+    dump_json(data, path)
+    rc, out, _ = run(capsys, "validate-cocycle", "--cocycle", path)
+    assert rc == 1
+    assert "identity-residual nan\n" in out
+    assert "worst-triple 0 2 3\n" in out
 
 
 def test_validate_cocycle_group_cross_check(capsys, tmp_path):

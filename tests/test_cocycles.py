@@ -182,17 +182,31 @@ def test_tilde_identities(label, coc):
     assert rpt.violated(1e-12) == []
 
 
-def test_a_nan_entry_fails_and_is_named():
-    c = tf("Z3").cocycle
+@pytest.mark.parametrize("make, entry", [(lambda: tf("Z3").cocycle, (1, 2)),
+                                         (lambda: trivial(symmetric_group(3)), (2, 3))],
+                         ids=["wh-Z3", "trivial-S3"])
+def test_a_nan_entry_fails_and_is_named(make, entry):
+    c = make()
     table = c.table.copy()
-    table[1, 2] = np.nan
+    table[entry] = np.nan
     bad = Cocycle(c.group, table)
     rpt = validate(bad)
     assert not rpt.ok
     assert "modulus" in rpt.message
+    # the identity scan keeps the NaN, at the first NaN triple of the full broadcast
+    g, t = bad.group, bad.table
+    x, y, z = np.ix_(*3 * [np.arange(g.order)])
+    diff = np.abs(t[x, y] * t[g.cayley[x, y], z] - t[x, g.cayley[y, z]] * t[y, z])
+    assert np.isnan(rpt.identity_residual)
+    assert rpt.worst_triple == np.unravel_index(np.argmax(diff), diff.shape)
     tilde_rpt = verify_tilde_identities(bad)
     assert not tilde_rpt.ok
-    assert "tilde-inverse" in tilde_rpt.violated()
+    assert np.isnan(tilde_rpt.residual_multiplicativity)
+    assert tilde_rpt.worst["multiplicativity"] == _reference_multiplicativity(bad)[1]
+    assert {"tilde-multiplicativity", "tilde-inverse"} <= set(tilde_rpt.violated())
+    res, worst = _reference_class_constancy(bad)
+    assert tilde_rpt.worst["class_constancy"] == worst
+    assert np.isnan(tilde_rpt.residual_class_constancy) == np.isnan(res)
 
 
 def test_tilde_value():
@@ -209,18 +223,19 @@ def test_tilde_value():
 
 
 def _reference_class_constancy(c):
-    """Residual and worst triple of tilde class constancy, by explicit loops."""
+    """Residual and worst triple of tilde class constancy: explicit loops fill the gap
+    to the first y of each (x, conjugate) pair, and np.argmax places the worst."""
     g, tt = c.group, tilde_table(c)
-    res, worst = 0.0, ()
-    for x in np.flatnonzero(regularity(c).regular_elements):
+    xs = np.flatnonzero(regularity(c).regular_elements)
+    gap = np.zeros((xs.size, g.order))
+    for i, x in enumerate(xs):
         first = {}
         for y in range(g.order):
-            tgt = g.conjugate(int(x), y)
-            if tgt not in first:
-                first[tgt] = tt[x, y]
-            elif abs(tt[x, y] - first[tgt]) > res:
-                res, worst = float(abs(tt[x, y] - first[tgt])), (int(x), y, tgt)
-    return res, worst
+            gap[i, y] = abs(tt[x, y] - tt[x, first.setdefault(g.conjugate(int(x), y), y)])
+    i, y = np.unravel_index(np.argmax(gap), gap.shape)
+    if gap[i, y] <= 0:
+        return 0.0, ()
+    return float(gap[i, y]), (int(xs[i]), int(y), g.conjugate(int(xs[i]), int(y)))
 
 
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())

@@ -4,11 +4,12 @@ import math
 import pathlib
 import tokenize
 
+import numpy as np
 import pytest
 
 import latdim
 from latdim.config import Tolerances
-from latdim.errors import ConsistencyError, InputError, WindowNotUnit, check_residual
+from latdim.errors import ConsistencyError, InputError, WindowNotUnit, check_residual, worst_entry
 
 SRC = pathlib.Path(latdim.__file__).parent
 
@@ -44,6 +45,19 @@ def test_check_residual_fails_above_the_bound_and_on_nan(residual):
 def test_check_residual_passes_at_the_bound():
     check_residual("test residual", 1e-9, 1e-9)
     check_residual("test residual", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("nans", [0, 1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_worst_entry_is_the_argmax_of_the_whole_stack(seed, nans):
+    # few distinct values, so maxima tie across slabs and within one
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 4, size=(5, 3, 4)).astype(float)
+    stack.flat[rng.choice(stack.size, nans, replace=False)] = math.nan
+    value, at = worst_entry(len(stack), lambda x: stack[x])
+    want = np.unravel_index(np.argmax(stack), stack.shape)
+    assert at == want and all(type(i) is int for i in at)
+    assert value == stack[want] or (math.isnan(value) and math.isnan(stack[want]))
 
 
 @pytest.mark.parametrize("value", [-1e-12, math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,61 @@ def test_from_cayley_table_errors():
         from_cayley_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
 
+def _first_violation(table):
+    """What ``from_cayley_table`` must name, found by looping over every row,
+    column, candidate identity and triple in turn."""
+    n = len(table)
+    full = set(range(n))
+    for i in range(n):
+        if set(table[i]) != full:
+            return f"row {i} is not a permutation"
+    for j in range(n):
+        if {table[i][j] for i in range(n)} != full:
+            return f"column {j} is not a permutation"
+    if not any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n)):
+        return "no two-sided identity element"
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return f"at triple ({x}, {y}, {z})"
+    return None
+
+
+def _tampered_tables(g, rng):
+    """Seeded copies of the table of ``g`` that break one axiom each: a repeated
+    entry in a row, two entries of a row swapped, every entry renamed, and an
+    intercalate swapped away from the identity."""
+    n, cay = g.order, g.cayley
+    i, j, k = rng.choice(n, 3, replace=False)
+    repeated = cay.copy()
+    repeated[i, j] = cay[i, k]
+    swapped = cay.copy()
+    swapped[i, [j, k]] = cay[i, [k, j]]
+    renamed = rng.permutation(n)[cay]
+    # rows r, r u and columns u c, c of an involution u hold a 2x2 latin square
+    u = rng.choice(np.setdiff1d(np.flatnonzero(cay.diagonal() == g.identity), [g.identity]))
+    r, c = (rng.choice(np.setdiff1d(np.arange(n), [g.identity, g.inverse[u]])) for _ in "rc")
+    rows, cols = [r, cay[r, u]], [cay[u, c], c]
+    intercalate = cay.copy()
+    intercalate[np.ix_(rows, cols)] = cay[np.ix_(rows, cols)][:, ::-1]
+    return repeated, swapped, renamed, intercalate
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["Z2xZ4", "S3", "D4", "Q8", "S4~7", "D4xZ2xZ2~3"])
+def test_from_cayley_table_names_the_first_violation(name, seed):
+    g = _series_group(name)
+    nonassociative = 0
+    for table in _tampered_tables(g, np.random.default_rng(seed)):
+        want = _first_violation(table.tolist())
+        if want is None:
+            assert np.array_equal(from_cayley_table(table).cayley, table)
+            continue
+        nonassociative += want.startswith("at triple")
+        with pytest.raises((NotLatinSquare, NoIdentity, NotAssociative), match=re.escape(want)):
+            from_cayley_table(table)
+    assert nonassociative
+
+
 def test_from_cayley_table_order_bound():
     with pytest.raises(BoundExceeded):
         from_cayley_table(build_cyclic(257).cayley)
@@ -349,35 +405,22 @@ def _reference_subgroups(g):
     return sorted(subs, key=lambda s: (len(s), s))
 
 
-# Whether the cyclic-extension search reaches the frontier walk of ``_join``:
-# only a generator that does not normalize the subgroup it joins needs it, so
-# Hamiltonian groups (Q8xZ2) never do; S4 and D4xZ2xZ2 run both paths. The
-# cyclic series, which every solvable group takes, never walks.
-WALKS = {
-    "S4": True, "D4xZ2xZ2": True, "Q8xZ2": False, "tf-Z2xZ4": False, "tf-Z3xZ3": False,
-    "Z2xZ2xZ2xZ2xZ2xZ2": False,
-}
-
-
-@pytest.mark.parametrize("name", list(WALKS))
+@pytest.mark.parametrize("name", ["S4", "D4xZ2xZ2", "Q8xZ2", "tf-Z2xZ4", "tf-Z3xZ3",
+                                  "Z2xZ2xZ2xZ2xZ2xZ2"])
 def test_all_subgroups_match_reference(monkeypatch, name):
     """Abelian groups through ``all_subgroups``; nonabelian ones through the
-    extension search itself, which every solvable group now bypasses."""
+    extension search itself, which every solvable group now bypasses. Every
+    join of the extension search is a frontier walk of ``_join``; the cyclic
+    series, which every solvable group takes, never walks."""
     g = tf(name[3:]).group if name.startswith("tf-") else group(name)
     walked = []
     real = groups_mod._join
-
-    def spy(g_, mask, elems, gens):
-        assert not mask[g_.conjugation[elems, gens[-1]]].all()
-        walked.append(1)
-        return real(g_, mask, elems, gens)
-
-    monkeypatch.setattr(groups_mod, "_join", spy)
+    monkeypatch.setattr(groups_mod, "_join", lambda *args: walked.append(1) or real(*args))
     if g.is_abelian():
         got = [s.elements for s in all_subgroups(g)]
     else:
         got = sorted(groups_mod._extension_subgroups(g), key=lambda s: (len(s), s))
-    assert bool(walked) == WALKS[name]
+    assert bool(walked) == (not g.is_abelian())
     assert got == _reference_subgroups(g)
 
 
@@ -687,8 +730,12 @@ def test_abelian_conjugacy_matches_the_conjugation_table(monkeypatch):
         assert np.array_equal(labels, _table_labels(g)), label
     # regularity reads the same classes through either labelling
     reports = [regularity(coc) for _, coc in cocycles]
-    monkeypatch.setattr(cocycles_mod, "conjugacy",
-                        lambda g: groups_mod.ConjugacyData(_table_labels(g)))
+
+    def table_conjugacy(g):
+        labels = _table_labels(g)
+        return groups_mod.ConjugacyData(labels, np.unique(labels, return_index=True)[1])
+
+    monkeypatch.setattr(cocycles_mod, "conjugacy", table_conjugacy)
     for (label, coc), got in zip(cocycles, reports):
         want = regularity(coc)
         assert np.array_equal(got.regular_elements, want.regular_elements), label

@@ -9,43 +9,25 @@ import numpy as np
 import pytest
 
 import latdim.gabor as gabor_mod
-from latdim import ConsistencyError, all_subgroups, conjugacy, gabor_scan, subgroup_group
+from latdim import ConsistencyError, gabor_scan, subgroup_group
 from latdim.cocycles import regular_mask, restricted_tables
 from latdim.dimension import cdim_operators, phi_values, windowed_rep
 from latdim.groups import subgroup_tables
 
-from fixtures_common import rep_fixtures, tf
-
-
-def _blocks(group):
-    """Every lattice of ``group`` in one block per order: (lattices, their elements)."""
-    by_order = {}
-    for sub in all_subgroups(group):
-        by_order.setdefault(sub.order, []).append(sub)
-    return [(subs, np.array([sub.elements for sub in subs], dtype=np.int64))
-            for subs in by_order.values()]
-
-
-def _class_places(subs):
-    """Block place of the least member of each element's class, lattice by lattice."""
-    rows = []
-    for b, sub in enumerate(subs):
-        cj = conjugacy(subgroup_group(sub))
-        rows.append(b * sub.order + cj.least[cj.class_of])
-    return np.array(rows)
+from fixtures_common import class_places, order_blocks, rep_fixtures, tf
 
 
 def _block(rep, subs, elems):
     cayley, inverse, identity = subgroup_tables(rep.group, elems)
     table = restricted_tables(rep.cocycle, elems)
-    regular = regular_mask(cayley, table, identity, _class_places(subs), rep.tol.tol_id)
+    regular = regular_mask(cayley, table, identity, class_places(subs), rep.tol.tol_id)
     return cayley, inverse, identity, table, regular
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
     source = windowed_rep(rep)
-    for subs, elems in _blocks(rep.group):
+    for subs, elems in order_blocks(rep.group):
         cayley, inverse, identity, table, regular = _block(rep, subs, elems)
         values = phi_values(source, elems)
         spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
@@ -73,16 +55,16 @@ def test_scan_rows_do_not_depend_on_the_block_size(monkeypatch):
 def test_a_tampered_nonabelian_block_is_caught():
     rep = dict(rep_fixtures())["s3-pauli"]
     subs, elems = next(
-        (subs, elems) for subs, elems in _blocks(rep.group)
+        (subs, elems) for subs, elems in order_blocks(rep.group)
         if len(subs) > 1 and any(not subgroup_group(sub).is_abelian() for sub in subs)
     )
     cayley, _, identity, table, _ = _block(rep, subs, elems)
     b = next(b for b, sub in enumerate(subs) if not subgroup_group(sub).is_abelian())
-    classes = _class_places(subs)[b] - b * elems.shape[1]
+    classes = class_places(subs)[b] - b * elems.shape[1]
     # an element whose class has other members: breaking sigma(x, e) = sigma(e, x)
     # makes x irregular and leaves the rest of its class regular
     x = next(x for x in range(elems.shape[1]) if np.count_nonzero(classes == classes[x]) > 1)
     table = table.copy()
     table[b, x, identity[b] - b * elems.shape[1]] *= -1
     with pytest.raises(ConsistencyError, match="regularity not constant on class"):
-        regular_mask(cayley, table, identity, _class_places(subs), rep.tol.tol_id)
+        regular_mask(cayley, table, identity, class_places(subs), rep.tol.tol_id)

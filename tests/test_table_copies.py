@@ -40,7 +40,8 @@ from latdim.algebra import _average_column
 from latdim.cocycles import regular_mask, restricted_tables
 from latdim.groups import subgroup_tables
 
-from fixtures_common import GROUP_NAMES, cocycle_fixtures, group, rep_fixtures, tf, traced_peak
+from fixtures_common import (GROUP_NAMES, class_places, cocycle_fixtures, group, order_blocks,
+                             rep_fixtures, tf, traced_peak)
 
 
 def _full_gather_phi_oracle(spec):
@@ -128,16 +129,11 @@ def _unblocked_mask(cayley, table, tol_id):
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())
 def test_blocked_regular_mask_matches_the_unblocked_form(label, coc, block, monkeypatch):
     monkeypatch.setattr(latdim.cocycles, "_BLOCK", block)
-    g = coc.group
-    by_order = {}
-    for sub in all_subgroups(g):
-        by_order.setdefault(sub.order, []).append(sub.elements)
-    for rows in by_order.values():
-        elems = np.array(rows, dtype=np.int64)
-        cayley, _, identity = subgroup_tables(g, elems)
+    for subs, elems in order_blocks(coc.group):
+        cayley, _, identity = subgroup_tables(coc.group, elems)
         table = restricted_tables(coc, elems)
         for tol_id in (1e-9, 3.0):
-            got = regular_mask(cayley, table, identity, None, tol_id)
+            got = regular_mask(cayley, table, identity, class_places(subs), tol_id)
             assert np.array_equal(got, _unblocked_mask(cayley, table, tol_id)), label
 
 

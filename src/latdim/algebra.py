@@ -148,7 +148,16 @@ def center_valued_trace(a: AlgebraElement) -> AlgebraElement:
 
 
 def center_valued_trace_table(cocycle: Cocycle, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Row x holds the class formula's image of lam(x), all filled by one scatter."""
+    """Row x holds the class formula's image of lam(x), all filled by one scatter.
+
+    The table reads only ``tol.tol_id``, through ``regularity``; it is
+    computed once per cocycle and tol_id and kept read-only on the cocycle.
+    """
+    return cocycle.kept(("center_valued_trace_table", tol.tol_id),
+                        lambda: _center_valued_trace_table(cocycle, tol))
+
+
+def _center_valued_trace_table(cocycle: Cocycle, tol: Tolerances) -> np.ndarray:
     g = cocycle.group
     n = g.order
     vals = (regularity(cocycle, tol).regular_elements / n)[:, None] * tilde_table(cocycle)
@@ -156,6 +165,7 @@ def center_valued_trace_table(cocycle: Cocycle, tol: Tolerances = DEFAULT_TOL) -
     out = np.empty((n, n), dtype=np.complex128)
     out.real.flat = np.bincount(at, vals.real.ravel(), n * n)
     out.imag.flat = np.bincount(at, vals.imag.ravel(), n * n)
+    out.setflags(write=False)
     return out
 
 

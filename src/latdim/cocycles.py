@@ -14,6 +14,7 @@ checked exhaustively by verify_tilde_identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -32,11 +33,38 @@ from .groups import (
 )
 
 
+_T = TypeVar("_T")
+
+
 @dataclass(frozen=True, eq=False)
 class Cocycle:
+    """A cocycle table on a group, indexed [x, y] and read-only from construction on.
+
+    A read-only ``table`` is kept as given; a writable one is copied first,
+    so the caller's array stays writable and later writes to it change
+    nothing here.  That is what lets ``regularity`` and
+    ``algebra.center_valued_trace_table`` be computed once per cocycle and
+    ``tol_id``, the one tolerance they read, and kept on it.  ``restrict``
+    to the full lattice returns the cocycle itself, so there
+    ``ModuleSpec.regular`` is G's own regularity report.
+    """
+
     group: FiniteGroup
     table: np.ndarray
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.table.flags.writeable:
+            table = self.table.copy()
+            table.setflags(write=False)
+            object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_kept", {})
+
+    def kept(self, key: tuple, make: Callable[[], _T]) -> _T:
+        """``make()`` on the first call with ``key``; the same object on every later one."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
 
 @dataclass(frozen=True)
@@ -207,12 +235,18 @@ def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | i
 def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
     """Regular elements and classes of one cocycle: ``regular_mask`` on a block of one.
 
-    kleppner is true when the identity class is the only regular one.
+    kleppner is true when the identity class is the only regular one.  The
+    report, with every check of ``regular_mask``, is computed on the first
+    call per cocycle and ``tol.tol_id``; later calls return that report.
     """
+    return c.kept(("regularity", tol.tol_id), lambda: _regularity(c, tol.tol_id))
+
+
+def _regularity(c: Cocycle, tol_id: float) -> RegularityReport:
     g = c.group
     cj = conjugacy(g)
     regular_elements = regular_mask(g.cayley[None], c.table[None], g.identity,
-                                    cj.least[cj.class_of][None], tol.tol_id)[0]
+                                    cj.least[cj.class_of][None], tol_id)[0]
     regular_classes = regular_elements[cj.least]
     kleppner = bool(regular_classes.sum() == 1)
     regular_elements.setflags(write=False)

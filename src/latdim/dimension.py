@@ -133,7 +133,12 @@ class ModuleSpec:
 
     @cached_property
     def regular(self) -> np.ndarray:
-        """Lattice elements that are regular for the restricted cocycle, at the rep's tol."""
+        """Lattice elements that are regular for the restricted cocycle, at the rep's tol.
+
+        On the full lattice the restricted cocycle is the rep's cocycle
+        itself, so this is G's ``regularity`` report, the one
+        ``WindowedRep.class_sums`` reads, and is not computed again.
+        """
         return regularity(self.restricted_cocycle, self.rep.tol).regular_elements
 
     @cached_property

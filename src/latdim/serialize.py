@@ -99,11 +99,12 @@ def cocycle_to_json(c: Cocycle) -> dict:
 def cocycle_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL) -> Cocycle:
     try:
         g = group_from_json(data["group"])
-        table = pairs_to_complex(data["table"])
+        table = np.ascontiguousarray(pairs_to_complex(data["table"]))
         label = data.get("label", "")
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad cocycle record: {exc}") from exc
-    c = Cocycle(g, np.ascontiguousarray(table), label)
+    table.setflags(write=False)  # freshly parsed, so the cocycle keeps it without a copy
+    c = Cocycle(g, table, label)
     if check:
         report = validate(c, tol)
         if not report.ok:

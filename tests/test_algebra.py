@@ -19,6 +19,7 @@ from latdim import (
     right_regular,
     trace_tau,
     trivial,
+    weyl_heisenberg,
 )
 
 from latdim.algebra import center_valued_trace_table, fixed_space
@@ -393,7 +394,7 @@ def test_fixed_space_of_cyclic_shift_is_constants():
 
 
 def test_routes_at_256_in_quadratic_memory():
-    coc = tf("Z16").cocycle  # Weyl-Heisenberg over Z16 x Z16
+    coc = weyl_heisenberg(build_cyclic(16))  # fresh, so no trace table is kept on it yet
     a = element(coc, _rand_coeffs(coc, 80))
     formula, peak_formula = traced_peak(center_valued_trace, a)
     oracle, peak_oracle = traced_peak(center_valued_trace_oracle, a)

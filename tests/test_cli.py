@@ -232,6 +232,24 @@ def test_decide_validates_the_rep_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cmd, lattice, computed", [
+    ("phi", "full", 1),  # the full lattice's restriction is the cocycle itself
+    ("decide", "full", 1),
+    ("phi", "(1,3),(0,4)", 2),  # G's report and the lattice's own
+])
+def test_a_request_computes_each_regular_mask_once(capsys, monkeypatch, cmd, lattice, computed):
+    import latdim.cocycles
+
+    calls = []
+    real = latdim.cocycles.regular_mask
+    monkeypatch.setattr(latdim.cocycles, "regular_mask",
+                        lambda *args: calls.append(1) or real(*args))
+    rc, _, _ = run(capsys, cmd, "--group", "Z16xZ16", "--cocycle", "weyl-heisenberg",
+                   "--lattice", lattice)
+    assert rc == 0
+    assert len(calls) == computed
+
+
 def test_construct_parseval(capsys):
     rc, out, _ = run(
         capsys,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latdim import (
+    DEFAULT_TOL,
     Cocycle,
     ConsistencyError,
     build_cyclic,
@@ -22,6 +23,7 @@ from latdim import (
     verify_tilde_identities,
     weyl_heisenberg,
 )
+from latdim.algebra import center_valued_trace_table
 from latdim.cli import _token_group
 from latdim.groups import all_subgroups, cyclic_factor_generators
 
@@ -327,3 +329,51 @@ def test_weyl_heisenberg_table_is_the_gathered_conjugate_pairing(base):
     gidx = np.arange(a.order * nd)
     want = np.conj(dual.pairing[gidx[None, :] % nd, gidx[:, None] // nd])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_writable_table_is_copied_and_the_copy_is_read_only():
+    g = tf("Z2").group
+    t = np.ones((g.order, g.order), dtype=np.complex128)
+    c = Cocycle(g, t)
+    assert t.flags.writeable
+    assert not c.table.flags.writeable
+    r = regularity(c)
+    assert not r.kleppner  # the trivial twist: every element is regular
+    t[...] = tf("Z2").cocycle.table  # the caller writes the Weyl-Heisenberg twist in
+    assert np.all(c.table == 1)
+    assert regularity(c) is r and not r.kleppner
+    assert regularity(Cocycle(g, t)).kleppner
+
+
+def test_a_read_only_table_is_shared():
+    t = tf("Z3").cocycle.table
+    assert not t.flags.writeable
+    assert Cocycle(tf("Z3").group, t).table is t
+
+
+@pytest.mark.parametrize("order", [(DEFAULT_TOL, NEAR_TOL), (NEAR_TOL, DEFAULT_TOL)],
+                         ids=["default-first", "near-first"])
+def test_one_cocycle_object_keeps_a_report_per_tol_id(order):
+    near = near_rep().cocycle
+    c = Cocycle(near.group, near.table, near.label)  # one fresh object, no kept reports
+    got = {tol: regularity(c, tol) for tol in order}
+    assert all(regularity(c, tol) is got[tol] for tol in order)
+    assert got[NEAR_TOL].regular_elements.all()
+    assert got[DEFAULT_TOL].kleppner
+    assert np.flatnonzero(got[DEFAULT_TOL].regular_elements).tolist() == [c.group.identity]
+
+
+def test_center_valued_trace_table_is_kept_read_only_per_tol_id():
+    near = near_rep().cocycle
+    c = Cocycle(near.group, near.table, near.label)
+    tables = []
+    for tol in (DEFAULT_TOL, NEAR_TOL):
+        got = center_valued_trace_table(c, tol)
+        assert not got.flags.writeable
+        assert center_valued_trace_table(c, tol) is got
+        fresh = center_valued_trace_table(Cocycle(near.group, near.table), tol)
+        assert np.array_equal(got, fresh)
+        tables.append(got)
+    # at NEAR_TOL every row is some element's image; at the default only e's is
+    assert np.count_nonzero(np.abs(tables[0]).sum(axis=1)) == 1
+    assert np.count_nonzero(np.abs(tables[1]).sum(axis=1)) == c.group.order

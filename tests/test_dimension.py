@@ -33,6 +33,7 @@ from latdim import (
     trivial,
     trivial_subgroup,
     wavelet,
+    weyl_heisenberg,
     windowed_rep,
 )
 import latdim.dimension as dim_mod
@@ -244,7 +245,10 @@ def test_phi_oracle_rejects_a_non_unique_coset_factorization(monkeypatch):
     ([16 * 4, 4], 16), ([16 * 2, 2], 64), ([16, 2], 128), ([16, 1], 256),
 ])
 def test_phi_matches_oracle_at_256_in_quadratic_memory(gens, order):
-    rep = tf("Z16").rep  # Weyl-Heisenberg over Z16 x Z16, index (x, w) -> 16 x + w
+    # Weyl-Heisenberg over Z16 x Z16, index (x, w) -> 16 x + w, on a fresh cocycle
+    # so that phi computes G's regularity rather than reading a kept report
+    coc = weyl_heisenberg(build_cyclic(16))
+    rep = projective_rep(coc.group, coc, tf("Z16").rep.matrices)
     sub = subgroup_generated(rep.group, gens)
     assert sub.order == order
     spec = make_module_spec(rep, sub, window=random_window(rep.dim, 7))

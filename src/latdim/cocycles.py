@@ -199,45 +199,15 @@ def verify_tilde_identities(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> TildeR
                        {"multiplicativity": w1, "inverse": w2, "class_constancy": w3})
 
 
-def regular_mask(cayley: np.ndarray, table: np.ndarray, identity: np.ndarray | int,
-                 class_rep: np.ndarray, tol_id: float) -> np.ndarray:
-    """Regular elements of each group of a block of equal-order groups.
-
-    ``cayley`` and ``table`` are (B, m, m) Cayley and cocycle tables and
-    ``identity`` the identities, all in block places as ``subgroup_tables``
-    gives them.  An element is regular when sigma(x, y) = sigma(y, x) for
-    every y in its centralizer.  Regularity is constant on conjugacy
-    classes; that constancy is asserted rather than assumed, against
-    ``class_rep``, the place of the least member of each element's class.
-    The identity must be regular.  The first group of
-    the block that fails a check raises.  The comparison runs over blocks
-    of rows x, each holding about ``_BLOCK`` entries, so no temporary
-    grows with the whole block's tables.
-    """
-    nb, m = cayley.shape[:2]
-    regular = np.empty((nb, m), dtype=bool)
-    for xs in row_blocks(m, nb * m, _BLOCK):
-        comm = cayley[:, xs] == cayley[:, :, xs].transpose(0, 2, 1)
-        asym = np.abs(table[:, xs] - table[:, :, xs].transpose(0, 2, 1))
-        regular[:, xs] = ~np.any(comm & (asym > tol_id), axis=2)
-    off = regular.ravel()[class_rep] != regular
-    if off.any():
-        b = int(np.argmax(off.any(axis=1)))
-        reps = class_rep[b]
-        # classes are numbered in order of their least members
-        k = int(np.searchsorted(np.unique(reps), reps[off[b]].min()))
-        raise ConsistencyError(f"regularity not constant on class {k}")
-    if not regular.ravel()[identity].all():
-        raise ConsistencyError("identity class must be regular")
-    return regular
-
-
 def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
-    """Regular elements and classes of one cocycle: ``regular_mask`` on a block of one.
+    """Regular elements and classes of one cocycle, kept per cocycle and ``tol.tol_id``.
 
-    kleppner is true when the identity class is the only regular one.  The
-    report, with every check of ``regular_mask``, is computed on the first
-    call per cocycle and ``tol.tol_id``; later calls return that report.
+    An element is regular when sigma(x, y) = sigma(y, x) for every y in its
+    centralizer; kleppner is true when the identity class is the only regular
+    one.  One pass over the group's Cayley and cocycle tables, in blocks of
+    rows of about ``_BLOCK`` entries each, asserts that regularity is constant
+    on conjugacy classes and holds at the identity.  Later calls with the same
+    cocycle and ``tol.tol_id`` return the first call's report.
     """
     return c.kept(("regularity", tol.tol_id), lambda: _regularity(c, tol.tol_id))
 
@@ -245,13 +215,21 @@ def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
 def _regularity(c: Cocycle, tol_id: float) -> RegularityReport:
     g = c.group
     cj = conjugacy(g)
-    regular_elements = regular_mask(g.cayley[None], c.table[None], g.identity,
-                                    cj.least[cj.class_of][None], tol_id)[0]
-    regular_classes = regular_elements[cj.least]
+    regular = np.empty(g.order, dtype=bool)
+    for xs in row_blocks(g.order, g.order, _BLOCK):
+        # the asymmetry stays inline, so no block's temporaries live on into the next block
+        comm = g.cayley[xs] == g.cayley[:, xs].T
+        regular[xs] = ~np.any(comm & (np.abs(c.table[xs] - c.table[:, xs].T) > tol_id), axis=1)
+    off = regular[cj.least[cj.class_of]] != regular
+    if off.any():
+        raise ConsistencyError(f"regularity not constant on class {cj.class_of[off].min()}")
+    if not regular[g.identity]:
+        raise ConsistencyError("identity class must be regular")
+    regular_classes = regular[cj.least]
     kleppner = bool(regular_classes.sum() == 1)
-    regular_elements.setflags(write=False)
+    regular.setflags(write=False)
     regular_classes.setflags(write=False)
-    return RegularityReport(regular_elements, regular_classes, kleppner, cj)
+    return RegularityReport(regular, regular_classes, kleppner, cj)
 
 
 def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:

@@ -30,6 +30,8 @@ def pairs_to_complex(data) -> np.ndarray:
         raise InputError(f"complex data must be nested [re, im] pairs: {exc}") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError("complex data must be nested [re, im] pairs")
+    if np.isinf(arr).any():  # a NaN is kept: the validators report it as a residual
+        raise InputError("complex data holds an infinite number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -81,10 +83,12 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(data: dict) -> FiniteGroup:
     try:
-        table = np.array(data["cayley"], dtype=np.int64)
+        table = np.array(data["cayley"])
         label = data.get("label", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group record: {exc}") from exc
+    if table.size and table.dtype.kind != "i":  # a cast to int64 would truncate 1.7 to 1
+        raise InputError("bad group record: every Cayley entry must be an integer")
     return from_cayley_table(table, label=label)
 
 
@@ -125,9 +129,12 @@ def rep_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL)
     try:
         coc = cocycle_from_json(data["cocycle"], check=check, tol=tol)
         mats = pairs_to_complex(data["matrices"])
+        dim = data["dim"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad rep record: {exc}") from exc
     rep = projective_rep(coc.group, coc, mats, tol)
+    if rep.dim != dim:
+        raise InputError(f"rep matrices are {rep.dim} x {rep.dim}, header says dim {dim!r}")
     if check and not rep.report.ok:
         raise InputError(f"rep matrices invalid: {rep.report.message}")
     return rep

@@ -14,7 +14,6 @@ import numpy as np
 from latdim import (
     Cocycle,
     all_subgroups,
-    conjugacy,
     Tolerances,
     build_cyclic,
     build_tf,
@@ -23,7 +22,6 @@ from latdim import (
     irreducible_subrep,
     projective_rep,
     quaternion,
-    subgroup_group,
     symmetric_group,
     trivial,
 )
@@ -157,12 +155,3 @@ def order_blocks(group):
         by_order.setdefault(sub.order, []).append(sub)
     return [(subs, np.array([sub.elements for sub in subs], dtype=np.int64))
             for subs in by_order.values()]
-
-
-def class_places(subs):
-    """Block place of the least member of each element's class, lattice by lattice."""
-    rows = []
-    for b, sub in enumerate(subs):
-        cj = conjugacy(subgroup_group(sub))
-        rows.append(b * sub.order + cj.least[cj.class_of])
-    return np.array(rows)

@@ -21,7 +21,7 @@ from latdim import (
 )
 import latdim.cli
 from latdim.cli import main
-from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES
+from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES, TF_BASE
 from latdim.gabor import SCAN_COLUMNS
 from latdim.serialize import (
     cocycle_to_json,
@@ -241,8 +241,8 @@ def test_a_request_computes_each_regular_mask_once(capsys, monkeypatch, cmd, lat
     import latdim.cocycles
 
     calls = []
-    real = latdim.cocycles.regular_mask
-    monkeypatch.setattr(latdim.cocycles, "regular_mask",
+    real = latdim.cocycles._regularity
+    monkeypatch.setattr(latdim.cocycles, "_regularity",
                         lambda *args: calls.append(1) or real(*args))
     rc, _, _ = run(capsys, cmd, "--group", "Z16xZ16", "--cocycle", "weyl-heisenberg",
                    "--lattice", lattice)
@@ -710,6 +710,64 @@ def test_nan_rep_is_rejected(capsys, tmp_path):
     rc, _, err = run(capsys, "decide", "--rep", path)
     assert rc == 1
     assert err.startswith("error:")
+
+
+def _refused_once(capsys, *argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("error:") and err.count("error:") == 1, err
+    return err
+
+
+def test_a_fractional_cayley_entry_is_refused(capsys, tmp_path):
+    data = cocycle_to_json(tf("Z2").cocycle)
+    data["group"]["cayley"][2][1] += 0.7  # a cast to int64 gives back the valid table
+    path = str(tmp_path / "frac.json")
+    dump_json(data, path)
+    err = _refused_once(capsys, "validate-cocycle", "--cocycle", path)
+    assert "every Cayley entry must be an integer" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("what", ["cocycle", "rep"])
+def test_an_infinite_entry_is_refused_before_any_arithmetic(capsys, tmp_path, what):
+    path = str(tmp_path / "inf.json")
+    if what == "cocycle":
+        data = cocycle_to_json(trivial(symmetric_group(3)))
+        data["table"][2][3] = [float("inf"), 0.0]
+        dump_json(data, path)
+        err = _refused_once(capsys, "validate-cocycle", "--cocycle", path)
+    else:
+        data = rep_to_json(tf("Z2").rep)
+        data["matrices"][1][0][0] = [0.0, -float("inf")]
+        dump_json(data, path)
+        err = _refused_once(capsys, "rep-validate", "--rep", path)
+    assert err == "error: complex data holds an infinite number\n"
+
+
+def test_a_rep_dim_header_that_disagrees_with_the_matrices_is_refused(capsys, tmp_path):
+    data = rep_to_json(tf("Z2").rep)
+    data["dim"] = 7
+    path = str(tmp_path / "rep.json")
+    dump_json(data, path)
+    err = _refused_once(capsys, "rep-validate", "--rep", path)
+    assert err == "error: rep matrices are 2 x 2, header says dim 7\n"
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("gabor-scan", "--base", "Z32"), 32),
+    (("kleppner", "--group", "Z17xZ17", "--cocycle", "weyl-heisenberg"), 17),
+])
+def test_a_time_frequency_base_above_tf_base_is_refused(capsys, tmp_path, argv, order):
+    out = tmp_path / "F.csv"
+    if argv[0] == "gabor-scan":
+        argv += ("--out", str(out))
+    rc, peak = traced_peak(main, list(argv))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: base order {order} exceeds {TF_BASE}; the product group would be too large\n")
+    assert peak < 256 * 1024
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,34 +1,29 @@
 """The block kernels a scan runs on lattices of one order, against a block of one.
 
-Every single-lattice call (``restrict``, ``regularity``, ``phi``,
-``cdim_operator``) is the same kernel on a block of one lattice, so these
-tests check that stacking lattices changes no result.
+Every single-lattice call (``restrict``, ``phi``, ``cdim_operator``) is the
+same kernel on a block of one lattice, so these tests check that stacking
+lattices changes no result.
 """
 
 import numpy as np
 import pytest
 
 import latdim.gabor as gabor_mod
-from latdim import ConsistencyError, gabor_scan, subgroup_group
-from latdim.cocycles import regular_mask, restricted_tables
+from latdim import (ConsistencyError, all_subgroups, conjugacy, gabor_scan, regularity, restrict,
+                    subgroup_group)
+from latdim.cocycles import Cocycle, restricted_tables
 from latdim.dimension import cdim_operators, phi_values, windowed_rep
 from latdim.groups import subgroup_tables
 
-from fixtures_common import class_places, order_blocks, rep_fixtures, tf
-
-
-def _block(rep, subs, elems):
-    cayley, inverse, identity = subgroup_tables(rep.group, elems)
-    table = restricted_tables(rep.cocycle, elems)
-    regular = regular_mask(cayley, table, identity, class_places(subs), rep.tol.tol_id)
-    return cayley, inverse, identity, table, regular
+from fixtures_common import order_blocks, rep_fixtures, tf
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
     source = windowed_rep(rep)
     for subs, elems in order_blocks(rep.group):
-        cayley, inverse, identity, table, regular = _block(rep, subs, elems)
+        cayley, inverse, identity = subgroup_tables(rep.group, elems)
+        table = restricted_tables(rep.cocycle, elems)
         values = phi_values(source, elems)
         spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
         shift = np.arange(len(subs))[:, None] * elems.shape[1]  # block places to local
@@ -39,7 +34,6 @@ def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
             assert np.array_equal(inverse[b] - shift[b], lattice.inverse), (label, b)
             assert identity[b] - shift[b, 0] == lattice.identity, (label, b)
             assert np.array_equal(table[b], spec.restricted_cocycle.table), (label, b)
-            assert np.array_equal(regular[b], spec.regular), (label, b)
             assert np.array_equal(values[b], spec.dimension_function.values), (label, b)
             gap = np.abs(spectra[b] - spec.dimension_function.spectrum).max()
             assert gap <= 1e-15, (label, b, gap)
@@ -54,17 +48,13 @@ def test_scan_rows_do_not_depend_on_the_block_size(monkeypatch):
 
 def test_a_tampered_nonabelian_block_is_caught():
     rep = dict(rep_fixtures())["s3-pauli"]
-    subs, elems = next(
-        (subs, elems) for subs, elems in order_blocks(rep.group)
-        if len(subs) > 1 and any(not subgroup_group(sub).is_abelian() for sub in subs)
-    )
-    cayley, _, identity, table, _ = _block(rep, subs, elems)
-    b = next(b for b, sub in enumerate(subs) if not subgroup_group(sub).is_abelian())
-    classes = class_places(subs)[b] - b * elems.shape[1]
+    sub = next(sub for sub in all_subgroups(rep.group) if not subgroup_group(sub).is_abelian())
+    lat = restrict(rep.cocycle, sub)
+    cj = conjugacy(lat.group)
     # an element whose class has other members: breaking sigma(x, e) = sigma(e, x)
     # makes x irregular and leaves the rest of its class regular
-    x = next(x for x in range(elems.shape[1]) if np.count_nonzero(classes == classes[x]) > 1)
-    table = table.copy()
-    table[b, x, identity[b] - b * elems.shape[1]] *= -1
-    with pytest.raises(ConsistencyError, match="regularity not constant on class"):
-        regular_mask(cayley, table, identity, class_places(subs), rep.tol.tol_id)
+    x = next(x for x in range(sub.order) if np.count_nonzero(cj.class_of == cj.class_of[x]) > 1)
+    table = lat.table.copy()
+    table[x, lat.group.identity] *= -1
+    with pytest.raises(ConsistencyError, match=f"regularity not constant on class {cj.class_of[x]}$"):
+        regularity(Cocycle(lat.group, table), rep.tol)

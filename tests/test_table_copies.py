@@ -2,7 +2,7 @@
 
 ``phi_oracle`` gathers only the diagonal blocks of the transported
 projection, an abelian group's conjugation table is a broadcast view,
-the restriction to the whole group is the cocycle itself, ``regular_mask``
+the restriction to the whole group is the cocycle itself, ``regularity``
 runs over row blocks, and ``WindowedRep.class_sums`` takes each class sum
 once per (rep, window).  The references below are the forms these replace: the
 whole |G| x |G| gather summed by ``einsum("aibi->ab")``, the gathered
@@ -15,6 +15,7 @@ import pytest
 
 import latdim.cocycles
 from latdim import (
+    Tolerances,
     all_subgroups,
     build_cyclic,
     conjugacy,
@@ -37,11 +38,9 @@ from latdim import (
     windowed_rep,
 )
 from latdim.algebra import _average_column
-from latdim.cocycles import regular_mask, restricted_tables
-from latdim.groups import subgroup_tables
+from latdim.cocycles import Cocycle, restricted_tables
 
-from fixtures_common import (GROUP_NAMES, class_places, cocycle_fixtures, group, order_blocks,
-                             rep_fixtures, tf, traced_peak)
+from fixtures_common import GROUP_NAMES, cocycle_fixtures, group, rep_fixtures, tf, traced_peak
 
 
 def _full_gather_phi_oracle(spec):
@@ -120,21 +119,22 @@ def test_restriction_to_the_whole_group_is_the_cocycle(label, coc):
 
 
 def _unblocked_mask(cayley, table, tol_id):
-    comm = cayley == cayley.transpose(0, 2, 1)
-    asym = np.abs(table - table.transpose(0, 2, 1))
-    return ~np.any(comm & (asym > tol_id), axis=2)
+    comm = cayley == cayley.T
+    asym = np.abs(table - table.T)
+    return ~np.any(comm & (asym > tol_id), axis=1)
 
 
 @pytest.mark.parametrize("block", [latdim.cocycles._BLOCK, 1])
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())
 def test_blocked_regular_mask_matches_the_unblocked_form(label, coc, block, monkeypatch):
     monkeypatch.setattr(latdim.cocycles, "_BLOCK", block)
-    for subs, elems in order_blocks(coc.group):
-        cayley, _, identity = subgroup_tables(coc.group, elems)
-        table = restricted_tables(coc, elems)
+    for sub in all_subgroups(coc.group):
+        lat = restrict(coc, sub)
         for tol_id in (1e-9, 3.0):
-            got = regular_mask(cayley, table, identity, class_places(subs), tol_id)
-            assert np.array_equal(got, _unblocked_mask(cayley, table, tol_id)), label
+            fresh = Cocycle(lat.group, lat.table)  # no report kept yet
+            got = regularity(fresh, Tolerances(tol_id=tol_id)).regular_elements
+            want = _unblocked_mask(lat.group.cayley, lat.table, tol_id)
+            assert np.array_equal(got, want), (label, sub.elements, tol_id)
 
 
 def test_regularity_of_a_fresh_weyl_heisenberg_z16xz16_in_cache_sized_blocks():

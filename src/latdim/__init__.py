@@ -101,6 +101,7 @@ from .groups import (
     full_subgroup,
     quaternion,
     right_transversal,
+    subgroup_blocks,
     subgroup_generated,
     subgroup_group,
     symmetric_group,

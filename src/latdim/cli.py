@@ -35,8 +35,8 @@ from .groups import (SUBGROUP_ENUM_BOUND, DualGroup, FiniteGroup, Subgroup, all_
                      dual_group, full_subgroup, quaternion, subgroup_generated,
                      symmetric_group, trivial_subgroup)
 from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
-from .serialize import (cocycle_from_json, complex_to_pairs, dump_json, generators_to_json,
-                        load_json, read_cayley_text, rep_from_json)
+from .serialize import (_typed, cocycle_from_json, complex_to_pairs, dump_json,
+                        generators_to_json, load_json, read_cayley_text, rep_from_json)
 
 
 _ATOM = re.compile(r"^([ZDSQ])(\d+)$")
@@ -291,7 +291,7 @@ def _cmd_construct(cfg: argparse.Namespace) -> int:
     if cfg.out is not None:
         payload = generators_to_json(gens)
         payload["group"] = rep.group.label
-        payload["lattice"] = [int(x) for x in lat.elements]
+        payload["lattice"] = lat.elements.tolist()
         payload["lower"] = rpt.lower
         payload["upper"] = rpt.upper
         dump_json(payload, cfg.out)
@@ -457,15 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    else dict(type=s.kind, metavar=s.metavar))
             cmd.add_argument(f"--{flag}", default=None, help=s.help, **how)
     return p
-
-
-def _typed(what: str, value, kind: type):
-    """``value`` unless it is a JSON value of another type than ``kind``; null passes."""
-    # type() rather than isinstance: JSON true is not a count
-    if value is None or type(value) is kind or (kind is float and type(value) is int):
-        return value
-    name = "number" if kind is float else kind.__name__
-    raise InputError(f"{what} must be a JSON {name}, got {value!r}")
 
 
 def _read_config(path: str) -> dict:

@@ -271,7 +271,7 @@ def restrict(c: Cocycle, h: Subgroup) -> Cocycle:
         raise InputError("subgroup does not belong to the cocycle's group")
     if h.order == c.group.order:
         return c
-    table = restricted_tables(c, h.members[None])[0]
+    table = restricted_tables(c, h.elements[None])[0]
     table.setflags(write=False)
     lbl = f"{c.label}|{h.order}" if c.label else f"restricted|{h.order}"
     return Cocycle(subgroup_group(h), table, label=lbl)

@@ -218,7 +218,7 @@ def make_module_spec(
 
 def phi(spec: ModuleSpec) -> PhiFunction:
     """Dimension function by the closed-form class sum: ``phi_values`` on a block of one."""
-    values = phi_values(spec.windowed, spec.lattice.members[None])[0]
+    values = phi_values(spec.windowed, spec.lattice.elements[None])[0]
     return PhiFunction(values, spec.restricted_cocycle)
 
 
@@ -288,8 +288,8 @@ def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     p_big = spec.windowed.projection
 
     # x = gamma * y is unique for y in a right transversal
-    elems = spec.lattice.members
-    bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
+    elems = spec.lattice.elements
+    bs = np.asarray(right_transversal(g, elems), dtype=np.int64)
     flat = g.cayley[elems[:, None], bs[None, :]]  # [a, i] = a y_i
     hit = np.zeros(g.order, dtype=bool)
     hit[flat] = True

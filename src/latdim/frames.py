@@ -104,7 +104,7 @@ def multiwindow_system(
 
 def _system_vectors(sys: MultiwindowSystem) -> np.ndarray:
     """All system vectors, shape (n*|lattice|, d*dim); row i*|lattice|+g."""
-    mats = sys.rep.matrices[list(sys.lattice.elements)]  # (nl, dim, dim)
+    mats = sys.rep.matrices[sys.lattice.elements]  # (nl, dim, dim)
     nl, dim = len(mats), sys.rep.dim
     # orbit[g, i*d+j, :] = pi(elems[g]) @ generators[i, j]
     orbit = sys.generators.reshape(sys.n * sys.d, dim) @ mats.transpose(0, 2, 1)
@@ -233,7 +233,7 @@ def intertwiner_basis(spec: ModuleSpec) -> np.ndarray:
     lam = np.array(
         [conv_operator(e, spec.restricted_cocycle) for e in deltas]
     ).reshape(len(gens), lat.order, lat.order)
-    pis = spec.rep.matrices[[spec.lattice.elements[x] for x in gens]]
+    pis = spec.rep.matrices[spec.lattice.elements[gens]]
     basis = fixed_space(sandwich_stack(lam, pis))
     return basis.reshape(len(basis), lat.order, spec.rep.dim)
 
@@ -300,7 +300,7 @@ def tighten(sys: MultiwindowSystem):
         raise Infeasible("system is not a frame, cannot tighten")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 
-    pis = sys.rep.matrices[list(sys.lattice.elements)]
+    pis = sys.rep.matrices[sys.lattice.elements]
     comm_res = _commutation_residual(inv_sqrt, pis, sys.d)
 
     flat = sys.generators.reshape(sys.n, sys.d * sys.rep.dim)

@@ -19,7 +19,7 @@ from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_
 from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
-from .groups import DualGroup, FiniteGroup, Subgroup, all_subgroups, dual_group, subgroup_tables
+from .groups import DualGroup, FiniteGroup, Subgroup, dual_group, subgroup_blocks, subgroup_tables
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -114,19 +114,11 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     return TimeFrequencyGroup(a, dual, g, coc, rep)
 
 
-def _scan_block(
-    tf: TimeFrequencyGroup,
-    source: WindowedRep,
-    subs: list[Subgroup],
-    n_max: int,
-    d_max: int,
-    construct: bool,
-    seed: int,
-) -> list[dict]:
-    """Scan rows of a block of lattices of one order, in the block's order."""
-    order = subs[0].order
+def _scan_block(tf: TimeFrequencyGroup, source: WindowedRep, elems: np.ndarray, n_max: int,
+                d_max: int, construct: bool, seed: int) -> list[dict]:
+    """Scan rows of a (B, order) block of lattices, one per row, in the block's order."""
+    order = elems.shape[1]
     dpi_vol = source.rep.dim / order
-    elems = np.array([sub.elements for sub in subs], dtype=np.int64)
     cayley, _, identity = subgroup_tables(tf.group, elems)
     table = restricted_tables(tf.cocycle, elems)
     values = phi_values(source, elems)
@@ -155,11 +147,10 @@ def _scan_block(
         # feasible cells of bounded size: n |lattice| <= 2 d |base|; on a basis
         # cell the Parseval check is the orthonormality check
         small = excess <= ds * tf.base.order
-        for b, sub in enumerate(subs):
-            cells = np.nonzero(frame[b] & small)
-            if cells[0].size:
-                spec = source.spec(sub)
-                for i, j in zip(*cells):
+        for row, feasible in zip(elems, frame & small):
+            if feasible.any():
+                spec = source.spec(Subgroup(tf.group, row))
+                for i, j in zip(*np.nonzero(feasible)):
                     construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
 
     # past the closed-form check every lattice of the block has the same verdicts
@@ -171,7 +162,7 @@ def _scan_block(
          "riesz": "yes" if r else "no", "basis": "yes" if f and r else "no"}
         for (n, d), f, r in zip(cells, frame[0].ravel().tolist(), riesz[0].ravel().tolist())
     ]
-    return [dict(row) for _ in subs for row in rows]
+    return [dict(row) for _ in range(len(elems)) for row in rows]
 
 
 def gabor_scan(
@@ -189,27 +180,27 @@ def gabor_scan(
     BoundExceeded before any lattice is enumerated, and more than
     SCAN_ROWS rows in all before any lattice is decided.  With
     ``construct`` the feasible cells of bounded size also get explicit
-    Parseval generators built and verified.  Lattices come in order of
-    their order, and each run of equal order is decided in blocks of at
-    most about ``_BLOCK_ENTRIES`` entries of Phi.
+    Parseval generators built and verified.  Lattices come in the order
+    of ``subgroup_blocks``, and each order's block is decided in slices
+    of at most about ``_BLOCK_ENTRIES`` entries of Phi.
     """
     if n_max * d_max > SCAN_CELLS:
         raise BoundExceeded(
             f"{n_max} x {d_max} cells per lattice exceed the scan bound of {SCAN_CELLS}"
         )
-    lattices = all_subgroups(tf.group)
-    if len(lattices) * n_max * d_max > SCAN_ROWS:
+    blocks = subgroup_blocks(tf.group)
+    lattices = sum(len(block) for block in blocks)
+    if lattices * n_max * d_max > SCAN_ROWS:
         raise BoundExceeded(
-            f"{len(lattices)} lattices x {n_max * d_max} cells exceed the scan bound "
+            f"{lattices} lattices x {n_max * d_max} cells exceed the scan bound "
             f"of {SCAN_ROWS} rows"
         )
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for order, same in itertools.groupby(lattices, key=lambda sub: sub.order):
-        subs = list(same)
-        size = max(1, _BLOCK_ENTRIES // order**2)
-        for start in range(0, len(subs), size):
-            rows.extend(_scan_block(tf, source, subs[start:start + size],
+    for block in blocks:
+        size = max(1, _BLOCK_ENTRIES // block.shape[1]**2)
+        for start in range(0, len(block), size):
+            rows.extend(_scan_block(tf, source, block[start:start + size],
                                     n_max, d_max, construct, seed))
     return rows
 

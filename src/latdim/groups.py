@@ -88,17 +88,13 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
+    """``elements`` is a read-only int64 row, increasing; a view of its block if enumerated."""
     parent: FiniteGroup
-    elements: tuple[int, ...]
+    elements: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """The elements as a read-only int64 array, built on first read."""
-        return _freeze(np.array(self.elements, dtype=np.int64))
+        return self.elements.size
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -216,10 +212,6 @@ def _trivial_mask(g: FiniteGroup) -> np.ndarray:
     return np.arange(g.order) == g.identity
 
 
-def _subgroup_from_mask(g: FiniteGroup, mask: np.ndarray) -> Subgroup:
-    return Subgroup(g, tuple(np.flatnonzero(mask).tolist()))
-
-
 def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by ``gens``, joining each one not yet in the span."""
     for x in gens:
@@ -230,15 +222,15 @@ def subgroup_generated(g: FiniteGroup, gens) -> Subgroup:
         if not mask[x]:
             span.append(x)
             mask = _join(g, mask, np.flatnonzero(mask), np.asarray(span))
-    return _subgroup_from_mask(g, mask)
+    return Subgroup(g, _freeze(np.flatnonzero(mask)))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, (g.identity,))
+    return Subgroup(g, _freeze(np.array([g.identity], dtype=np.int64)))
 
 
 def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, tuple(range(g.order)))
+    return Subgroup(g, _freeze(np.arange(g.order, dtype=np.int64)))
 
 
 def _powers(g: FiniteGroup, x: int) -> np.ndarray:
@@ -273,8 +265,8 @@ def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray)
     return mask
 
 
-def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Elements of every subgroup, by cyclic extension.
+def _extension_subgroups(g: FiniteGroup) -> list[np.ndarray]:
+    """Every subgroup by cyclic extension, one block per order as ``_series_subgroups`` gives.
 
     Every subgroup is a join of cyclic subgroups, so growing each known
     subgroup H by one generator x of each cyclic subgroup outside it
@@ -298,7 +290,9 @@ def _extension_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
             if key not in seen:
                 seen[key] = grown
                 queue.append((grown, grown_gens))
-    return [tuple(np.flatnonzero(m).tolist()) for m in seen.values()]
+    masks = np.array(list(seen.values()))
+    sizes = np.count_nonzero(masks, axis=1)
+    return [np.nonzero(masks[sizes == m])[1].reshape(-1, m) for m in np.unique(sizes)]
 
 
 def _derived_series(g: FiniteGroup) -> list[np.ndarray] | None:
@@ -325,8 +319,8 @@ def _derived_series(g: FiniteGroup) -> list[np.ndarray] | None:
         terms.append(nxt)
 
 
-def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """Elements of every subgroup of a solvable group, each built once.
+def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[np.ndarray]:
+    """Every subgroup of a solvable group, each built once: one block per order, ascending.
 
     Walks a series {e} = B_0 < B_1 < ... < B_k = G with cyclic factors:
     B_i joins B_{i-1} and g_i, the least element outside B_{i-1} of the
@@ -343,8 +337,8 @@ def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[tuple[int
     abelian group normalizes K, so only a nonabelian one is tested.
     """
     abelian = g.is_abelian()
-    blocks = [np.array([[g.identity]])]  # subgroups of one order per block, one per row
-    span = blocks[0][0]
+    blocks = {1: np.array([[g.identity]])}  # order -> its subgroups, one per row
+    span = blocks[1][0]
     while span.size < g.order:
         inside = np.zeros(g.order, dtype=bool)
         inside[span] = True
@@ -354,8 +348,8 @@ def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[tuple[int
         while not inside[powers[-1]]:
             powers.append(int(g.cayley[powers[-1], x]))
         m = len(powers) - 1
-        grown = []
-        for block in blocks:
+        grown: dict[int, list[np.ndarray]] = {}
+        for block in blocks.values():
             for k in block:
                 in_k = np.zeros(g.order, dtype=bool)
                 in_k[k] = True
@@ -375,29 +369,38 @@ def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[tuple[int
                         keep &= in_k[g.conjugation[k[:, None], xs]].all(axis=0)
                     cosets = xpow[:t, keep]
                     if cosets.size:
-                        h = g.cayley[k[:, None, None], cosets]  # (|K|, t, subgroups)
-                        grown.append(np.sort(h.reshape(-1, h.shape[2]).T, axis=1))
-        blocks += grown
+                        h = g.cayley[k[:, None, None], cosets].reshape(-1, cosets.shape[1])
+                        grown.setdefault(h.shape[0], []).append(np.sort(h.T, axis=1))
+        while grown:  # each order's pieces are freed once joined
+            order, parts = grown.popitem()
+            blocks[order] = np.concatenate(parts + [blocks.get(order, parts[0][:0])])
         span = np.sort(g.cayley[span[:, None], powers[:m]].ravel())
-    return [tuple(row) for block in blocks for row in block.tolist()]
+    return [blocks[order] for order in sorted(blocks)]
 
 
-def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, ordered by (order, elements).
+def subgroup_blocks(g: FiniteGroup) -> list[np.ndarray]:
+    """Every subgroup, one read-only int64 (B, m) block per order m, orders ascending.
 
-    A solvable group has each subgroup built once along a cyclic series
-    that refines its derived series (``_series_subgroups``); a group that
-    is not solvable is searched by cyclic extension (``_extension_subgroups``).
+    Row b of a block holds one subgroup's elements in increasing order,
+    and the rows come in lexicographic order.  A solvable group has each
+    subgroup built once along a cyclic series that refines its derived
+    series (``_series_subgroups``); a group that is not solvable is
+    searched by cyclic extension (``_extension_subgroups``).
     """
     if g.order > SUBGROUP_ENUM_BOUND:
         raise BoundExceeded(
             f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
         )
     terms = _derived_series(g)
-    found = _extension_subgroups(g) if terms is None else _series_subgroups(g, terms)
-    subs = [Subgroup(g, elems) for elems in found]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+    blocks = _extension_subgroups(g) if terms is None else _series_subgroups(g, terms)
+    for i, block in enumerate(blocks):  # in place: one order's unsorted copy at a time
+        blocks[i] = _freeze(block[np.lexsort(block.T[::-1])])
+    return blocks
+
+
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, ordered by (order, elements): one per row of ``subgroup_blocks``."""
+    return [Subgroup(g, row) for block in subgroup_blocks(g) for row in block]
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +451,7 @@ def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
 
     H holds e, so y is the least member of H*y exactly when no h*y is less.
     """
-    H = np.asarray(list(subgroup_elems), dtype=np.int64)
+    H = np.asarray(subgroup_elems, dtype=np.int64)
     return tuple(np.flatnonzero(g.cayley[H].min(axis=0) == np.arange(g.order)).tolist())
 
 
@@ -493,7 +496,7 @@ def subgroup_group(sub: Subgroup) -> FiniteGroup:
 
     Index i corresponds to parent element sub.elements[i].
     """
-    cay, inverse, identity = subgroup_tables(sub.parent, sub.members[None])
+    cay, inverse, identity = subgroup_tables(sub.parent, sub.elements[None])
     return FiniteGroup(sub.order, _freeze(cay[0]), int(identity[0]), _freeze(inverse[0]),
                        f"{sub.parent.label}<{sub.order}>")
 

@@ -35,6 +35,15 @@ def pairs_to_complex(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _typed(what: str, value, kind: type):
+    """``value`` unless it is a JSON value of another type than ``kind``; null passes."""
+    # type() rather than isinstance: JSON true is not a count
+    if value is None or type(value) is kind or (kind is float and type(value) is int):
+        return value
+    name = "number" if kind is float else kind.__name__
+    raise InputError(f"{what} must be a JSON {name}, got {value!r}")
+
+
 def read_cayley_text(path: str) -> FiniteGroup:
     """Parse the plain-text table format: `order n`, then n index rows."""
     with open(path) as fh:
@@ -129,7 +138,7 @@ def rep_from_json(data: dict, check: bool = True, tol: Tolerances = DEFAULT_TOL)
     try:
         coc = cocycle_from_json(data["cocycle"], check=check, tol=tol)
         mats = pairs_to_complex(data["matrices"])
-        dim = data["dim"]
+        dim = _typed("header dim", data["dim"], int)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad rep record: {exc}") from exc
     rep = projective_rep(coc.group, coc, mats, tol)
@@ -153,8 +162,8 @@ def generators_to_json(gens: np.ndarray) -> dict:
 def generators_from_json(data: dict) -> np.ndarray:
     try:
         gens = pairs_to_complex(data["generators"])
-        shape = (int(data["n"]), int(data["d"]), int(data["dim"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = tuple(_typed(f"header {key}", data[key], int) for key in ("n", "d", "dim"))
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad generators record: {exc}") from exc
     if gens.shape != shape:
         raise InputError(

@@ -13,7 +13,6 @@ import numpy as np
 
 from latdim import (
     Cocycle,
-    all_subgroups,
     Tolerances,
     build_cyclic,
     build_tf,
@@ -147,11 +146,3 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
     return out, peak
 
-
-def order_blocks(group):
-    """Every lattice of ``group`` in one block per order: (lattices, their elements)."""
-    by_order = {}
-    for sub in all_subgroups(group):
-        by_order.setdefault(sub.order, []).append(sub)
-    return [(subs, np.array([sub.elements for sub in subs], dtype=np.int64))
-            for subs in by_order.values()]

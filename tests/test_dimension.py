@@ -176,7 +176,7 @@ def _lattice_masked_phi(spec):
     rounding residue of a sum that is exactly 0.
     """
     g, rep = spec.rep.group, spec.rep
-    gammas = spec.lattice.members[spec.regular]
+    gammas = spec.lattice.elements[spec.regular]
     conj = g.conjugation[gammas]
     sigma = rep.cocycle.table
     tilde = sigma[gammas] * np.conj(sigma[np.arange(g.order), conj])
@@ -195,7 +195,7 @@ def test_phi_vanishes_exactly_off_the_regular_elements_of_the_group(label, rep):
     for sub in all_subgroups(rep.group):
         spec = source.spec(sub)
         values = phi(spec).values
-        assert not values[~regular[sub.members]].any(), (label, sub.elements)
+        assert not values[~regular[sub.elements]].any(), (label, sub.elements)
         assert np.abs(values - _lattice_masked_phi(spec)).max() <= 1e-15, (label, sub.elements)
 
 

@@ -230,9 +230,32 @@ def test_scan_refuses_oversized_counts_before_enumerating(monkeypatch):
 
     t = tf("Z2")
     assert len(gabor_scan(t, SCAN_CELLS, 1)) == 5 * SCAN_CELLS
-    monkeypatch.setattr(gabor_mod, "all_subgroups", lambda g: pytest.fail("enumerated"))
+    monkeypatch.setattr(gabor_mod, "subgroup_blocks", lambda g: pytest.fail("enumerated"))
     with pytest.raises(BoundExceeded, match=f"1 x {SCAN_CELLS + 1} cells per lattice exceed"):
         gabor_scan(t, 1, SCAN_CELLS + 1)
+
+
+def test_a_scan_builds_a_subgroup_only_to_construct(monkeypatch):
+    """A scan decides on rows of the order blocks; only a lattice with a
+    feasible cell of bounded size, |base| d <= n |lattice| <= 2 |base| d,
+    becomes a ``Subgroup``, to build its generators."""
+    import latdim.gabor as gabor_mod
+    import latdim.groups as groups_mod
+
+    t = tf("Z2xZ4")
+    want = gabor_scan(t, 3, 3)
+    built = []
+    real = groups_mod.Subgroup
+    counting = lambda *args: built.append(args) or real(*args)
+    monkeypatch.setattr(groups_mod, "Subgroup", counting)
+    monkeypatch.setattr(gabor_mod, "Subgroup", counting)
+    assert gabor_scan(t, 3, 3) == want
+    assert built == []
+    assert gabor_scan(t, 3, 3, construct=True) == want
+    a = t.base.order
+    feasible = [any(a * d <= n * row["lattice_order"] <= 2 * a * d
+                    for n in range(1, 4) for d in range(1, 4)) for row in want[::9]]
+    assert len(built) == sum(feasible) > 0
 
 
 def test_scan_refuses_too_many_rows_before_deciding(monkeypatch):

@@ -28,6 +28,7 @@ from latdim import (
     quaternion,
     regularity,
     restrict,
+    subgroup_blocks,
     subgroup_generated,
     subgroup_group,
     symmetric_group,
@@ -42,7 +43,7 @@ from latdim.groups import (
     right_transversal,
 )
 
-from fixtures_common import GROUP_NAMES, group, tf, traced_peak
+from fixtures_common import GROUP_NAMES, group, rep_fixtures, tf, traced_peak
 
 
 def test_cyclic_basics():
@@ -224,6 +225,11 @@ def _elements(mask):
     return tuple(int(x) for x in np.flatnonzero(mask))
 
 
+def _row(sub):
+    """A subgroup's elements as a tuple, the references' form."""
+    return tuple(sub.elements.tolist())
+
+
 def _coordinate_tf_group(base_name):
     """Time-frequency group over a base in row-major coordinates, and its radices."""
     base = group(base_name)
@@ -243,9 +249,9 @@ def test_subgroup_generated_matches_closure_reference(name):
         # generators given as coordinate tuples, as the CLI lattice spec does
         coords = rng.integers(0, radices, size=(k, len(radices)))
         gens = [int(np.ravel_multi_index(c, radices)) for c in coords]
-        assert subgroup_generated(g, gens).elements == _elements(_closure_mask(g, gens))
-    assert trivial_subgroup(g).elements == _elements(_closure_mask(g, []))
-    assert full_subgroup(g).elements == _elements(_closure_mask(g, range(g.order)))
+        assert _row(subgroup_generated(g, gens)) == _elements(_closure_mask(g, gens))
+    assert _row(trivial_subgroup(g)) == _elements(_closure_mask(g, []))
+    assert _row(full_subgroup(g)) == _elements(_closure_mask(g, range(g.order)))
 
 
 def _greedy_generators_by_closure(g):
@@ -417,9 +423,10 @@ def test_all_subgroups_match_reference(monkeypatch, name):
     real = groups_mod._join
     monkeypatch.setattr(groups_mod, "_join", lambda *args: walked.append(1) or real(*args))
     if g.is_abelian():
-        got = [s.elements for s in all_subgroups(g)]
+        got = [_row(s) for s in all_subgroups(g)]
     else:
-        got = sorted(groups_mod._extension_subgroups(g), key=lambda s: (len(s), s))
+        got = sorted((tuple(row.tolist()) for block in groups_mod._extension_subgroups(g)
+                      for row in block), key=lambda s: (len(s), s))
     assert bool(walked) == (not g.is_abelian())
     assert got == _reference_subgroups(g)
 
@@ -444,7 +451,7 @@ def test_series_subgroups_match_reference_without_a_walk(monkeypatch, name):
     abelian and not."""
     g = _series_group(name)
     monkeypatch.setattr(groups_mod, "_join", lambda *args: pytest.fail("frontier walk"))
-    got = [s.elements for s in all_subgroups(g)]
+    got = [_row(s) for s in all_subgroups(g)]
     assert got == _reference_subgroups(g)
 
 
@@ -576,6 +583,24 @@ def test_trivial_and_full_subgroups():
     assert trivial_subgroup(g).order == 1
     assert full_subgroup(g).order == 8
     assert list(full_subgroup(g).elements) == list(range(8))
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_a_subgroup_has_one_form(label, rep):
+    """Enumerated, generated, trivial and full subgroups all hold a read-only
+    int64 row in increasing order; the blocks' rows are ``all_subgroups`` in order."""
+    g = rep.group
+    enumerated = all_subgroups(g)
+    got = [tuple(row.tolist()) for block in subgroup_blocks(g) for row in block]
+    assert got == [tuple(sub.elements.tolist()) for sub in enumerated]
+    made = [subgroup_generated(g, g.generators[:k]) for k in range(len(g.generators) + 1)]
+    for sub in enumerated + made + [trivial_subgroup(g), full_subgroup(g)]:
+        elems = sub.elements
+        assert elems.dtype == np.int64 and elems.ndim == 1, (label, elems)
+        assert (np.diff(elems) > 0).all(), (label, elems)
+        assert not elems.flags.writeable, (label, elems)
+        with pytest.raises(ValueError):
+            elems[0] = elems[0]
 
 
 def test_subgroup_group_is_a_group():

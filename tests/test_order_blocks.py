@@ -9,26 +9,26 @@ import numpy as np
 import pytest
 
 import latdim.gabor as gabor_mod
-from latdim import (ConsistencyError, all_subgroups, conjugacy, gabor_scan, regularity, restrict,
-                    subgroup_group)
+from latdim import (ConsistencyError, Subgroup, all_subgroups, conjugacy, gabor_scan, regularity,
+                    restrict, subgroup_blocks, subgroup_group)
 from latdim.cocycles import Cocycle, restricted_tables
 from latdim.dimension import cdim_operators, phi_values, windowed_rep
 from latdim.groups import subgroup_tables
 
-from fixtures_common import order_blocks, rep_fixtures, tf
+from fixtures_common import rep_fixtures, tf
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
     source = windowed_rep(rep)
-    for subs, elems in order_blocks(rep.group):
+    for elems in subgroup_blocks(rep.group):
         cayley, inverse, identity = subgroup_tables(rep.group, elems)
         table = restricted_tables(rep.cocycle, elems)
         values = phi_values(source, elems)
         spectra = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
-        shift = np.arange(len(subs))[:, None] * elems.shape[1]  # block places to local
-        for b, sub in enumerate(subs):
-            spec = source.spec(sub)
+        shift = np.arange(len(elems))[:, None] * elems.shape[1]  # block places to local
+        for b, row in enumerate(elems):
+            spec = source.spec(Subgroup(rep.group, row))
             lattice = spec.lattice_group
             assert np.array_equal(cayley[b] - shift[b], lattice.cayley), (label, b)
             assert np.array_equal(inverse[b] - shift[b], lattice.inverse), (label, b)

@@ -144,6 +144,25 @@ def test_generators_json_round_trip():
         generators_from_json({"n": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 1.9), ("n", True), ("d", "3"), ("dim", 4.5), ("dim", 4.0),
+])
+def test_generators_json_refuses_a_header_that_is_not_an_integer(key, value):
+    """Each value would read as the true count (1, 3, 4) by int() or ==."""
+    data = generators_to_json(np.zeros((1, 3, 4)))
+    data[key] = value
+    with pytest.raises(InputError, match=f"header {key} must be a JSON int"):
+        generators_from_json(data)
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, "1", True])
+def test_rep_json_refuses_a_dim_that_is_not_an_integer(value):
+    data = rep_to_json(tf("Z1").rep)
+    data["dim"] = value
+    with pytest.raises(InputError, match="header dim must be a JSON int"):
+        rep_from_json(data)
+
+
 def test_dump_json_matches_streamed_json_dump(tmp_path):
     rep = tf("Z3").rep
     payload = rep_to_json(rep)

@@ -46,7 +46,7 @@ from fixtures_common import GROUP_NAMES, cocycle_fixtures, group, rep_fixtures, 
 def _full_gather_phi_oracle(spec):
     """The oracle as it gathered the whole permuted projection u* P u."""
     g, lat = spec.rep.group, spec.lattice_group
-    elems = spec.lattice.members
+    elems = spec.lattice.elements
     bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
     flat = g.cayley[elems[:, None], bs[None, :]].ravel()
     vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]].ravel()
@@ -115,7 +115,7 @@ def test_restriction_to_the_whole_group_is_the_cocycle(label, coc):
     full = full_subgroup(coc.group)
     assert restrict(coc, full) is coc
     assert np.array_equal(restrict(coc, full).table,
-                          restricted_tables(coc, full.members[None])[0])
+                          restricted_tables(coc, full.elements[None])[0])
 
 
 def _unblocked_mask(cayley, table, tol_id):

@@ -44,9 +44,7 @@ class Cocycle:
     so the caller's array stays writable and later writes to it change
     nothing here.  That is what lets ``regularity`` and
     ``algebra.center_valued_trace_table`` be computed once per cocycle and
-    ``tol_id``, the one tolerance they read, and kept on it.  ``restrict``
-    to the full lattice returns the cocycle itself, so there
-    ``ModuleSpec.regular`` is G's own regularity report.
+    ``tol_id``, the one tolerance they read, and kept on it.
     """
 
     group: FiniteGroup
@@ -98,10 +96,11 @@ class TildeReport:
 
 @dataclass(frozen=True, eq=False)
 class RegularityReport:
-    regular_elements: np.ndarray
+    regular_elements: np.ndarray  # x is regular iff its row of ``offending`` holds no pair
     regular_classes: np.ndarray
     kleppner: bool
     conjugacy: ConjugacyData
+    offending: np.ndarray  # [x, y]: x, y commute and |sigma(x, y) - sigma(y, x)| > tol_id
 
 
 def trivial(group: FiniteGroup) -> Cocycle:
@@ -215,11 +214,12 @@ def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
 def _regularity(c: Cocycle, tol_id: float) -> RegularityReport:
     g = c.group
     cj = conjugacy(g)
-    regular = np.empty(g.order, dtype=bool)
+    offending = np.empty((g.order, g.order), dtype=bool)
     for xs in row_blocks(g.order, g.order, _BLOCK):
         # the asymmetry stays inline, so no block's temporaries live on into the next block
         comm = g.cayley[xs] == g.cayley[:, xs].T
-        regular[xs] = ~np.any(comm & (np.abs(c.table[xs] - c.table[:, xs].T) > tol_id), axis=1)
+        offending[xs] = comm & (np.abs(c.table[xs] - c.table[:, xs].T) > tol_id)
+    regular = ~offending.any(axis=1)
     off = regular[cj.least[cj.class_of]] != regular
     if off.any():
         raise ConsistencyError(f"regularity not constant on class {cj.class_of[off].min()}")
@@ -227,9 +227,28 @@ def _regularity(c: Cocycle, tol_id: float) -> RegularityReport:
         raise ConsistencyError("identity class must be regular")
     regular_classes = regular[cj.least]
     kleppner = bool(regular_classes.sum() == 1)
-    regular.setflags(write=False)
-    regular_classes.setflags(write=False)
-    return RegularityReport(regular, regular_classes, kleppner, cj)
+    for a in (regular, regular_classes, offending):
+        a.setflags(write=False)
+    return RegularityReport(regular, regular_classes, kleppner, cj, offending)
+
+
+def lattice_regular(c: Cocycle, elems: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Regular masks of a (B, m) block of lattices, read off G's ``regularity`` at ``tol``.
+
+    Kleppner's condition on a lattice reads only pairs inside it: gamma is regular
+    in lattice b iff row b holds no offending partner of gamma.  Each mask must be
+    constant on the classes of its lattice, read off G's conjugation table.
+    """
+    regular = ~regularity(c, tol).offending[elems[:, :, None], elems[:, None, :]].any(axis=2)
+    at = np.zeros((len(elems), c.group.order), dtype=bool)  # at[b, x]: x regular in lattice b
+    np.put_along_axis(at, elems, regular, axis=1)
+    conj = c.group.conjugation[elems[:, :, None], elems[:, None, :]]  # [b, i, j] = y_j^-1 y_i y_j
+    bad = np.take_along_axis(at[:, :, None], conj, axis=1) != regular[:, :, None]
+    if bad.any():
+        b, i, _ = np.nonzero(bad)
+        raise ConsistencyError(f"regularity not constant on the class of {elems[b[0], i[0]]} "
+                               f"in the lattice {elems[b[0]].tolist()}")
+    return regular
 
 
 def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:

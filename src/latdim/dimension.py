@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _average_column, conv_operators
-from .cocycles import Cocycle, conjugate_cocycle, regularity, restrict
+from .algebra import conv_operators
+from .cocycles import Cocycle, lattice_regular, regularity, restrict
 from .config import BLOCK_TRACE, CDIM_ASYMMETRY, PHI_IDENTITY
 from .errors import (
     ConsistencyError,
@@ -133,13 +133,8 @@ class ModuleSpec:
 
     @cached_property
     def regular(self) -> np.ndarray:
-        """Lattice elements that are regular for the restricted cocycle, at the rep's tol.
-
-        On the full lattice the restricted cocycle is the rep's cocycle
-        itself, so this is G's ``regularity`` report, the one
-        ``WindowedRep.class_sums`` reads, and is not computed again.
-        """
-        return regularity(self.restricted_cocycle, self.rep.tol).regular_elements
+        """Lattice elements regular for the restricted cocycle at the rep's tol: a block of one."""
+        return lattice_regular(self.rep.cocycle, self.lattice.elements[None], self.rep.tol)[0]
 
     @cached_property
     def dimension_function(self) -> PhiFunction:
@@ -265,48 +260,57 @@ def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int) -> np.nda
 
 
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
-    """Dimension function by the explicit module embedding.
-
-    Steps: realize the module inside functions on the big group via
-    the scaled wavelet isometry, with range projection P; transport P
-    to lattice x transversal coordinates through the coset relabeling
-    u delta_(gamma, y) = sigma(gamma, y) delta_(gamma y), a
-    permutation-phase unitary, so (u* P u)[(a, i), (b, i')] is
-    conj(sigma(a, y_i)) P[a y_i, b y_i'] sigma(b, y_i'); sum its
-    diagonal blocks i = i' into B, gathering only those |lattice| |G|
-    entries of P; average B over the twisted right translations of the
-    conjugate restricted cocycle (the center-valued trace of the block
-    algebra) and read phi off the identity column, which is the gather
-    |lattice|^-1 sum_b sigma(i b^-1, b) conj(sigma(b^-1, b))
-    B[i b^-1, b^-1].  Only ``WindowedRep.projection`` is read; no use of
-    the class formula anywhere.
-    """
-    g = spec.rep.group
+    """Dimension function by the module embedding: ``phi_oracle_values`` on a block of one."""
     lat = spec.lattice_group
-    e_lat = lat.identity
+    values = phi_oracle_values(spec.windowed, spec.lattice.elements[None], lat.cayley[None],
+                               lat.inverse[None], spec.restricted_cocycle.table[None])[0]
+    return PhiFunction(values, spec.restricted_cocycle)
 
-    p_big = spec.windowed.projection
+
+def phi_oracle_values(source: WindowedRep, elems: np.ndarray, cayley: np.ndarray,
+                      inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Dimension function on each lattice of a block, by the explicit module embedding.
+
+    Row b of ``elems`` holds one lattice's elements in increasing order, and
+    ``cayley``, ``inverse`` and ``table`` its Cayley table and inverses, in
+    places 0..m-1 of that row, and its restricted cocycle.  Steps: realize
+    the module inside functions on the big group via the scaled wavelet
+    isometry, with range projection P; transport P to lattice x transversal
+    coordinates through the coset relabeling u delta_(gamma, y) =
+    sigma(gamma, y) delta_(gamma y), a permutation-phase unitary, so
+    (u* P u)[(a, i), (b, i')] is conj(sigma(a, y_i)) P[a y_i, b y_i']
+    sigma(b, y_i'); sum its diagonal blocks i = i' into B, gathering only
+    those |lattice| |G| entries of P; average B over the twisted right
+    translations of the conjugate restricted cocycle (the center-valued
+    trace of the block algebra) and read phi off the identity column, which
+    is the gather |lattice|^-1 sum_b sigma(i b^-1, b) conj(sigma(b^-1, b))
+    B[i b^-1, b^-1], taken over c = b^-1 so that i c is the lattice's own
+    Cayley table.  Only ``WindowedRep.projection`` is read; no use of the
+    class formula anywhere.
+    """
+    g = source.rep.group
+    nb, m = elems.shape
+    rows = np.arange(nb)
 
     # x = gamma * y is unique for y in a right transversal
-    elems = spec.lattice.elements
-    bs = np.asarray(right_transversal(g, elems), dtype=np.int64)
-    flat = g.cayley[elems[:, None], bs[None, :]]  # [a, i] = a y_i
-    hit = np.zeros(g.order, dtype=bool)
-    hit[flat] = True
-    if flat.size != g.order or not hit.all():
+    bs = right_transversal(g, elems)
+    flat = g.cayley[elems[:, :, None], bs[:, None, :]]  # [l, a, i] = a y_i
+    hit = np.zeros((nb, g.order), dtype=bool)
+    hit[rows[:, None], flat.reshape(nb, -1)] = True
+    if flat[0].size != g.order or not hit.all():
         raise ConsistencyError("coset factorization is not unique")
-    vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]]
-    blocks = np.take(p_big, flat[:, None, :] * g.order + flat[None, :, :])  # [a, b, i]
-    block_sum = np.einsum("abi,ai,bi->ab", blocks, np.conj(vals), vals)
-    scalar = float(np.real(block_sum[e_lat, e_lat]))
-    dpi_vol = spec.dpi_vol
-    check_residual("|diagonal block trace - dpi_vol|", abs(scalar - dpi_vol),
-                   BLOCK_TRACE * max(1.0, dpi_vol))
+    vals = source.rep.cocycle.table[elems[:, :, None], bs[:, None, :]]
+    blocks = np.take(source.projection, flat[:, :, None, :] * g.order + flat[:, None, :, :])
+    block_sum = np.einsum("labi,lai,lbi->lab", blocks, np.conj(vals), vals)
+    e = cayley[rows, 0, inverse[:, 0]]  # the identity's place in each row
+    dpi_vol = source.rep.dim / m
+    check_residual("|diagonal block trace - dpi_vol|",
+                   np.abs(block_sum[rows, e, e].real - dpi_vol), BLOCK_TRACE * max(1.0, dpi_vol))
 
-    values = _average_column(
-        lat, conjugate_cocycle(spec.restricted_cocycle).table, "right", block_sum
-    )
-    return PhiFunction(values, spec.restricted_cocycle)
+    r = rows[:, None, None]
+    phases = table[r, cayley, inverse[:, None, :]]  # [l, i, c] = sigma(i c, c^-1)
+    terms = phases * block_sum[r, cayley, np.arange(m)] * np.conj(phases[rows, e])[:, None, :]
+    return terms.sum(axis=2) / m
 
 
 def cdim_operator(fn: PhiFunction) -> np.ndarray:

@@ -19,7 +19,8 @@ from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_
 from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
-from .groups import DualGroup, FiniteGroup, Subgroup, dual_group, subgroup_blocks, subgroup_tables
+from .groups import (DualGroup, FiniteGroup, Subgroup, block_slices, dual_group, subgroup_blocks,
+                     subgroup_tables)
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -41,10 +42,6 @@ SCAN_COLUMNS = {
     "riesz": _text,
     "basis": _text,
 }
-
-# A scan decides its lattices in blocks of equal order holding at most about
-# this many entries of Phi (lattices x order^2), one array kernel per step.
-_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -181,8 +178,8 @@ def gabor_scan(
     SCAN_ROWS rows in all before any lattice is decided.  With
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.  Lattices come in the order
-    of ``subgroup_blocks``, and each order's block is decided in slices
-    of at most about ``_BLOCK_ENTRIES`` entries of Phi.
+    of ``subgroup_blocks``, and each order's block is decided in the
+    slices of ``block_slices``.
     """
     if n_max * d_max > SCAN_CELLS:
         raise BoundExceeded(
@@ -197,11 +194,8 @@ def gabor_scan(
         )
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for block in blocks:
-        size = max(1, _BLOCK_ENTRIES // block.shape[1]**2)
-        for start in range(0, len(block), size):
-            rows.extend(_scan_block(tf, source, block[start:start + size],
-                                    n_max, d_max, construct, seed))
+    for elems in block_slices(blocks):
+        rows.extend(_scan_block(tf, source, elems, n_max, d_max, construct, seed))
     return rows
 
 
@@ -253,17 +247,16 @@ def audit_rows(rows: list[dict]) -> list[str]:
     for i, row in enumerate(rows):
         ratio = row["n"] / row["d"]
         dpi_vol = row["dpi_vol"]
-        where = (
-            f"row {i} ({row['base']}, |lattice|={row['lattice_order']}, "
-            f"n={row['n']}, d={row['d']})"
-        )
+        found = []
         # negated, so that a NaN dpi_vol is flagged
         if row["frame"] == "yes" and not dpi_vol <= ratio + DENSITY_SLACK:
-            problems.append(f"{where}: frame despite dpi_vol > n/d")
+            found.append("frame despite dpi_vol > n/d")
         if row["riesz"] == "yes" and not dpi_vol >= ratio - DENSITY_SLACK:
-            problems.append(f"{where}: riesz despite dpi_vol < n/d")
-        basis = row["basis"] == "yes"
-        both = row["frame"] == "yes" and row["riesz"] == "yes"
-        if basis != both:
-            problems.append(f"{where}: basis flag inconsistent with frame+riesz")
+            found.append("riesz despite dpi_vol < n/d")
+        if (row["basis"] == "yes") != (row["frame"] == "yes" and row["riesz"] == "yes"):
+            found.append("basis flag inconsistent with frame+riesz")
+        if found:
+            where = (f"row {i} ({row['base']}, |lattice|={row['lattice_order']}, "
+                     f"n={row['n']}, d={row['d']})")
+            problems.extend(f"{where}: {what}" for what in found)
     return problems

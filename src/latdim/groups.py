@@ -27,6 +27,9 @@ from .errors import (
 
 SUBGROUP_ENUM_BOUND = 256
 
+# Block kernels take lattices of one order in slices of about this many entries (lattices x m^2).
+_BLOCK_ENTRIES = 1 << 12
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -146,16 +149,15 @@ def from_cayley_table(table, label: str = "") -> FiniteGroup:
     return FiniteGroup(n, _freeze(cay), identity, _freeze(inverse), label)
 
 
-def build_cyclic(n: int, label: str | None = None) -> FiniteGroup:
+def build_cyclic(n: int) -> FiniteGroup:
     if n <= 0:
         raise InputError(f"cyclic order must be positive, got {n}")
     idx = np.arange(n, dtype=np.int64)
     cay = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(n, _freeze(cay), 0, _freeze((-idx) % n),
-                       label if label is not None else f"Z{n}")
+    return FiniteGroup(n, _freeze(cay), 0, _freeze((-idx) % n), f"Z{n}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Product group on pairs, encoded row major: index = g_index * h.order + h_index."""
     # both factors' tables are int64, so the product's are too
     cay = (g.cayley[:, None, :, None] * h.order + h.cayley[None, :, None, :])
@@ -163,8 +165,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> 
     cay = cay.reshape(n, n)
     inverse = (g.inverse[:, None] * h.order + h.inverse[None, :]).reshape(n)
     identity = g.identity * h.order + h.identity
-    return FiniteGroup(n, _freeze(cay), int(identity), _freeze(inverse),
-                       label if label is not None else f"{g.label}x{h.label}")
+    return FiniteGroup(n, _freeze(cay), int(identity), _freeze(inverse), f"{g.label}x{h.label}")
 
 
 def _table_group(cay: np.ndarray, label: str) -> FiniteGroup:
@@ -398,6 +399,14 @@ def subgroup_blocks(g: FiniteGroup) -> list[np.ndarray]:
     return blocks
 
 
+def block_slices(blocks: list[np.ndarray]):
+    """Each block of ``subgroup_blocks`` in slices of max(1, ``_BLOCK_ENTRIES`` // m^2) rows."""
+    for block in blocks:
+        size = max(1, _BLOCK_ENTRIES // block.shape[1]**2)
+        for start in range(0, len(block), size):
+            yield block[start:start + size]
+
+
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, ordered by (order, elements): one per row of ``subgroup_blocks``."""
     return [Subgroup(g, row) for block in subgroup_blocks(g) for row in block]
@@ -446,13 +455,15 @@ def centralizer_transversal(g: FiniteGroup, gamma: int) -> tuple[int, ...]:
     return tuple(sorted(first.tolist()))
 
 
-def right_transversal(g: FiniteGroup, subgroup_elems) -> tuple[int, ...]:
-    """Minimal representatives y, one per orbit H*y of left multiplication by H.
+def right_transversal(g: FiniteGroup, subgroup_elems) -> np.ndarray:
+    """Minimal representatives y, one per orbit H*y of left multiplication by H, increasing.
 
-    H holds e, so y is the least member of H*y exactly when no h*y is less.
+    H holds e, so y is the least member of H*y exactly when no h*y is less.  A (B, m)
+    block of subgroups, one per row, gets one row of |G|/m representatives per subgroup.
     """
     H = np.asarray(subgroup_elems, dtype=np.int64)
-    return tuple(np.flatnonzero(g.cayley[H].min(axis=0) == np.arange(g.order)).tolist())
+    least = g.cayley[H].min(axis=-2) == np.arange(g.order)
+    return np.nonzero(least)[-1].reshape(*H.shape[:-1], -1)
 
 
 def subgroup_tables(parent: FiniteGroup, elems: np.ndarray):

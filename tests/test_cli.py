@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,16 +11,26 @@ import numpy as np
 import pytest
 
 from latdim import (
+    ModuleSpec,
+    Subgroup,
+    all_subgroups,
+    cocycle_from_json,
     existence_decision,
     frame_report,
     full_subgroup,
     irreducible_subrep,
     make_module_spec,
     multiwindow_system,
+    phi,
     phi_oracle,
+    random_window,
+    regularity,
+    restrict,
     trivial,
+    windowed_rep,
 )
 import latdim.cli
+from latdim.dimension import phi_oracle_values
 from latdim.cli import main
 from latdim.config import SCAN_CELLS, SYSTEM_ENTRIES, TF_BASE
 from latdim.gabor import SCAN_COLUMNS
@@ -33,7 +44,7 @@ from latdim.serialize import (
 )
 from latdim.groups import symmetric_group
 
-from fixtures_common import near_rep, pauli_product, tf, traced_peak
+from fixtures_common import group, near_rep, pauli_product, tf, traced_peak
 
 
 def run(capsys, *argv):
@@ -235,7 +246,7 @@ def test_decide_validates_the_rep_once(capsys, monkeypatch):
 @pytest.mark.parametrize("cmd, lattice, computed", [
     ("phi", "full", 1),  # the full lattice's restriction is the cocycle itself
     ("decide", "full", 1),
-    ("phi", "(1,3),(0,4)", 2),  # G's report and the lattice's own
+    ("phi", "(1,3),(0,4)", 1),  # the lattice's mask is read off G's report
 ])
 def test_a_request_computes_each_regular_mask_once(capsys, monkeypatch, cmd, lattice, computed):
     import latdim.cocycles
@@ -829,6 +840,53 @@ def test_routes_agree(capsys, tmp_path, argv):
     assert _worst_gap(out) < 1e-12
 
 
+def _masked(out):
+    return re.sub(r"gap [^ ]+", "gap -", out).splitlines()
+
+
+def _reference_routes(rep, seed):
+    """The lines of routes, one spec and one regularity report of the restriction per lattice."""
+    g = rep.group
+    source = windowed_rep(rep, random_window(rep.dim, seed))
+    lines = [f"group {g.label}, order {g.order}, irrep dim {rep.dim}"]
+    for sub in all_subgroups(g):
+        spec = source.spec(sub)
+        closed = phi(spec)
+        assert np.abs(closed.values - phi_oracle(spec).values).max() < 1e-12
+        regular = regularity(restrict(rep.cocycle, sub), rep.tol).regular_elements
+        vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in closed.values.tolist())
+        lines.append(f"|lattice| {sub.order:3d}  dpi_vol {spec.dpi_vol:8.4f}  "
+                     f"regular {int(regular.sum()):3d}  gap -  phi [{vals}]")
+    return lines + ["worst formula/embedding gap -"]
+
+
+@pytest.mark.parametrize("name, seed", [("S3", 0), ("D4xZ2xZ2", 3), ("lifted-pauli", 0)])
+def test_routes_prints_the_lines_of_a_per_lattice_loop(capsys, tmp_path, name, seed):
+    if name == "lifted-pauli":
+        path = str(tmp_path / "cocycle.json")
+        dump_json(cocycle_to_json(pauli_product()[1]), path)
+        argv, coc = ("--cocycle", path), cocycle_from_json(load_json(path))
+    else:
+        argv, coc = ("--group", name), trivial(group(name))
+    rc, out, _ = run(capsys, "routes", *argv, "--seed", str(seed))
+    assert rc == 0
+    assert _masked(out) == _reference_routes(irreducible_subrep(coc.group, coc, seed=seed), seed)
+
+
+def test_routes_builds_no_subgroup_and_no_spec(capsys, monkeypatch):
+    built = []
+    for cls in (Subgroup, ModuleSpec):
+        def counted(self, *args, real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    rc, out, _ = run(capsys, "routes", "--group", "D4xZ2xZ2", "--seed", "3")
+    assert rc == 0
+    assert sum(line.startswith("|lattice|") for line in out.splitlines()) == 158
+    assert built == []
+
+
 def test_routes_names_the_rep_group_on_every_path(capsys, tmp_path):
     path = str(tmp_path / "rep.json")
     dump_json(rep_to_json(tf("Z2").rep), path)
@@ -840,26 +898,24 @@ def test_routes_names_the_rep_group_on_every_path(capsys, tmp_path):
 
 
 def test_routes_exit_1_when_the_routes_disagree(capsys, monkeypatch):
-    def perturbed(spec):
-        fn = phi_oracle(spec)
-        values = fn.values.copy()
-        values[0] += 1e-6
-        return dataclasses.replace(fn, values=values)
+    def perturbed(*args):
+        values = phi_oracle_values(*args)
+        values[:, 0] += 1e-6
+        return values
 
-    monkeypatch.setattr("latdim.cli.phi_oracle", perturbed)
+    monkeypatch.setattr("latdim.cli.phi_oracle_values", perturbed)
     rc, out, _ = run(capsys, "routes", "--group", "S3")
     assert rc == 1
     assert _worst_gap(out) == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_routes_exit_1_on_a_nan_gap(capsys, monkeypatch):
-    def poisoned(spec):
-        fn = phi_oracle(spec)
-        values = fn.values.copy()
-        values[0] = np.nan
-        return dataclasses.replace(fn, values=values)
+    def poisoned(*args):
+        values = phi_oracle_values(*args)
+        values[:, 0] = np.nan
+        return values
 
-    monkeypatch.setattr("latdim.cli.phi_oracle", poisoned)
+    monkeypatch.setattr("latdim.cli.phi_oracle_values", poisoned)
     rc, out, _ = run(capsys, "routes", "--group", "S3")
     assert rc == 1
     assert np.isnan(_worst_gap(out))

@@ -233,9 +233,10 @@ def test_phi_oracle_matches_dense_reference(label, rep):
 def test_phi_oracle_rejects_a_non_unique_coset_factorization(monkeypatch):
     rep = tf("Z2").rep
     spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
-    good = right_transversal(rep.group, spec.lattice.elements)
+    good = right_transversal(rep.group, spec.lattice.elements[None])
+    assert good.shape == (1, rep.group.order // spec.lattice.order)
     monkeypatch.setattr(
-        "latdim.dimension.right_transversal", lambda g, h: (good[0],) * len(good)
+        "latdim.dimension.right_transversal", lambda g, h: np.full_like(good, good[0, 0])
     )
     with pytest.raises(ConsistencyError, match="coset factorization is not unique"):
         phi_oracle(spec)
@@ -385,7 +386,7 @@ def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
     """phi never reads the wavelet transform or its projection, phi_oracle never
-    the diagonal, the class sums or phi."""
+    the diagonal, the class sums, phi or phi_values."""
     source = windowed_rep(rep, random_window(rep.dim, 2))
     spec = source.spec(full_subgroup(rep.group))
     with monkeypatch.context() as m:
@@ -396,6 +397,7 @@ def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
         for name in ("diagonal", "class_sums"):
             m.setattr(WindowedRep, name, property(lambda self, name=name: pytest.fail(f"phi_oracle read {name}")))
         m.setattr(dim_mod, "phi", lambda *a: pytest.fail("phi_oracle called phi"))
+        m.setattr(dim_mod, "phi_values", lambda *a: pytest.fail("phi_oracle called phi_values"))
         oracle = phi_oracle(spec)
     assert np.abs(closed.values - oracle.values).max() < 1e-9
 

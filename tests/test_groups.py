@@ -559,13 +559,15 @@ def _reference_right_transversal(g, h):
 def test_right_transversal_matches_reference(name):
     g = group(name)
     for sub in all_subgroups(g):
-        assert right_transversal(g, sub.elements) == _reference_right_transversal(g, sub.elements)
+        got = right_transversal(g, sub.elements)
+        assert got.dtype == np.int64
+        assert tuple(got.tolist()) == _reference_right_transversal(g, sub.elements)
 
 
 def test_right_transversal_partition():
     g = symmetric_group(3)
     h = np.array([0, 1], dtype=np.int64)  # identity and one transposition
-    ts = right_transversal(g, h)
+    ts = right_transversal(g, h).tolist()
     covered = sorted(int(g.cayley[x, t]) for t in ts for x in h)
     assert covered == list(range(6))
 

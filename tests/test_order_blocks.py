@@ -1,21 +1,25 @@
-"""The block kernels a scan runs on lattices of one order, against a block of one.
+"""The block kernels a scan and ``routes`` run on lattices of one order, against a block of one.
 
-Every single-lattice call (``restrict``, ``phi``, ``cdim_operator``) is the
-same kernel on a block of one lattice, so these tests check that stacking
-lattices changes no result.
+Every single-lattice call (``restrict``, ``phi``, ``phi_oracle``,
+``cdim_operator``, ``ModuleSpec.regular``) is the same kernel on a block of
+one lattice, so these tests check that stacking lattices changes no result.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-import latdim.gabor as gabor_mod
-from latdim import (ConsistencyError, Subgroup, all_subgroups, conjugacy, gabor_scan, regularity,
-                    restrict, subgroup_blocks, subgroup_group)
-from latdim.cocycles import Cocycle, restricted_tables
-from latdim.dimension import cdim_operators, phi_values, windowed_rep
+import latdim.cocycles
+import latdim.groups as groups_mod
+from latdim import (ConsistencyError, Subgroup, Tolerances, all_subgroups, conjugacy, gabor_scan,
+                    phi_oracle, random_window, regularity, restrict, subgroup_blocks,
+                    subgroup_group)
+from latdim.cocycles import Cocycle, lattice_regular, restricted_tables
+from latdim.dimension import cdim_operators, phi_oracle_values, phi_values, windowed_rep
 from latdim.groups import subgroup_tables
 
-from fixtures_common import rep_fixtures, tf
+from fixtures_common import cocycle_fixtures, gauge_twisted, rep_fixtures, tf
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
@@ -42,7 +46,7 @@ def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
 def test_scan_rows_do_not_depend_on_the_block_size(monkeypatch):
     t = tf("Z2xZ4")
     rows = gabor_scan(t, 3, 3)
-    monkeypatch.setattr(gabor_mod, "_BLOCK_ENTRIES", 1)  # every block holds one lattice
+    monkeypatch.setattr(groups_mod, "_BLOCK_ENTRIES", 1)  # every slice holds one lattice
     assert gabor_scan(t, 3, 3) == rows
 
 
@@ -58,3 +62,45 @@ def test_a_tampered_nonabelian_block_is_caught():
     table[x, lat.group.identity] *= -1
     with pytest.raises(ConsistencyError, match=f"regularity not constant on class {cj.class_of[x]}$"):
         regularity(Cocycle(lat.group, table), rep.tol)
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_the_oracle_on_a_block_is_the_oracle_on_each_lattice(label, rep):
+    source = windowed_rep(rep, random_window(rep.dim, 5))
+    for elems in subgroup_blocks(rep.group):
+        cayley, inverse, _ = subgroup_tables(rep.group, elems)
+        shift = np.arange(len(elems))[:, None] * elems.shape[1]  # block places to local
+        values = phi_oracle_values(source, elems, cayley - shift[:, :, None], inverse - shift,
+                                   restricted_tables(rep.cocycle, elems))
+        for b, row in enumerate(elems):
+            one = phi_oracle(source.spec(Subgroup(rep.group, row))).values
+            assert np.array_equal(values[b], one), (label, row)
+
+
+@pytest.mark.parametrize("tol_id", [1e-9, 3.0])
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_lattice_masks_are_the_regularity_of_each_restriction(label, coc, tol_id):
+    tol = Tolerances(tol_id=tol_id)
+    for c in (coc, gauge_twisted(coc)):
+        for elems in subgroup_blocks(c.group):
+            got = lattice_regular(c, elems, tol)
+            for b, row in enumerate(elems):
+                want = regularity(restrict(c, Subgroup(c.group, row)), tol).regular_elements
+                assert np.array_equal(got[b], want), (label, row, tol_id)
+
+
+def test_a_lattice_mask_that_is_not_class_constant_is_caught(monkeypatch):
+    rep = dict(rep_fixtures())["s3-pauli"]
+    g = rep.group
+    sub = next(sub for sub in all_subgroups(g) if not subgroup_group(sub).is_abelian())
+    elems = sub.elements
+    # x has a conjugate other than itself in the lattice; marking (x, e) offending
+    # makes x alone irregular there
+    x = next(x for x in elems if len(set(g.conjugation[x, elems].tolist())) > 1)
+    report = regularity(rep.cocycle, rep.tol)
+    offending = report.offending.copy()
+    offending[x, g.identity] = True
+    tampered = dataclasses.replace(report, offending=offending)
+    monkeypatch.setattr(latdim.cocycles, "regularity", lambda c, tol: tampered)
+    with pytest.raises(ConsistencyError, match=f"regularity not constant on the class of {x} "):
+        lattice_regular(rep.cocycle, elems[None], rep.tol)

@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .cocycles import (
     Cocycle,
-    conjugate_cocycle,
     regularity,
     restrict,
     tilde,

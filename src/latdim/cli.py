@@ -315,10 +315,12 @@ def _cmd_routes(cfg: argparse.Namespace) -> int:
                                    restricted_tables(rep.cocycle, elems))
         gaps.append(np.abs(closed - oracle).max(axis=1))
         regular = np.count_nonzero(lattice_regular(rep.cocycle, elems, rep.tol), axis=1)
-        for values, n_regular, gap in zip(closed.tolist(), regular.tolist(), gaps[-1].tolist()):
-            vals = " ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in values)
-            print(f"|lattice| {order:3d}  dpi_vol {rep.dim / order:8.4f}  "
-                  f"regular {n_regular:3d}  gap {gap:.2e}  phi [{vals}]")
+        # one %-format per lattice over its interleaved real and imaginary parts
+        head = f"|lattice| {order:3d}  dpi_vol {rep.dim / order:8.4f}  regular %3d  gap %.2e  phi ["
+        fmt = head + " ".join(["%+.4f%+.4fj"] * order) + "]"
+        parts = np.stack((closed.real, closed.imag), axis=2).reshape(len(elems), -1)
+        print("\n".join(fmt % (n_regular, gap, *values) for values, n_regular, gap
+                        in zip(parts.tolist(), regular.tolist(), gaps[-1].tolist())))
     worst = float(np.max(np.concatenate(gaps)))  # keeps a NaN gap, which then fails
     print(f"worst formula/embedding gap {worst:.3e}")
     return 0 if worst <= rep.tol.tol_id else 1

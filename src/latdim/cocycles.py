@@ -140,12 +140,6 @@ def validate(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> CocycleReport:
     return CocycleReport(ok, unit_res, id_res, norm_res, worst, msg)
 
 
-def conjugate_cocycle(c: Cocycle) -> Cocycle:
-    table = np.conj(c.table)
-    table.setflags(write=False)
-    return Cocycle(c.group, table, label=f"conj({c.label})" if c.label else "conj")
-
-
 def tilde_table(c: Cocycle) -> np.ndarray:
     """Full table of the conjugation-twisted cocycle, indexed [x, y]."""
     return c.table * np.conj(c.table[np.arange(c.group.order), c.group.conjugation])
@@ -237,9 +231,12 @@ def lattice_regular(c: Cocycle, elems: np.ndarray, tol: Tolerances = DEFAULT_TOL
 
     Kleppner's condition on a lattice reads only pairs inside it: gamma is regular
     in lattice b iff row b holds no offending partner of gamma.  Each mask must be
-    constant on the classes of its lattice, read off G's conjugation table.
+    constant on the classes of its lattice, read off G's conjugation table; on an
+    abelian group every class is one element, so that is not checked.
     """
     regular = ~regularity(c, tol).offending[elems[:, :, None], elems[:, None, :]].any(axis=2)
+    if c.group.is_abelian():
+        return regular
     at = np.zeros((len(elems), c.group.order), dtype=bool)  # at[b, x]: x regular in lattice b
     np.put_along_axis(at, elems, regular, axis=1)
     conj = c.group.conjugation[elems[:, :, None], elems[:, None, :]]  # [b, i, j] = y_j^-1 y_i y_j

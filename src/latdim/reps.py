@@ -7,7 +7,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _monomial
 from .cocycles import Cocycle
 from .config import ROW_BLOCK as _BLOCK
 from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
@@ -273,41 +272,41 @@ def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0,
                        tol: Tolerances = DEFAULT_TOL) -> ProjectiveRep:
     """Cut an irreducible summand, carrying ``tol``, out of the twisted left regular rep.
 
-    Averages a random Hermitian matrix over the rep to get a commutant
-    element, takes the eigenspace cluster of largest dimension (ties go
-    to the lowest eigenvalue), and compresses the rep onto it.  Retries
-    with fresh randomness, at most 8 times, while the cut summand is not
-    valid at ``tol`` or not irreducible; then raises InputError or
-    NotIrreducible, for the last cut.  The rep is read as the monomial
-    lam(b) delta_i = sigma(b, i) delta_{b i}, so both steps are gathers
-    in O(|G|^2) memory.
+    The average E of lam(b) H lam(b)* over G, for a random Hermitian H, lies in the
+    commutant; the cut takes E's eigenspace cluster of largest dimension (ties go to
+    the lowest eigenvalue) and compresses the rep onto it.  Retries with fresh
+    randomness, at most 8 times, while the cut summand is not valid at ``tol`` or not
+    irreducible; then raises InputError or NotIrreducible, for the last cut.  With
+    lam(b) delta_i = sigma(b, i) delta_{b i}, the commutant is spanned by
+    rho(c) delta_i = sigma(i, c) delta_{i c}, pairwise orthogonal of Hilbert-Schmidt
+    norm^2 |G|, so E is H's projection onto them: E[i c, i] = f(c) sigma(i, c) with
+    f(c) = |G|^-1 sum_i conj sigma(i, c) H[i c, i].  Both steps are O(|G|^2) gathers.
     """
-    rows, phases = _monomial(group, cocycle.table, "left")
-    n = group.order
+    n, cay, t = group.order, group.cayley, cocycle.table
+    cols = np.arange(n)[:, None]
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt, 0x1D])
         h_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h_rand = h_rand + h_rand.conj().T
-        # average over the rep: lands in the commutant, stays Hermitian;
-        # lam(b) H lam(b)* holds sigma(b, i) H[i, j] conj sigma(b, j) at (b i, b j)
-        e = np.zeros((n, n), dtype=np.complex128)
-        for b in range(n):
-            e[np.ix_(rows[b], rows[b])] += phases[b, :, None] * h_rand * phases[b].conj()
-        e = (e + e.conj().T) / (2 * n)
+        f = (np.conj(t) * h_rand[cay, cols]).sum(axis=0) / n  # term [i, c] reads H[i c, i]
+        e = np.empty((n, n), dtype=np.complex128)
+        e[cay, cols] = f * t
+        e = (e + e.conj().T) / 2
         eigvals, eigvecs = np.linalg.eigh(e)
         scale = max(1.0, float(np.abs(eigvals).max()))
-        # cluster eigenvalues, then take the largest cluster
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, n):
-            if eigvals[i] - eigvals[i - 1] < EIG_CUT * scale:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        best = max(clusters, key=lambda c: (len(c), -eigvals[c[0]]))
-        q = eigvecs[:, best]  # (n, k) orthonormal
+        # a cluster starts wherever the gap is not below the cut, a NaN gap too
+        starts = np.flatnonzero(np.r_[True, ~(np.diff(eigvals) < EIG_CUT * scale)])
+        sizes = np.diff(np.r_[starts, n])
+        k = int(np.argmax(sizes))  # the first largest: ties go to the lowest eigenvalue
+        d = int(sizes[k])
+        q = eigvecs[:, starts[k]:starts[k] + d]  # (n, d) orthonormal
         # (q* lam(x) q)[i, j] = sum_s conj(q[x s, i]) sigma(x, s) q[s, j]
-        mats = np.stack([(q[rows[x]].conj().T * phases[x]) @ q for x in range(n)])
-        candidate = ProjectiveRep(group, cocycle, q.shape[1], mats, tol)
+        mats = np.empty((n, d, d), dtype=np.complex128)
+        for xs in row_blocks(n, n * d, _BLOCK):
+            qx = q[cay[xs]].conj()  # [x, s, i]
+            qx *= t[xs, :, None]
+            mats[xs] = qx.transpose(0, 2, 1) @ q
+        candidate = ProjectiveRep(group, cocycle, d, mats, tol)
         if not candidate.report.ok:
             failure = InputError(f"cut summand invalid: {candidate.report.message}")
         elif is_irreducible(candidate)[0]:
@@ -315,4 +314,3 @@ def irreducible_subrep(group: FiniteGroup, cocycle: Cocycle, seed: int = 0,
         else:
             failure = NotIrreducible("no irreducible summand found in 8 attempts")
     raise failure
-

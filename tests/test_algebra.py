@@ -9,7 +9,6 @@ from latdim import (
     center_dimension,
     center_valued_trace,
     center_valued_trace_oracle,
-    conjugate_cocycle,
     conv_operator,
     element,
     is_sigma_positive_definite,
@@ -63,7 +62,7 @@ def test_regular_reps_unitary_and_twisted(label, coc):
 def _reference_commutant(group, cocycle):
     """Max commutator norm from the dense regular stacks, one batched matmul per x."""
     lam = left_regular(group, cocycle).matrices
-    rho = right_regular(group, conjugate_cocycle(cocycle)).matrices
+    rho = right_regular(group, Cocycle(group, np.conj(cocycle.table))).matrices
     worst = 0.0
     for x in range(group.order):
         diff = lam[x] @ rho - rho @ lam[x]

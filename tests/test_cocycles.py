@@ -10,7 +10,6 @@ from latdim import (
     Cocycle,
     ConsistencyError,
     build_cyclic,
-    conjugate_cocycle,
     dual_group,
     regularity,
     restrict,
@@ -168,13 +167,6 @@ def test_weyl_heisenberg_normalized():
     e = c.group.identity
     assert np.allclose(c.table[e, :], 1.0)
     assert np.allclose(c.table[:, e], 1.0)
-
-
-def test_conjugate_cocycle():
-    c = tf("Z3").cocycle
-    cc = conjugate_cocycle(c)
-    assert np.allclose(cc.table, np.conj(c.table))
-    assert validate(cc).ok
 
 
 @pytest.mark.parametrize("label, coc", cocycle_fixtures())

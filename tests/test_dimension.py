@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from latdim import (
+    Cocycle,
     ConsistencyError,
     DimensionMismatch,
     ModuleSpec,
@@ -16,7 +17,6 @@ from latdim import (
     all_subgroups,
     build_cyclic,
     cdim_operator,
-    conjugate_cocycle,
     existence_decision,
     full_subgroup,
     gabor_scan,
@@ -215,7 +215,7 @@ def _reference_phi_oracle(spec):
     )
     p = u.conj().T @ p_big @ u
     block_sum = np.einsum("aibi->ab", p.reshape(nl, nb, nl, nb))
-    rho = right_regular(lat, conjugate_cocycle(spec.restricted_cocycle)).matrices
+    rho = right_regular(lat, Cocycle(lat, np.conj(spec.restricted_cocycle.table))).matrices
     avg = np.einsum("xji,jk,xkl->il", rho.conj(), block_sum, rho, optimize=True)
     return avg[:, lat.identity] / nl
 

@@ -28,6 +28,13 @@ def _all_pairs_worst(rep):
     return float(res[x, y]), (x, y)
 
 
+def _law_gaps(rep, s):
+    """[x]: largest entry of pi(x) pi(s) - sigma(x, s) pi(x s), from one dense product."""
+    g, mats, t = rep.group, rep.matrices, rep.cocycle.table
+    r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
+    return r.reshape(g.order, -1).max(axis=1)
+
+
 def _dense_validate_rep(rep, tol=DEFAULT_TOL):
     g, mats = rep.group, rep.matrices
     unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
@@ -36,8 +43,7 @@ def _dense_validate_rep(rep, tol=DEFAULT_TOL):
     comp = np.empty((len(gens), g.order))
     coc = np.empty(len(gens))
     for k, s in enumerate(gens):
-        r = np.abs(mats @ mats[s] - t[:, s, None, None] * mats[g.cayley[:, s]])
-        comp[k] = r.reshape(g.order, -1).max(axis=1)
+        comp[k] = _law_gaps(rep, s)
         coc[k] = np.abs(t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]).max()
     k, x = divmod(int(comp.argmax()), g.order)
     comp_res, worst = float(comp[k, x]), (x, gens[k])
@@ -72,7 +78,13 @@ def _assert_same_report(rep):
     assert got.unitary_residual == want.unitary_residual or (
         np.isnan(got.unitary_residual) and np.isnan(want.unitary_residual))
     assert _close(got.composition_residual, want.composition_residual, 1e-15)
-    assert got.worst_pair == want.worst_pair
+    if not want.composition_residual <= DEFAULT_TOL.tol_id:
+        assert got.worst_pair == want.worst_pair
+    else:
+        # residuals at rounding level: which pair is the largest depends on
+        # rounding, so the pair only has to be within the same 1e-15 of it
+        x, y = got.worst_pair
+        assert want.composition_residual - _law_gaps(rep, y)[x] <= 1e-15
     assert got.message == want.message
 
 

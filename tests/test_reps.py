@@ -10,7 +10,6 @@ from latdim import (
     NotIrreducible,
     WindowNotUnit,
     build_cyclic,
-    conjugate_cocycle,
     formal_dimension,
     full_subgroup,
     irreducible_subrep,
@@ -20,6 +19,7 @@ from latdim import (
     projective_rep,
     symmetric_group,
     trivial,
+    validate,
     validate_rep,
     wavelet,
     windowed_rep,
@@ -27,7 +27,8 @@ from latdim import (
 from latdim.algebra import fixed_space, sandwich_stack
 
 from fixtures_common import (
-    NEAR_TOL, cocycle_fixtures, group, near_rep, rep_fixtures, tf, traced_peak, trivial_irrep,
+    NEAR_TOL, cocycle_fixtures, gauge_twisted, group, near_rep, rep_fixtures, tf, traced_peak,
+    trivial_irrep,
 )
 
 
@@ -317,15 +318,44 @@ def test_irreducible_subrep_cuts_at_the_tolerances_it_is_given():
         irreducible_subrep(near.group, near.cocycle)
 
 
-def _dense_irreducible_subrep(group, cocycle, seed, max_attempts=8):
-    """The cut on the dense |G|^3 left regular stack, as the gathers replaced it."""
-    lam = left_regular(group, cocycle).matrices
-    n = group.order
+class _Dense:
+    """The average |G|^-1 sum_x lam(x) H lam(x)* and the compression on the dense |G|^3 stack."""
+
+    def __init__(self, group, cocycle):
+        self.lam = left_regular(group, cocycle).matrices
+
+    def average(self, h_rand):
+        lam = self.lam
+        return np.einsum("xij,jk,xlk->il", lam, h_rand, lam.conj(), optimize=True) / len(lam)
+
+    def compress(self, q):
+        return np.einsum("ri,xrs,sj->xij", q.conj(), self.lam, q, optimize=True)
+
+
+class _Loop:
+    """The same two steps as one scatter or gather per group element, in O(|G|^2) memory."""
+
+    def __init__(self, group, cocycle):
+        self.rows, self.phases = group.cayley, cocycle.table
+
+    def average(self, h_rand):
+        e = np.zeros_like(h_rand)
+        for rows, ph in zip(self.rows, self.phases):
+            e[np.ix_(rows, rows)] += ph[:, None] * h_rand * ph.conj()
+        return e / len(self.rows)
+
+    def compress(self, q):
+        return np.stack([(q[rows].conj().T * ph) @ q for rows, ph in zip(self.rows, self.phases)])
+
+
+def _reference_irreducible_subrep(group, cocycle, seed, form, max_attempts=8):
+    """The cut with the average over G taken term by term, as the closed form replaced it."""
+    n, steps = group.order, form(group, cocycle)
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt, 0x1D])
         h_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h_rand = h_rand + h_rand.conj().T
-        e = np.einsum("xij,jk,xlk->il", lam, h_rand, lam.conj(), optimize=True) / n
+        e = steps.average(h_rand)
         e = (e + e.conj().T) / 2
         eigvals, eigvecs = np.linalg.eigh(e)
         scale = max(1.0, float(np.abs(eigvals).max()))
@@ -337,21 +367,32 @@ def _dense_irreducible_subrep(group, cocycle, seed, max_attempts=8):
                 clusters.append([i])
         best = max(clusters, key=lambda c: (len(c), -eigvals[c[0]]))
         q = eigvecs[:, best]
-        mats = np.einsum("ri,xrs,sj->xij", q.conj(), lam, q, optimize=True)
-        candidate = projective_rep(group, cocycle, mats)
+        candidate = projective_rep(group, cocycle, steps.compress(q))
         if validate_rep(candidate).ok and is_irreducible(candidate)[0]:
             return candidate
     raise NotIrreducible(f"no irreducible summand found in {max_attempts} attempts")
 
 
-@pytest.mark.parametrize("seed", [0, 1, 3])
-@pytest.mark.parametrize("label, coc", cocycle_fixtures())
-def test_irreducible_subrep_matches_dense_reference(label, coc, seed):
-    got = irreducible_subrep(coc.group, coc, seed=seed)
-    want = _dense_irreducible_subrep(coc.group, coc, seed)
+def _assert_same_cut(group, cocycle, seed, form):
+    got = irreducible_subrep(group, cocycle, seed=seed)
+    want = _reference_irreducible_subrep(group, cocycle, seed, form)
     assert got.dim == want.dim
     chars = np.trace(got.matrices, axis1=1, axis2=2)
     assert np.abs(chars - np.trace(want.matrices, axis1=1, axis2=2)).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("label, coc", cocycle_fixtures() + [
+    # phases other than 1 on every fixture, so that sigma(i, c) read as sigma(c, i) shows
+    (f"{label}-gauged", gauge_twisted(coc)) for label, coc in cocycle_fixtures()
+])
+def test_irreducible_subrep_matches_dense_reference(label, coc, seed):
+    _assert_same_cut(coc.group, coc, seed, _Dense)
+
+
+def test_irreducible_subrep_matches_the_loop_average_at_256():
+    g = group("D8xD8")  # the dense stack would take 256 MiB
+    _assert_same_cut(g, trivial(g), 3, _Loop)
 
 
 def test_irreducible_subrep_memory_is_quadratic():
@@ -364,7 +405,9 @@ def test_irreducible_subrep_memory_is_quadratic():
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_conjugate_rep_validates(label, rep):
     # the entrywise conjugate is a rep over the conjugate cocycle
-    conj = projective_rep(rep.group, conjugate_cocycle(rep.cocycle), rep.matrices.conj())
+    conj = projective_rep(rep.group, Cocycle(rep.group, np.conj(rep.cocycle.table)),
+                          rep.matrices.conj())
+    assert validate(conj.cocycle).ok
     assert validate_rep(conj).ok
     assert np.array_equal(conj.matrices, rep.matrices.conj())
 

@@ -97,6 +97,28 @@ def projective_rep(
     return ProjectiveRep(group, cocycle, matrices.shape[1], matrices, tol)
 
 
+def _monomial_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Column index and phase of the one nonzero in each row of every matrix, or None.
+
+    Both arrays are indexed [x, i].  None unless every entry is finite and
+    every row holds exactly one nonzero.  NaN and inf count as nonzeros, so
+    only the phases need the finiteness check.
+    """
+    n, d, _ = mats.shape
+    mats = np.ascontiguousarray(mats)
+    # an entry is nonzero where its pair of (real, imag) flags, read as one
+    # 16-bit word, is; the flat positions come in row order
+    at = np.flatnonzero((mats.view(np.float64) != 0).view(np.uint16))
+    if at.size != n * d:
+        return None
+    index = at.reshape(n, d) - np.arange(0, n * d * d, d).reshape(n, d)
+    # |G| dim nonzeros fill one a row unless one of them lies outside its row
+    if index.min() < 0 or index.max() >= d:
+        return None
+    phase = np.take(mats, at).reshape(n, d)
+    return (index, phase) if np.isfinite(phase).all() else None
+
+
 def validate_rep(rep: ProjectiveRep) -> RepReport:
     """Check unitarity of every matrix and the twisted composition law, at ``rep.tol``.
 
@@ -106,46 +128,26 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     by induction on the word length of y these two imply
     pi(x) pi(y) = sigma(x, y) pi(xy) for every pair.  Only when that
     check fails are all pairs multiplied, to locate the worst one.
-    The checks run over row blocks of x, so no temporary grows with
-    |G| dim^2 or |G|^2.  Every reduction is a NumPy max or argmax, which
-    keeps a NaN.
-    """
-    g, mats, d, t, tol = rep.group, rep.matrices, rep.dim, rep.cocycle.table, rep.tol
-    gens = np.array((g.identity,) + g.generators)
-    k = len(gens)
-    # [pi(e) pi(s_1) ... pi(s_k)] side by side: pi(x) times each is one product
-    right = mats[gens].transpose(1, 0, 2).reshape(d, k * d)
-    ys, t_s = g.cayley[:, gens], t[:, gens]  # [y, j] = y s_j and sigma(y, s_j)
-    eye = np.eye(d)
-    # row x holds k dim^2 entries of the composition law and k |G| of the cocycle identity
-    blocks = row_blocks(g.order, k * max(d * d, g.order), _BLOCK)
-    unit, coc = np.empty(len(blocks)), np.empty(len(blocks))
-    comp = np.empty((g.order, k))
-    for b, xs in enumerate(blocks):
-        pi_x = mats[xs]
-        unit[b] = np.abs(pi_x.conj().transpose(0, 2, 1) @ pi_x - eye).max()
-        # pi(x) pi(s) = sigma(x, s) pi(xs) for every x of the block and every s
-        lhs = (pi_x.reshape(-1, d) @ right).reshape(-1, d, k, d)  # [x, i, j, l]
-        res = np.take(mats, ys[xs], axis=0)  # [x, j] = pi(x s_j)
-        res *= t_s[xs, :, None, None]
-        np.subtract(lhs.transpose(0, 2, 1, 3), res, out=res)
-        comp[xs] = np.abs(res).reshape(res.shape[0], k, -1).max(axis=2)
-        # sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) for every y and s,
-        # in place and after the law's arrays are freed: two block temporaries at a time
-        del lhs, res
-        t_x = t[xs]
-        lhs = np.take(t_s, g.cayley[xs], axis=0)
-        lhs *= t_x[..., None]
-        res = np.take(t_x, ys, axis=1)
-        res *= t_s
-        lhs -= res
-        coc[b] = np.abs(lhs).max()
-    unit_res = float(unit.max())
-    # first maximum in (s, x) order
-    j, x = divmod(int(comp.T.argmax()), g.order)
-    comp_res, worst = float(comp[x, j]), (x, int(gens[j]))
 
-    if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
+    A stack of finite permutation-phase matrices, one nonzero per row, is
+    checked as (index, phase) rows in O(|G| k dim) gathers over the k
+    generators, with no matrix product; any other stack is multiplied out.
+    Both run over row blocks of x, as does the cocycle identity, so no
+    temporary grows with |G| dim^2 or |G|^2.  Every reduction is a NumPy
+    max or argmax, which keeps a NaN.
+    """
+    g, mats, t, tol = rep.group, rep.matrices, rep.cocycle.table, rep.tol
+    gens = np.array((g.identity,) + g.generators)
+    monomial = _monomial_rows(mats)
+    if monomial is None:
+        unit_res, comp = _dense_law(mats, g, t, gens)
+    else:
+        unit_res, comp = _monomial_law(*monomial, g, t, gens)
+    # first maximum in (s, x) order
+    j, x = divmod(int(comp.argmax()), g.order)
+    comp_res, worst = float(comp[j, x]), (x, int(gens[j]))
+
+    if not (comp_res <= tol.tol_id and _cocycle_gap(g, t, gens) <= tol.tol_id):
         def law_gap(x):  # [y]: largest entry of pi(x) pi(y) - sigma(x, y) pi(xy)
             lhs = mats[x] @ mats
             rhs = t[x][:, None, None] * mats[g.cayley[x]]
@@ -164,6 +166,78 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     else:
         message = "ok"
     return RepReport(ok, unit_res, comp_res, worst, message)
+
+
+def _monomial_law(index: np.ndarray, phase: np.ndarray, g: FiniteGroup, t: np.ndarray,
+                  gens: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unitarity residual and [j, x] composition gaps of the stack that ``_monomial_rows`` read."""
+    n, d = index.shape
+    # pi(x)* pi(x) is diagonal; its entry at a sums |phase|^2 over the rows on column a
+    diag = np.bincount((index + d * np.arange(n)[:, None]).ravel(),
+                       (phase.real ** 2 + phase.imag ** 2).ravel(), n * d)
+    ys, t_s = g.cayley[:, gens].T, t[:, gens].T  # [j, x] = x s_j and sigma(x, s_j)
+    # rows i lead, so that the largest gap over i reduces a leading axis
+    index, phase = index.T.copy(), phase.T.copy()  # [i, x]
+    index_s, phase_s = index[:, gens].T, phase[:, gens].T  # [j, c]
+    comp = np.empty((len(gens), n))
+    for xs in row_blocks(n, len(gens) * d, _BLOCK):
+        # [j, i, x]: row i of pi(x) pi(s_j) holds phase_x(i) phase_s(index_x(i))
+        # at column index_s(index_x(i)), and row i of sigma(x, s_j) pi(x s_j)
+        # holds sigma(x, s_j) phase_xs(i) at column index_xs(i)
+        lhs = np.take(phase_s, index[:, xs], axis=1)
+        lhs *= phase[:, xs]
+        rhs = np.take(phase, ys[:, xs], axis=1).transpose(1, 0, 2)
+        rhs *= t_s[:, None, xs]
+        gap = np.abs(lhs - rhs)
+        # on two columns, the row's largest entry is the larger modulus
+        apart = np.take(index_s, index[:, xs], axis=1)
+        apart = apart != np.take(index, ys[:, xs], axis=1).transpose(1, 0, 2)
+        gap[apart] = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
+        comp[:, xs] = gap.max(axis=1)
+    return float(np.abs(diag - 1).max()), comp
+
+
+def _dense_law(mats: np.ndarray, g: FiniteGroup, t: np.ndarray,
+               gens: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unitarity residual and [j, x] composition gaps, from matrix products."""
+    k, d = len(gens), mats.shape[1]
+    ys, t_s = g.cayley[:, gens], t[:, gens]  # [x, j] = x s_j and sigma(x, s_j)
+    # [pi(e) pi(s_1) ... pi(s_k)] side by side: pi(x) times each is one product
+    right = mats[gens].transpose(1, 0, 2).reshape(d, k * d)
+    eye = np.eye(d)
+    blocks = row_blocks(g.order, k * d * d, _BLOCK)
+    unit = np.empty(len(blocks))
+    comp = np.empty((g.order, k))
+    for b, xs in enumerate(blocks):
+        pi_x = mats[xs]
+        unit[b] = np.abs(pi_x.conj().transpose(0, 2, 1) @ pi_x - eye).max()
+        lhs = (pi_x.reshape(-1, d) @ right).reshape(-1, d, k, d)  # [x, i, j, l]
+        res = np.take(mats, ys[xs], axis=0)  # [x, j] = pi(x s_j)
+        res *= t_s[xs, :, None, None]
+        np.subtract(lhs.transpose(0, 2, 1, 3), res, out=res)
+        comp[xs] = np.abs(res).reshape(res.shape[0], k, -1).max(axis=2)
+    return float(unit.max()), comp.T
+
+
+def _cocycle_gap(g: FiniteGroup, t: np.ndarray, gens: np.ndarray) -> float:
+    """Largest |sigma(x, y) sigma(xy, s) - sigma(x, ys) sigma(y, s)| over x, y and s in ``gens``.
+
+    Over row blocks of x, each generator s a contiguous plane [s, x, y] of
+    |G| entries a row.
+    """
+    t_s = np.ascontiguousarray(t[:, gens].T)  # [j, y] = sigma(y, s_j)
+    ys = np.ascontiguousarray(g.cayley[:, gens].T)  # [j, y] = y s_j
+    blocks = row_blocks(g.order, len(gens) * g.order, _BLOCK)
+    gap = np.empty(len(blocks))
+    for b, xs in enumerate(blocks):
+        t_x = t[xs]
+        lhs = np.take(t_s, g.cayley[xs], axis=1)  # [j, x, y] = sigma(xy, s_j)
+        lhs *= t_x
+        rhs = np.take(t_x, ys, axis=1)  # [x, j, y] = sigma(x, y s_j)
+        rhs *= t_s
+        lhs -= rhs.transpose(1, 0, 2)
+        gap[b] = np.abs(lhs).max()
+    return float(gap.max())
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:

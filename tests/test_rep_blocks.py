@@ -1,10 +1,14 @@
 """The blocked representation checks against dense references.
 
 ``validate_rep`` and the intertwining check of ``wavelet`` run over row
-blocks of a fixed size.  The references below are the dense forms they
+blocks of a fixed size, and ``validate_rep`` reads a stack of finite
+permutation-phase matrices, one nonzero per row, as (index, phase) rows
+with no matrix product.  The references below are the dense forms they
 replace: one |G| x dim^2 product per generator for the composition law,
 one |G| x |G| table per generator for the cocycle identity, and one
-(|G| x dim) product per y for the intertwining check.
+(|G| x dim) product per y for the intertwining check.  On a
+permutation-phase stack, |phase|^2 is rounded differently from BLAS's
+conj(phi) phi, so the unitarity residual matches to 1e-15, not exactly.
 """
 
 import numpy as np
@@ -13,9 +17,9 @@ import pytest
 import latdim.reps
 from latdim import Cocycle, projective_rep, random_window, validate_rep, wavelet
 from latdim.config import DEFAULT_TOL
-from latdim.reps import RepReport, _intertwining_residual
+from latdim.reps import RepReport, _intertwining_residual, _monomial_rows
 
-from fixtures_common import rep_fixtures, tf, traced_peak
+from fixtures_common import pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep
 
 
 def _all_pairs_worst(rep):
@@ -75,8 +79,11 @@ def _close(a, b, atol):
 def _assert_same_report(rep):
     got, want = validate_rep(rep), _dense_validate_rep(rep)
     assert got.ok == want.ok
-    assert got.unitary_residual == want.unitary_residual or (
-        np.isnan(got.unitary_residual) and np.isnan(want.unitary_residual))
+    if _monomial_rows(rep.matrices) is None:
+        assert got.unitary_residual == want.unitary_residual or (
+            np.isnan(got.unitary_residual) and np.isnan(want.unitary_residual))
+    else:
+        assert _close(got.unitary_residual, want.unitary_residual, 1e-15)
     assert _close(got.composition_residual, want.composition_residual, 1e-15)
     if not want.composition_residual <= DEFAULT_TOL.tol_id:
         assert got.worst_pair == want.worst_pair
@@ -107,6 +114,42 @@ def _scaled(rep):
     return projective_rep(rep.group, rep.cocycle, mats)
 
 
+def _shared_column(rep):
+    """Row 1 of the last matrix copied from row 0: a permutation-phase stack misses a column."""
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1, 1] = mats[rep.group.order - 1, 0]
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _scaled_phase(rep):
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1, 0] *= 1 + 1e-6
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _extra_entry(rep):
+    """1e-3 added to the smallest entry of a row: on a permutation-phase stack, a second nonzero unless dim is 1."""
+    mats = rep.matrices.copy()
+    row = mats[rep.group.order - 1, 0]
+    row[np.argmin(np.abs(row))] += 1e-3
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _moved_entry(rep):
+    """Row 1's largest entry moved into row 0: on a permutation-phase stack, as many nonzeros."""
+    mats = rep.matrices.copy()
+    m = mats[rep.group.order - 1]
+    c = np.argmax(np.abs(m[1]))
+    m[0, c], m[1, c] = m[1, c], 0
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _inf_entry(rep):
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1, 0, rep.dim - 1] = np.inf
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
 def _rotated_cocycle_entry(rep):
     table = rep.cocycle.table.copy()
     x = rep.group.order // 2
@@ -127,21 +170,72 @@ def test_blocked_validate_rep_matches_dense_reference(label, rep, block, monkeyp
     assert validate_rep(rep).ok
 
 
+CORRUPTIONS = (_swapped, _nan_entry, _scaled, _rotated_cocycle_entry, _shared_column,
+               _scaled_phase, _extra_entry, _moved_entry, _inf_entry)
+
+
+def _applies(rep, corrupt):
+    # Z1 has no two matrices to swap, and a rep of dim 1 no two rows
+    if corrupt is _swapped:
+        return rep.group.order > 1
+    return rep.dim > 1 or corrupt not in (_shared_column, _moved_entry)
+
+
 @BLOCKS
 @pytest.mark.parametrize("label, rep, corrupt", [
     (label, rep, corrupt)
     for label, rep in rep_fixtures()
-    for corrupt in (_swapped, _nan_entry, _scaled, _rotated_cocycle_entry)
-    if rep.group.order > 1 or corrupt is not _swapped  # Z1 has no two matrices to swap
+    for corrupt in CORRUPTIONS
+    if _applies(rep, corrupt)
 ])
 def test_blocked_validate_rep_matches_dense_reference_on_corrupted_reps(
     label, rep, corrupt, block, monkeypatch
 ):
     monkeypatch.setattr(latdim.reps, "_BLOCK", block)
     bad = corrupt(rep)
-    _assert_same_report(bad)
-    # a swap that is an automorphism of the rep, as on Z3, leaves a sigma-rep
-    assert not validate_rep(bad).ok or corrupt is _swapped
+    # inf times a zero of a matrix product is invalid: the one warning expected here
+    with np.errstate(invalid="ignore" if corrupt is _inf_entry else "warn"):
+        _assert_same_report(bad)
+        # a swap that is an automorphism of the rep, as on Z3, leaves a sigma-rep
+        assert not validate_rep(bad).ok or corrupt is _swapped
+
+
+def test_infinite_entry_gives_the_dense_nan_report():
+    with np.errstate(invalid="ignore"):
+        report = validate_rep(_inf_entry(tf("Z4").rep))
+    assert not report.ok and np.isnan(report.unitary_residual)
+    assert report.message == "matrix is not unitary (residual nan)"
+
+
+# the nonabelian cuts that the routes benchmark validates: dense, random bases
+NONABELIAN_CUTS = [("s3-pauli", pauli_product_irrep())] + [
+    (name, trivial_irrep(name)) for name in ("S3", "D4", "Q8", "S4", "D4xZ2xZ2")]
+ONE_NONZERO_PER_ROW = (_swapped, _scaled, _rotated_cocycle_entry, _shared_column, _scaled_phase)
+DENSE_PATH = (_extra_entry, _moved_entry, _nan_entry, _inf_entry)
+
+
+@pytest.mark.parametrize("base", ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z4xZ4", "Z16"])
+def test_time_frequency_reps_take_the_permutation_phase_path(base, monkeypatch):
+    rep = tf(base).rep
+    monkeypatch.setattr(latdim.reps, "_dense_law", None)  # no matrix product: calling it fails
+    assert validate_rep(projective_rep(rep.group, rep.cocycle, rep.matrices)).ok
+    index, phase = _monomial_rows(rep.matrices)
+    rebuilt = np.zeros_like(rep.matrices)
+    np.put_along_axis(rebuilt, index[..., None], phase[..., None], axis=2)
+    assert np.array_equal(rebuilt, rep.matrices)
+    for corrupt in ONE_NONZERO_PER_ROW + DENSE_PATH:
+        if _applies(rep, corrupt):
+            dense = corrupt in DENSE_PATH and (rep.dim > 1 or corrupt is not _extra_entry)
+            assert (_monomial_rows(corrupt(rep).matrices) is None) == dense, corrupt.__name__
+
+
+@pytest.mark.parametrize("label, rep", NONABELIAN_CUTS)
+def test_nonabelian_cuts_take_the_dense_path(label, rep):
+    assert rep.dim > 1
+    for corrupt in ONE_NONZERO_PER_ROW + DENSE_PATH:
+        assert _monomial_rows(corrupt(rep).matrices) is None, corrupt.__name__
+    assert _monomial_rows(rep.matrices) is None
+    _assert_same_report(rep)
 
 
 @pytest.mark.parametrize("base", ["Z16", "Z4xZ4"])

@@ -249,16 +249,11 @@ def _cmd_cvt(cfg: argparse.Namespace) -> int:
 def _cmd_phi(cfg: argparse.Namespace) -> int:
     rep, lat, spec = _module(cfg)
     fn = spec.dimension_function
-    rows = []
-    for i in range(lat.order):
-        v = fn.values[i]
-        rows.append(
-            {
-                "gamma": int(lat.elements[i]),
-                "value": [float(v.real), float(v.imag)],
-                "regular": bool(spec.regular[i]),
-            }
-        )
+    rows = [
+        {"gamma": gamma, "value": [re, im], "regular": regular}
+        for gamma, re, im, regular in zip(lat.elements.tolist(), fn.values.real.tolist(),
+                                          fn.values.imag.tolist(), spec.regular.tolist())
+    ]
     _emit(
         {
             "group": rep.group.label,

@@ -208,11 +208,13 @@ def regularity(c: Cocycle, tol: Tolerances = DEFAULT_TOL) -> RegularityReport:
 def _regularity(c: Cocycle, tol_id: float) -> RegularityReport:
     g = c.group
     cj = conjugacy(g)
+    abelian = g.is_abelian()  # then every pair commutes, and no mask is needed
     offending = np.empty((g.order, g.order), dtype=bool)
     for xs in row_blocks(g.order, g.order, _BLOCK):
         # the asymmetry stays inline, so no block's temporaries live on into the next block
-        comm = g.cayley[xs] == g.cayley[:, xs].T
-        offending[xs] = comm & (np.abs(c.table[xs] - c.table[:, xs].T) > tol_id)
+        offending[xs] = np.abs(c.table[xs] - c.table[:, xs].T) > tol_id
+        if not abelian:
+            offending[xs] &= g.cayley[xs] == g.cayley[:, xs].T
     regular = ~offending.any(axis=1)
     off = regular[cj.least[cj.class_of]] != regular
     if off.any():
@@ -259,11 +261,8 @@ def weyl_heisenberg(a: FiniteGroup, dual: DualGroup | None = None) -> Cocycle:
     if dual is None:
         dual = dual_group(a)
     big = direct_product(a, dual.group)
-    nd = dual.group.order
-    gidx = np.arange(big.order)
-    x1 = gidx[:, None] // nd
-    w2 = gidx[None, :] % nd
-    table = np.conj(dual.pairing)[w2, x1]
+    # row (x, w) reads conj(w'(x)) over (x', w'), the same for every w
+    table = np.repeat(np.tile(np.conj(dual.pairing).T, (1, a.order)), dual.group.order, axis=0)
     table.setflags(write=False)
     return Cocycle(big, table, label="weyl-heisenberg")
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -122,17 +122,23 @@ def _monomial_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def validate_rep(rep: ProjectiveRep) -> RepReport:
     """Check unitarity of every matrix and the twisted composition law, at ``rep.tol``.
 
-    The law is checked for every x against the generators s (and the
-    identity), together with the cocycle identity
-    sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) on the same s;
-    by induction on the word length of y these two imply
-    pi(x) pi(y) = sigma(x, y) pi(xy) for every pair.  Only when that
-    check fails are all pairs multiplied, to locate the worst one.
+    Unitarity and the law pi(x) pi(s) = sigma(x, s) pi(xs) are checked for
+    every x and every s in S, the generators and the identity.  They alone
+    give pi(x) pi(y) = c(x, y) pi(xy) for every pair and some unimodular
+    scalar c(x, y), by induction on the word length of y: the base case is
+    s = e, and the step is pi(x) pi(ys) = sigma(y, s)^-1 c(x, y) sigma(xy, s) pi(xys).
+    So the law holds on all pairs iff c = sigma, which a second gate checks.
+    On a dense stack it is the cocycle identity
+    sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) on the same s, which
+    gives c = sigma by the same induction.  On a permutation-phase stack it
+    reads c off row 0 in one pass over all pairs: row 0 of pi(x) pi(y)
+    against row 0 of sigma(x, y) pi(xy).  Only when a gate trips are all
+    pairs multiplied, to locate the worst one.
 
     A stack of finite permutation-phase matrices, one nonzero per row, is
     checked as (index, phase) rows in O(|G| k dim) gathers over the k
-    generators, with no matrix product; any other stack is multiplied out.
-    Both run over row blocks of x, as does the cocycle identity, so no
+    generators and O(|G|^2) for row 0, with no matrix product; any other
+    stack is multiplied out.  All of it runs over row blocks of x, so no
     temporary grows with |G| dim^2 or |G|^2.  Every reduction is a NumPy
     max or argmax, which keeps a NaN.
     """
@@ -141,13 +147,15 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     monomial = _monomial_rows(mats)
     if monomial is None:
         unit_res, comp = _dense_law(mats, g, t, gens)
+        scalar_gap = partial(_cocycle_gap, g, t, gens)
     else:
         unit_res, comp = _monomial_law(*monomial, g, t, gens)
+        scalar_gap = partial(_first_row_gap, *monomial, g, t)
     # first maximum in (s, x) order
     j, x = divmod(int(comp.argmax()), g.order)
     comp_res, worst = float(comp[j, x]), (x, int(gens[j]))
 
-    if not (comp_res <= tol.tol_id and _cocycle_gap(g, t, gens) <= tol.tol_id):
+    if not (comp_res <= tol.tol_id and scalar_gap() <= tol.tol_id):
         def law_gap(x):  # [y]: largest entry of pi(x) pi(y) - sigma(x, y) pi(xy)
             lhs = mats[x] @ mats
             rhs = t[x][:, None, None] * mats[g.cayley[x]]
@@ -195,6 +203,33 @@ def _monomial_law(index: np.ndarray, phase: np.ndarray, g: FiniteGroup, t: np.nd
         gap[apart] = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
         comp[:, xs] = gap.max(axis=1)
     return float(np.abs(diag - 1).max()), comp
+
+
+def _first_row_gap(index: np.ndarray, phase: np.ndarray, g: FiniteGroup,
+                   t: np.ndarray) -> float:
+    """Largest gap between row 0 of pi(x) pi(y) and of sigma(x, y) pi(xy), over all pairs.
+
+    Reads the stack that ``_monomial_rows`` read.  Row 0 of pi(x) pi(y)
+    holds phase_x(0) phase_y(c) at column index_y(c), c = index_x(0); row 0
+    of sigma(x, y) pi(xy) holds sigma(x, y) phase_xy(0) at column index_xy(0).
+    """
+    n = g.order
+    index, phase = index.T.copy(), phase.T.copy()  # [i, y]
+    index_0, phase_0 = index[0], phase[0]
+    blocks = row_blocks(n, 4 * n, _BLOCK)
+    gap = np.empty(len(blocks))
+    for b, xs in enumerate(blocks):
+        c, xy = index_0[xs], g.cayley[xs]
+        lhs = phase[c]  # [x, y]
+        lhs *= phase_0[xs, None]
+        rhs = phase_0[xy]
+        rhs *= t[xs]
+        res = np.abs(lhs - rhs)
+        # on two columns, the row's largest entry is the larger modulus
+        apart = index[c] != index_0[xy]
+        res[apart] = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
+        gap[b] = res.max()
+    return float(gap.max())
 
 
 def _dense_law(mats: np.ndarray, g: FiniteGroup, t: np.ndarray,

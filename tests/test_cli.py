@@ -181,6 +181,34 @@ def test_phi_writes_out_file(capsys, tmp_path):
     assert load_json(path)["lattice_order"] == 4
 
 
+def _phi_per_element(cfg):
+    """``phi --out`` with its rows built by indexing one element at a time."""
+    rep, lat, spec = latdim.cli._module(cfg)
+    fn = spec.dimension_function
+    rows = []
+    for i in range(lat.order):
+        v = fn.values[i]
+        rows.append({"gamma": int(lat.elements[i]), "value": [float(v.real), float(v.imag)],
+                     "regular": bool(spec.regular[i])})
+    dump_json({"group": rep.group.label, "lattice_order": lat.order,
+               "dpi_vol": spec.dpi_vol, "rows": rows}, cfg.out)
+
+
+@pytest.mark.parametrize("args", [
+    ("--group", "Z16xZ16", "--cocycle", "weyl-heisenberg"),
+    ("--group", "Z16xZ16", "--cocycle", "weyl-heisenberg", "--lattice", "(1,3),(0,4)"),
+    ("--group", "D4", "--cocycle", "trivial", "--seed", "2"),
+])
+def test_phi_out_is_the_per_element_form(args, capsys, tmp_path):
+    got, want = str(tmp_path / "got.json"), str(tmp_path / "want.json")
+    rc, _, _ = run(capsys, "phi", *args, "--out", got)
+    assert rc == 0
+    cfg = latdim.cli._merge(latdim.cli._build_parser().parse_args(["phi", *args, "--out", want]))
+    _phi_per_element(cfg)
+    with open(got, "rb") as a, open(want, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_phi_tuple_lattice(capsys):
     # pure translations of the Z3 time-frequency group
     rc, out, _ = run(

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import latdim.cocycles as cocycles
 from latdim import (
     DEFAULT_TOL,
     Cocycle,
@@ -24,7 +25,7 @@ from latdim import (
 )
 from latdim.algebra import center_valued_trace_table
 from latdim.cli import _token_group
-from latdim.groups import all_subgroups, cyclic_factor_generators
+from latdim.groups import all_subgroups, conjugacy, cyclic_factor_generators
 
 from fixtures_common import (
     NEAR_TOL,
@@ -313,7 +314,7 @@ def test_regularity_is_class_constant_nonabelian():
 
 @pytest.mark.parametrize("base", [f"Z{m}" for m in range(1, 17)] + ["Z2xZ2", "Z2xZ4", "Z3xZ3", "Z4xZ4"])
 def test_weyl_heisenberg_table_is_the_gathered_conjugate_pairing(base):
-    """Bit-identical to gathering the pairing over the whole table, then conjugating."""
+    """Read-only and bit-identical to gathering the pairing over the whole table, then conjugating."""
     a, factors = _token_group(base)
     dual = dual_group(a, *cyclic_factor_generators(list(factors)))
     got = weyl_heisenberg(a, dual).table
@@ -321,6 +322,24 @@ def test_weyl_heisenberg_table_is_the_gathered_conjugate_pairing(base):
     gidx = np.arange(a.order * nd)
     want = np.conj(dual.pairing[gidx[None, :] % nd, gidx[:, None] // nd])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("block", [cocycles._BLOCK, 1])
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_regularity_matches_the_commutation_mask_formula(label, coc, block, monkeypatch):
+    """On an abelian group the commutation mask is skipped; the report stays the mask formula's."""
+    monkeypatch.setattr(cocycles, "_BLOCK", block)
+    for c in (coc, gauge_twisted(coc)):
+        g, t = c.group, c.table
+        offending = (g.cayley == g.cayley.T) & (np.abs(t - t.T) > DEFAULT_TOL.tol_id)
+        regular = ~offending.any(axis=1)
+        classes = regular[conjugacy(g).least]
+        got = regularity(Cocycle(g, t))
+        assert np.array_equal(got.offending, offending), label
+        assert np.array_equal(got.regular_elements, regular), label
+        assert np.array_equal(got.regular_classes, classes), label
+        assert got.kleppner == (classes.sum() == 1), label
 
 
 def test_a_writable_table_is_copied_and_the_copy_is_read_only():

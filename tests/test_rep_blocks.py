@@ -16,8 +16,8 @@ import pytest
 
 import latdim.reps
 from latdim import Cocycle, projective_rep, random_window, validate_rep, wavelet
-from latdim.config import DEFAULT_TOL
-from latdim.reps import RepReport, _intertwining_residual, _monomial_rows
+from latdim.config import DEFAULT_TOL, Tolerances
+from latdim.reps import RepReport, _first_row_gap, _intertwining_residual, _monomial_rows
 
 from fixtures_common import pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep
 
@@ -39,19 +39,26 @@ def _law_gaps(rep, s):
     return r.reshape(g.order, -1).max(axis=1)
 
 
-def _dense_validate_rep(rep, tol=DEFAULT_TOL):
-    g, mats = rep.group, rep.matrices
-    unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
-    t = rep.cocycle.table
+def _dense_gate(rep):
+    """[k, x] law gaps on e and the generators, and the largest cocycle-identity gap on them."""
+    g, t = rep.group, rep.cocycle.table
     gens = (g.identity,) + g.generators
     comp = np.empty((len(gens), g.order))
     coc = np.empty(len(gens))
     for k, s in enumerate(gens):
         comp[k] = _law_gaps(rep, s)
         coc[k] = np.abs(t * t[g.cayley, s] - t[:, g.cayley[:, s]] * t[:, s]).max()
+    return comp, coc.max()
+
+
+def _dense_validate_rep(rep, tol=DEFAULT_TOL):
+    g, mats = rep.group, rep.matrices
+    unit_res = float(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(rep.dim)).max())
+    gens = (g.identity,) + g.generators
+    comp, coc = _dense_gate(rep)
     k, x = divmod(int(comp.argmax()), g.order)
     comp_res, worst = float(comp[k, x]), (x, gens[k])
-    if not (comp_res <= tol.tol_id and coc.max() <= tol.tol_id):
+    if not (comp_res <= tol.tol_id and coc <= tol.tol_id):
         comp_res, worst = _all_pairs_worst(rep)
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
     if ok:
@@ -77,7 +84,7 @@ def _close(a, b, atol):
 
 
 def _assert_same_report(rep):
-    got, want = validate_rep(rep), _dense_validate_rep(rep)
+    got, want = validate_rep(rep), _dense_validate_rep(rep, rep.tol)
     assert got.ok == want.ok
     if _monomial_rows(rep.matrices) is None:
         assert got.unitary_residual == want.unitary_residual or (
@@ -85,7 +92,7 @@ def _assert_same_report(rep):
     else:
         assert _close(got.unitary_residual, want.unitary_residual, 1e-15)
     assert _close(got.composition_residual, want.composition_residual, 1e-15)
-    if not want.composition_residual <= DEFAULT_TOL.tol_id:
+    if not want.composition_residual <= rep.tol.tol_id:
         assert got.worst_pair == want.worst_pair
     else:
         # residuals at rounding level: which pair is the largest depends on
@@ -150,11 +157,26 @@ def _inf_entry(rep):
     return projective_rep(rep.group, rep.cocycle, mats)
 
 
-def _rotated_cocycle_entry(rep):
+def _rotated_at(rep, x, y):
+    """sigma(x, y) rotated by e^{0.3i}."""
     table = rep.cocycle.table.copy()
-    x = rep.group.order // 2
-    table[x, rep.group.order - 1] *= np.exp(0.3j)
+    table[x, y] *= np.exp(0.3j)
     return projective_rep(rep.group, Cocycle(rep.group, table), rep.matrices)
+
+
+def _rotated_cocycle_entry(rep):
+    return _rotated_at(rep, rep.group.order // 2, rep.group.order - 1)
+
+
+def _off_generator_pair(g):
+    """A pair (x, y) whose y is neither e nor a generator, or None if every y is one."""
+    ys = sorted(set(range(g.order)) - {g.identity, *g.generators})
+    return (g.order // 2, ys[-1]) if ys else None
+
+
+def _cocycle_pair_entry(rep):
+    """sigma rotated at a pair off the generators: the law on them still holds."""
+    return _rotated_at(rep, *_off_generator_pair(rep.group))
 
 
 # The fixtures fit in one block of the default size; a block of one
@@ -171,13 +193,16 @@ def test_blocked_validate_rep_matches_dense_reference(label, rep, block, monkeyp
 
 
 CORRUPTIONS = (_swapped, _nan_entry, _scaled, _rotated_cocycle_entry, _shared_column,
-               _scaled_phase, _extra_entry, _moved_entry, _inf_entry)
+               _scaled_phase, _extra_entry, _moved_entry, _inf_entry, _cocycle_pair_entry)
 
 
 def _applies(rep, corrupt):
-    # Z1 has no two matrices to swap, and a rep of dim 1 no two rows
+    # Z1 has no two matrices to swap, a rep of dim 1 no two rows, and a
+    # group generated by all its nonidentity elements no pair off the generators
     if corrupt is _swapped:
         return rep.group.order > 1
+    if corrupt is _cocycle_pair_entry:
+        return _off_generator_pair(rep.group) is not None
     return rep.dim > 1 or corrupt not in (_shared_column, _moved_entry)
 
 
@@ -210,14 +235,17 @@ def test_infinite_entry_gives_the_dense_nan_report():
 # the nonabelian cuts that the routes benchmark validates: dense, random bases
 NONABELIAN_CUTS = [("s3-pauli", pauli_product_irrep())] + [
     (name, trivial_irrep(name)) for name in ("S3", "D4", "Q8", "S4", "D4xZ2xZ2")]
-ONE_NONZERO_PER_ROW = (_swapped, _scaled, _rotated_cocycle_entry, _shared_column, _scaled_phase)
+ONE_NONZERO_PER_ROW = (_swapped, _scaled, _rotated_cocycle_entry, _shared_column, _scaled_phase,
+                       _cocycle_pair_entry)
 DENSE_PATH = (_extra_entry, _moved_entry, _nan_entry, _inf_entry)
 
 
 @pytest.mark.parametrize("base", ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z4xZ4", "Z16"])
 def test_time_frequency_reps_take_the_permutation_phase_path(base, monkeypatch):
     rep = tf(base).rep
-    monkeypatch.setattr(latdim.reps, "_dense_law", None)  # no matrix product: calling it fails
+    # no matrix product and no cocycle identity: calling either fails
+    monkeypatch.setattr(latdim.reps, "_dense_law", None)
+    monkeypatch.setattr(latdim.reps, "_cocycle_gap", None)
     assert validate_rep(projective_rep(rep.group, rep.cocycle, rep.matrices)).ok
     index, phase = _monomial_rows(rep.matrices)
     rebuilt = np.zeros_like(rep.matrices)
@@ -238,11 +266,52 @@ def test_nonabelian_cuts_take_the_dense_path(label, rep):
     _assert_same_report(rep)
 
 
+def test_a_cocycle_entry_off_the_generators_is_caught_only_by_the_gate():
+    rep = tf("Z4").rep
+    x, y = _off_generator_pair(rep.group)
+    bad = _cocycle_pair_entry(rep)
+    comp, coc = _dense_gate(bad)
+    assert comp.max() < 1e-12 and coc > 0.1
+    report = validate_rep(bad)
+    assert not report.ok and report.worst_pair == (x, y)
+    assert report.message == f"composition law fails at {(x, y)} (residual {abs(np.exp(0.3j) - 1):.3e})"
+
+
+PERMUTATION_PHASE = [(label, rep) for label, rep in rep_fixtures()
+                     if _monomial_rows(rep.matrices) is not None]
+
+
+@pytest.mark.parametrize("label, rep", PERMUTATION_PHASE)
+def test_first_row_gap_trips_exactly_when_the_dense_gate_does(label, rep):
+    g, tol = rep.group, DEFAULT_TOL.tol_id
+    cases = [corrupt(rep) for corrupt in ONE_NONZERO_PER_ROW if _applies(rep, corrupt)]
+    rng = np.random.default_rng(44)
+    cases += [_rotated_at(rep, *(int(v) for v in rng.integers(g.order, size=2)))
+              for _ in range(20)]
+    for bad in [rep] + cases:
+        gap = _first_row_gap(*_monomial_rows(bad.matrices), g, bad.cocycle.table)
+        comp, coc = _dense_gate(bad)
+        assert (not gap <= tol) == (not (comp.max() <= tol and coc <= tol))
+
+
+@pytest.mark.parametrize("label, rep", PERMUTATION_PHASE)
+def test_permutation_phase_reports_match_at_a_loose_tol_id(label, rep):
+    """At tol_id 1.5 a stack whose permutations do not compose can pass the law on
+    the generators; the row-0 gate then takes a gap on two columns as the larger
+    modulus, as the dense reference does."""
+    loose = Tolerances(tol_id=1.5)
+    for corrupt in ONE_NONZERO_PER_ROW:
+        if _applies(rep, corrupt):
+            bad = corrupt(rep)
+            _assert_same_report(projective_rep(bad.group, bad.cocycle, bad.matrices, loose))
+
+
 @pytest.mark.parametrize("base", ["Z16", "Z4xZ4"])
 def test_blocked_validate_rep_matches_dense_reference_at_256(base):
     rep = tf(base).rep
     _assert_same_report(projective_rep(rep.group, rep.cocycle, rep.matrices))
     _assert_same_report(_rotated_cocycle_entry(rep))
+    _assert_same_report(_cocycle_pair_entry(rep))
 
 
 @BLOCKS

@@ -313,7 +313,9 @@ def _cmd_routes(cfg: argparse.Namespace) -> int:
         # one %-format per lattice over its interleaved real and imaginary parts
         head = f"|lattice| {order:3d}  dpi_vol {rep.dim / order:8.4f}  regular %3d  gap %.2e  phi ["
         fmt = head + " ".join(["%+.4f%+.4fj"] * order) + "]"
-        parts = np.stack((closed.real, closed.imag), axis=2).reshape(len(elems), -1)
+        # snapped to a 1e-12 grid first, so that a last-bit move at a tie of the
+        # 4th decimal (+-0.03125, +-0.09375, ...) cannot flip a printed digit
+        parts = np.round(np.stack((closed.real, closed.imag), axis=2), 12).reshape(len(elems), -1)
         print("\n".join(fmt % (n_regular, gap, *values) for values, n_regular, gap
                         in zip(parts.tolist(), regular.tolist(), gaps[-1].tolist())))
     worst = float(np.max(np.concatenate(gaps)))  # keeps a NaN gap, which then fails

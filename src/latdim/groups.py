@@ -165,7 +165,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     cay = cay.reshape(n, n)
     inverse = (g.inverse[:, None] * h.order + h.inverse[None, :]).reshape(n)
     identity = g.identity * h.order + h.identity
-    return FiniteGroup(n, _freeze(cay), int(identity), _freeze(inverse), f"{g.label}x{h.label}")
+    prod = FiniteGroup(n, _freeze(cay), int(identity), _freeze(inverse), f"{g.label}x{h.label}")
+    prod.__dict__["_abelian"] = g.is_abelian() and h.is_abelian()  # no |G|^2 table comparison
+    return prod
 
 
 def _table_group(cay: np.ndarray, label: str) -> FiniteGroup:

@@ -11,15 +11,8 @@ from .cocycles import Cocycle
 from .config import ROW_BLOCK as _BLOCK
 from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
                      WINDOW_NORM, Tolerances, row_blocks)
-from .errors import (
-    ConsistencyError,
-    DimensionMismatch,
-    InputError,
-    NotIrreducible,
-    WindowNotUnit,
-    check_residual,
-    worst_entry,
-)
+from .errors import (ConsistencyError, DimensionMismatch, InputError, NotIrreducible,
+                     WindowNotUnit, check_residual, worst_entry)
 from .groups import FiniteGroup
 
 
@@ -90,8 +83,8 @@ def projective_rep(
         raise DimensionMismatch(
             f"expected ({group.order}, d, d) matrix stack, got {matrices.shape}"
         )
-    if matrices.shape[1] != matrices.shape[2]:
-        raise DimensionMismatch("representation matrices must be square")
+    if matrices.shape[1] != matrices.shape[2] or matrices.shape[1] == 0:
+        raise DimensionMismatch("representation matrices must be square and nonempty")
     if cocycle.group.order != group.order:
         raise DimensionMismatch("cocycle and group orders differ")
     return ProjectiveRep(group, cocycle, matrices.shape[1], matrices, tol)
@@ -100,62 +93,66 @@ def projective_rep(
 def _monomial_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Column index and phase of the one nonzero in each row of every matrix, or None.
 
-    Both arrays are indexed [x, i].  None unless every entry is finite and
-    every row holds exactly one nonzero.  NaN and inf count as nonzeros, so
-    only the phases need the finiteness check.
+    Both arrays are indexed [i, x], rows i leading.  None unless every entry
+    is finite and every row holds exactly one nonzero.  NaN and inf count as
+    nonzeros, so only the phases need the finiteness check.
     """
     n, d, _ = mats.shape
     mats = np.ascontiguousarray(mats)
     # an entry is nonzero where its pair of (real, imag) flags, read as one
-    # 16-bit word, is; the flat positions come in row order
-    at = np.flatnonzero((mats.view(np.float64) != 0).view(np.uint16))
+    # 16-bit word, is; the flat positions come in row order, and a bool mask
+    # is the one np.flatnonzero reads fast
+    at = np.flatnonzero((mats.view(np.float64) != 0).view(np.uint16) != 0)
     if at.size != n * d:
         return None
-    index = at.reshape(n, d) - np.arange(0, n * d * d, d).reshape(n, d)
+    at = np.ascontiguousarray(at.reshape(n, d).T)
+    index = at - np.add.outer(np.arange(0, d * d, d), np.arange(0, n * d * d, d * d))
     # |G| dim nonzeros fill one a row unless one of them lies outside its row
     if index.min() < 0 or index.max() >= d:
         return None
-    phase = np.take(mats, at).reshape(n, d)
+    phase = np.take(mats, at)
     return (index, phase) if np.isfinite(phase).all() else None
 
 
 def validate_rep(rep: ProjectiveRep) -> RepReport:
     """Check unitarity of every matrix and the twisted composition law, at ``rep.tol``.
 
-    Unitarity and the law pi(x) pi(s) = sigma(x, s) pi(xs) are checked for
-    every x and every s in S, the generators and the identity.  They alone
-    give pi(x) pi(y) = c(x, y) pi(xy) for every pair and some unimodular
-    scalar c(x, y), by induction on the word length of y: the base case is
-    s = e, and the step is pi(x) pi(ys) = sigma(y, s)^-1 c(x, y) sigma(xy, s) pi(xys).
-    So the law holds on all pairs iff c = sigma, which a second gate checks.
-    On a dense stack it is the cocycle identity
-    sigma(x, y) sigma(xy, s) = sigma(x, ys) sigma(y, s) on the same s, which
-    gives c = sigma by the same induction.  On a permutation-phase stack it
-    reads c off row 0 in one pass over all pairs: row 0 of pi(x) pi(y)
-    against row 0 of sigma(x, y) pi(xy).  Only when a gate trips are all
-    pairs multiplied, to locate the worst one.
+    The law pi(x) pi(s) = sigma(x, s) pi(xs) for every x and every s in S,
+    the identity and the generators, and unitarity give
+    pi(x) pi(y) = c(x, y) pi(xy) for every pair and some unimodular scalar
+    c(x, y), by induction on the word length of y: the step is
+    pi(x) pi(ys) = sigma(y, s)^-1 c(x, y) sigma(xy, s) pi(xys).  Row 0 of
+    the unitary pi(xy) is not zero, so the law holds on all pairs iff row 0
+    of it does.  Each stack form has one law kernel, which checks given
+    rows of the law for every x and given y.  It runs on every row and S,
+    for the reported residual and pair, and then on row 0 and every y, a
+    block of y at a time, as the one gate in front of the all-pairs search
+    for the worst pair.
 
     A stack of finite permutation-phase matrices, one nonzero per row, is
-    checked as (index, phase) rows in O(|G| k dim) gathers over the k
-    generators and O(|G|^2) for row 0, with no matrix product; any other
-    stack is multiplied out.  All of it runs over row blocks of x, so no
-    temporary grows with |G| dim^2 or |G|^2.  Every reduction is a NumPy
-    max or argmax, which keeps a NaN.
+    read as (index, phase) rows and checked by gathers, with no matrix
+    product; any other stack is multiplied out.  Everything runs over
+    blocks of about ``_BLOCK`` entries, so no temporary grows with
+    |G| dim^2 or |G|^2, and every reduction is a NumPy max or argmax,
+    which keeps a NaN.
     """
     g, mats, t, tol = rep.group, rep.matrices, rep.cocycle.table, rep.tol
     gens = np.array((g.identity,) + g.generators)
     monomial = _monomial_rows(mats)
     if monomial is None:
-        unit_res, comp = _dense_law(mats, g, t, gens)
-        scalar_gap = partial(_cocycle_gap, g, t, gens)
+        unit_res, law = _dense_unitarity(mats), partial(_dense_law, mats, g, t)
     else:
-        unit_res, comp = _monomial_law(*monomial, g, t, gens)
-        scalar_gap = partial(_first_row_gap, *monomial, g, t)
+        unit_res, law = _monomial_unitarity(*monomial), partial(_monomial_law, *monomial, g, t)
+    comp = law(slice(None), gens)
     # first maximum in (s, x) order
     j, x = divmod(int(comp.argmax()), g.order)
     comp_res, worst = float(comp[j, x]), (x, int(gens[j]))
 
-    if not (comp_res <= tol.tol_id and scalar_gap() <= tol.tol_id):
+    # the gate: row 0 on every y, in blocks of y whose [j, x] gaps and pi(y) each
+    # hold at most about _BLOCK entries
+    y_blocks = row_blocks(g.order, max(g.order, rep.dim ** 2), _BLOCK)
+    if not (comp_res <= tol.tol_id
+            and np.max([law(slice(0, 1), ys).max() for ys in y_blocks]) <= tol.tol_id):
         def law_gap(x):  # [y]: largest entry of pi(x) pi(y) - sigma(x, y) pi(xy)
             lhs = mats[x] @ mats
             rhs = t[x][:, None, None] * mats[g.cayley[x]]
@@ -164,115 +161,82 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
         comp_res, worst = worst_entry(g.order, law_gap)
 
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
-    if not ok:
-        if not unit_res <= tol.tol_unit:
-            message = f"matrix is not unitary (residual {unit_res:.3e})"
-        else:
-            message = (
-                f"composition law fails at {worst} (residual {comp_res:.3e})"
-            )
+    if not unit_res <= tol.tol_unit:
+        message = f"matrix is not unitary (residual {unit_res:.3e})"
+    elif not ok:
+        message = f"composition law fails at {worst} (residual {comp_res:.3e})"
     else:
         message = "ok"
     return RepReport(ok, unit_res, comp_res, worst, message)
 
 
-def _monomial_law(index: np.ndarray, phase: np.ndarray, g: FiniteGroup, t: np.ndarray,
-                  gens: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unitarity residual and [j, x] composition gaps of the stack that ``_monomial_rows`` read."""
-    n, d = index.shape
+def _monomial_unitarity(index: np.ndarray, phase: np.ndarray) -> float:
+    """Largest entry of pi(x)* pi(x) - I over the stack that ``_monomial_rows`` read."""
+    d, n = index.shape
     # pi(x)* pi(x) is diagonal; its entry at a sums |phase|^2 over the rows on column a
-    diag = np.bincount((index + d * np.arange(n)[:, None]).ravel(),
+    diag = np.bincount((index + d * np.arange(n)).ravel(),
                        (phase.real ** 2 + phase.imag ** 2).ravel(), n * d)
-    ys, t_s = g.cayley[:, gens].T, t[:, gens].T  # [j, x] = x s_j and sigma(x, s_j)
-    # rows i lead, so that the largest gap over i reduces a leading axis
-    index, phase = index.T.copy(), phase.T.copy()  # [i, x]
-    index_s, phase_s = index[:, gens].T, phase[:, gens].T  # [j, c]
-    comp = np.empty((len(gens), n))
-    for xs in row_blocks(n, len(gens) * d, _BLOCK):
-        # [j, i, x]: row i of pi(x) pi(s_j) holds phase_x(i) phase_s(index_x(i))
-        # at column index_s(index_x(i)), and row i of sigma(x, s_j) pi(x s_j)
-        # holds sigma(x, s_j) phase_xs(i) at column index_xs(i)
-        lhs = np.take(phase_s, index[:, xs], axis=1)
-        lhs *= phase[:, xs]
-        rhs = np.take(phase, ys[:, xs], axis=1).transpose(1, 0, 2)
-        rhs *= t_s[:, None, xs]
-        gap = np.abs(lhs - rhs)
-        # on two columns, the row's largest entry is the larger modulus
-        apart = np.take(index_s, index[:, xs], axis=1)
-        apart = apart != np.take(index, ys[:, xs], axis=1).transpose(1, 0, 2)
-        gap[apart] = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
-        comp[:, xs] = gap.max(axis=1)
-    return float(np.abs(diag - 1).max()), comp
+    return float(np.abs(diag - 1).max())
 
 
-def _first_row_gap(index: np.ndarray, phase: np.ndarray, g: FiniteGroup,
-                   t: np.ndarray) -> float:
-    """Largest gap between row 0 of pi(x) pi(y) and of sigma(x, y) pi(xy), over all pairs.
+def _monomial_law(index: np.ndarray, phase: np.ndarray, g: FiniteGroup, t: np.ndarray,
+                  rows: slice, ys: slice | np.ndarray) -> np.ndarray:
+    """[j, x] gaps: largest entry of rows ``rows`` of pi(x) pi(y_j) - sigma(x, y_j) pi(x y_j).
 
-    Reads the stack that ``_monomial_rows`` read.  Row 0 of pi(x) pi(y)
-    holds phase_x(0) phase_y(c) at column index_y(c), c = index_x(0); row 0
-    of sigma(x, y) pi(xy) holds sigma(x, y) phase_xy(0) at column index_xy(0).
+    Reads the [i, x] stack that ``_monomial_rows`` read.
+    Row i of pi(x) pi(y) holds phase_x(i) phase_y(c) at column index_y(c),
+    c = index_x(i), and row i of sigma(x, y) pi(xy) holds sigma(x, y) phase_xy(i)
+    at column index_xy(i).
     """
     n = g.order
-    index, phase = index.T.copy(), phase.T.copy()  # [i, y]
-    index_0, phase_0 = index[0], phase[0]
-    blocks = row_blocks(n, 4 * n, _BLOCK)
-    gap = np.empty(len(blocks))
-    for b, xs in enumerate(blocks):
-        c, xy = index_0[xs], g.cayley[xs]
-        lhs = phase[c]  # [x, y]
-        lhs *= phase_0[xs, None]
-        rhs = phase_0[xy]
-        rhs *= t[xs]
-        res = np.abs(lhs - rhs)
+    xy, t_y = np.ascontiguousarray(g.cayley[:, ys]), t[:, ys]  # [x, j] = x y_j and sigma(x, y_j)
+    # [c, j]: row c of pi(y_j), so that row c of every y_j is one contiguous gather
+    index_y, phase_y = (np.ascontiguousarray(a[:, ys]) for a in (index, phase))
+    index, phase = index[rows], phase[rows]
+    comp = np.empty(xy.shape)
+    for xs in row_blocks(n, 4 * len(index) * xy.shape[1], _BLOCK):  # ~4 entries a (row, y)
+        # [i, x, j], so that the largest gap over i reduces a leading axis
+        c, xy_s = index[:, xs], xy[xs]
+        apart = index_y.take(c, axis=0) != index.take(xy_s, axis=1)
+        lhs = phase_y.take(c, axis=0)
+        lhs *= phase[:, xs, None]
+        rhs = phase.take(xy_s, axis=1)
+        rhs *= t_y[xs]
         # on two columns, the row's largest entry is the larger modulus
-        apart = index[c] != index_0[xy]
-        res[apart] = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
-        gap[b] = res.max()
-    return float(gap.max())
+        apart_gap = np.maximum(np.abs(lhs[apart]), np.abs(rhs[apart]))
+        gap = np.abs(np.subtract(lhs, rhs, out=rhs))
+        gap[apart] = apart_gap
+        np.maximum.reduce(gap, axis=0, out=comp[xs])
+    return comp.T
 
 
-def _dense_law(mats: np.ndarray, g: FiniteGroup, t: np.ndarray,
-               gens: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unitarity residual and [j, x] composition gaps, from matrix products."""
-    k, d = len(gens), mats.shape[1]
-    ys, t_s = g.cayley[:, gens], t[:, gens]  # [x, j] = x s_j and sigma(x, s_j)
-    # [pi(e) pi(s_1) ... pi(s_k)] side by side: pi(x) times each is one product
-    right = mats[gens].transpose(1, 0, 2).reshape(d, k * d)
-    eye = np.eye(d)
-    blocks = row_blocks(g.order, k * d * d, _BLOCK)
-    unit = np.empty(len(blocks))
-    comp = np.empty((g.order, k))
-    for b, xs in enumerate(blocks):
-        pi_x = mats[xs]
-        unit[b] = np.abs(pi_x.conj().transpose(0, 2, 1) @ pi_x - eye).max()
-        lhs = (pi_x.reshape(-1, d) @ right).reshape(-1, d, k, d)  # [x, i, j, l]
-        res = np.take(mats, ys[xs], axis=0)  # [x, j] = pi(x s_j)
-        res *= t_s[xs, :, None, None]
+def _dense_unitarity(mats: np.ndarray) -> float:
+    """Largest entry of pi(x)* pi(x) - I, over row blocks of x."""
+    d = mats.shape[1]
+    return float(np.max([np.abs(mats[xs].conj().transpose(0, 2, 1) @ mats[xs] - np.eye(d)).max()
+                         for xs in row_blocks(len(mats), d * d, _BLOCK)]))
+
+
+def _dense_law(mats: np.ndarray, g: FiniteGroup, t: np.ndarray, rows: slice,
+               ys: slice | np.ndarray) -> np.ndarray:
+    """The [j, x] gaps of ``_monomial_law``, from matrix products on any stack."""
+    d = mats.shape[1]
+    xy, t_y = g.cayley[:, ys], t[:, ys]  # [x, j] = x y_j and sigma(x, y_j)
+    k = xy.shape[1]
+    # [pi(y_1) ... pi(y_k)] side by side: the rows of pi(x) times each are one product
+    right = mats[ys].transpose(1, 0, 2).reshape(d, k * d)
+    at = mats[:, rows]  # [x, i, l]
+    r = at.shape[1]
+    comp = np.empty(xy.shape)
+    for xs in row_blocks(g.order, k * r * d, _BLOCK):
+        lhs = (at[xs].reshape(-1, d) @ right).reshape(-1, r, k, d)  # [x, i, j, l]
+        res = at.take(xy[xs], axis=0)  # [x, j, i, l] = rows of pi(x y_j)
+        res *= t_y[xs, :, None, None]
         np.subtract(lhs.transpose(0, 2, 1, 3), res, out=res)
-        comp[xs] = np.abs(res).reshape(res.shape[0], k, -1).max(axis=2)
-    return float(unit.max()), comp.T
-
-
-def _cocycle_gap(g: FiniteGroup, t: np.ndarray, gens: np.ndarray) -> float:
-    """Largest |sigma(x, y) sigma(xy, s) - sigma(x, ys) sigma(y, s)| over x, y and s in ``gens``.
-
-    Over row blocks of x, each generator s a contiguous plane [s, x, y] of
-    |G| entries a row.
-    """
-    t_s = np.ascontiguousarray(t[:, gens].T)  # [j, y] = sigma(y, s_j)
-    ys = np.ascontiguousarray(g.cayley[:, gens].T)  # [j, y] = y s_j
-    blocks = row_blocks(g.order, len(gens) * g.order, _BLOCK)
-    gap = np.empty(len(blocks))
-    for b, xs in enumerate(blocks):
-        t_x = t[xs]
-        lhs = np.take(t_s, g.cayley[xs], axis=1)  # [j, x, y] = sigma(xy, s_j)
-        lhs *= t_x
-        rhs = np.take(t_x, ys, axis=1)  # [x, j, y] = sigma(x, y s_j)
-        rhs *= t_s
-        lhs -= rhs.transpose(1, 0, 2)
-        gap[b] = np.abs(lhs).max()
-    return float(gap.max())
+        # [(i, l), (x, j)], so that the largest gap over (i, l) reduces a leading axis
+        gap = np.abs(res.reshape(-1, r * d).T, order="C")
+        np.maximum.reduce(gap, axis=0, out=comp[xs].reshape(-1))
+    return comp.T
 
 
 def is_irreducible(rep: ProjectiveRep) -> tuple[bool, int]:

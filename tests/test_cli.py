@@ -925,6 +925,24 @@ def test_routes_names_the_rep_group_on_every_path(capsys, tmp_path):
     assert built[1].startswith("group Z2xZ2^, order 4, irrep dim 2\n")
 
 
+@pytest.mark.parametrize("shift", [1e-16, -1e-16])
+def test_routes_digits_hold_under_a_last_bit_move_at_a_tie(capsys, monkeypatch, shift):
+    # on the full lattice of Z32, phi(e) = 1/32 = 0.03125 is a tie of the 4th decimal
+    rc, want, _ = run(capsys, "routes", "--group", "Z32")
+    assert rc == 0 and "phi [+0.0312+0.0000j " in want
+    real = latdim.cli.phi_values
+
+    def moved(*args):
+        values = real(*args)
+        values.real[np.abs(values.real) > 1e-3] += shift  # zeros keep their sign
+        return values
+
+    monkeypatch.setattr("latdim.cli.phi_values", moved)
+    rc, out, _ = run(capsys, "routes", "--group", "Z32")
+    assert rc == 0
+    assert _masked(out) == _masked(want)
+
+
 def test_routes_exit_1_when_the_routes_disagree(capsys, monkeypatch):
     def perturbed(*args):
         values = phi_oracle_values(*args)

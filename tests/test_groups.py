@@ -76,6 +76,15 @@ def test_direct_product_componentwise():
     assert g.label == "Z2xZ3"
 
 
+@pytest.mark.parametrize("name", [name for name in GROUP_NAMES if "x" in name] + [
+    "S3xZ2", "Z2xS3", "Q8xZ2", "S3xS3", "D4xZ2xZ2", "S4xZ2xZ2", "D8xD8", "S5xZ2", "D4xD4xZ2xZ2",
+    "Z16xZ16", "Z4xZ4xZ4xZ4", "tf-Z6", "tf-Z4xZ4", "tf-Z16"])
+def test_direct_product_reads_abelian_off_its_factors(name):
+    g = tf(name[3:]).group if name.startswith("tf-") else group(name)
+    assert "_abelian" in vars(g)  # set when the product was built, before any table comparison
+    assert g.is_abelian() == bool(np.array_equal(g.cayley, g.cayley.T))
+
+
 def test_symmetric_group_structure():
     s3 = symmetric_group(3)
     assert s3.order == 6

@@ -1,15 +1,20 @@
 """The blocked representation checks against dense references.
 
-``validate_rep`` and the intertwining check of ``wavelet`` run over row
+``validate_rep`` and the intertwining check of ``wavelet`` run over
 blocks of a fixed size, and ``validate_rep`` reads a stack of finite
 permutation-phase matrices, one nonzero per row, as (index, phase) rows
-with no matrix product.  The references below are the dense forms they
-replace: one |G| x dim^2 product per generator for the composition law,
-one |G| x |G| table per generator for the cocycle identity, and one
-(|G| x dim) product per y for the intertwining check.  On a
-permutation-phase stack, |phase|^2 is rounded differently from BLAS's
-conj(phi) phi, so the unitarity residual matches to 1e-15, not exactly.
+with no matrix product.  The references below are dense forms that share
+none of that code: one |G| x dim^2 product per generator for the
+composition law and one (|G| x dim) product per y for the intertwining
+check.  In front of the all-pairs search, ``validate_rep`` checks row 0
+of the law on every pair, and the reference checks the cocycle identity
+on the generators, one |G| x |G| table each; both trip exactly when the
+law fails on some pair, so the reports agree.  On a permutation-phase
+stack, |phase|^2 is rounded differently from BLAS's conj(phi) phi, so
+the unitarity residual matches to 1e-15, not exactly.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ import pytest
 import latdim.reps
 from latdim import Cocycle, projective_rep, random_window, validate_rep, wavelet
 from latdim.config import DEFAULT_TOL, Tolerances
-from latdim.reps import RepReport, _first_row_gap, _intertwining_residual, _monomial_rows
+from latdim.reps import (RepReport, _dense_law, _intertwining_residual, _monomial_law,
+                         _monomial_rows)
 
 from fixtures_common import pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep
 
@@ -243,13 +249,13 @@ DENSE_PATH = (_extra_entry, _moved_entry, _nan_entry, _inf_entry)
 @pytest.mark.parametrize("base", ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z4xZ4", "Z16"])
 def test_time_frequency_reps_take_the_permutation_phase_path(base, monkeypatch):
     rep = tf(base).rep
-    # no matrix product and no cocycle identity: calling either fails
+    # no matrix product: calling either dense step fails
     monkeypatch.setattr(latdim.reps, "_dense_law", None)
-    monkeypatch.setattr(latdim.reps, "_cocycle_gap", None)
+    monkeypatch.setattr(latdim.reps, "_dense_unitarity", None)
     assert validate_rep(projective_rep(rep.group, rep.cocycle, rep.matrices)).ok
     index, phase = _monomial_rows(rep.matrices)
     rebuilt = np.zeros_like(rep.matrices)
-    np.put_along_axis(rebuilt, index[..., None], phase[..., None], axis=2)
+    np.put_along_axis(rebuilt, index.T[..., None], phase.T[..., None], axis=2)
     assert np.array_equal(rebuilt, rep.matrices)
     for corrupt in ONE_NONZERO_PER_ROW + DENSE_PATH:
         if _applies(rep, corrupt):
@@ -281,16 +287,28 @@ PERMUTATION_PHASE = [(label, rep) for label, rep in rep_fixtures()
                      if _monomial_rows(rep.matrices) is not None]
 
 
-@pytest.mark.parametrize("label, rep", PERMUTATION_PHASE)
+def _row_0_gap(rep):
+    """Largest gap of row 0 of the law over all pairs, from the law kernel of the stack's form."""
+    monomial = _monomial_rows(rep.matrices)
+    law = partial(_dense_law, rep.matrices) if monomial is None else partial(_monomial_law, *monomial)
+    return law(rep.group, rep.cocycle.table, slice(0, 1), slice(None)).max()
+
+
+@pytest.mark.parametrize("label, rep", PERMUTATION_PHASE + NONABELIAN_CUTS)
 def test_first_row_gap_trips_exactly_when_the_dense_gate_does(label, rep):
     g, tol = rep.group, DEFAULT_TOL.tol_id
-    cases = [corrupt(rep) for corrupt in ONE_NONZERO_PER_ROW if _applies(rep, corrupt)]
+    cases = [corrupt(rep) for corrupt in ONE_NONZERO_PER_ROW + DENSE_PATH if _applies(rep, corrupt)]
     rng = np.random.default_rng(44)
     cases += [_rotated_at(rep, *(int(v) for v in rng.integers(g.order, size=2)))
               for _ in range(20)]
+    off = sorted(set(range(g.order)) - {g.identity, *g.generators})
+    cases += [_rotated_at(rep, int(rng.integers(g.order)), int(rng.choice(off)))
+              for _ in range(20 if off else 0)]
     for bad in [rep] + cases:
-        gap = _first_row_gap(*_monomial_rows(bad.matrices), g, bad.cocycle.table)
-        comp, coc = _dense_gate(bad)
+        # inf times a zero of a matrix product is invalid
+        with np.errstate(invalid="ignore"):
+            gap = _row_0_gap(bad)
+            comp, coc = _dense_gate(bad)
         assert (not gap <= tol) == (not (comp.max() <= tol and coc <= tol))
 
 

@@ -59,6 +59,8 @@ def test_projective_rep_shape_errors():
         projective_rep(g, coc, np.zeros((3, 2, 3)))
     with pytest.raises(DimensionMismatch):
         projective_rep(g, trivial(build_cyclic(4)), np.zeros((3, 1, 1)))
+    with pytest.raises(DimensionMismatch):
+        projective_rep(g, coc, np.zeros((3, 0, 0)))
 
 
 def test_projective_rep_casts_to_complex():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regularity, tilde_table
-from .config import DEFAULT_TOL, EIG_CUT, FIXED_RESIDUAL, PSD_ASYMMETRY, Tolerances
+from .config import CHARACTER_NORM, DEFAULT_TOL, PSD_ASYMMETRY, Tolerances
 from .errors import DimensionMismatch, NotHermitian, check_residual
 from .groups import FiniteGroup
 
@@ -197,52 +197,21 @@ def is_sigma_positive_definite(values: np.ndarray, cocycle: Cocycle,
     return min_eig >= -tol.tol_psd * scale, min_eig
 
 
-def fixed_space(unitaries: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as rows, of {v : U v = v for every U in the stack}.
-
-    ``unitaries`` has shape (m, N, N).  Candidates span the null space of
-    H = sum_U (2 I - U - U^*); each one is kept only if it is fixed by every
-    U directly.  An empty stack fixes the whole space.
-    """
-    m, size, _ = unitaries.shape
-    s = unitaries.sum(axis=0)
-    h = 2.0 * m * np.eye(size) - s - s.conj().T
-    eigvals, eigvecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(eigvals).max()))
-    cand = eigvecs[:, eigvals < EIG_CUT * scale]
-    if m:
-        res = np.abs(unitaries @ cand - cand).max(axis=(0, 1))
-        cand = cand[:, res < FIXED_RESIDUAL]
-    return cand.T
-
-
-def sandwich_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack of a[k] kron conj(b[k]).
-
-    These are the maps A -> a[k] A b[k]^* acting on row-major vec(A).
-    """
-    m = a.shape[0]
-    out = np.einsum("kij,klm->kiljm", a, b.conj())
-    return out.reshape(m, a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
-
-
 def center_dimension(group: FiniteGroup, cocycle: Cocycle) -> int:
-    """Dimension of the center of the twisted group algebra.
+    """Dimension of the center of the twisted group algebra: its regular classes.
 
-    The center is the fixed space of the conjugations a -> lam(x) a lam(x)^*
-    on coefficient vectors, for x in a generating set.  Each one is monomial:
-    lam(x) lam(g) lam(x)^* = sigma(x, g) sigma(xg, x^-1) conj(sigma(x, x^-1))
-    lam(x g x^-1).
+    It is |G|^-1 sum over commuting pairs (x, y) of sigma(x, y) conj(sigma(y, x)).
+    For each x, y -> sigma(x, y) / sigma(y, x) is a character of the
+    centralizer C(x), trivial exactly when x is regular; its mean over C(x)
+    is 1 or 0, and the weight |C(x)| / |G| = 1 / |class of x| counts each
+    regular class once.  Only the Cayley and cocycle tables are read, so
+    the count stays independent of ``regularity``.  A sum off an integer
+    by more than CHARACTER_NORM (rel) raises ConsistencyError.
     """
-    n = group.order
     t = cocycle.table
-    g_all = np.arange(n)
-    gens = group.generators
-    stack = np.zeros((len(gens), n, n), dtype=np.complex128)
-    for k, x in enumerate(gens):
-        xg = group.cayley[x, g_all]
-        xinv = group.inverse[x]
-        stack[k, group.cayley[xg, xinv], g_all] = (
-            t[x, g_all] * t[xg, xinv] * np.conj(t[x, xinv])
-        )
-    return len(fixed_space(stack))
+    commuting = group.cayley == group.cayley.T
+    total = np.vdot(t.T[commuting], t[commuting]) / group.order
+    k = np.rint(total.real)
+    check_residual("center dimension distance to an integer", abs(total - k),
+                   CHARACTER_NORM * max(1.0, abs(total)))
+    return int(k)

@@ -38,12 +38,12 @@ PHI_IDENTITY = 1e-9  # phi(e) vs dpi_vol (rel); phi vs dpi_vol delta_e in the sc
 BLOCK_TRACE = 1e-8  # phi_oracle's diagonal block trace vs dpi_vol (rel)
 DENSITY_SLACK = 1e-9  # slack on dpi_vol <= n/d and dpi_vol >= n/d
 PARSEVAL = 1e-8  # Parseval bounds vs 1, S^-1/2 commutation, basis orthonormality
+FRAME_CONDITION = 1e6  # largest condition tightened: S^-1/2 errs by ~30 eps times it < PARSEVAL
 ORTHOGONALITY = 1e-8  # Schur orthogonality relation (rel)
 WAVELET = 1e-10  # wavelet intertwining and isometry
 PSD_ASYMMETRY = 1e-8  # convolution operator asymmetry vs its 2-norm (rel)
 CDIM_ASYMMETRY = 1e-9  # Phi asymmetry vs its largest entry (rel)
-EIG_CUT = 1e-6  # relative eigenvalue cut: fixed-space null space, irrep clusters
-FIXED_RESIDUAL = 1e-7  # |U v - v| a fixed-space candidate may keep
+EIG_CUT = 1e-6  # relative gap that splits eigenvalue clusters in the irrep cut
 CHARACTER_NORM = 1e-9  # character norm vs its nearest integer (rel)
 
 # Bounds on request sizes, checked before the allocations they would cause.

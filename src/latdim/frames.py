@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import conv_operator, fixed_space, sandwich_stack
-from .config import DEFAULT_TOL, DENSITY_SLACK, PARSEVAL, SYSTEM_ENTRIES, Tolerances
+from .config import (DEFAULT_TOL, DENSITY_SLACK, FRAME_CONDITION, PARSEVAL, SYSTEM_ENTRIES,
+                     Tolerances)
 from .dimension import ModuleSpec
 from .errors import (BoundExceeded, ConsistencyError, DimensionMismatch, Infeasible,
                      check_residual)
@@ -221,21 +221,17 @@ def density_check(
 def intertwiner_basis(spec: ModuleSpec) -> np.ndarray:
     """Orthonormal basis of lattice-equivariant maps into lattice functions.
 
-    Returns shape (m, |lattice|, dim): matrices W with
+    Returns shape (dim, |lattice|, dim): matrices W with
     W pi(gamma) = lambda(gamma) W for every lattice element, where
-    lambda is the twisted left translation on the lattice.  Found as
-    the common fixed space of lambda(gamma) kron conj(pi(gamma)) over
-    a generating set of the lattice.
+    lambda is the twisted left translation on the lattice.  W_k sends v to
+    mu -> <pi(mu) e_k, v> / sqrt(|lattice|).  Each one intertwines by the
+    composition law, which every spec's validated rep carries:
+    pi(gamma)^-1 pi(mu) = conj(sigma(gamma, gamma^-1 mu)) pi(gamma^-1 mu).
+    They are orthonormal since every pi(mu) is unitary, and they span the
+    space, whose dimension is sum_j m_j d_j = dim.
     """
-    lat = spec.lattice_group
-    gens = list(lat.generators)
-    deltas = np.eye(lat.order)[gens]  # lambda(x) is convolution by delta_x
-    lam = np.array(
-        [conv_operator(e, spec.restricted_cocycle) for e in deltas]
-    ).reshape(len(gens), lat.order, lat.order)
-    pis = spec.rep.matrices[spec.lattice.elements[gens]]
-    basis = fixed_space(sandwich_stack(lam, pis))
-    return basis.reshape(len(basis), lat.order, spec.rep.dim)
+    pis = spec.rep.matrices[spec.lattice.elements]
+    return pis.conj().transpose(2, 0, 1) / np.sqrt(spec.lattice.order)
 
 
 def construct_parseval_generators(
@@ -248,7 +244,8 @@ def construct_parseval_generators(
     SYSTEM_ENTRIES entries (n |lattice| vectors of length d dim).  On a
     feasible cell a generic system is a frame, so this
     takes the canonical tight frame S^-1/2 g of a seeded random system,
-    drawing a fresh one (at most 8 times) while the draw is not a frame.
+    drawing a fresh one (at most 8 times) while the draw is not a frame
+    or its frame operator's condition number exceeds FRAME_CONDITION.
     S^-1/2 must commute with the lattice action, and the result is
     verified Parseval before it is returned: both frame bounds within
     PARSEVAL of 1.  On a square cell (n |lattice| = d dim) those are the
@@ -274,7 +271,7 @@ def construct_parseval_generators(
         except Infeasible:
             continue
     else:
-        raise ConsistencyError("no seeded system is a frame on a feasible cell")
+        raise ConsistencyError("no seeded system is a well-conditioned frame on a feasible cell")
     check_residual("commutation residual of S^-1/2", comm_res, PARSEVAL)
 
     report = frame_report(tight)
@@ -290,7 +287,8 @@ def tighten(sys: MultiwindowSystem):
     stacked generator.  Also returns the commutation residual of that
     correction against the lattice action, which the theory says is
     zero.  Raises Infeasible when the smallest eigenvalue of the frame
-    operator is at most the rep's tol_frame times the largest.
+    operator is at most the rep's tol_frame times the largest, or when
+    its condition number exceeds FRAME_CONDITION.
     """
     w = _system_vectors(sys)
     s = w.T @ w.conj()
@@ -298,6 +296,8 @@ def tighten(sys: MultiwindowSystem):
     eigvals, eigvecs = np.linalg.eigh(s)
     if eigvals[-1] <= 0 or eigvals[0] <= sys.rep.tol.tol_frame * eigvals[-1]:
         raise Infeasible("system is not a frame, cannot tighten")
+    if eigvals[-1] > FRAME_CONDITION * eigvals[0]:
+        raise Infeasible(f"ill-conditioned frame operator: condition {eigvals[-1] / eigvals[0]:.2e}")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 
     pis = sys.rep.matrices[sys.lattice.elements]

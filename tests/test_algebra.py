@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from latdim import (
     Cocycle,
+    ConsistencyError,
     adjoint,
     build_cyclic,
     center_dimension,
@@ -21,8 +22,10 @@ from latdim import (
     weyl_heisenberg,
 )
 
-from latdim.algebra import center_valued_trace_table, fixed_space
+from latdim.algebra import center_valued_trace_table
 
+import dense_reference
+from dense_reference import fixed_space
 from fixtures_common import (
     cocycle_fixtures,
     gauge_twisted,
@@ -374,6 +377,40 @@ def test_center_dimension_under_gauge_twist(label, coc):
     twisted = gauge_twisted(coc)
     want = int(regularity(twisted).regular_classes.sum())
     assert center_dimension(g, twisted) == center_dimension(g, coc) == want
+
+
+@pytest.mark.parametrize("gauged", [False, True])
+@pytest.mark.parametrize("label, coc", cocycle_fixtures())
+def test_center_dimension_matches_dense_reference(label, coc, gauged):
+    """The commuting-pair sum, the dense fixed-space solve and the regular class count agree."""
+    coc = gauge_twisted(coc) if gauged else coc
+    g = coc.group
+    want = int(regularity(coc).regular_classes.sum())
+    assert center_dimension(g, coc) == dense_reference.center_dimension(g, coc) == want
+
+
+@pytest.mark.parametrize("name, cocycle", [
+    ("D4xD4xZ2xZ2", trivial), ("S5xZ2", trivial),
+    ("Z16", weyl_heisenberg), ("Z4xZ4", weyl_heisenberg),
+])
+def test_center_dimension_at_the_largest_groups_in_small_memory(name, cocycle):
+    """At |G| = 240 and 256 the commuting-pair sum holds a few |G|^2 tables, not a k x |G| x |G| stack."""
+    coc = cocycle(group(name))
+    g = coc.group
+    assert g.order in (240, 256)
+    got, peak = traced_peak(center_dimension, g, coc)
+    assert got == dense_reference.center_dimension(g, coc) == int(
+        regularity(coc).regular_classes.sum())
+    assert peak < 3 << 20, peak
+
+
+def test_center_dimension_refuses_a_sum_off_an_integer():
+    g = group("Z2xZ4")
+    table = trivial(g).table.copy()
+    x, y = 1, 2  # every pair of an abelian group commutes
+    table[x, y] *= np.exp(0.3j)
+    with pytest.raises(ConsistencyError, match="center dimension distance to an integer"):
+        center_dimension(g, Cocycle(g, table))
 
 
 def test_fixed_space_empty_stack_is_whole_space():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,16 @@ from latdim import (
     Tolerances,
     all_subgroups,
     build_cyclic,
+    build_tf,
     construct_parseval_generators,
+    conv_operator,
     decision_grids,
     density_check,
     existence_decision,
     frame_report,
     full_subgroup,
     intertwiner_basis,
+    left_regular,
     make_module_spec,
     multiwindow_system,
     projective_rep,
@@ -26,9 +31,11 @@ from latdim import (
     subgroup_generated,
     tighten,
 )
-from latdim.config import SYSTEM_ENTRIES
+from latdim.cli import _tf_parts
+from latdim.config import PARSEVAL, SYSTEM_ENTRIES
 
-from fixtures_common import pauli_product_irrep, rep_fixtures, tf, trivial_irrep
+import dense_reference
+from fixtures_common import pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep
 from latdim.frames import _commutation_residual, _system_vectors
 
 
@@ -342,6 +349,45 @@ def test_intertwiner_basis_trivial_lattice_spans_everything():
     assert basis.shape[0] == t.rep.dim  # no constraint, one row per dim
 
 
+def _projector(basis):
+    flat = basis.reshape(len(basis), -1)
+    return flat.T @ flat.conj()
+
+
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_intertwiner_basis_matches_dense_reference(label, rep):
+    """On every lattice: the reference's span, orthonormal, and W pi(gamma) = lambda(gamma) W."""
+    for sub in all_subgroups(rep.group):
+        spec = make_module_spec(rep, sub)
+        basis = intertwiner_basis(spec)
+        assert basis.shape == (rep.dim, sub.order, rep.dim)
+        ref = dense_reference.intertwiner_basis(spec)
+        assert np.abs(_projector(basis) - _projector(ref)).max() < 1e-12
+        flat = basis.reshape(rep.dim, -1)
+        assert np.abs(flat @ flat.conj().T - np.eye(rep.dim)).max() < 1e-12
+        lam = left_regular(spec.lattice_group, spec.restricted_cocycle).matrices
+        pis = rep.matrices[sub.elements]
+        gap = basis[:, None] @ pis - lam @ basis[:, None]
+        assert np.abs(gap).max() < 1e-12
+
+
+def test_intertwiner_basis_at_256_is_quick_and_small():
+    """Z16xZ16 Weyl-Heisenberg on its full lattice: a dense solve has side 4096 there."""
+    spec = _wh_spec("Z16")
+    start = time.perf_counter()
+    basis, peak = traced_peak(intertwiner_basis, spec)
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4 << 20, peak
+    assert basis.shape == (16, 256, 16)
+    flat = basis.reshape(16, -1)
+    assert np.abs(flat @ flat.conj().T - np.eye(16)).max() < 1e-12
+    gens = list(spec.lattice_group.generators)
+    deltas = np.eye(spec.lattice.order)[gens]
+    lam = np.array([conv_operator(e, spec.restricted_cocycle) for e in deltas])
+    gap = basis[:, None] @ spec.rep.matrices[spec.lattice.elements[gens]] - lam @ basis[:, None]
+    assert np.abs(gap).max() < 1e-12
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 3), (3, 2)])
 def test_construct_parseval(n, d):
     spec = _wh_spec("Z2")  # dpi_vol = 1/2, frame iff n/d >= 1/2
@@ -379,6 +425,29 @@ def test_construct_catches_a_non_orthonormal_basis_cell(monkeypatch):
     monkeypatch.setattr(frames_mod, "tighten", scaled)
     with pytest.raises(ConsistencyError, match="distance of the frame bounds from 1"):
         construct_parseval_generators(spec, 1, 2, seed=3)
+
+
+def test_construct_redraws_an_ill_conditioned_frame():
+    """The |lattice| = 16 square cell of the Z2xZ2xZ4 scan at n = d = 3, seed 0.
+
+    The first draw's frame operator has condition number 2.7e7, and its
+    S^-1/2 missed commutation by 1.8e-7.  It is redrawn, and the second
+    draw passes both checks at PARSEVAL.
+    """
+    base, dual, _ = _tf_parts("Z2xZ2xZ4")
+    t = build_tf(base, dual)
+    lattice = subgroup_generated(t.group, [0, 2, 9, 11, 68, 70, 77, 79, 128, 130, 137, 139,
+                                           196, 198, 205, 207])
+    assert lattice.order == 16
+    spec = make_module_spec(t.rep, lattice)
+    with pytest.raises(Infeasible, match="ill-conditioned"):
+        tighten(random_system(spec, 3, 3, seed=0))
+    gens = construct_parseval_generators(spec, 3, 3, seed=0)
+    tight, comm_res = tighten(random_system(spec, 3, 3, seed=1))
+    assert np.array_equal(gens, tight.generators)
+    assert comm_res <= PARSEVAL
+    report = frame_report(tight)
+    assert max(abs(report.lower - 1.0), abs(report.upper - 1.0)) <= PARSEVAL
 
 
 def test_construct_infeasible_cell():

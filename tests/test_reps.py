@@ -24,8 +24,8 @@ from latdim import (
     wavelet,
     windowed_rep,
 )
-from latdim.algebra import fixed_space, sandwich_stack
 
+from dense_reference import fixed_space, sandwich_stack
 from fixtures_common import (
     NEAR_TOL, cocycle_fixtures, gauge_twisted, group, near_rep, rep_fixtures, tf, traced_peak,
     trivial_irrep,

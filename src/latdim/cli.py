@@ -22,8 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import center_valued_trace_table
-from .cocycles import (Cocycle, lattice_regular, regularity, restricted_tables, trivial, validate,
-                       weyl_heisenberg)
+from .cocycles import Cocycle, lattice_regular, regularity, trivial, validate, weyl_heisenberg
 from .config import TF_BASE, Tolerances
 from .dimension import (ModuleSpec, make_module_spec, phi_oracle_values, phi_values,
                         random_window, windowed_rep)
@@ -34,7 +33,7 @@ from .gabor import audit_rows, build_tf, gabor_scan, read_scan_csv, write_scan_c
 from .groups import (SUBGROUP_ENUM_BOUND, DualGroup, FiniteGroup, Subgroup, block_slices,
                      build_cyclic, cyclic_factor_generators, dihedral, direct_product,
                      dual_group, full_subgroup, quaternion, subgroup_blocks, subgroup_generated,
-                     subgroup_tables, symmetric_group, trivial_subgroup)
+                     symmetric_group, trivial_subgroup)
 from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
 from .serialize import (_typed, cocycle_from_json, complex_to_pairs, dump_json,
                         generators_to_json, load_json, read_cayley_text, rep_from_json)
@@ -304,10 +303,8 @@ def _cmd_routes(cfg: argparse.Namespace) -> int:
     gaps = []
     for elems in block_slices(subgroup_blocks(g)):
         order = elems.shape[1]
-        cayley, inverse, _ = subgroup_tables(g, elems)  # block place b*m + i is place i of row b
         closed = phi_values(source, elems)
-        oracle = phi_oracle_values(source, elems, cayley % order, inverse % order,
-                                   restricted_tables(rep.cocycle, elems))
+        oracle = phi_oracle_values(source, elems)
         gaps.append(np.abs(closed - oracle).max(axis=1))
         regular = np.count_nonzero(lattice_regular(rep.cocycle, elems, rep.tol), axis=1)
         # one %-format per lattice over its interleaved real and imaginary parts

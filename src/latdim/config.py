@@ -35,7 +35,7 @@ DEFAULT_TOL = Tolerances()
 # scaled by max(1, size of the compared quantity) where they are applied.
 WINDOW_NORM = 1e-9  # | |window| - 1 |
 PHI_IDENTITY = 1e-9  # phi(e) vs dpi_vol (rel); phi vs dpi_vol delta_e in the scan
-BLOCK_TRACE = 1e-8  # phi_oracle's diagonal block trace vs dpi_vol (rel)
+BLOCK_TRACE = 1e-8  # phi_oracle's Tr P / |lattice| vs dpi_vol (rel)
 DENSITY_SLACK = 1e-9  # slack on dpi_vol <= n/d and dpi_vol >= n/d
 PARSEVAL = 1e-8  # Parseval bounds vs 1, S^-1/2 commutation, basis orthonormality
 FRAME_CONDITION = 1e6  # largest condition tightened: S^-1/2 errs by ~30 eps times it < PARSEVAL

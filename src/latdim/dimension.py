@@ -2,9 +2,10 @@
 
 Two independent routes compute the same function phi on the lattice:
 ``phi`` evaluates a closed-form class sum over the whole group, and
-``phi_oracle`` builds the module embedding explicitly and reads the
-answer off a projection.  Their agreement is the main correctness
-property of the package.
+``phi_oracle`` realizes the module inside functions on the group and
+reads the answer off its range projection P, as the trace
+Tr(lambda_sigma(gamma)* P) / |lattice| against the twisted left regular
+rep.  Their agreement is the main correctness property of the package.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ import numpy as np
 from .algebra import conv_operators
 from .cocycles import Cocycle, lattice_regular, regularity, restrict
 from .config import BLOCK_TRACE, CDIM_ASYMMETRY, PHI_IDENTITY
-from .errors import (
-    ConsistencyError,
-    DimensionMismatch,
-    NotHermitian,
-    NotIrreducible,
-    check_residual,
-)
-from .groups import FiniteGroup, Subgroup, generated_subgroups, right_transversal
+from .errors import DimensionMismatch, NotHermitian, NotIrreducible, check_residual
+from .groups import FiniteGroup, Subgroup, generated_subgroups
 from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
 
 # Lattices below this order keep the dense solve of Phi: a stacked eigvalsh
@@ -40,9 +35,9 @@ class WindowedRep:
     functions on the group; the dimension function does not depend on
     the choice.  Each route reads its own cached field and never the
     other's: ``phi`` reads ``class_sums``, built from ``diagonal`` on
-    the group's regular elements, and ``phi_oracle`` reads
-    ``projection``, built from ``transform``.  Build one with
-    ``windowed_rep`` and cut a module for each lattice with ``spec``.
+    the group's regular elements, and ``phi_oracle`` reads ``traces``,
+    built from ``transform``.  Build one with ``windowed_rep`` and cut a
+    module for each lattice with ``spec``.
     """
 
     rep: ProjectiveRep
@@ -83,12 +78,19 @@ class WindowedRep:
         return wavelet(self.rep, self.window)
 
     @cached_property
-    def projection(self) -> np.ndarray:
-        """d_pi V V*, the range projection of the module inside functions on the group."""
+    def traces(self) -> np.ndarray:
+        """Read-only Tr(lambda_sigma(gamma)* P) at each element gamma of the group.
+
+        P = d_pi V V* is the module's range projection, built from ``transform``
+        and not kept.  lambda_sigma(gamma) delta_x = sigma(gamma, x) delta_(gamma x),
+        so the trace is sum_x conj(sigma(gamma, x)) P[gamma x, x].
+        """
         t = self.transform
-        p_big = t.rep.dim / t.rep.group.order * (t.matrix @ t.matrix.conj().T)
-        p_big.setflags(write=False)
-        return p_big
+        g, n = t.rep.group, t.rep.group.order
+        p = t.rep.dim / n * (t.matrix @ t.matrix.conj().T)
+        traces = np.sum(np.conj(t.rep.cocycle.table) * p[g.cayley, np.arange(n)], axis=1)
+        traces.setflags(write=False)
+        return traces
 
     def spec(self, lattice: Subgroup) -> ModuleSpec:
         """The module of this rep and window over ``lattice``."""
@@ -261,56 +263,31 @@ def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int) -> np.nda
 
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
     """Dimension function by the module embedding: ``phi_oracle_values`` on a block of one."""
-    lat = spec.lattice_group
-    values = phi_oracle_values(spec.windowed, spec.lattice.elements[None], lat.cayley[None],
-                               lat.inverse[None], spec.restricted_cocycle.table[None])[0]
+    values = phi_oracle_values(spec.windowed, spec.lattice.elements[None])[0]
     return PhiFunction(values, spec.restricted_cocycle)
 
 
-def phi_oracle_values(source: WindowedRep, elems: np.ndarray, cayley: np.ndarray,
-                      inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
+def phi_oracle_values(source: WindowedRep, elems: np.ndarray) -> np.ndarray:
     """Dimension function on each lattice of a block, by the explicit module embedding.
 
-    Row b of ``elems`` holds one lattice's elements in increasing order, and
-    ``cayley``, ``inverse`` and ``table`` its Cayley table and inverses, in
-    places 0..m-1 of that row, and its restricted cocycle.  Steps: realize
-    the module inside functions on the big group via the scaled wavelet
-    isometry, with range projection P; transport P to lattice x transversal
-    coordinates through the coset relabeling u delta_(gamma, y) =
-    sigma(gamma, y) delta_(gamma y), a permutation-phase unitary, so
-    (u* P u)[(a, i), (b, i')] is conj(sigma(a, y_i)) P[a y_i, b y_i']
-    sigma(b, y_i'); sum its diagonal blocks i = i' into B, gathering only
-    those |lattice| |G| entries of P; average B over the twisted right
-    translations of the conjugate restricted cocycle (the center-valued
-    trace of the block algebra) and read phi off the identity column, which
-    is the gather |lattice|^-1 sum_b sigma(i b^-1, b) conj(sigma(b^-1, b))
-    B[i b^-1, b^-1], taken over c = b^-1 so that i c is the lattice's own
-    Cayley table.  Only ``WindowedRep.projection`` is read; no use of the
-    class formula anywhere.
+    Row b of ``elems`` holds one lattice's elements in increasing order.  The
+    embedding relabels G as lattice x right transversal, x = c y, sums the
+    diagonal blocks of the relabeled range projection P and averages them over
+    the lattice's twisted right translations.  The cocycle identity at (gamma,
+    c, c^-1) and at (gamma, c, y) reduces every phase of that sum to
+    conj(sigma(gamma, c y)), and x = c y runs over G exactly once, so
+
+        phi(gamma) = |lattice|^-1 sum_x conj(sigma(gamma, x)) P[gamma x, x]
+                   = Tr(lambda_sigma(gamma)* P) / |lattice|,
+
+    read off ``WindowedRep.traces`` with no transversal and no lattice table.
+    At gamma = e it is Tr P / |lattice| = dpi_vol, checked once per block.
     """
-    g = source.rep.group
-    nb, m = elems.shape
-    rows = np.arange(nb)
-
-    # x = gamma * y is unique for y in a right transversal
-    bs = right_transversal(g, elems)
-    flat = g.cayley[elems[:, :, None], bs[:, None, :]]  # [l, a, i] = a y_i
-    hit = np.zeros((nb, g.order), dtype=bool)
-    hit[rows[:, None], flat.reshape(nb, -1)] = True
-    if flat[0].size != g.order or not hit.all():
-        raise ConsistencyError("coset factorization is not unique")
-    vals = source.rep.cocycle.table[elems[:, :, None], bs[:, None, :]]
-    blocks = np.take(source.projection, flat[:, :, None, :] * g.order + flat[:, None, :, :])
-    block_sum = np.einsum("labi,lai,lbi->lab", blocks, np.conj(vals), vals)
-    e = cayley[rows, 0, inverse[:, 0]]  # the identity's place in each row
-    dpi_vol = source.rep.dim / m
-    check_residual("|diagonal block trace - dpi_vol|",
-                   np.abs(block_sum[rows, e, e].real - dpi_vol), BLOCK_TRACE * max(1.0, dpi_vol))
-
-    r = rows[:, None, None]
-    phases = table[r, cayley, inverse[:, None, :]]  # [l, i, c] = sigma(i c, c^-1)
-    terms = phases * block_sum[r, cayley, np.arange(m)] * np.conj(phases[rows, e])[:, None, :]
-    return terms.sum(axis=2) / m
+    m, dpi_vol = elems.shape[1], source.rep.dim / elems.shape[1]
+    trace_p = source.traces[source.rep.group.identity]
+    check_residual("|Tr P / |lattice| - dpi_vol|", abs(trace_p / m - dpi_vol),
+                   BLOCK_TRACE * max(1.0, dpi_vol))
+    return source.traces[elems] / m
 
 
 def cdim_operator(fn: PhiFunction) -> np.ndarray:

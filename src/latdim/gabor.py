@@ -71,6 +71,9 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     Validates the whole stack: twisted composition law and unitarity at
     ``tol``, which the rep carries, irreducibility, and that only the
     identity class is regular for the twist at the default tolerances.
+    That last check tests this construction, not ``tol``: the twist is
+    Kleppner on every finite abelian base, the pairing being nondegenerate;
+    ``tol`` governs the rep's validation and regular masks.
     A rep that fails validation at a ``tol`` other than the default is
     bad input (InputError); at the default it is an internal fault.
     Pass a precomputed dual to pin the coordinate basis; by default the

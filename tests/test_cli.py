@@ -1162,6 +1162,25 @@ def test_built_in_and_file_reps_agree(capsys, tmp_path, command, tol):
     assert built == run(capsys, *command, "--group", "Z2xZ2", "--rep", path, *tol)
 
 
+def test_tol_id_governs_the_rep_and_kleppner_reports_at_it(capsys):
+    """build_tf checks its own twist's Kleppner condition at the defaults, not at --tol-id.
+
+    At tol_id 2.5 every element of Z2xZ2 Weyl-Heisenberg passes as regular, so
+    ``kleppner`` says no, while every verdict on the full lattice still matches
+    the exact density predicate: frame iff n |lattice| >= d |base|, riesz iff <=.
+    """
+    for n in (1, 2, 3):
+        for d in (1, 2, 3):
+            rc, out, _ = run(capsys, "decide", *_WH, "--lattice", "full", "--n", str(n),
+                             "--d", str(d), "--tol-id", "2.5")
+            frame, riesz = 4 * n >= 2 * d, 4 * n <= 2 * d  # |lattice| = 4, |base| = 2
+            yes = {True: "yes", False: "no"}
+            want = f"frame {yes[frame]}\nriesz {yes[riesz]}\nbasis {yes[frame and riesz]}\n"
+            assert (rc, out) == (0, want), (n, d)
+    rc, out, _ = run(capsys, "kleppner", *_WH, "--tol-id", "2.5")
+    assert (rc, out) == (0, "kleppner no\nregular-elements 4 of 4\n")
+
+
 @pytest.mark.parametrize("tol", _TOLS)
 def test_routes_on_a_cocycle_file_agrees_with_its_cut_rep_from_a_file(capsys, tmp_path, tol):
     t = tf("Z2")

@@ -6,12 +6,12 @@ import pytest
 
 from latdim import (
     Cocycle,
-    ConsistencyError,
     DimensionMismatch,
     ModuleSpec,
     NotHermitian,
     NotIrreducible,
     PhiFunction,
+    Subgroup,
     WindowNotUnit,
     WindowedRep,
     all_subgroups,
@@ -20,7 +20,9 @@ from latdim import (
     existence_decision,
     full_subgroup,
     gabor_scan,
+    irreducible_subrep,
     is_sigma_positive_definite,
+    left_regular,
     make_module_spec,
     phi,
     phi_oracle,
@@ -29,6 +31,7 @@ from latdim import (
     regularity,
     right_regular,
     right_transversal,
+    subgroup_blocks,
     subgroup_generated,
     trivial,
     trivial_subgroup,
@@ -39,7 +42,7 @@ from latdim import (
 import latdim.dimension as dim_mod
 from latdim import cli
 
-from fixtures_common import (gauge_twisted_rep, near_rep, pauli_product_irrep, rep_fixtures, tf,
+from fixtures_common import (gauge_twisted_rep, group, near_rep, pauli_product_irrep, rep_fixtures, tf,
                              traced_peak, trivial_irrep)
 
 
@@ -230,16 +233,25 @@ def test_phi_oracle_matches_dense_reference(label, rep):
             assert np.abs(got - _reference_phi_oracle(spec)).max() < 1e-12, (label, sub.elements)
 
 
-def test_phi_oracle_rejects_a_non_unique_coset_factorization(monkeypatch):
-    rep = tf("Z2").rep
-    spec = make_module_spec(rep, subgroup_generated(rep.group, [1]))
-    good = right_transversal(rep.group, spec.lattice.elements[None])
-    assert good.shape == (1, rep.group.order // spec.lattice.order)
-    monkeypatch.setattr(
-        "latdim.dimension.right_transversal", lambda g, h: np.full_like(good, good[0, 0])
-    )
-    with pytest.raises(ConsistencyError, match="coset factorization is not unique"):
-        phi_oracle(spec)
+@pytest.mark.parametrize("label, rep", rep_fixtures())
+def test_traces_are_the_traces_of_the_dense_left_regular_rep_against_p(label, rep):
+    """traces[gamma] is Tr(lambda_sigma(gamma)* P), with lambda the dense left regular stack."""
+    source = windowed_rep(rep, random_window(rep.dim, 8))
+    v = source.transform.matrix
+    p = rep.dim / rep.group.order * (v @ v.conj().T)
+    lam = left_regular(rep.group, rep.cocycle).matrices
+    want = np.einsum("gyx,yx->g", lam.conj(), p)  # Tr(lam(g)* P) = sum conj(lam[y, x]) P[y, x]
+    assert np.abs(source.traces - want).max() < 1e-12, label
+
+
+def test_phi_oracle_matches_dense_reference_on_one_lattice_per_order_of_d8xd8():
+    g = group("D8xD8")
+    rep = irreducible_subrep(g, trivial(g), seed=3)
+    source = windowed_rep(rep, random_window(rep.dim, 3))
+    for elems in subgroup_blocks(g):
+        spec = source.spec(Subgroup(g, elems[0]))
+        got = phi_oracle(spec).values
+        assert np.abs(got - _reference_phi_oracle(spec)).max() < 1e-12, elems.shape[1]
 
 
 @pytest.mark.parametrize("gens, order", [
@@ -274,7 +286,7 @@ def test_phi_values_are_positive_definite():
     for label, rep in rep_fixtures():
         sub = full_subgroup(rep.group)
         fn = phi(make_module_spec(rep, sub))
-        assert is_sigma_positive_definite(fn.values, fn.cocycle)
+        assert is_sigma_positive_definite(fn.values, fn.cocycle)[0], label
         op = cdim_operator(fn)
         assert np.linalg.eigvalsh(op).min() > -1e-9
 
@@ -371,26 +383,26 @@ def test_scan_computes_one_diagonal_per_rep_window(monkeypatch):
 
 
 def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):
-    """And one oracle projection, shared by every lattice."""
+    """And one vector of oracle traces, shared by every lattice."""
     diagonals = _count_computations(monkeypatch, "diagonal")
-    projections = _count_computations(monkeypatch, "projection")
+    traces = _count_computations(monkeypatch, "traces")
     wavelets = []
     real = dim_mod.wavelet
     monkeypatch.setattr(dim_mod, "wavelet", lambda *a: wavelets.append(1) or real(*a))
     assert cli.main(["routes", "--group", "Z3xZ3", "--cocycle", "weyl-heisenberg"]) == 0
     lattices = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|lattice|")]
     assert len(lattices) == len(all_subgroups(tf("Z3").group)) > 1
-    assert (len(diagonals), len(wavelets), len(projections)) == (1, 1, 1)
+    assert (len(diagonals), len(wavelets), len(traces)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
 def test_each_route_reads_only_its_own_field(monkeypatch, label, rep):
-    """phi never reads the wavelet transform or its projection, phi_oracle never
+    """phi never reads the wavelet transform or the oracle's traces, phi_oracle never
     the diagonal, the class sums, phi or phi_values."""
     source = windowed_rep(rep, random_window(rep.dim, 2))
     spec = source.spec(full_subgroup(rep.group))
     with monkeypatch.context() as m:
-        for name in ("transform", "projection"):
+        for name in ("transform", "traces"):
             m.setattr(WindowedRep, name, property(lambda self, name=name: pytest.fail(f"phi read {name}")))
         closed = phi(spec)
     with monkeypatch.context() as m:
@@ -409,7 +421,7 @@ def test_windowed_rep_window_is_a_checked_read_only_copy():
     window *= 2
     assert not source.window.flags.writeable
     assert not source.diagonal.flags.writeable
-    assert not source.projection.flags.writeable
+    assert not source.traces.flags.writeable
     assert np.linalg.norm(source.window) == pytest.approx(1.0)
     with pytest.raises(WindowNotUnit):
         windowed_rep(rep, window)

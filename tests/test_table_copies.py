@@ -1,6 +1,6 @@
 """Per-lattice and per-request work against the dense forms it replaced.
 
-``phi_oracle`` gathers only the diagonal blocks of the transported
+``phi_oracle`` reads one trace per lattice element off the module's
 projection, an abelian group's conjugation table is a broadcast view,
 the restriction to the whole group is the cocycle itself, ``regularity``
 runs over row blocks, and ``WindowedRep.class_sums`` takes each class sum
@@ -49,7 +49,9 @@ def _full_gather_phi_oracle(spec):
     bs = np.asarray(right_transversal(g, spec.lattice.elements), dtype=np.int64)
     flat = g.cayley[elems[:, None], bs[None, :]].ravel()
     vals = spec.rep.cocycle.table[elems[:, None], bs[None, :]].ravel()
-    p = np.conj(vals)[:, None] * spec.windowed.projection[flat[:, None], flat] * vals
+    v = spec.windowed.transform.matrix
+    p_big = spec.rep.dim / g.order * (v @ v.conj().T)
+    p = np.conj(vals)[:, None] * p_big[flat[:, None], flat] * vals
     block_sum = np.einsum("aibi->ab", p.reshape(lat.order, bs.size, lat.order, bs.size))
     return _average_column(lat, np.conj(spec.restricted_cocycle.table), "right", block_sum)
 
@@ -69,7 +71,7 @@ def test_phi_oracle_on_an_order_16_lattice_of_d8xd8_gathers_no_square_table():
     sub = subgroup_generated(g, [2, 32])  # r^2 in each factor, index 16 a + b
     assert sub.order == 16
     spec = make_module_spec(rep, sub, window=random_window(rep.dim, 3))
-    spec.windowed.projection, spec.lattice_group  # built once per rep and per lattice
+    spec.windowed.traces, spec.lattice_group  # built once per rep and per lattice
     fn, peak = traced_peak(phi_oracle, spec)
     assert np.abs(fn.values - phi(spec).values).max() < 1e-12
     assert peak < 512 * 1024

@@ -218,29 +218,29 @@ def read_scan_csv(path: str) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(SCAN_COLUMNS):
-            raise InputError(
-                f"{path}: expected columns {','.join(SCAN_COLUMNS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for i, raw in enumerate(reader, start=2):
-            # DictReader fills a short row with None and files extras under None
-            if None in raw or None in raw.values():
-                raise InputError(f"{path} line {i}: expected {len(SCAN_COLUMNS)} fields")
-            try:
-                row = {key: parse(raw[key]) for key, parse in SCAN_COLUMNS.items()}
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"{path} line {i}: {exc}") from exc
-            if row["n"] < 1 or row["d"] < 1:
-                raise InputError(f"{path} line {i}: n and d must be at least 1")
-            if not np.isfinite(row["dpi_vol"]):
-                raise InputError(f"{path} line {i}: dpi_vol must be finite")
-            for key in ("frame", "riesz", "basis"):
-                if row[key] not in ("yes", "no"):
-                    raise InputError(
-                        f"{path} line {i}: {key} must be yes or no, got {row[key]!r}"
-                    )
-            rows.append(row)
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(SCAN_COLUMNS):
+                raise InputError(f"{path}: expected columns {','.join(SCAN_COLUMNS)}, "
+                                 f"got {reader.fieldnames}")
+            for i, raw in enumerate(reader, start=2):
+                # DictReader fills a short row with None and files extras under None
+                if None in raw or None in raw.values():
+                    raise InputError(f"{path} line {i}: expected {len(SCAN_COLUMNS)} fields")
+                try:
+                    row = {key: parse(raw[key]) for key, parse in SCAN_COLUMNS.items()}
+                except (KeyError, ValueError) as exc:
+                    raise InputError(f"{path} line {i}: {exc}") from exc
+                if row["n"] < 1 or row["d"] < 1:
+                    raise InputError(f"{path} line {i}: n and d must be at least 1")
+                if not np.isfinite(row["dpi_vol"]):
+                    raise InputError(f"{path} line {i}: dpi_vol must be finite")
+                for key in ("frame", "riesz", "basis"):
+                    if row[key] not in ("yes", "no"):
+                        raise InputError(f"{path} line {i}: {key} must be yes or no, "
+                                         f"got {row[key]!r}")
+                rows.append(row)
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise InputError(f"{path} line {reader.reader.line_num}: {exc}") from None
     return rows
 
 

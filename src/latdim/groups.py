@@ -2,8 +2,8 @@
 
 Elements are the integers 0..order-1. A group is its Cayley table plus the
 derived identity and inverse data. A subgroup is its parent and its sorted
-elements; ``right_transversal`` picks one representative per right coset
-H * y for callers that need the unique factorization x = h * y.
+elements.  ``right_transversal``, one representative per right coset H * y,
+has no package caller; the tests' explicit embeddings and perfbench bind it.
 """
 
 from __future__ import annotations

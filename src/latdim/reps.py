@@ -12,7 +12,7 @@ from .config import ROW_BLOCK as _BLOCK
 from .config import (CHARACTER_NORM, DEFAULT_TOL, EIG_CUT, ORTHOGONALITY, WAVELET,
                      WINDOW_NORM, Tolerances, row_blocks)
 from .errors import (ConsistencyError, DimensionMismatch, InputError, NotIrreducible,
-                     WindowNotUnit, check_residual, worst_entry)
+                     WindowNotUnit, check_residual)
 from .groups import FiniteGroup
 
 
@@ -123,11 +123,13 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     c(x, y), by induction on the word length of y: the step is
     pi(x) pi(ys) = sigma(y, s)^-1 c(x, y) sigma(xy, s) pi(xys).  Row 0 of
     the unitary pi(xy) is not zero, so the law holds on all pairs iff row 0
-    of it does.  Each stack form has one law kernel, which checks given
-    rows of the law for every x and given y.  It runs on every row and S,
-    for the reported residual and pair, and then on row 0 and every y, a
-    block of y at a time, as the one gate in front of the all-pairs search
-    for the worst pair.
+    of it does.  Each stack form has one unitarity kernel and one law
+    kernel, which checks given rows of the law for every x and given y, and
+    the law kernel serves every pass: every row on S, for the reported
+    residual and pair; row 0 on every y, a block of y at a time, as the
+    gate; and, where either fails, every row on the same blocks of y, for
+    the first worst pair in (x, y) order.  The dense all-pairs reference,
+    one product pi(x) pi(y) per pair, lives in the tests.
 
     A stack of finite permutation-phase matrices, one nonzero per row, is
     read as (index, phase) rows and checked by gathers, with no matrix
@@ -153,12 +155,10 @@ def validate_rep(rep: ProjectiveRep) -> RepReport:
     y_blocks = row_blocks(g.order, max(g.order, rep.dim ** 2), _BLOCK)
     if not (comp_res <= tol.tol_id
             and np.max([law(slice(0, 1), ys).max() for ys in y_blocks]) <= tol.tol_id):
-        def law_gap(x):  # [y]: largest entry of pi(x) pi(y) - sigma(x, y) pi(xy)
-            lhs = mats[x] @ mats
-            rhs = t[x][:, None, None] * mats[g.cayley[x]]
-            return np.abs(lhs - rhs).reshape(g.order, -1).max(axis=1)
-
-        comp_res, worst = worst_entry(g.order, law_gap)
+        # the search: every row on the same blocks of y; first maximum or NaN in (x, y) order
+        gaps = np.hstack([law(slice(None), ys).T for ys in y_blocks])  # [x, y]
+        x, y = divmod(int(gaps.argmax()), g.order)
+        comp_res, worst = float(gaps[x, y]), (x, y)
 
     ok = unit_res <= tol.tol_unit and comp_res <= tol.tol_id
     if not unit_res <= tol.tol_unit:

@@ -182,5 +182,5 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # too deep a nesting; bad JSON, too long an integer
         raise InputError(f"{path}: {exc}") from exc

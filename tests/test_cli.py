@@ -824,6 +824,35 @@ def test_non_utf8_files_are_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:")
 
 
+_DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+_LONG_INTEGER = '{"n": ' + "9" * 5000 + "}"  # past Python's 4300-digit conversion limit
+_LONG_FIELD = ",".join(SCAN_COLUMNS) + "\n" + "x" * 200_000 + "\n"  # csv allows 131072
+
+
+@pytest.mark.parametrize("argv, text, says", [
+    pytest.param(argv, text, says, id=f"{argv[-1][2:]}-{kind}")
+    for argv in (("decide", *_WH, "--config"), ("validate-cocycle", "--cocycle"),
+                 ("rep-validate", "--rep"))
+    for kind, text, says in (("deep", _DEEP_ARRAY, ": maximum recursion depth exceeded"),
+                             ("long-integer", _LONG_INTEGER, ": Exceeds the limit (4300 digits)"))
+] + [pytest.param(("density-audit", "--in"), _LONG_FIELD, " line 2: field larger than field limit",
+                  id="in-long-field")])
+def test_files_the_decoder_refuses_exit_1_with_one_error_line(capsys, tmp_path, argv, text, says):
+    path = tmp_path / "input"
+    path.write_text(text)
+    err = _refused_once(capsys, *argv, str(path))
+    assert err.startswith(f"error: {path}{says}") and "Traceback" not in err
+
+
+def test_a_deeply_nested_rep_file_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_ARRAY)
+    proc = subprocess.run([sys.executable, "-m", "latdim.cli", "rep-validate", "--rep", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_tolerances_reach_validate_cocycle(capsys, tmp_path):
     data = cocycle_to_json(tf("Z2").cocycle)
     data["table"][1][2] = [v * (1 + 1e-6) for v in data["table"][1][2]]

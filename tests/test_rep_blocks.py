@@ -9,11 +9,16 @@ composition law and one (|G| x dim) product per y for the intertwining
 check.  In front of the all-pairs search, ``validate_rep`` checks row 0
 of the law on every pair, and the reference checks the cocycle identity
 on the generators, one |G| x |G| table each; both trip exactly when the
-law fails on some pair, so the reports agree.  On a permutation-phase
-stack, |phase|^2 is rounded differently from BLAS's conj(phi) phi, so
-the unitarity residual matches to 1e-15, not exactly.
+law fails on some pair, so the reports agree.  The search itself runs
+the stack form's law kernel on every row and every y; its dense
+reference is ``_all_pairs_worst``, one product pi(x) pi(y) per pair.
+On a permutation-phase stack, |phase|^2 is rounded differently from
+BLAS's conj(phi) phi, so the unitarity residual matches to 1e-15, not
+exactly; the kernels' products round differently from the reference's
+too, so the composition residual matches to 1e-15 and the pair exactly.
 """
 
+import time
 from functools import partial
 
 import numpy as np
@@ -229,6 +234,69 @@ def test_blocked_validate_rep_matches_dense_reference_on_corrupted_reps(
         _assert_same_report(bad)
         # a swap that is an automorphism of the rep, as on Z3, leaves a sigma-rep
         assert not validate_rep(bad).ok or corrupt is _swapped
+
+
+def _phase_at(rep, x):
+    mats = rep.matrices.copy()
+    mats[x] *= np.exp(0.3j)
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+def _phase(rep):
+    return _phase_at(rep, rep.group.order - 1)
+
+
+def _swapped_rows(rep):
+    mats = rep.matrices.copy()
+    mats[rep.group.order - 1, [0, 1]] = mats[rep.group.order - 1, [1, 0]]
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+@BLOCKS
+@pytest.mark.parametrize("label, rep, monomial", [
+    ("wh-Z4", tf("Z4").rep, True), ("S4", trivial_irrep("S4"), False),
+    ("s3-pauli", pauli_product_irrep(), False)])
+@pytest.mark.parametrize("corrupt", [_phase, _nan_entry, _swapped_rows])
+def test_failure_search_runs_the_stack_forms_own_law_kernel(label, rep, monomial, corrupt, block,
+                                                            monkeypatch):
+    monkeypatch.setattr(latdim.reps, "_BLOCK", block)
+    bad = corrupt(rep)
+    # a NaN entry sends a permutation-phase stack down the dense path
+    monomial = monomial and corrupt is not _nan_entry
+    assert (_monomial_rows(bad.matrices) is not None) == monomial
+    # the other form's kernels are never called
+    other = ("_monomial_law",) if not monomial else ("_dense_law", "_dense_unitarity")
+    for name in other:
+        monkeypatch.setattr(latdim.reps, name, None)
+    # and its own law kernel runs on every row of every y
+    own, searched = "_monomial_law" if monomial else "_dense_law", []
+    kernel = getattr(latdim.reps, own)
+
+    def spy(*args):
+        rows, ys = args[-2:]
+        if rows == slice(None) and isinstance(ys, slice):
+            searched.extend(range(bad.group.order)[ys])
+        return kernel(*args)
+
+    monkeypatch.setattr(latdim.reps, own, spy)
+    report = validate_rep(bad)
+    assert searched == list(range(bad.group.order))
+    want, pair = _all_pairs_worst(bad)
+    assert not report.ok and report.worst_pair == pair
+    assert _close(report.composition_residual, want, 1e-15)
+
+
+def test_failure_search_at_256_is_fast_and_small():
+    rep = _phase_at(tf("Z16").rep, 77)  # Weyl-Heisenberg over Z16 x Z16, dim 16
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        report = validate_rep(rep)
+        seconds.append(time.perf_counter() - start)
+    assert report.message == "composition law fails at (77, 77) (residual 5.910e-01)"
+    assert min(seconds) < 0.25
+    traced, peak = traced_peak(validate_rep, rep)
+    assert traced == report and peak < 2 * 2 ** 20
 
 
 def test_infinite_entry_gives_the_dense_nan_report():

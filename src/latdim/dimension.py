@@ -16,10 +16,10 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import conv_operators
-from .cocycles import Cocycle, lattice_regular, regularity, restrict
+from .cocycles import Cocycle, lattice_regular, regularity, restrict, restricted_tables
 from .config import BLOCK_TRACE, CDIM_ASYMMETRY, PHI_IDENTITY
 from .errors import DimensionMismatch, NotHermitian, NotIrreducible, check_residual
-from .groups import FiniteGroup, Subgroup, generated_subgroups
+from .groups import FiniteGroup, Subgroup, generated_subgroups, subgroup_tables
 from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
 
 # Lattices below this order keep the dense solve of Phi: a stacked eigvalsh
@@ -164,9 +164,8 @@ class PhiFunction:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of twisted convolution by phi: ``phi_spectra`` on a block of one."""
-        g = self.cocycle.group
-        return phi_spectra(self.values[None], g.cayley[None], self.cocycle.table[None],
-                           g.identity)[0]
+        m = self.cocycle.group.order
+        return phi_spectra(self.values[None], np.arange(m)[None], self.cocycle)[0]
 
     @cached_property
     def off_identity_peak(self) -> np.float64:
@@ -313,26 +312,55 @@ def cdim_operators(values: np.ndarray, cayley: np.ndarray, table: np.ndarray) ->
     return (op + adj) / 2
 
 
-def phi_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
-                identity: np.ndarray | int) -> np.ndarray:
+def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.ndarray:
     """Ascending spectra of Phi, twisted convolution by each row of ``values``.
 
+    Row b of ``elems`` holds one lattice's elements of ``cocycle.group`` in
+    increasing order, and row b of ``values`` phi at each of them.  Row b
+    of phi vanishes off a set S; let H be the subgroup of the lattice
+    generated by S and e.  When S holds no element besides e, H = {e}: the
+    rep's law at (x, e) and (e, y) gives sigma(e, .) = sigma(., e) =
+    sigma(e, e), so Phi is z I with z = phi(e) sigma(e, e).  Such a row is
+    checked Hermitian as ``cdim_operators`` checks a 1 x 1 operator and
+    its spectrum is Re z, repeated |L| times; no table is gathered for it.
+    Under Kleppner's condition every row is such a row, since the class
+    sums hold exact zeros off the group's regular elements.  The other
+    rows' tables are gathered and solved by ``_solve_spectra``.
+    """
+    nb, m = values.shape
+    g = cocycle.group
+    at_e = values.ravel()[np.flatnonzero(elems == g.identity)]
+    trivial = np.count_nonzero(values, axis=1) == (at_e != 0)  # no nonzero off e
+    z = at_e[trivial] * cocycle.table[g.identity, g.identity]
+    check_residual("convolution operator asymmetry", 2 * np.abs(z.imag),
+                   CDIM_ASYMMETRY * np.maximum(1.0, np.abs(z)), NotHermitian)
+    spectra = np.empty((nb, m))
+    spectra[trivial] = z.real[:, None]
+    rows = np.flatnonzero(~trivial)
+    if rows.size:
+        cayley, _, places = subgroup_tables(g, elems[rows])
+        spectra[rows] = _solve_spectra(values[rows], cayley,
+                                       restricted_tables(cocycle, elems[rows]), places)
+    return spectra
+
+
+def _solve_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
+                   identity: np.ndarray | int) -> np.ndarray:
+    """Ascending spectra of Phi from a block's gathered tables.
+
     The tables and identities are in block places, as ``subgroup_tables``
-    gives them.  Row b of phi vanishes off a set S; let H be the subgroup
-    of the lattice generated by S and e, closed in the lattice's own Cayley
-    table.  Then Phi = sum_{h in H} phi(h) lam(h) maps l2(H c) to itself for
-    every coset H c, and entries between two cosets are exactly 0.  The
-    twisted right translation by c is a phase permutation that commutes
-    with every lam(h) by the cocycle identity and carries the H block onto
-    the H c block, so every coset block has the spectrum of the H block,
-    and its asymmetry entries are those of the H block up to unit phases.
-    So only the |H| x |H| operator is built, checked Hermitian by
-    ``cdim_operators`` and solved, and each eigenvalue is repeated [L:H]
-    times, which keeps the order ascending.  No tolerance decides S: the
-    class sums hold exact zeros off the group's regular elements, so under
-    Kleppner's condition H = {e} and Phi = dpi_vol I on every lattice.
-    Lattices of order below ``_REDUCE_FROM`` are solved densely; above it
-    one ``generated_subgroups`` call closes every row's H, and rows are
+    gives them.  With S and H as in ``phi_spectra``, Phi = sum_{h in H}
+    phi(h) lam(h) maps l2(H c) to itself for every coset H c, and entries
+    between two cosets are exactly 0.  The twisted right translation by c
+    is a phase permutation that commutes with every lam(h) by the cocycle
+    identity and carries the H block onto the H c block, so every coset
+    block has the spectrum of the H block, and its asymmetry entries are
+    those of the H block up to unit phases.  So only the |H| x |H|
+    operator is built, checked Hermitian by ``cdim_operators`` and solved,
+    and each eigenvalue is repeated [L:H] times, which keeps the order
+    ascending.  No tolerance decides S.  Lattices of order below
+    ``_REDUCE_FROM`` are solved densely; above it one
+    ``generated_subgroups`` call closes every row's H, and rows are
     stacked by |H|.
     """
     nb, m = values.shape

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycles import Cocycle, regularity, restricted_tables, weyl_heisenberg
+from .cocycles import Cocycle, regularity, weyl_heisenberg
 from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS, TF_BASE,
                      Tolerances)
 from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
-from .groups import (DualGroup, FiniteGroup, Subgroup, block_slices, dual_group, subgroup_blocks,
-                     subgroup_tables)
+from .groups import DualGroup, FiniteGroup, Subgroup, block_slices, dual_group, subgroup_blocks
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -119,8 +119,7 @@ def _scan_block(tf: TimeFrequencyGroup, source: WindowedRep, elems: np.ndarray, 
     """Scan rows of a (B, order) block of lattices, one per row, in the block's order."""
     order = elems.shape[1]
     dpi_vol = source.rep.dim / order
-    cayley, _, identity = subgroup_tables(tf.group, elems)
-    table = restricted_tables(tf.cocycle, elems)
+    identity = np.flatnonzero(elems == tf.group.identity)
     values = phi_values(source, elems)
 
     at_identity = np.abs(values.ravel()[identity] - dpi_vol)
@@ -131,7 +130,7 @@ def _scan_block(tf: TimeFrequencyGroup, source: WindowedRep, elems: np.ndarray, 
     # density predicate every verdict must match
     ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
     excess = ns * order - ds * tf.base.order
-    spectra = phi_spectra(values, cayley, table, identity)
+    spectra = phi_spectra(values, elems, tf.cocycle)
     frame, riesz = decision_grids(spectra, n_max, d_max, source.rep.tol)
     bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
     if bad.size:
@@ -204,14 +203,18 @@ def gabor_scan(
 
 def write_scan_csv(rows: list[dict], path: str) -> None:
     """RFC-4180 style output with a fixed header and stable formatting."""
+    fields = operator.itemgetter(*SCAN_COLUMNS)
+    (at,) = (i for i, parse in enumerate(SCAN_COLUMNS.values()) if parse is float)
+
+    def formatted(row: dict) -> list:
+        out = list(fields(row))
+        out[at] = f"{out[at]:.12g}"
+        return out
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                f"{row[key]:.12g}" if parse is float else row[key]
-                for key, parse in SCAN_COLUMNS.items()
-            )
+        writer.writerows(map(formatted, rows))
 
 
 def read_scan_csv(path: str) -> list[dict]:
@@ -222,21 +225,22 @@ def read_scan_csv(path: str) -> list[dict]:
             if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(SCAN_COLUMNS):
                 raise InputError(f"{path}: expected columns {','.join(SCAN_COLUMNS)}, "
                                  f"got {reader.fieldnames}")
-            for i, raw in enumerate(reader, start=2):
+            for raw in reader:
+                line = reader.line_num  # the physical line, past any quoted newline
                 # DictReader fills a short row with None and files extras under None
                 if None in raw or None in raw.values():
-                    raise InputError(f"{path} line {i}: expected {len(SCAN_COLUMNS)} fields")
+                    raise InputError(f"{path} line {line}: expected {len(SCAN_COLUMNS)} fields")
                 try:
                     row = {key: parse(raw[key]) for key, parse in SCAN_COLUMNS.items()}
                 except (KeyError, ValueError) as exc:
-                    raise InputError(f"{path} line {i}: {exc}") from exc
+                    raise InputError(f"{path} line {line}: {exc}") from exc
                 if row["n"] < 1 or row["d"] < 1:
-                    raise InputError(f"{path} line {i}: n and d must be at least 1")
+                    raise InputError(f"{path} line {line}: n and d must be at least 1")
                 if not np.isfinite(row["dpi_vol"]):
-                    raise InputError(f"{path} line {i}: dpi_vol must be finite")
+                    raise InputError(f"{path} line {line}: dpi_vol must be finite")
                 for key in ("frame", "riesz", "basis"):
                     if row[key] not in ("yes", "no"):
-                        raise InputError(f"{path} line {i}: {key} must be yes or no, "
+                        raise InputError(f"{path} line {line}: {key} must be yes or no, "
                                          f"got {row[key]!r}")
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()

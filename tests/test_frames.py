@@ -273,21 +273,28 @@ def test_off_identity_peak_of_the_trivial_lattice_is_zero():
     assert existence_decision(spec, 1, 2).basis_residual == abs(fn.values[0] - 0.5)
 
 
-def test_decisions_share_one_eigensolve(monkeypatch):
-    calls = []
-    solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or solve(a))
+def test_decisions_share_one_spectrum(monkeypatch):
+    # the spectrum kernel runs once per spec; on this Kleppner lattice it
+    # reads Phi off phi(e) and solves nothing
+    import latdim.dimension as dim_mod
+
+    calls, solves = [], []
+    kernel, solve = dim_mod.phi_spectra, np.linalg.eigvalsh
+    monkeypatch.setattr(dim_mod, "phi_spectra", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or solve(a))
     spec = _wh_spec("Z3", _translations(tf("Z3")))
     first = existence_decision(spec, 1, 1)
     again = existence_decision(spec, 1, 1)
     existence_decision(spec, 2, 3)
     assert len(calls) == 1
+    assert solves == []
     assert first.frame_witness == again.frame_witness
 
 
 def test_decision_and_construction_share_one_phi(monkeypatch):
-    # phi and the spectrum kernel of Phi, with its one eigensolve, each run once
-    # per spec, not once per call
+    # phi and the spectrum kernel of Phi each run once per spec, not once per
+    # call; on this Kleppner lattice the kernel reads Phi off phi(e) and solves
+    # nothing
     import latdim.dimension as dim_mod
 
     phi_calls, kernel_calls, solves = [], [], []
@@ -315,7 +322,7 @@ def test_decision_and_construction_share_one_phi(monkeypatch):
     construct_parseval_generators(spec, 1, 1)
     assert len(phi_calls) == 1
     assert kernel_calls == [1, 0]
-    assert solves.count(True) == 1
+    assert solves.count(True) == 0
 
 
 def test_density_check_flags_fabricated_reports():

@@ -179,6 +179,15 @@ def test_read_scan_csv_reports_bad_line(tmp_path):
     assert "line 4" in str(exc.value)
 
 
+def test_read_scan_csv_names_the_physical_line(tmp_path):
+    """A quoted newline in row 2 moves the next row, and its error, down to line 4."""
+    path = tmp_path / "scan.csv"
+    path.write_text(",".join(SCAN_COLUMNS) + '\nZ2,"Z2\nxZ2",wh,4,1,1,0.5,yes,yes,yes\n'
+                    "Z2,Z2xZ2,wh,4,0,1,0.5,yes,yes,yes\n")
+    with pytest.raises(InputError, match="line 4: n and d must be at least 1"):
+        read_scan_csv(str(path))
+
+
 def test_audit_rows_catches_doctored_row():
     rows = gabor_scan(tf("Z2"), n_max=2, d_max=2)
     assert audit_rows(rows) == []

@@ -1,12 +1,15 @@
 """The spectrum kernel of Phi against the dense solve of the whole operator.
 
-``phi_spectra`` builds and solves Phi only on the subgroup H that the
-support of phi generates, and repeats each eigenvalue [L:H] times.  These
-tests compare it with ``eigvalsh`` of the dense |L| x |L| operator, on
-single lattices and on blocks of equal order as a scan stacks them.
-Lattices of order below 32 keep the dense solve; setting the private
-floor to 1 sends every fixture lattice through the reduced path.
+``phi_spectra`` reads Phi off phi(e) where phi lives on {e}, and elsewhere
+builds and solves Phi only on the subgroup H that the support of phi
+generates, repeating each eigenvalue [L:H] times.  These tests compare it
+with ``eigvalsh`` of the dense |L| x |L| operator, on single lattices and
+on blocks of equal order as a scan stacks them.  Lattices of order below
+32 keep the dense solve; setting the private floor to 1 sends every
+fixture lattice through the reduced path.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,12 +31,13 @@ from latdim import (
     subgroup_generated,
     windowed_rep,
 )
-from latdim.cocycles import restricted_tables
-from latdim.dimension import cdim_operators, phi_spectra
+from latdim.cli import main
+from latdim.cocycles import Cocycle, restricted_tables
+from latdim.dimension import cdim_operators, phi_spectra, phi_values
 from latdim.groups import generated_subgroups, subgroup_tables
 
-from fixtures_common import (gauge_twisted_rep, group, pauli_product_irrep, rep_fixtures, tf,
-                             traced_peak)
+from fixtures_common import (GROUP_NAMES, WH_BASES, cocycle_fixtures, gauge_twisted_rep, group,
+                             pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep)
 
 # lifted Pauli twists with lattices of order 32 and more, where H is proper
 _LIFTED = ("Z4xZ4", "S4")
@@ -50,7 +54,7 @@ def _worst_gap(rep, min_order=1):
     for elems in subgroup_blocks(rep.group):
         if elems.shape[1] < min_order:
             continue
-        cayley, _, identity = subgroup_tables(rep.group, elems)
+        cayley, _, _ = subgroup_tables(rep.group, elems)
         table = restricted_tables(rep.cocycle, elems)
         specs = [source.spec(Subgroup(rep.group, row)) for row in elems]
         for route in (phi, phi_oracle):
@@ -59,7 +63,7 @@ def _worst_gap(rep, min_order=1):
                 dense = np.linalg.eigvalsh(cdim_operator(fn))
                 worst = max(worst, float(np.abs(fn.spectrum - dense).max()))
             values = np.array([fn.values for fn in fns])
-            got = phi_spectra(values, cayley, table, identity)
+            got = phi_spectra(values, elems, rep.cocycle)
             dense = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
             worst = max(worst, float(np.abs(got - dense).max()))
     return worst
@@ -112,7 +116,7 @@ def test_the_kernel_solves_on_the_subgroup_the_support_generates(name):
             cut = np.where(involution, values, 0)
             table = restricted_tables(rep.cocycle, elems)
             dense = np.linalg.eigvalsh(cdim_operators(cut, cayley, table))
-            assert np.abs(phi_spectra(cut, cayley, table, identity) - dense).max() <= 1e-12
+            assert np.abs(phi_spectra(cut, elems, rep.cocycle) - dense).max() <= 1e-12
             rows.append(cut)
         for vals in rows:
             support = vals != 0
@@ -163,12 +167,11 @@ def test_a_phi_tampered_on_h_is_not_hermitian(monkeypatch, floor):
         tampered.spectrum
     g = fn.cocycle.group
     with pytest.raises(NotHermitian):
-        phi_spectra(np.stack([fn.values, values]), np.stack([g.cayley, g.cayley + g.order]),
-                    np.stack([fn.cocycle.table] * 2), np.array([0, g.order]) + g.identity)
+        phi_spectra(np.stack([fn.values, values]), np.stack([np.arange(g.order)] * 2), fn.cocycle)
 
 
-def test_a_kleppner_lattice_solves_only_a_1x1_operator(monkeypatch):
-    """On the Z16xZ16 full lattice H = {e}, so deciding builds no |L| x |L| operator.
+def test_a_kleppner_lattice_solves_no_operator(monkeypatch):
+    """On the Z16xZ16 full lattice H = {e}, so deciding builds and solves no operator.
 
     phi is computed first: its group conjugation table and regular mask are
     not the decision's work.
@@ -181,6 +184,93 @@ def test_a_kleppner_lattice_solves_only_a_1x1_operator(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape[-2:]) or solve(a))
     decision, peak = traced_peak(existence_decision, spec, 1, 1)
     assert (decision.frame, decision.riesz) == (True, False)
-    assert shapes == [(1, 1)]
+    assert shapes == []
     assert peak < 512 * 1024
     assert np.array_equal(spec.dimension_function.spectrum, np.full(256, 1 / 16))
+
+
+def _every_cocycle_rep():
+    """An irrep over each cocycle fixture, then the lifted twists of order 32 and more."""
+    pairs = [(f"{n}-trivial", trivial_irrep(n)) for n in GROUP_NAMES]
+    pairs += [(f"wh-{b}", tf(b).rep) for b in WH_BASES]
+    pairs.append(("s3-pauli", pauli_product_irrep()))
+    assert [label for label, _ in pairs] == [label for label, _ in cocycle_fixtures()]
+    return pairs + [(f"lifted-{name}", pauli_product_irrep(name)) for name in _LIFTED]
+
+
+def _gauged_off_e(coc, at_e=np.exp(0.7j), seed=5):
+    """coc times the coboundary f(x) f(y) / f(xy) of seeded phases f with f(e) = at_e.
+
+    sigma(e, e) is multiplied by at_e.  Twisted convolution by phi conj(f)
+    over the result is unitarily equivalent to convolution by phi over coc.
+    """
+    g = coc.group
+    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(g.order))
+    f[g.identity] = at_e
+    return Cocycle(g, coc.table * np.outer(f, f) / f[g.cayley], label="gauged"), f
+
+
+@pytest.mark.parametrize("twist", ["cocycle", "gauged off e"])
+@pytest.mark.parametrize("label, rep", _every_cocycle_rep())
+def test_the_kernel_agrees_with_the_dense_solve_on_mixed_blocks(label, rep, twist):
+    """Each order's rows of phi, stacked with the same rows cut to e and their negatives.
+
+    The cut rows take the scalar path and the rest the dense solve or the
+    closure, in one call.
+    """
+    g, source = rep.group, windowed_rep(rep)
+    coc, f = rep.cocycle, np.ones(g.order)
+    if twist == "gauged off e":
+        coc, f = _gauged_off_e(coc)
+        assert abs(coc.table[g.identity, g.identity] - rep.cocycle.table[g.identity, g.identity]
+                   * np.exp(0.7j)) <= 1e-15
+    orders = set()
+    for elems in subgroup_blocks(g):
+        values = phi_values(source, elems)
+        cut = np.where(elems == g.identity, values, 0)
+        values = np.concatenate([values, cut, -cut])
+        elems = np.concatenate([elems] * 3)
+        values = values * np.conj(f[elems])
+        cayley, _, _ = subgroup_tables(g, elems)
+        dense = np.linalg.eigvalsh(cdim_operators(values, cayley, restricted_tables(coc, elems)))
+        assert np.abs(phi_spectra(values, elems, coc) - dense).max() <= 1e-12, label
+        orders.add(elems.shape[1] >= dim_mod._REDUCE_FROM)
+    if label.startswith("lifted"):
+        assert orders == {False, True}
+
+
+@pytest.mark.parametrize("base, digest", [
+    ("Z2xZ4", "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"),
+    ("Z3xZ3", "4f627d97daa91228c98e1dad28214a89c9ef9af5c2d9274414c53ca57638b0ae"),
+])
+def test_a_time_frequency_scan_gathers_no_table(monkeypatch, tmp_path, base, digest):
+    """phi lives on {e} on every time-frequency lattice; the CSV is the recorded one."""
+    def refuse(*args):
+        raise AssertionError("the scan gathered a lattice table")
+
+    monkeypatch.setattr(dim_mod, "subgroup_tables", refuse)
+    monkeypatch.setattr(dim_mod, "restricted_tables", refuse)
+    out = tmp_path / "scan.csv"
+    assert main(["gabor-scan", "--base", base, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("floor", [None, 1], ids=["dense", "reduced"])
+def test_a_phi_on_e_off_the_real_axis_is_not_hermitian(monkeypatch, floor):
+    """A row rotated at e raises on the scalar path; a NaN off e raises on the solved one."""
+    if floor is not None:
+        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
+    t = tf("Z4")
+    fn = make_module_spec(t.rep, full_subgroup(t.rep.group)).dimension_function
+    e = fn.cocycle.group.identity
+    assert np.count_nonzero(fn.values) == 1
+    rotated, nan = fn.values.copy(), fn.values.copy()
+    rotated[e] *= np.exp(1e-6j)
+    nan[e + 1] = np.nan
+    elems = np.stack([np.arange(fn.values.size)] * 2)
+    for values in (rotated, nan):
+        with pytest.raises(NotHermitian):
+            PhiFunction(values, fn.cocycle).spectrum
+        with pytest.raises(NotHermitian):
+            phi_spectra(np.stack([fn.values, values]), elems, fn.cocycle)
+    assert np.array_equal(fn.spectrum, np.full(16, 1 / 4))

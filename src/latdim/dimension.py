@@ -163,9 +163,18 @@ class PhiFunction:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of twisted convolution by phi: ``phi_spectra`` on a block of one."""
-        m = self.cocycle.group.order
-        return phi_spectra(self.values[None], np.arange(m)[None], self.cocycle)[0]
+        """Ascending eigenvalues of twisted convolution by phi, as ``phi_spectra`` finds them.
+
+        The lattice is a group of its own, so when phi lives beyond e its
+        own Cayley and cocycle tables go to ``_solve_spectra`` as they are,
+        with no gather.
+        """
+        g, table = self.cocycle.group, self.cocycle.table
+        values = self.values[None]
+        trivial, scalar = _scalar_rows(values, values[:, g.identity], table[g.identity, g.identity])
+        if trivial[0]:
+            return np.full(g.order, scalar[0])
+        return _solve_spectra(values, g.cayley[None], table[None], g.identity)[0]
 
     @cached_property
     def off_identity_peak(self) -> np.float64:
@@ -330,12 +339,9 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     nb, m = values.shape
     g = cocycle.group
     at_e = values.ravel()[np.flatnonzero(elems == g.identity)]
-    trivial = np.count_nonzero(values, axis=1) == (at_e != 0)  # no nonzero off e
-    z = at_e[trivial] * cocycle.table[g.identity, g.identity]
-    check_residual("convolution operator asymmetry", 2 * np.abs(z.imag),
-                   CDIM_ASYMMETRY * np.maximum(1.0, np.abs(z)), NotHermitian)
+    trivial, scalar = _scalar_rows(values, at_e, cocycle.table[g.identity, g.identity])
     spectra = np.empty((nb, m))
-    spectra[trivial] = z.real[:, None]
+    spectra[trivial] = scalar[:, None]
     rows = np.flatnonzero(~trivial)
     if rows.size:
         cayley, _, places = subgroup_tables(g, elems[rows])
@@ -344,12 +350,27 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     return spectra
 
 
+def _scalar_rows(values: np.ndarray, at_e: np.ndarray,
+                 sigma_ee: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``values`` with no nonzero off e, and the eigenvalue Re z of each.
+
+    ``at_e`` holds each row's phi(e), and z = phi(e) sigma(e, e) must pass
+    the check ``cdim_operators`` makes of a 1 x 1 operator, or
+    ``NotHermitian`` is raised; a NaN fails it.
+    """
+    trivial = np.count_nonzero(values, axis=1) == (at_e != 0)
+    z = at_e[trivial] * sigma_ee
+    check_residual("convolution operator asymmetry", 2 * np.abs(z.imag),
+                   CDIM_ASYMMETRY * np.maximum(1.0, np.abs(z)), NotHermitian)
+    return trivial, z.real
+
+
 def _solve_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
                    identity: np.ndarray | int) -> np.ndarray:
-    """Ascending spectra of Phi from a block's gathered tables.
+    """Ascending spectra of Phi from a block's tables.
 
     The tables and identities are in block places, as ``subgroup_tables``
-    gives them.  With S and H as in ``phi_spectra``, Phi = sum_{h in H}
+    gives them; a block of one lattice's own tables is in such places.  With S and H as in ``phi_spectra``, Phi = sum_{h in H}
     phi(h) lam(h) maps l2(H c) to itself for every coset H c, and entries
     between two cosets are exactly 0.  The twisted right translation by c
     is a phase permutation that commutes with every lam(h) by the cocycle

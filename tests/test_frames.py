@@ -274,13 +274,13 @@ def test_off_identity_peak_of_the_trivial_lattice_is_zero():
 
 
 def test_decisions_share_one_spectrum(monkeypatch):
-    # the spectrum kernel runs once per spec; on this Kleppner lattice it
-    # reads Phi off phi(e) and solves nothing
+    # the support-{e} screen of the spectrum runs once per spec; on this
+    # Kleppner lattice it reads Phi off phi(e) and solves nothing
     import latdim.dimension as dim_mod
 
     calls, solves = [], []
-    kernel, solve = dim_mod.phi_spectra, np.linalg.eigvalsh
-    monkeypatch.setattr(dim_mod, "phi_spectra", lambda *a: calls.append(1) or kernel(*a))
+    kernel, solve = dim_mod._scalar_rows, np.linalg.eigvalsh
+    monkeypatch.setattr(dim_mod, "_scalar_rows", lambda *a: calls.append(1) or kernel(*a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or solve(a))
     spec = _wh_spec("Z3", _translations(tf("Z3")))
     first = existence_decision(spec, 1, 1)
@@ -292,13 +292,13 @@ def test_decisions_share_one_spectrum(monkeypatch):
 
 
 def test_decision_and_construction_share_one_phi(monkeypatch):
-    # phi and the spectrum kernel of Phi each run once per spec, not once per
-    # call; on this Kleppner lattice the kernel reads Phi off phi(e) and solves
-    # nothing
+    # phi and the support-{e} screen of Phi's spectrum each run once per spec,
+    # not once per call; on this Kleppner lattice the screen reads Phi off
+    # phi(e) and nothing is solved
     import latdim.dimension as dim_mod
 
     phi_calls, kernel_calls, solves = [], [], []
-    real_phi, real_kernel, solve = dim_mod.phi, dim_mod.phi_spectra, np.linalg.eigvalsh
+    real_phi, real_kernel, solve = dim_mod.phi, dim_mod._scalar_rows, np.linalg.eigvalsh
 
     def counted_kernel(*args):
         kernel_calls.append(1)
@@ -312,7 +312,8 @@ def test_decision_and_construction_share_one_phi(monkeypatch):
             monkeypatch.setattr(
                 mod, "phi", lambda spec: phi_calls.append(1) or real_phi(spec)
             )
-    monkeypatch.setattr(dim_mod, "phi_spectra", counted_kernel)
+    monkeypatch.setattr(dim_mod, "_scalar_rows", counted_kernel)
+    monkeypatch.setattr(dim_mod, "_solve_spectra", lambda *a: pytest.fail("solved"))
     monkeypatch.setattr(
         np.linalg, "eigvalsh",
         lambda a: solves.append(kernel_calls[-1:] == [1]) or solve(a)

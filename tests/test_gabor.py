@@ -267,6 +267,26 @@ def test_a_scan_builds_a_subgroup_only_to_construct(monkeypatch):
     assert len(built) == sum(feasible) > 0
 
 
+def test_a_second_scan_reads_the_kept_subgroups(monkeypatch):
+    """Two scans of one group give the same rows, and only the first may enumerate;
+    a copy of the group with nothing kept scans to the same rows."""
+    import dataclasses
+
+    import latdim.groups as groups_mod
+
+    t = tf("Z3xZ3")
+    first = gabor_scan(t, 3, 3)
+    for helper in ("_derived_series", "_series_subgroups", "_extension_subgroups"):
+        monkeypatch.setattr(groups_mod, helper,
+                            lambda *args, helper=helper: pytest.fail(f"{helper} ran again"))
+    assert gabor_scan(t, 3, 3) == first
+    monkeypatch.undo()
+    fresh = dataclasses.replace(t, group=dataclasses.replace(t.group))
+    assert "_subgroup_blocks" not in vars(fresh.group)
+    assert gabor_scan(fresh, 3, 3) == first
+    assert len(first) == 212 * 9
+
+
 def test_scan_refuses_too_many_rows_before_deciding(monkeypatch):
     import latdim.gabor as gabor_mod
 

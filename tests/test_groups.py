@@ -428,6 +428,7 @@ def test_all_subgroups_match_reference(monkeypatch, name):
     join of the extension search is a frontier walk of ``_join``; the cyclic
     series, which every solvable group takes, never walks."""
     g = tf(name[3:]).group if name.startswith("tf-") else group(name)
+    g = replace(g)  # the same table with nothing cached, so all_subgroups enumerates here
     walked = []
     real = groups_mod._join
     monkeypatch.setattr(groups_mod, "_join", lambda *args: walked.append(1) or real(*args))
@@ -458,7 +459,7 @@ def _series_group(name):
 def test_series_subgroups_match_reference_without_a_walk(monkeypatch, name):
     """Groups no time-frequency build makes: mixed primes, and relabelled tables,
     abelian and not."""
-    g = _series_group(name)
+    g = replace(_series_group(name))  # nothing cached, so all_subgroups enumerates here
     monkeypatch.setattr(groups_mod, "_join", lambda *args: pytest.fail("frontier walk"))
     got = [_row(s) for s in all_subgroups(g)]
     assert got == _reference_subgroups(g)
@@ -488,6 +489,41 @@ def test_solvable_groups_take_the_cyclic_series(monkeypatch, name, path):
     all_subgroups(g)
     assert ran == [path]
     assert ("conjugation" in vars(g)) == (not g.is_abelian())
+
+
+def _refuse_enumeration(monkeypatch):
+    for helper in ("_derived_series", "_series_subgroups", "_extension_subgroups"):
+        monkeypatch.setattr(groups_mod, helper,
+                            lambda *args, helper=helper: pytest.fail(f"{helper} ran again"))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES + ("S4", "Z2xZ4xZ3", "tf-Z3xZ3", "S5"))
+def test_subgroup_blocks_are_enumerated_once_per_group(monkeypatch, name):
+    """The first call enumerates and keeps the blocks; every later call returns a
+    new list of the same read-only arrays and runs no enumeration helper."""
+    g = tf(name[3:]).group if name.startswith("tf-") else group(name)
+    g = replace(g)  # the same table with nothing cached
+    assert "_subgroup_blocks" not in vars(g)
+    first = subgroup_blocks(g)
+    kept = tuple(first)
+    assert all(a is b for a, b in zip(vars(g)["_subgroup_blocks"], kept, strict=True))
+    _refuse_enumeration(monkeypatch)
+    first.reverse()
+    first.append(first[0][:0])
+    del first[0]
+    again = subgroup_blocks(g)
+    assert again is not first
+    assert all(a is b for a, b in zip(again, kept, strict=True))
+    for block in again:
+        assert block.dtype == np.int64 and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = block[0, 0]
+    rows = [row for block in again for row in block]
+    enumerated = all_subgroups(g)
+    assert [sub.order for sub in enumerated] == [row.size for row in rows]
+    for sub, row in zip(enumerated, rows):
+        assert np.shares_memory(sub.elements, row)
+        assert np.array_equal(sub.elements, row)
 
 
 @pytest.mark.parametrize("name, orders", [
@@ -727,9 +763,15 @@ def test_row_major_dual_pairing_is_pinned(name):
     assert _digest(dual.pairing) == _ROW_MAJOR[name]
 
 
-def test_all_subgroups_bound():
-    with pytest.raises(BoundExceeded):
-        all_subgroups(build_cyclic(300))
+def test_all_subgroups_bound(monkeypatch):
+    """Refused before anything is enumerated or kept on the group."""
+    _refuse_enumeration(monkeypatch)
+    for g in (build_cyclic(300), direct_product(build_cyclic(16), build_cyclic(17))):
+        with pytest.raises(BoundExceeded):
+            all_subgroups(g)
+        with pytest.raises(BoundExceeded, match=f"order <= 256, got {g.order}"):
+            subgroup_blocks(g)
+        assert "_subgroup_blocks" not in vars(g)
 
 
 def test_element_order():

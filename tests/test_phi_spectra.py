@@ -239,6 +239,41 @@ def test_the_kernel_agrees_with_the_dense_solve_on_mixed_blocks(label, rep, twis
         assert orders == {False, True}
 
 
+def _non_kleppner_reps():
+    """Every irrep fixture with a lattice on which phi lives beyond e."""
+    pairs = [(label, rep) for label, rep in _every_cocycle_rep()
+             if not label.startswith(("wh-", "Z1-"))]
+    return pairs + [("S4-trivial", trivial_irrep("S4"))]
+
+
+@pytest.mark.parametrize("label, rep", _non_kleppner_reps())
+def test_a_lattice_spectrum_solves_on_its_own_tables(monkeypatch, label, rep):
+    """A lattice is a group of its own, so ``PhiFunction.spectrum`` gathers no table.
+
+    On every lattice its spectrum is the block kernel's on a block of one, bit
+    for bit, and within 1e-12 of the dense solve.
+    """
+    source = windowed_rep(rep)
+    fns, blocks = [], []
+    for elems in subgroup_blocks(rep.group):
+        for row in elems:
+            fn = phi(source.spec(Subgroup(rep.group, row)))
+            blocks.append(phi_spectra(fn.values[None], row[None], rep.cocycle)[0])
+            fns.append(fn)
+
+    def refuse(*args):
+        raise AssertionError("a lattice's own tables were gathered")
+
+    monkeypatch.setattr(dim_mod, "subgroup_tables", refuse)
+    monkeypatch.setattr(dim_mod, "restricted_tables", refuse)
+    solved, solve = [], dim_mod._solve_spectra
+    monkeypatch.setattr(dim_mod, "_solve_spectra", lambda *a: solved.append(1) or solve(*a))
+    for fn, block in zip(fns, blocks):
+        assert np.array_equal(fn.spectrum, block), (label, fn.values.size)
+        assert np.abs(fn.spectrum - np.linalg.eigvalsh(cdim_operator(fn))).max() <= 1e-12, label
+    assert solved, label
+
+
 @pytest.mark.parametrize("base, digest", [
     ("Z2xZ4", "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"),
     ("Z3xZ3", "4f627d97daa91228c98e1dad28214a89c9ef9af5c2d9274414c53ca57638b0ae"),

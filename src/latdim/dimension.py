@@ -170,16 +170,16 @@ class PhiFunction:
         with no gather.
         """
         g, table = self.cocycle.group, self.cocycle.table
-        values = self.values[None]
-        trivial, scalar = _scalar_rows(values, values[:, g.identity], table[g.identity, g.identity])
+        trivial, scalar = _scalar_rows(self.values, [0], self.values[[g.identity]],
+                                       table[g.identity, g.identity])
         if trivial[0]:
             return np.full(g.order, scalar[0])
-        return _solve_spectra(values, g.cayley[None], table[None], g.identity)[0]
+        return _solve_spectra(self.values[None], g.cayley[None], table[None], g.identity)[0]
 
     @cached_property
     def off_identity_peak(self) -> np.float64:
         """Largest |phi| off the identity, 0 on the trivial lattice; NaN comes through."""
-        return off_identity_peaks(self.values[None], self.cocycle.group.identity)[0]
+        return off_identity_peaks(self.values, self.cocycle.group.identity, [0])[0]
 
 
 def random_window(dim: int, seed: int) -> np.ndarray:
@@ -258,15 +258,17 @@ def phi_values(source: WindowedRep, elems: np.ndarray) -> np.ndarray:
     return scale * sums[elems]
 
 
-def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int) -> np.ndarray:
-    """Largest |phi| off the identity on each row of a block; 0 on the trivial lattice.
+def off_identity_peaks(values: np.ndarray, identity: np.ndarray | int,
+                       starts: np.ndarray | list[int]) -> np.ndarray:
+    """Largest |phi| off the identity on each lattice; 0 on the trivial lattice.
 
-    ``identity`` holds block places, as ``subgroup_tables`` gives them.  A
-    NaN off the identity comes through.
+    ``values`` holds the lattices' phi end to end, lattice b from place
+    ``starts[b]`` on, and ``identity`` the place of each lattice's e.  The
+    lattices may differ in order.  A NaN off the identity comes through.
     """
     peaks = np.abs(values)
-    peaks.ravel()[identity] = 0.0
-    return peaks.max(axis=1)
+    peaks[identity] = 0.0
+    return np.maximum.reduceat(peaks, starts)
 
 
 def phi_oracle(spec: ModuleSpec) -> PhiFunction:
@@ -339,7 +341,8 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     nb, m = values.shape
     g = cocycle.group
     at_e = values.ravel()[np.flatnonzero(elems == g.identity)]
-    trivial, scalar = _scalar_rows(values, at_e, cocycle.table[g.identity, g.identity])
+    trivial, scalar = _scalar_rows(values.ravel(), np.arange(0, nb * m, m), at_e,
+                                   cocycle.table[g.identity, g.identity])
     spectra = np.empty((nb, m))
     spectra[trivial] = scalar[:, None]
     rows = np.flatnonzero(~trivial)
@@ -350,15 +353,17 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     return spectra
 
 
-def _scalar_rows(values: np.ndarray, at_e: np.ndarray,
+def _scalar_rows(values: np.ndarray, starts: np.ndarray | list[int], at_e: np.ndarray,
                  sigma_ee: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``values`` with no nonzero off e, and the eigenvalue Re z of each.
+    """The lattices whose phi has no nonzero off e, and the eigenvalue Re z of each.
 
-    ``at_e`` holds each row's phi(e), and z = phi(e) sigma(e, e) must pass
-    the check ``cdim_operators`` makes of a 1 x 1 operator, or
-    ``NotHermitian`` is raised; a NaN fails it.
+    ``values`` holds the lattices' phi end to end, lattice b from place
+    ``starts[b]`` on, as ``off_identity_peaks`` reads it; the lattices may
+    differ in order.  ``at_e`` holds each lattice's phi(e), and z = phi(e)
+    sigma(e, e) must pass the check ``cdim_operators`` makes of a 1 x 1
+    operator, or ``NotHermitian`` is raised; a NaN fails it.
     """
-    trivial = np.count_nonzero(values, axis=1) == (at_e != 0)
+    trivial = np.add.reduceat(values != 0, starts) == (at_e != 0)
     z = at_e[trivial] * sigma_ee
     check_residual("convolution operator asymmetry", 2 * np.abs(z.imag),
                    CDIM_ASYMMETRY * np.maximum(1.0, np.abs(z)), NotHermitian)

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycles import Cocycle, regularity, weyl_heisenberg
+from .config import ROW_BLOCK as _BLOCK
 from .config import (DEFAULT_TOL, DENSITY_SLACK, PHI_IDENTITY, SCAN_CELLS, SCAN_ROWS, TF_BASE,
                      Tolerances)
-from .dimension import WindowedRep, off_identity_peaks, phi_spectra, phi_values, windowed_rep
+from .dimension import (WindowedRep, _scalar_rows, off_identity_peaks, phi_spectra, phi_values,
+                        windowed_rep)
 from .errors import BoundExceeded, ConsistencyError, InputError, check_residual
 from .frames import construct_parseval_generators, decision_grids
-from .groups import DualGroup, FiniteGroup, Subgroup, block_slices, dual_group, subgroup_blocks
+from .groups import DualGroup, FiniteGroup, Subgroup, dual_group, subgroup_blocks
 from .reps import ProjectiveRep, is_irreducible
 
 
@@ -114,54 +116,98 @@ def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
     return TimeFrequencyGroup(a, dual, g, coc, rep)
 
 
-def _scan_block(tf: TimeFrequencyGroup, source: WindowedRep, elems: np.ndarray, n_max: int,
-                d_max: int, construct: bool, seed: int) -> list[dict]:
-    """Scan rows of a (B, order) block of lattices, one per row, in the block's order."""
-    order = elems.shape[1]
-    dpi_vol = source.rep.dim / order
-    identity = np.flatnonzero(elems == tf.group.identity)
-    values = phi_values(source, elems)
+def _chunks(blocks: list[np.ndarray], cap: int):
+    """The rows of ``blocks`` in order, in runs of at most ``cap`` element entries.
 
-    at_identity = np.abs(values.ravel()[identity] - dpi_vol)
-    check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {order}",
-                   np.maximum(at_identity, off_identity_peaks(values, identity)), PHI_IDENTITY)
+    Each run is a list of slices of consecutive order blocks and holds at
+    least one lattice, so a run may cross orders and an order may span runs.
+    """
+    chunk, used = [], 0
+    for block in blocks:
+        m, start = block.shape[1], 0
+        while start < len(block):
+            take = min(len(block) - start, max(0 if chunk else 1, (cap - used) // m))
+            if take:
+                chunk.append(block[start:start + take])
+                start, used = start + take, used + take * m
+            if start < len(block):
+                yield chunk
+                chunk, used = [], 0
+    if chunk:
+        yield chunk
+
+
+def _scan_chunk(tf: TimeFrequencyGroup, source: WindowedRep, segments: list[np.ndarray],
+                n_max: int, d_max: int, construct: bool, seed: int) -> list[dict]:
+    """Scan rows of a run of lattices, one (B, order) slice per order, in scan order."""
+    g = tf.group
+    values = [phi_values(source, elems) for elems in segments]
+    counts = [len(elems) for elems in segments]
+    firsts = np.cumsum([0, *counts[:-1]])  # each slice's first lattice in the run
+    orders = np.repeat([elems.shape[1] for elems in segments], counts)
+    dpi_vol = source.rep.dim / orders
+    flat = np.concatenate([v.ravel() for v in values])
+    identity = np.flatnonzero(np.concatenate([elems.ravel() for elems in segments]) == g.identity)
+    starts = np.cumsum(orders) - orders
+    at_e = flat[identity]
+
+    residual = np.maximum(np.abs(at_e - dpi_vol), off_identity_peaks(flat, identity, starts))
+    b = np.argmin(residual <= PHI_IDENTITY)  # the first lattice that fails, or 0
+    check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {orders[b]}", residual[b],
+                   PHI_IDENTITY)
+
+    # Phi is Re(phi(e) sigma(e, e)) I wherever phi lives on {e}; only the other
+    # lattices' spectra are solved, by order.  The verdicts read the ends alone.
+    trivial, scalar = _scalar_rows(flat, starts, at_e, tf.cocycle.table[g.identity, g.identity])
+    ends = np.empty((len(orders), 2))
+    ends[trivial] = scalar[:, None]
+    if not trivial.all():
+        for elems, v, at in zip(segments, values, firsts):
+            solve = np.flatnonzero(~trivial[at:at + len(elems)])
+            if solve.size:
+                ends[at + solve] = phi_spectra(v[solve], elems[solve], tf.cocycle)[:, [0, -1]]
+    frame, riesz = decision_grids(ends, n_max, d_max, source.rep.tol)
 
     # n |lattice| - d |base| has the sign of n/d - |base|/|lattice|: the exact
     # density predicate every verdict must match
     ns, ds = np.arange(1, n_max + 1)[:, None], np.arange(1, d_max + 1)
-    excess = ns * order - ds * tf.base.order
-    spectra = phi_spectra(values, elems, tf.cocycle)
-    frame, riesz = decision_grids(spectra, n_max, d_max, source.rep.tol)
+    excess = ns * orders[:, None, None] - ds * tf.base.order
     bad = np.flatnonzero((frame != (excess >= 0)) | (riesz != (excess <= 0)))
     if bad.size:
-        i, j = divmod(int(bad[0]) % excess.size, d_max)
-        f, r = bool(frame.flat[bad[0]]), bool(riesz.flat[bad[0]])
-        e = int(excess[i, j])
+        b, i, j = np.unravel_index(bad[0], frame.shape)
+        f, r, e = bool(frame[b, i, j]), bool(riesz[b, i, j]), int(excess[b, i, j])
         raise ConsistencyError(
-            f"decision disagrees with closed form at |lattice|={order}, "
+            f"decision disagrees with closed form at |lattice|={orders[b]}, "
             f"n={i + 1}, d={j + 1}: got {(f, r, f and r)}, want {(e >= 0, e <= 0, e == 0)}"
         )
 
     if construct:
         # feasible cells of bounded size: n |lattice| <= 2 d |base|; on a basis
         # cell the Parseval check is the orthonormality check
-        small = excess <= ds * tf.base.order
-        for row, feasible in zip(elems, frame & small):
-            if feasible.any():
-                spec = source.spec(Subgroup(tf.group, row))
-                for i, j in zip(*np.nonzero(feasible)):
+        feasible = frame & (excess <= ds * tf.base.order)
+        for row, cells in zip(itertools.chain.from_iterable(segments), feasible):
+            if cells.any():
+                spec = source.spec(Subgroup(g, row))
+                for i, j in zip(*np.nonzero(cells)):
                     construct_parseval_generators(spec, int(i) + 1, int(j) + 1, seed=seed)
 
-    # past the closed-form check every lattice of the block has the same verdicts
-    head = {"base": tf.base.label, "group": tf.group.label, "cocycle": tf.cocycle.label,
-            "lattice_order": order}
-    cells = itertools.product(range(1, n_max + 1), range(1, d_max + 1))
-    rows = [
-        {**head, "n": n, "d": d, "dpi_vol": dpi_vol, "frame": "yes" if f else "no",
-         "riesz": "yes" if r else "no", "basis": "yes" if f and r else "no"}
-        for (n, d), f, r in zip(cells, frame[0].ravel().tolist(), riesz[0].ravel().tolist())
-    ]
-    return [dict(row) for _ in range(len(elems)) for row in rows]
+    # past the closed-form check every lattice of one order has the same verdicts:
+    # nine template rows per order (at the default 3 x 3 cells), copied per lattice
+    base, group, cocycle = tf.base.label, g.label, tf.cocycle.label
+    cells = list(itertools.product(range(1, n_max + 1), range(1, d_max + 1)))
+    yes = ("no", "yes")
+    rows: list[dict] = []
+    for elems, fs, rs in zip(segments, frame[firsts].reshape(len(firsts), -1).tolist(),
+                             riesz[firsts].reshape(len(firsts), -1).tolist()):
+        order = elems.shape[1]
+        dpi = source.rep.dim / order
+        template = [
+            {"base": base, "group": group, "cocycle": cocycle, "lattice_order": order, "n": n,
+             "d": d, "dpi_vol": dpi, "frame": yes[f], "riesz": yes[r], "basis": yes[f and r]}
+            for (n, d), f, r in zip(cells, fs, rs)
+        ]
+        rows.extend(map(dict, template * len(elems)))
+    return rows
 
 
 def gabor_scan(
@@ -180,8 +226,8 @@ def gabor_scan(
     SCAN_ROWS rows in all before any lattice is decided.  With
     ``construct`` the feasible cells of bounded size also get explicit
     Parseval generators built and verified.  Lattices come in the order
-    of ``subgroup_blocks``, and each order's block is decided in the
-    slices of ``block_slices``.
+    of ``subgroup_blocks`` and are decided in runs of at most ``_BLOCK``
+    element entries, one pass per run across its orders.
     """
     if n_max * d_max > SCAN_CELLS:
         raise BoundExceeded(
@@ -196,8 +242,8 @@ def gabor_scan(
         )
     source = windowed_rep(tf.rep)
     rows: list[dict] = []
-    for elems in block_slices(blocks):
-        rows.extend(_scan_block(tf, source, elems, n_max, d_max, construct, seed))
+    for segments in _chunks(blocks, _BLOCK):
+        rows.extend(_scan_chunk(tf, source, segments, n_max, d_max, construct, seed))
     return rows
 
 

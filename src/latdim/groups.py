@@ -29,7 +29,8 @@ from .errors import (
 
 SUBGROUP_ENUM_BOUND = 256
 
-# Block kernels take lattices of one order in slices of about this many entries (lattices x m^2).
+# ``block_slices`` cuts the lattices of one order into slices of about this many
+# entries (lattices x m^2), the unit the (B, m, m) kernels of ``routes`` work on.
 _BLOCK_ENTRIES = 1 << 12
 
 

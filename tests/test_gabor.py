@@ -337,3 +337,117 @@ def test_scan_rejects_phi_off_dpi_vol_delta(monkeypatch, where, shift, order):
     monkeypatch.setattr(gabor_mod, "phi_values", tampered)
     with pytest.raises(ConsistencyError, match=rf"delta_e\| on the lattice of order {order} is"):
         gabor_scan(tf("Z2"), 1, 1)
+
+
+@pytest.mark.parametrize("base", ["Z2xZ4", "Z3xZ3"])
+def test_scan_verdicts_are_the_per_spec_decisions(base):
+    """Every lattice's frame/riesz/basis is what ``existence_decision`` reports on
+    its own spec, a route that runs none of the scan's chunk code."""
+    from latdim import Subgroup, existence_decision, subgroup_blocks
+    from latdim.dimension import windowed_rep
+
+    t = tf(base)
+    rows = iter(gabor_scan(t, 3, 3))
+    source = windowed_rep(t.rep)
+    for block in subgroup_blocks(t.group):
+        for elems in block:
+            spec = source.spec(Subgroup(t.group, elems))
+            for n in range(1, 4):
+                for d in range(1, 4):
+                    row, want = next(rows), existence_decision(spec, n, d)
+                    assert (row["lattice_order"], row["n"], row["d"]) == (len(elems), n, d)
+                    got = tuple(row[key] == "yes" for key in ("frame", "riesz", "basis"))
+                    assert got == (want.frame, want.riesz, want.basis), (base, elems, n, d)
+    assert next(rows, None) is None
+
+
+def _tamper_one_lattice(monkeypatch, target, shift):
+    """Add ``shift`` to phi off e on the lattice whose elements are ``target``."""
+    import latdim.gabor as gabor_mod
+
+    real = gabor_mod.phi_values
+
+    def tampered(source, elems):
+        values = real(source, elems)
+        if elems.shape[1] == len(target):
+            off_e = np.flatnonzero(target != source.rep.group.identity)[0]
+            values[(elems == target).all(axis=1), off_e] += shift
+        return values
+
+    monkeypatch.setattr(gabor_mod, "phi_values", tampered)
+
+
+def test_a_lattice_with_phi_beyond_e_alone_is_solved(monkeypatch):
+    """1e-12 off e passes the PHI_IDENTITY check but not the support-{e} screen:
+    that lattice, and only it, reaches the solve, and no verdict moves."""
+    import latdim.dimension as dim_mod
+    import latdim.gabor as gabor_mod
+    from latdim import subgroup_blocks
+
+    t = tf("Z2xZ4")
+    want = gabor_scan(t, 3, 3)
+    blocks = subgroup_blocks(t.group)
+    target = blocks[3][5]  # of order 8
+    at = sum(len(block) for block in blocks[:3]) + 5  # its place in the scan's one chunk
+    _tamper_one_lattice(monkeypatch, target, 1e-12)
+    sent, spectra, solved, ends = [], [], [], []
+    real_spectra, real_solve, real_grids = (gabor_mod.phi_spectra, dim_mod._solve_spectra,
+                                            gabor_mod.decision_grids)
+
+    def spy(values, elems, cocycle):
+        sent.append(elems.copy())
+        spectra.append(real_spectra(values, elems, cocycle))
+        return spectra[-1]
+
+    monkeypatch.setattr(gabor_mod, "phi_spectra", spy)
+    monkeypatch.setattr(dim_mod, "_solve_spectra", lambda values, *args: solved.append(
+        len(values)) or real_solve(values, *args))
+    monkeypatch.setattr(gabor_mod, "decision_grids", lambda e, *args: ends.append(e.copy())
+                        or real_grids(e, *args))
+    assert gabor_scan(t, 3, 3) == want
+    assert len(sent) == 1 and np.array_equal(sent[0], target[None])
+    assert solved == [1]
+    # the verdicts read the solved spectrum's two ends, which the tamper split
+    ((spectrum,),), (ends,) = spectra, ends
+    assert spectrum[0] < spectrum[-1]
+    assert np.array_equal(ends[at], spectrum[[0, -1]])
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_a_scan_names_the_order_of_a_failing_lattice_inside_a_chunk(monkeypatch, block):
+    """phi tampered on one lattice of order 8, past lattices of four smaller orders
+    in its chunk (and, at a block of 100 entries, in a later chunk), is named by
+    its order."""
+    import latdim.gabor as gabor_mod
+    from latdim import subgroup_blocks
+
+    t = tf("Z2xZ4")
+    if block is not None:
+        monkeypatch.setattr(gabor_mod, "_BLOCK", block)
+    _tamper_one_lattice(monkeypatch, subgroup_blocks(t.group)[3][5], 1e-6)
+    want = r"delta_e\| on the lattice of order 8 is 1\.000e-06"
+    with pytest.raises(ConsistencyError, match=want):
+        gabor_scan(t, 3, 3)
+
+
+def test_a_scan_names_the_cell_of_a_flipped_verdict_inside_a_chunk(monkeypatch):
+    """A frame verdict flipped on a lattice of order 8, the sixth of its order and
+    far from first in a chunk of every order, is named by order and cell."""
+    import latdim.gabor as gabor_mod
+    from latdim import subgroup_blocks
+
+    t = tf("Z2xZ4")
+    blocks = subgroup_blocks(t.group)
+    assert len(list(gabor_mod._chunks(blocks, gabor_mod._BLOCK))) == 1
+    at = sum(len(block) for block in blocks[:3]) + 5
+    real = gabor_mod.decision_grids
+
+    def lying(ends, n_max, d_max, tol):
+        frame, riesz = real(ends, n_max, d_max, tol)
+        frame[at, 1, 2] ^= True
+        return frame, riesz
+
+    monkeypatch.setattr(gabor_mod, "decision_grids", lying)
+    want = r"at \|lattice\|=8, n=2, d=3: got \(True, True, True\), want \(False, True, False\)$"
+    with pytest.raises(ConsistencyError, match=want):
+        gabor_scan(t, 3, 3)

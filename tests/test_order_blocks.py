@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import latdim.cocycles
-import latdim.groups as groups_mod
+import latdim.gabor as gabor_mod
 from latdim import (ConsistencyError, Subgroup, Tolerances, all_subgroups, conjugacy, gabor_scan,
                     phi_oracle, random_window, regularity, restrict, subgroup_blocks,
                     subgroup_group)
@@ -43,11 +43,53 @@ def test_a_block_of_lattices_matches_blocks_of_one(label, rep):
             assert gap <= 1e-15, (label, b, gap)
 
 
+def _scan_chunks(monkeypatch, t, block):
+    """Scan ``t`` with chunks of at most ``block`` entries; return the rows and each
+    chunk's (order, lattices) slices, read from the calls the scan makes."""
+    events = []
+    real_phi, real_grids = gabor_mod.phi_values, gabor_mod.decision_grids
+    monkeypatch.setattr(gabor_mod, "_BLOCK", block)
+    monkeypatch.setattr(gabor_mod, "phi_values", lambda source, elems: events.append(
+        elems.shape[::-1]) or real_phi(source, elems))
+    monkeypatch.setattr(gabor_mod, "decision_grids", lambda *args: events.append(None)
+                        or real_grids(*args))
+    rows = gabor_scan(t, 3, 3)
+    monkeypatch.undo()
+    chunks, chunk = [], []
+    for event in events:
+        if event is None:
+            chunks.append(chunk)
+            chunk = []
+        else:
+            chunk.append(event)
+    assert chunk == []
+    return rows, chunks
+
+
 def test_scan_rows_do_not_depend_on_the_block_size(monkeypatch):
+    """The scan's own chunk size ``gabor._BLOCK`` changes no row: at 1 every
+    chunk holds one lattice, at 100 an order block is split between chunks
+    (the 59 lattices of order 4 hold 236 entries), and at 1000 chunks run
+    across several orders."""
     t = tf("Z2xZ4")
     rows = gabor_scan(t, 3, 3)
-    monkeypatch.setattr(groups_mod, "_BLOCK_ENTRIES", 1)  # every slice holds one lattice
-    assert gabor_scan(t, 3, 3) == rows
+    per_order = {block.shape[1]: len(block) for block in subgroup_blocks(t.group)}
+    for block in (1, 100, 1000):
+        got, chunks = _scan_chunks(monkeypatch, t, block)
+        assert got == rows, block
+        seen = {}
+        for chunk in chunks:
+            lattices = sum(k for _, k in chunk)
+            assert sum(m * k for m, k in chunk) <= block or lattices == 1, (block, chunk)
+            for m, k in chunk:
+                seen[m] = seen.get(m, 0) + k
+        assert seen == per_order, block
+        if block == 1:
+            assert len(chunks) == sum(per_order.values())
+        elif block == 100:
+            assert any(a[-1][0] == b[0][0] == 4 for a, b in zip(chunks, chunks[1:]))
+        else:
+            assert max(map(len, chunks)) >= 3
 
 
 def test_a_tampered_nonabelian_block_is_caught():

@@ -23,16 +23,17 @@ import numpy as np
 
 from .algebra import center_valued_trace_table
 from .cocycles import Cocycle, lattice_regular, regularity, trivial, validate, weyl_heisenberg
-from .config import TF_BASE, Tolerances
+from .config import ROW_BLOCK as _BLOCK
+from .config import TF_BASE, Tolerances, row_blocks
 from .dimension import (ModuleSpec, make_module_spec, phi_oracle_values, phi_values,
                         random_window, windowed_rep)
 from .errors import BoundExceeded, Infeasible, InputError, LatdimError, NotIrreducible
 from .frames import (construct_parseval_generators, existence_decision, frame_report,
                      multiwindow_system)
 from .gabor import audit_rows, build_tf, gabor_scan, read_scan_csv, write_scan_csv
-from .groups import (SUBGROUP_ENUM_BOUND, DualGroup, FiniteGroup, Subgroup, block_slices,
-                     build_cyclic, cyclic_factor_generators, dihedral, direct_product,
-                     dual_group, full_subgroup, quaternion, subgroup_blocks, subgroup_generated,
+from .groups import (SUBGROUP_ENUM_BOUND, DualGroup, FiniteGroup, Subgroup, build_cyclic,
+                     cyclic_factor_generators, dihedral, direct_product, dual_group,
+                     full_subgroup, quaternion, subgroup_blocks, subgroup_generated,
                      symmetric_group, trivial_subgroup)
 from .reps import ProjectiveRep, formal_dimension, irreducible_subrep
 from .serialize import (_typed, cocycle_from_json, complex_to_pairs, dump_json,
@@ -295,13 +296,15 @@ def _cmd_construct(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_routes(cfg: argparse.Namespace) -> int:
-    """phi against phi_oracle on every lattice, slice by slice; exit 1 above tol_id."""
+    """phi against phi_oracle on every lattice, in row blocks of about ``_BLOCK``
+    entries (lattices x m^2) of each order block; exit 1 above tol_id."""
     rep, _ = _resolve_rep(cfg)
     g = rep.group
     print(f"group {g.label}, order {g.order}, irrep dim {rep.dim}")
     source = windowed_rep(rep, random_window(rep.dim, cfg.seed))
     gaps = []
-    for elems in block_slices(subgroup_blocks(g)):
+    for elems in (block[rows] for block in subgroup_blocks(g)
+                  for rows in row_blocks(len(block), block.shape[1] ** 2, _BLOCK)):
         order = elems.shape[1]
         closed = phi_values(source, elems)
         oracle = phi_oracle_values(source, elems)

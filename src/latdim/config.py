@@ -54,7 +54,8 @@ SYSTEM_ENTRIES = 1 << 20  # (n |lattice|) x (d dim) entries of a constructed sys
 
 # Row blocks of the blocked checks hold about this many entries (256 KB
 # complex) per temporary, so that each one stays in cache.  Each module
-# that blocks reads it as its own ``_BLOCK``, which a test may shrink.
+# that blocks (reps, cocycles, gabor, cli) reads it as its own ``_BLOCK``,
+# which a test may shrink.
 ROW_BLOCK = 1 << 14
 
 

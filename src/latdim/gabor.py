@@ -11,6 +11,7 @@ import csv
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,11 @@ class TimeFrequencyGroup:
     @property
     def dpi_counting(self) -> float:
         return 1.0 / self.base.order
+
+    @cached_property
+    def windowed(self) -> WindowedRep:
+        """``rep`` with its default window, built once and read by every scan."""
+        return windowed_rep(self.rep)
 
 
 def build_tf(a: FiniteGroup, dual: DualGroup | None = None,
@@ -137,10 +143,10 @@ def _chunks(blocks: list[np.ndarray], cap: int):
         yield chunk
 
 
-def _scan_chunk(tf: TimeFrequencyGroup, source: WindowedRep, segments: list[np.ndarray],
-                n_max: int, d_max: int, construct: bool, seed: int) -> list[dict]:
+def _scan_chunk(tf: TimeFrequencyGroup, segments: list[np.ndarray], n_max: int, d_max: int,
+                construct: bool, seed: int) -> list[dict]:
     """Scan rows of a run of lattices, one (B, order) slice per order, in scan order."""
-    g = tf.group
+    g, source = tf.group, tf.windowed
     values = [phi_values(source, elems) for elems in segments]
     counts = [len(elems) for elems in segments]
     firsts = np.cumsum([0, *counts[:-1]])  # each slice's first lattice in the run
@@ -240,10 +246,9 @@ def gabor_scan(
             f"{lattices} lattices x {n_max * d_max} cells exceed the scan bound "
             f"of {SCAN_ROWS} rows"
         )
-    source = windowed_rep(tf.rep)
     rows: list[dict] = []
     for segments in _chunks(blocks, _BLOCK):
-        rows.extend(_scan_chunk(tf, source, segments, n_max, d_max, construct, seed))
+        rows.extend(_scan_chunk(tf, segments, n_max, d_max, construct, seed))
     return rows
 
 

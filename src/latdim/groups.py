@@ -29,10 +29,6 @@ from .errors import (
 
 SUBGROUP_ENUM_BOUND = 256
 
-# ``block_slices`` cuts the lattices of one order into slices of about this many
-# entries (lattices x m^2), the unit the (B, m, m) kernels of ``routes`` work on.
-_BLOCK_ENTRIES = 1 << 12
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -414,14 +410,6 @@ def subgroup_blocks(g: FiniteGroup) -> list[np.ndarray]:
             f"subgroup enumeration requires order <= {SUBGROUP_ENUM_BOUND}, got {g.order}"
         )
     return list(g._subgroup_blocks)
-
-
-def block_slices(blocks: list[np.ndarray]):
-    """Each block of ``subgroup_blocks`` in slices of max(1, ``_BLOCK_ENTRIES`` // m^2) rows."""
-    for block in blocks:
-        size = max(1, _BLOCK_ENTRIES // block.shape[1]**2)
-        for start in range(0, len(block), size):
-            yield block[start:start + size]
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:

@@ -930,6 +930,22 @@ def test_routes_prints_the_lines_of_a_per_lattice_loop(capsys, tmp_path, name, s
     assert _masked(out) == _reference_routes(irreducible_subrep(coc.group, coc, seed=seed), seed)
 
 
+@pytest.mark.parametrize("name", ["D4xZ2xZ2", "S4"])
+def test_routes_stdout_does_not_depend_on_the_block_size(capsys, monkeypatch, name):
+    """At a block of 1 entry every row block holds one lattice, at 100 an order
+    block is split between row blocks, and at the default ``config.ROW_BLOCK``
+    whole small orders fit in one; the bytes are the same, one line per lattice.
+    On S4 ``lattice_regular`` runs its conjugation check on every row block."""
+    argv = ("routes", "--group", name, "--cocycle", "trivial", "--seed", "3")
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+    lattices = len(all_subgroups(group(name)))
+    assert sum(line.startswith("|lattice|") for line in want.splitlines()) == lattices
+    for block in (1, 100):
+        monkeypatch.setattr(latdim.cli, "_BLOCK", block)
+        assert run(capsys, *argv) == (0, want, ""), block
+
+
 def test_routes_builds_no_subgroup_and_no_spec(capsys, monkeypatch):
     built = []
     for cls in (Subgroup, ModuleSpec):

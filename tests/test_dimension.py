@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latdim import (
-    Cocycle,
     DimensionMismatch,
     ModuleSpec,
     NotHermitian,
@@ -16,6 +15,7 @@ from latdim import (
     WindowedRep,
     all_subgroups,
     build_cyclic,
+    build_tf,
     cdim_operator,
     existence_decision,
     full_subgroup,
@@ -29,7 +29,6 @@ from latdim import (
     projective_rep,
     random_window,
     regularity,
-    right_regular,
     right_transversal,
     subgroup_blocks,
     subgroup_generated,
@@ -204,8 +203,12 @@ def test_phi_vanishes_exactly_off_the_regular_elements_of_the_group(label, rep):
 
 def _reference_phi_oracle(spec):
     """The embedding route on dense matrices: the coset unitary u, the
-    product u* P u, and the average of the block sum over the dense
-    right regular stack of the conjugate restricted cocycle, column e."""
+    product u* P u, and column e of the average of the block sum B under
+    the right regular family rho of the conjugate restricted cocycle.
+
+    rho(x) delta_i = tau(i x^-1, x) delta_(i x^-1), so entry [i, e] of
+    sum_x rho(x)* B rho(x) is sum_x conj(tau(r_i, x)) B[r_i, r_e] tau(r_e, x)
+    with r_i = i x^-1: one (index, phase) gather per x, no dense stack."""
     g, lat = spec.rep.group, spec.lattice_group
     elems = np.asarray(spec.lattice.elements)
     bs = np.asarray(right_transversal(g, elems))
@@ -218,9 +221,12 @@ def _reference_phi_oracle(spec):
     )
     p = u.conj().T @ p_big @ u
     block_sum = np.einsum("aibi->ab", p.reshape(nl, nb, nl, nb))
-    rho = right_regular(lat, Cocycle(lat, np.conj(spec.restricted_cocycle.table))).matrices
-    avg = np.einsum("xji,jk,xkl->il", rho.conj(), block_sum, rho, optimize=True)
-    return avg[:, lat.identity] / nl
+    tau = np.conj(spec.restricted_cocycle.table)
+    rows = lat.cayley[:, lat.inverse].T  # [x, i] = i x^-1
+    phases = tau[rows, np.arange(nl)[:, None]]
+    e = lat.identity
+    terms = np.conj(phases) * block_sum[rows, rows[:, e, None]] * phases[:, e, None]
+    return terms.sum(axis=0) / nl
 
 
 @pytest.mark.parametrize("label, rep", rep_fixtures())
@@ -374,12 +380,16 @@ def _count_computations(monkeypatch, name):
 
 
 def test_scan_computes_one_diagonal_per_rep_window(monkeypatch):
-    """And one vector of class sums."""
+    """And one vector of class sums, kept on the time-frequency group: a second
+    scan of it computes neither again and returns the same rows."""
     diagonals = _count_computations(monkeypatch, "diagonal")
     sums = _count_computations(monkeypatch, "class_sums")
-    rows = gabor_scan(tf("Z4"), 1, 1)
-    assert len(rows) == len(all_subgroups(tf("Z4").group)) > 1
+    t = build_tf(build_cyclic(4))  # not the suite's shared one, which may hold them already
+    rows = gabor_scan(t, 1, 1)
+    assert len(rows) == len(all_subgroups(t.group)) > 1
+    assert gabor_scan(t, 1, 1) == rows
     assert (len(diagonals), len(sums)) == (1, 1)
+    assert sums[0] is t.windowed
 
 
 def test_routes_computes_one_diagonal_and_one_wavelet(monkeypatch, capsys):

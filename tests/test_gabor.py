@@ -293,7 +293,7 @@ def test_scan_refuses_too_many_rows_before_deciding(monkeypatch):
     t = tf("Z2")
     monkeypatch.setattr(gabor_mod, "SCAN_ROWS", 5 * 4)
     assert len(gabor_scan(t, 2, 2)) == 5 * 4
-    monkeypatch.setattr(gabor_mod, "windowed_rep", lambda rep: pytest.fail("decided"))
+    monkeypatch.setattr(gabor_mod, "_scan_chunk", lambda *args: pytest.fail("decided"))
     with pytest.raises(BoundExceeded, match="5 lattices x 6 cells exceed the scan bound of 20 rows"):
         gabor_scan(t, 2, 3)
 

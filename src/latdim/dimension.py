@@ -22,10 +22,6 @@ from .errors import DimensionMismatch, NotHermitian, NotIrreducible, check_resid
 from .groups import FiniteGroup, Subgroup, generated_subgroups, subgroup_tables
 from .reps import ProjectiveRep, WaveletTransform, is_irreducible, unit_window, wavelet
 
-# Lattices below this order keep the dense solve of Phi: a stacked eigvalsh
-# of such small operators costs less than closing each row's support.
-_REDUCE_FROM = 32
-
 
 @dataclass(frozen=True)
 class WindowedRep:
@@ -165,12 +161,12 @@ class PhiFunction:
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of twisted convolution by phi, as ``phi_spectra`` finds them.
 
-        The lattice is a group of its own, so when phi lives beyond e its
-        own Cayley and cocycle tables go to ``_solve_spectra`` as they are,
-        with no gather.
+        The screen reads ``off_identity_peak``.  A lattice is a group of its
+        own, so when phi lives beyond e its own Cayley and cocycle tables go
+        to ``_solve_spectra`` as they are, with no gather.
         """
         g, table = self.cocycle.group, self.cocycle.table
-        trivial, scalar = _scalar_rows(self.values, [0], self.values[[g.identity]],
+        trivial, scalar = _scalar_rows(self.off_identity_peak[None], self.values[[g.identity]],
                                        table[g.identity, g.identity])
         if trivial[0]:
             return np.full(g.order, scalar[0])
@@ -334,15 +330,15 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     sigma(e, e), so Phi is z I with z = phi(e) sigma(e, e).  Such a row is
     checked Hermitian as ``cdim_operators`` checks a 1 x 1 operator and
     its spectrum is Re z, repeated |L| times; no table is gathered for it.
-    Under Kleppner's condition every row is such a row, since the class
-    sums hold exact zeros off the group's regular elements.  The other
-    rows' tables are gathered and solved by ``_solve_spectra``.
+    Such a row's ``off_identity_peaks`` entry is 0, and under Kleppner's
+    condition every row is one, since the class sums hold exact zeros off
+    the group's regular elements.  The other rows are solved by ``_solve_spectra``.
     """
     nb, m = values.shape
     g = cocycle.group
-    at_e = values.ravel()[np.flatnonzero(elems == g.identity)]
-    trivial, scalar = _scalar_rows(values.ravel(), np.arange(0, nb * m, m), at_e,
-                                   cocycle.table[g.identity, g.identity])
+    flat, identity = values.ravel(), np.flatnonzero(elems == g.identity)
+    trivial, scalar = _scalar_rows(off_identity_peaks(flat, identity, np.arange(0, nb * m, m)),
+                                   flat[identity], cocycle.table[g.identity, g.identity])
     spectra = np.empty((nb, m))
     spectra[trivial] = scalar[:, None]
     rows = np.flatnonzero(~trivial)
@@ -353,17 +349,17 @@ def phi_spectra(values: np.ndarray, elems: np.ndarray, cocycle: Cocycle) -> np.n
     return spectra
 
 
-def _scalar_rows(values: np.ndarray, starts: np.ndarray | list[int], at_e: np.ndarray,
+def _scalar_rows(peaks: np.ndarray, at_e: np.ndarray,
                  sigma_ee: complex) -> tuple[np.ndarray, np.ndarray]:
     """The lattices whose phi has no nonzero off e, and the eigenvalue Re z of each.
 
-    ``values`` holds the lattices' phi end to end, lattice b from place
-    ``starts[b]`` on, as ``off_identity_peaks`` reads it; the lattices may
-    differ in order.  ``at_e`` holds each lattice's phi(e), and z = phi(e)
-    sigma(e, e) must pass the check ``cdim_operators`` makes of a 1 x 1
-    operator, or ``NotHermitian`` is raised; a NaN fails it.
+    ``peaks`` holds each lattice's largest |phi| off e, as ``off_identity_peaks``
+    gives it, so a lattice is such a lattice when its peak is 0; a NaN peak
+    is not.  ``at_e`` holds each lattice's phi(e), and z = phi(e) sigma(e, e)
+    must pass the check ``cdim_operators`` makes of a 1 x 1 operator, or
+    ``NotHermitian`` is raised; a NaN fails it.
     """
-    trivial = np.add.reduceat(values != 0, starts) == (at_e != 0)
+    trivial = peaks == 0
     z = at_e[trivial] * sigma_ee
     check_residual("convolution operator asymmetry", 2 * np.abs(z.imag),
                    CDIM_ASYMMETRY * np.maximum(1.0, np.abs(z)), NotHermitian)
@@ -375,23 +371,20 @@ def _solve_spectra(values: np.ndarray, cayley: np.ndarray, table: np.ndarray,
     """Ascending spectra of Phi from a block's tables.
 
     The tables and identities are in block places, as ``subgroup_tables``
-    gives them; a block of one lattice's own tables is in such places.  With S and H as in ``phi_spectra``, Phi = sum_{h in H}
-    phi(h) lam(h) maps l2(H c) to itself for every coset H c, and entries
-    between two cosets are exactly 0.  The twisted right translation by c
-    is a phase permutation that commutes with every lam(h) by the cocycle
-    identity and carries the H block onto the H c block, so every coset
-    block has the spectrum of the H block, and its asymmetry entries are
-    those of the H block up to unit phases.  So only the |H| x |H|
-    operator is built, checked Hermitian by ``cdim_operators`` and solved,
-    and each eigenvalue is repeated [L:H] times, which keeps the order
-    ascending.  No tolerance decides S.  Lattices of order below
-    ``_REDUCE_FROM`` are solved densely; above it one
-    ``generated_subgroups`` call closes every row's H, and rows are
-    stacked by |H|.
+    gives them; a block of one lattice's own tables is in such places.
+    With S and H as in ``phi_spectra``, Phi = sum_{h in H} phi(h) lam(h)
+    maps l2(H c) to itself for every coset H c, and entries between two
+    cosets are exactly 0.  The twisted right translation by c is a phase
+    permutation that commutes with every lam(h) by the cocycle identity and
+    carries the H block onto the H c block, so every coset block has the
+    spectrum of the H block, and its asymmetry entries are those of the H
+    block up to unit phases.  So only the |H| x |H| operator is built,
+    checked Hermitian by ``cdim_operators`` and solved, and each eigenvalue
+    is repeated [L:H] times, which keeps the order ascending.  No tolerance
+    decides S.  One ``generated_subgroups`` call closes every row's H, and
+    rows are stacked by |H|.
     """
     nb, m = values.shape
-    if m < _REDUCE_FROM:
-        return np.linalg.eigvalsh(cdim_operators(values, cayley, table))
     support = values != 0
     support.ravel()[identity] = True
     closed = generated_subgroups(cayley, support)

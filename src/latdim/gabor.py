@@ -157,14 +157,15 @@ def _scan_chunk(tf: TimeFrequencyGroup, segments: list[np.ndarray], n_max: int, 
     starts = np.cumsum(orders) - orders
     at_e = flat[identity]
 
-    residual = np.maximum(np.abs(at_e - dpi_vol), off_identity_peaks(flat, identity, starts))
+    peaks = off_identity_peaks(flat, identity, starts)
+    residual = np.maximum(np.abs(at_e - dpi_vol), peaks)
     b = np.argmin(residual <= PHI_IDENTITY)  # the first lattice that fails, or 0
     check_residual(f"|phi - dpi_vol delta_e| on the lattice of order {orders[b]}", residual[b],
                    PHI_IDENTITY)
 
     # Phi is Re(phi(e) sigma(e, e)) I wherever phi lives on {e}; only the other
     # lattices' spectra are solved, by order.  The verdicts read the ends alone.
-    trivial, scalar = _scalar_rows(flat, starts, at_e, tf.cocycle.table[g.identity, g.identity])
+    trivial, scalar = _scalar_rows(peaks, at_e, tf.cocycle.table[g.identity, g.identity])
     ends = np.empty((len(orders), 2))
     ends[trivial] = scalar[:, None]
     if not trivial.all():

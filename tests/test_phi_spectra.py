@@ -4,9 +4,9 @@
 builds and solves Phi only on the subgroup H that the support of phi
 generates, repeating each eigenvalue [L:H] times.  These tests compare it
 with ``eigvalsh`` of the dense |L| x |L| operator, on single lattices and
-on blocks of equal order as a scan stacks them.  Lattices of order below
-32 keep the dense solve; setting the private floor to 1 sends every
-fixture lattice through the reduced path.
+on blocks of equal order as a scan stacks them.  Where H is the whole
+lattice, the kernel's operator is the dense one and its spectrum is the
+dense solve's bit for bit.
 """
 
 import hashlib
@@ -32,9 +32,10 @@ from latdim import (
     windowed_rep,
 )
 from latdim.cli import main
-from latdim.cocycles import Cocycle, restricted_tables
+from latdim.cocycles import Cocycle, restricted_tables, trivial
 from latdim.dimension import cdim_operators, phi_spectra, phi_values
 from latdim.groups import generated_subgroups, subgroup_tables
+from latdim.reps import irreducible_subrep
 
 from fixtures_common import (GROUP_NAMES, WH_BASES, cocycle_fixtures, gauge_twisted_rep, group,
                              pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep)
@@ -43,50 +44,60 @@ from fixtures_common import (GROUP_NAMES, WH_BASES, cocycle_fixtures, gauge_twis
 _LIFTED = ("Z4xZ4", "S4")
 
 
-def _worst_gap(rep, min_order=1):
+def _closure_orders(values, cayley, identity):
+    """|H| on each row of a block: the order of the subgroup that supp phi and e generate."""
+    support = values != 0
+    support.ravel()[identity] = True
+    return np.count_nonzero(generated_subgroups(cayley, support), axis=1)
+
+
+def _worst_gap(rep, solves=("lattice", "block")):
     """Largest gap between the kernel and the dense solve over the lattices of ``rep``.
 
-    Both routes' values are checked, each lattice on its own and each order
-    as one block.
+    Both routes' values are checked, each lattice on its own (``"lattice"``:
+    ``PhiFunction.spectrum`` on the lattice's own tables) and each order as
+    one block (``"block"``: ``phi_spectra`` on the gathered tables).  In a
+    block, rows whose H is the whole lattice must match the dense solve bit
+    for bit.
     """
     source = windowed_rep(rep)
     worst = 0.0
     for elems in subgroup_blocks(rep.group):
-        if elems.shape[1] < min_order:
-            continue
-        cayley, _, _ = subgroup_tables(rep.group, elems)
+        cayley, _, identity = subgroup_tables(rep.group, elems)
         table = restricted_tables(rep.cocycle, elems)
         specs = [source.spec(Subgroup(rep.group, row)) for row in elems]
         for route in (phi, phi_oracle):
             fns = [route(spec) for spec in specs]
-            for fn in fns:
-                dense = np.linalg.eigvalsh(cdim_operator(fn))
-                worst = max(worst, float(np.abs(fn.spectrum - dense).max()))
-            values = np.array([fn.values for fn in fns])
-            got = phi_spectra(values, elems, rep.cocycle)
-            dense = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
-            worst = max(worst, float(np.abs(got - dense).max()))
+            if "lattice" in solves:
+                for fn in fns:
+                    dense = np.linalg.eigvalsh(cdim_operator(fn))
+                    worst = max(worst, float(np.abs(fn.spectrum - dense).max()))
+            if "block" in solves:
+                values = np.array([fn.values for fn in fns])
+                got = phi_spectra(values, elems, rep.cocycle)
+                dense = np.linalg.eigvalsh(cdim_operators(values, cayley, table))
+                worst = max(worst, float(np.abs(got - dense).max()))
+                whole = _closure_orders(values, cayley, identity) == elems.shape[1]
+                assert np.array_equal(got[whole], dense[whole])
     return worst
 
 
-@pytest.mark.parametrize("floor", [None, 1], ids=["default-floor", "floor-1"])
+@pytest.mark.parametrize("solve", ["lattice", "block"])
 @pytest.mark.parametrize("gauged", [False, True], ids=["rep", "gauged"])
 @pytest.mark.parametrize("label, rep", rep_fixtures())
-def test_the_kernel_agrees_with_the_dense_solve(monkeypatch, label, rep, gauged, floor):
-    if floor is not None:
-        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
+def test_the_kernel_agrees_with_the_dense_solve(label, rep, gauged, solve):
     if gauged:
         rep = gauge_twisted_rep(rep)
-    assert _worst_gap(rep) <= 1e-12, label
+    assert _worst_gap(rep, (solve,)) <= 1e-12, label
 
 
 @pytest.mark.parametrize("gauged", [False, True], ids=["rep", "gauged"])
 @pytest.mark.parametrize("name", _LIFTED)
-def test_the_kernel_agrees_on_large_lattices(name, gauged):
+def test_the_kernel_agrees_on_every_lattice_of_the_lifted_twists(name, gauged):
     rep = pauli_product_irrep(name)
     if gauged:
         rep = gauge_twisted_rep(rep)
-    assert _worst_gap(rep, min_order=32) <= 1e-12, name
+    assert _worst_gap(rep) <= 1e-12, name
 
 
 @pytest.mark.parametrize("name", _LIFTED)
@@ -151,21 +162,33 @@ def test_one_closure_closes_rows_of_different_sizes():
     assert [len(h) for h in want] == [1, 4, 8]
 
 
-@pytest.mark.parametrize("floor", [None, 10**9], ids=["reduced", "dense"])
-def test_a_phi_tampered_on_h_is_not_hermitian(monkeypatch, floor):
-    rep = pauli_product_irrep("Z4xZ4")
+def _tampered_fixture(where):
+    """phi on a full lattice whose H is proper (Z4xZ4 x Pauli) or the lattice (D4xZ2xZ2)."""
+    if where == "proper-h":
+        rep = pauli_product_irrep("Z4xZ4")
+    else:
+        g = group("D4xZ2xZ2")
+        rep = irreducible_subrep(g, trivial(g), seed=3)
     spec = make_module_spec(rep, full_subgroup(rep.group))
     fn = phi(spec)
+    lat = fn.cocycle.group
+    support = fn.values != 0
+    support[lat.identity] = True
+    k = np.count_nonzero(generated_subgroups(lat.cayley[None], support[None]))
+    assert k == (16 if where == "proper-h" else lat.order)  # proper: H = Z4xZ4 x {e}, of index 4
+    return fn
+
+
+@pytest.mark.parametrize("where", ["proper-h", "whole-lattice"])
+def test_a_phi_tampered_on_h_is_not_hermitian(where):
+    fn = _tampered_fixture(where)
+    g = fn.cocycle.group
     values = fn.values.copy()
-    assert np.count_nonzero(values) == 16  # H = Z4xZ4 x {e}, of index 4
-    h = next(int(i) for i in np.flatnonzero(values) if i != spec.lattice_group.identity)
+    h = int(np.argmax(np.where(np.arange(g.order) == g.identity, 0, np.abs(values))))
     values[h] *= np.exp(0.5j)
-    if floor is not None:
-        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
     tampered = PhiFunction(values, fn.cocycle)
     with pytest.raises(NotHermitian):
         tampered.spectrum
-    g = fn.cocycle.group
     with pytest.raises(NotHermitian):
         phi_spectra(np.stack([fn.values, values]), np.stack([np.arange(g.order)] * 2), fn.cocycle)
 
@@ -215,8 +238,9 @@ def _gauged_off_e(coc, at_e=np.exp(0.7j), seed=5):
 def test_the_kernel_agrees_with_the_dense_solve_on_mixed_blocks(label, rep, twist):
     """Each order's rows of phi, stacked with the same rows cut to e and their negatives.
 
-    The cut rows take the scalar path and the rest the dense solve or the
-    closure, in one call.
+    The cut rows take the scalar path and the rest the closure, in one call.
+    The lifted twists close rows to a proper H on lattices both below order
+    32 and of order 32 or more.
     """
     g, source = rep.group, windowed_rep(rep)
     coc, f = rep.cocycle, np.ones(g.order)
@@ -224,19 +248,21 @@ def test_the_kernel_agrees_with_the_dense_solve_on_mixed_blocks(label, rep, twis
         coc, f = _gauged_off_e(coc)
         assert abs(coc.table[g.identity, g.identity] - rep.cocycle.table[g.identity, g.identity]
                    * np.exp(0.7j)) <= 1e-15
-    orders = set()
+    proper = set()
     for elems in subgroup_blocks(g):
         values = phi_values(source, elems)
         cut = np.where(elems == g.identity, values, 0)
         values = np.concatenate([values, cut, -cut])
         elems = np.concatenate([elems] * 3)
         values = values * np.conj(f[elems])
-        cayley, _, _ = subgroup_tables(g, elems)
+        cayley, _, identity = subgroup_tables(g, elems)
         dense = np.linalg.eigvalsh(cdim_operators(values, cayley, restricted_tables(coc, elems)))
         assert np.abs(phi_spectra(values, elems, coc) - dense).max() <= 1e-12, label
-        orders.add(elems.shape[1] >= dim_mod._REDUCE_FROM)
+        sizes = _closure_orders(values, cayley, identity)
+        if np.any((1 < sizes) & (sizes < elems.shape[1])):
+            proper.add(elems.shape[1] >= 32)
     if label.startswith("lifted"):
-        assert orders == {False, True}
+        assert proper == {False, True}
 
 
 def _non_kleppner_reps():
@@ -274,10 +300,67 @@ def test_a_lattice_spectrum_solves_on_its_own_tables(monkeypatch, label, rep):
     assert solved, label
 
 
-@pytest.mark.parametrize("base, digest", [
-    ("Z2xZ4", "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1"),
-    ("Z3xZ3", "4f627d97daa91228c98e1dad28214a89c9ef9af5c2d9274414c53ca57638b0ae"),
+def test_the_s3_pauli_full_lattice_is_one_6x6_solve(monkeypatch):
+    """phi of the S3 x Pauli irrep lives on H = S3 x {e}, of index 4 in the full lattice.
+
+    Each route to the spectrum solves one 6 x 6 operator, not the 24 x 24 one.
+    """
+    rep = pauli_product_irrep()
+    g = rep.group
+    fn = phi(make_module_spec(rep, full_subgroup(g)))
+    dense = np.linalg.eigvalsh(cdim_operator(fn))
+    shapes, solve = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+    block = phi_spectra(fn.values[None], np.arange(g.order)[None], rep.cocycle)[0]
+    assert shapes == [(1, 6, 6)]
+    assert np.abs(fn.spectrum - dense).max() <= 1e-12
+    assert shapes == [(1, 6, 6)] * 2
+    assert np.array_equal(fn.spectrum, block)
+
+
+def test_where_h_is_the_lattice_the_kernel_is_the_dense_solve_bit_for_bit():
+    """On D4xZ2xZ2 (trivial cocycle, seed 3) rounding residue puts phi's support
+    beyond every proper subgroup, so each row is solved on its own operator."""
+    g = group("D4xZ2xZ2")
+    rep = irreducible_subrep(g, trivial(g), seed=3)
+    source = windowed_rep(rep)
+    for elems in subgroup_blocks(g):
+        values = phi_values(source, elems)
+        cayley, _, _ = subgroup_tables(g, elems)
+        dense = np.linalg.eigvalsh(cdim_operators(values, cayley,
+                                                  restricted_tables(rep.cocycle, elems)))
+        assert np.array_equal(phi_spectra(values, elems, rep.cocycle), dense), elems.shape
+
+
+SCAN_DIGESTS = {
+    "Z2xZ4": "e0a9bc31887de3fb59958dde6bbacb9dad03110a2d925d84ab87ac4d09a1ead1",
+    "Z3xZ3": "4f627d97daa91228c98e1dad28214a89c9ef9af5c2d9274414c53ca57638b0ae",
+}
+
+
+@pytest.mark.parametrize("base, solved", [
+    ("Z2xZ4", {2: 3, 4: 27, 8: 67, 16: 59, 32: 15, 64: 1}),
+    ("Z3xZ3", {3: 4, 9: 49, 27: 40, 81: 1}),
 ])
+def test_a_scan_at_a_loose_tol_id_solves_rows_of_every_order(monkeypatch, tmp_path, base,
+                                                             solved):
+    """At tol_id 3 every element is regular, so the class sums keep rounding
+    residue off e and rows of every order reach the solve; the CSV is still
+    the one recorded at the defaults."""
+    counts, solve = {}, dim_mod._solve_spectra
+
+    def counted(values, *args):
+        counts[values.shape[1]] = counts.get(values.shape[1], 0) + len(values)
+        return solve(values, *args)
+
+    monkeypatch.setattr(dim_mod, "_solve_spectra", counted)
+    out = tmp_path / "scan.csv"
+    assert main(["gabor-scan", "--base", base, "--tol-id", "3", "--out", str(out)]) == 0
+    assert counts == solved
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_DIGESTS[base]
+
+
+@pytest.mark.parametrize("base, digest", SCAN_DIGESTS.items())
 def test_a_time_frequency_scan_gathers_no_table(monkeypatch, tmp_path, base, digest):
     """phi lives on {e} on every time-frequency lattice; the CSV is the recorded one."""
     def refuse(*args):
@@ -290,22 +373,21 @@ def test_a_time_frequency_scan_gathers_no_table(monkeypatch, tmp_path, base, dig
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("floor", [None, 1], ids=["dense", "reduced"])
-def test_a_phi_on_e_off_the_real_axis_is_not_hermitian(monkeypatch, floor):
+@pytest.mark.parametrize("path", ["scalar", "solved"])
+def test_a_phi_on_e_off_the_real_axis_is_not_hermitian(path):
     """A row rotated at e raises on the scalar path; a NaN off e raises on the solved one."""
-    if floor is not None:
-        monkeypatch.setattr(dim_mod, "_REDUCE_FROM", floor)
     t = tf("Z4")
     fn = make_module_spec(t.rep, full_subgroup(t.rep.group)).dimension_function
     e = fn.cocycle.group.identity
     assert np.count_nonzero(fn.values) == 1
-    rotated, nan = fn.values.copy(), fn.values.copy()
-    rotated[e] *= np.exp(1e-6j)
-    nan[e + 1] = np.nan
+    values = fn.values.copy()
+    if path == "scalar":
+        values[e] *= np.exp(1e-6j)
+    else:
+        values[e + 1] = np.nan
     elems = np.stack([np.arange(fn.values.size)] * 2)
-    for values in (rotated, nan):
-        with pytest.raises(NotHermitian):
-            PhiFunction(values, fn.cocycle).spectrum
-        with pytest.raises(NotHermitian):
-            phi_spectra(np.stack([fn.values, values]), elems, fn.cocycle)
+    with pytest.raises(NotHermitian):
+        PhiFunction(values, fn.cocycle).spectrum
+    with pytest.raises(NotHermitian):
+        phi_spectra(np.stack([fn.values, values]), elems, fn.cocycle)
     assert np.array_equal(fn.spectrum, np.full(16, 1 / 4))

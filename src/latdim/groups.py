@@ -87,8 +87,7 @@ class FiniteGroup:
     @cached_property
     def _subgroup_blocks(self) -> tuple[np.ndarray, ...]:
         """The order blocks of ``subgroup_blocks``, enumerated once per group and kept."""
-        terms = _derived_series(self)
-        blocks = _extension_subgroups(self) if terms is None else _series_subgroups(self, terms)
+        blocks = _series_subgroups(self, _derived_series(self))
         for i, block in enumerate(blocks):  # in place: one order's unsorted copy at a time
             blocks[i] = _freeze(block[np.lexsort(block.T[::-1])])
         return tuple(blocks)
@@ -252,12 +251,6 @@ def _powers(g: FiniteGroup, x: int) -> np.ndarray:
     return np.asarray(powers)
 
 
-def _cyclic_generators(g: FiniteGroup) -> list[int]:
-    """The least generator of each cyclic subgroup, in increasing order."""
-    least = {frozenset(_powers(g, x).tolist()): x for x in range(g.order - 1, -1, -1)}
-    return sorted(least.values())
-
-
 def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray) -> np.ndarray:
     """Mask of the subgroup generated by H (``mask``, ``elems``) and ``gens``.
 
@@ -276,15 +269,17 @@ def _join(g: FiniteGroup, mask: np.ndarray, elems: np.ndarray, gens: np.ndarray)
     return mask
 
 
-def _extension_subgroups(g: FiniteGroup) -> list[np.ndarray]:
-    """Every subgroup by cyclic extension, one block per order as ``_series_subgroups`` gives.
+def _extension_subgroups(g: FiniteGroup, within: np.ndarray) -> list[np.ndarray]:
+    """Every subgroup of the subgroup ``within`` masks, one block per order, ascending.
 
     Every subgroup is a join of cyclic subgroups, so growing each known
-    subgroup H by one generator x of each cyclic subgroup outside it
-    reaches them all (Neubueser 1960). Since join(H, x) = join(H, hx) for
-    h in H, only the first such x of each right coset H x is tried.
+    subgroup H by the least generator x of each cyclic subgroup of
+    ``within`` outside H reaches them all (cyclic extension, Neubueser
+    1960). Since join(H, x) = join(H, hx) for h in H, only the first such
+    x of each right coset H x is tried. On {e} this is the one trivial row.
     """
-    cyclic = _cyclic_generators(g)
+    least = {frozenset(_powers(g, x).tolist()): x for x in np.flatnonzero(within)[::-1].tolist()}
+    cyclic = sorted(least.values())
     triv = _trivial_mask(g)
     seen = {triv.tobytes(): triv}
     queue: list[tuple[np.ndarray, tuple[int, ...]]] = [(triv, ())]
@@ -303,42 +298,43 @@ def _extension_subgroups(g: FiniteGroup) -> list[np.ndarray]:
                 queue.append((grown, grown_gens))
     masks = np.array(list(seen.values()))
     sizes = np.count_nonzero(masks, axis=1)
-    return [np.nonzero(masks[sizes == m])[1].reshape(-1, m) for m in np.unique(sizes)]
+    orders = np.flatnonzero(np.bincount(sizes))  # not np.unique, whose first call costs ms
+    return [np.nonzero(masks[sizes == m])[1].reshape(-1, m) for m in orders]
 
 
-def _derived_series(g: FiniteGroup) -> list[np.ndarray] | None:
-    """Masks of the derived series G, G', G'', ... down to the last term above {e}.
+def _derived_series(g: FiniteGroup) -> list[np.ndarray]:
+    """Masks of the derived series G, G', G'', ... down to its core.
 
-    G^(j+1) is generated by the commutators a^-1 b^-1 a b of G^(j). An
-    abelian group's series is G alone, with no table read. Returns None
-    when a term is its own commutator subgroup above {e}, that is when G is
-    not solvable.
+    G^(j+1) is generated by the commutators a^-1 b^-1 a b of G^(j). The
+    core, the last term, is the first one that is its own commutator
+    subgroup: {e} when G is solvable, and otherwise a perfect group (A5,
+    SL(2,5) or PSL(2,7) at the orders the package accepts). An abelian
+    group's series is G, {e} (G alone when G = {e}), with no table read.
     """
     terms = [np.ones(g.order, dtype=bool)]
     if g.is_abelian():
-        return terms
+        return terms if g.order == 1 else terms + [_trivial_mask(g)]
     while True:
         d = np.flatnonzero(terms[-1])
         comm = np.zeros(g.order, dtype=bool)
         comm[g.cayley[g.inverse[d][:, None], g.conjugation[d[:, None], d]]] = True
         nxt = generated_subgroups(g.cayley[None], comm[None])[0]
-        size = np.count_nonzero(nxt)
-        if size == 1:
+        if np.count_nonzero(nxt) == d.size:
             return terms
-        if size == d.size:
-            return None
         terms.append(nxt)
 
 
 def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[np.ndarray]:
-    """Every subgroup of a solvable group, each built once: one block per order, ascending.
+    """Every subgroup, each built once: one block per order, ascending.
 
-    Walks a series {e} = B_0 < B_1 < ... < B_k = G with cyclic factors:
-    B_i joins B_{i-1} and g_i, the least element outside B_{i-1} of the
-    deepest term of ``_derived_series`` that B_{i-1} does not yet hold, and
+    ``terms`` is the derived series down to its core C. The subgroups of C
+    come from ``_extension_subgroups`` (just {e} when G is solvable). The
+    walk then climbs a series C = B_0 < B_1 < ... < B_k = G with cyclic
+    factors: B_i joins B_{i-1} and g_i, the least element outside B_{i-1}
+    of the deepest term of ``terms`` that B_{i-1} does not yet hold, and
     m_i = [B_i : B_{i-1}]. The factors of the derived series are abelian,
-    so B_{i-1} is normal in B_i. For an abelian group the series is that of
-    its greedy generators (``FiniteGroup.generators``). Every subgroup H
+    so B_{i-1} is normal in B_i. For an abelian group the series is that
+    of its greedy generators (``FiniteGroup.generators``). Every subgroup H
     of B_i is K<x> for exactly one triple (K, d, b): K = H n B_{i-1}, a
     subgroup of the step before; d | m_i, the index of the image of H in
     the cyclic quotient B_i / B_{i-1}; and b, the least element of a right
@@ -348,8 +344,8 @@ def _series_subgroups(g: FiniteGroup, terms: list[np.ndarray]) -> list[np.ndarra
     abelian group normalizes K, so only a nonabelian one is tested.
     """
     abelian = g.is_abelian()
-    blocks = {1: np.array([[g.identity]])}  # order -> its subgroups, one per row
-    span = blocks[1][0]
+    blocks = {b.shape[1]: b for b in _extension_subgroups(g, terms[-1])}  # order -> its rows
+    span = np.flatnonzero(terms[-1])
     while span.size < g.order:
         inside = np.zeros(g.order, dtype=bool)
         inside[span] = True
@@ -393,10 +389,11 @@ def subgroup_blocks(g: FiniteGroup) -> list[np.ndarray]:
     """Every subgroup, one read-only int64 (B, m) block per order m, orders ascending.
 
     Row b of a block holds one subgroup's elements in increasing order,
-    and the rows come in lexicographic order.  A solvable group has each
-    subgroup built once along a cyclic series that refines its derived
-    series (``_series_subgroups``); a group that is not solvable is
-    searched by cyclic extension (``_extension_subgroups``).
+    and the rows come in lexicographic order.  Every group takes one path
+    (``_series_subgroups``): the subgroups of the core of its derived series,
+    {e} when the group is solvable, come from cyclic extension
+    (``_extension_subgroups``), and every subgroup above is built once along
+    a cyclic series that refines the derived series from the core up.
 
     The blocks are enumerated on the first call and kept on the group
     for its lifetime; every later call returns a new list of the same

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -424,9 +425,9 @@ def _reference_subgroups(g):
                                   "Z2xZ2xZ2xZ2xZ2xZ2"])
 def test_all_subgroups_match_reference(monkeypatch, name):
     """Abelian groups through ``all_subgroups``; nonabelian ones through the
-    extension search itself, which every solvable group now bypasses. Every
-    join of the extension search is a frontier walk of ``_join``; the cyclic
-    series, which every solvable group takes, never walks."""
+    extension search itself over the whole group, where ``subgroup_blocks``
+    runs it on the core alone ({e} here). Every join of the extension search
+    is a frontier walk of ``_join``; the cyclic series never walks."""
     g = tf(name[3:]).group if name.startswith("tf-") else group(name)
     g = replace(g)  # the same table with nothing cached, so all_subgroups enumerates here
     walked = []
@@ -435,7 +436,8 @@ def test_all_subgroups_match_reference(monkeypatch, name):
     if g.is_abelian():
         got = [_row(s) for s in all_subgroups(g)]
     else:
-        got = sorted((tuple(row.tolist()) for block in groups_mod._extension_subgroups(g)
+        whole = np.ones(g.order, dtype=bool)
+        got = sorted((tuple(row.tolist()) for block in groups_mod._extension_subgroups(g, whole)
                       for row in block), key=lambda s: (len(s), s))
     assert bool(walked) == (not g.is_abelian())
     assert got == _reference_subgroups(g)
@@ -465,20 +467,111 @@ def test_series_subgroups_match_reference_without_a_walk(monkeypatch, name):
     assert got == _reference_subgroups(g)
 
 
+def _special_linear(n, p, label):
+    """SL(n, p): the n x n matrices of determinant 1 over GF(p), in lexicographic
+    order of their entries, under the matrix product."""
+    mats = np.array(list(itertools.product(range(p), repeat=n * n))).reshape(-1, n, n)
+    mats = mats[np.round(np.linalg.det(mats)).astype(int) % p == 1]
+    code = p ** np.arange(n * n - 1, -1, -1)
+    index = np.full(p ** (n * n), -1)
+    index[mats.reshape(-1, n * n) @ code] = np.arange(len(mats))
+    prod = np.einsum("aij,bjk->abik", mats, mats) % p
+    return from_cayley_table(index[prod.reshape(len(mats), len(mats), n * n) @ code], label)
+
+
+@functools.cache
+def _core_group(name):
+    """A group whose derived series ends at a perfect core above {e}: A5 (S5's
+    subgroup of order 60) times cyclic factors, SL(2,5), GL(3,2) ~ PSL(2,7), or
+    a builtin product or relabelled one as ``_series_group`` reads it."""
+    if name in ("SL(2,5)", "GL(3,2)"):  # GL(3,2) = SL(3,2)
+        n, p = (2, 5) if name == "SL(2,5)" else (3, 2)
+        return _special_linear(n, p, name)
+    if not name.startswith("A5"):
+        return _series_group(name)
+    a5 = next(sub for sub in all_subgroups(group("S5")) if sub.order == 60)
+    g = from_cayley_table(subgroup_group(a5).cayley, "A5")
+    for token in name.split("x")[1:]:
+        g = direct_product(g, build_cyclic(int(token[1:])))
+    return g
+
+
+def _blocks_digest(blocks):
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(np.asarray(block.shape).tobytes() + block.tobytes())
+    return h.hexdigest()[:16]
+
+
+# subgroup count and a digest of the order blocks, as recorded when G was searched whole
+_CORE_BLOCKS = {
+    "A5": (59, "423ed7a4b7aaa83b"),
+    "A5xZ2": (164, "c24887fc4095c33c"),
+    "A5xZ3": (148, "d8551a3ee3119dde"),
+    "A5xZ4": (269, "331702a98249d8db"),
+    "A5xZ2xZ2": (601, "eb4423169f30ad47"),
+    "SL(2,5)": (76, "da721dbb550bd620"),
+    "GL(3,2)": (179, "c2b5c5dc6d57e12d"),
+    "S5~7": (156, "e54ce551b50575e2"),
+}
+
+
+@pytest.mark.parametrize("name", _CORE_BLOCKS)
+def test_subgroup_blocks_over_a_perfect_core_are_pinned(name):
+    g = replace(_core_group(name))
+    blocks = subgroup_blocks(g)
+    assert (sum(map(len, blocks)), _blocks_digest(blocks)) == _CORE_BLOCKS[name]
+
+
+@pytest.mark.parametrize("name", ["A5", "S5~7"])
+def test_subgroups_over_a_perfect_core_match_reference(name):
+    """A5 alone, and S5 relabelled so that its identity is not element 0."""
+    g = _core_group(name)
+    assert (g.identity != 0) == name.endswith("~7")
+    assert [_row(s) for s in all_subgroups(g)] == _reference_subgroups(g)
+
+
+@pytest.mark.parametrize("name, core", [
+    ("Z2xZ4xZ3", 1), ("tf-Z3xZ3", 1), ("S4", 1), ("D4xZ2xZ2", 1),
+    ("S5", 60), ("S5xZ2", 60), ("SL(2,5)", 120), ("GL(3,2)", 168),
+])
+def test_extension_search_runs_once_inside_the_core(monkeypatch, name, core):
+    """The extension search reads only the core, the last term of the derived
+    series, and every join it makes stays inside it."""
+    g = tf(name[3:]).group if name.startswith("tf-") else _core_group(name)
+    g = replace(g)  # the same table with nothing cached
+    within, joins = [], []
+    real_search, real_join = groups_mod._extension_subgroups, groups_mod._join
+    monkeypatch.setattr(groups_mod, "_extension_subgroups",
+                        lambda h, mask: within.append(mask) or real_search(h, mask))
+    monkeypatch.setattr(groups_mod, "_join",
+                        lambda *args: joins.append(real_join(*args)) or joins[-1])
+    subgroup_blocks(g)
+    assert [int(mask.sum()) for mask in within] == [core]
+    assert np.array_equal(within[0], groups_mod._derived_series(g)[-1])
+    assert all(not (mask & ~within[0]).any() for mask in joins)
+    assert bool(joins) == (core > 1)
+
+
+@pytest.mark.parametrize("name", ["S4", "D8xD8", "tf-Z2xZ2xZ4"])
+def test_solvable_enumeration_calls_no_unique(monkeypatch, name):
+    """The first np.unique call in a process costs milliseconds; the solvable path makes none."""
+    g = replace(tf(name[3:]).group if name.startswith("tf-") else group(name))
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("np.unique"))
+    assert len(subgroup_blocks(g)) > 1
+
+
 def test_relabelled_group_has_greedy_generators_off_the_unit_vectors():
     g, name = _relabelled(group("Z4xZ2"), 7)
     # read back in Z4xZ2 coordinates, where the unit vectors are 2 = (1, 0) and 1 = (0, 1)
     assert sorted(np.argsort(name)[list(g.generators)].tolist()) != [1, 2]
 
 
-@pytest.mark.parametrize("name, path", [
-    *((name, "_series_subgroups") for name in ("Z2xZ4xZ3", "Z4xZ2~7", "tf-Z3xZ3")),
-    *((name, "_series_subgroups") for name in ("S4", "Q8xZ2", "D4xZ2xZ2")),
-    ("S5", "_extension_subgroups"),
-])
-def test_solvable_groups_take_the_cyclic_series(monkeypatch, name, path):
-    """Only a group whose derived series stalls above {e} is searched by extension;
-    an abelian group builds no conjugation table on the way."""
+@pytest.mark.parametrize("name", ["Z2xZ4xZ3", "Z4xZ2~7", "tf-Z3xZ3", "S4", "Q8xZ2", "D4xZ2xZ2",
+                                  "S5"])
+def test_solvable_groups_take_the_cyclic_series(monkeypatch, name):
+    """Every group takes the cyclic series once, which runs the extension search
+    once, on its core; an abelian group builds no conjugation table on the way."""
     g = tf(name[3:]).group if name.startswith("tf-") else _series_group(name)
     g = replace(g)  # the same table with nothing cached
     ran = []
@@ -487,7 +580,7 @@ def test_solvable_groups_take_the_cyclic_series(monkeypatch, name, path):
         monkeypatch.setattr(groups_mod, helper,
                             lambda *args, helper=helper, real=real: ran.append(helper) or real(*args))
     all_subgroups(g)
-    assert ran == [path]
+    assert ran == ["_series_subgroups", "_extension_subgroups"]
     assert ("conjugation" in vars(g)) == (not g.is_abelian())
 
 
@@ -527,12 +620,13 @@ def test_subgroup_blocks_are_enumerated_once_per_group(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, orders", [
-    ("Z2xZ4xZ3", [24]), ("S3", [6, 3]), ("Q8xZ2", [16, 2]), ("S4", [24, 12, 4]),
-    ("S4xS3", [144, 36, 4]), ("S5", None), ("S5xZ2", None),
+    ("Z2xZ4xZ3", [24, 1]), ("S3", [6, 3, 1]), ("Q8xZ2", [16, 2, 1]), ("S4", [24, 12, 4, 1]),
+    ("S4xS3", [144, 36, 4, 1]), ("S5", [120, 60]), ("S5xZ2", [240, 60]),
 ])
 def test_derived_series(name, orders):
+    """Every series ends at its core: {e} for a solvable group, A5 for S5 and S5xZ2."""
     terms = groups_mod._derived_series(group(name))
-    assert orders == (None if terms is None else [int(t.sum()) for t in terms])
+    assert [int(t.sum()) for t in terms] == orders
 
 
 @pytest.mark.parametrize("m, n", list(itertools.combinations_with_replacement((4, 6, 8, 9, 12, 16), 2)))

@@ -37,7 +37,8 @@ WINDOW_NORM = 1e-9  # | |window| - 1 |
 PHI_IDENTITY = 1e-9  # phi(e) vs dpi_vol (rel); phi vs dpi_vol delta_e in the scan
 BLOCK_TRACE = 1e-8  # phi_oracle's Tr P / |lattice| vs dpi_vol (rel)
 DENSITY_SLACK = 1e-9  # slack on dpi_vol <= n/d and dpi_vol >= n/d
-PARSEVAL = 1e-8  # Parseval bounds vs 1, S^-1/2 commutation, basis orthonormality
+PARSEVAL = 1e-8  # Parseval bounds vs 1, ||[S^-1/2 block, pi]||_F, basis orthonormality
+EXACT_LAW = 1e-13  # rep unitarity and law residuals where the commutation certificate holds
 FRAME_CONDITION = 1e6  # largest condition tightened: S^-1/2 errs by ~30 eps times it < PARSEVAL
 ORTHOGONALITY = 1e-8  # Schur orthogonality relation (rel)
 WAVELET = 1e-10  # wavelet intertwining and isometry

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (DEFAULT_TOL, DENSITY_SLACK, FRAME_CONDITION, PARSEVAL, SYSTEM_ENTRIES,
-                     Tolerances)
+from .config import (DEFAULT_TOL, DENSITY_SLACK, EXACT_LAW, FRAME_CONDITION, PARSEVAL,
+                     SYSTEM_ENTRIES, Tolerances)
 from .dimension import ModuleSpec
 from .errors import (BoundExceeded, ConsistencyError, DimensionMismatch, Infeasible,
                      check_residual)
@@ -242,15 +242,15 @@ def construct_parseval_generators(
     Requires the existence decision to be positive; raises Infeasible
     otherwise, and BoundExceeded if the system would have more than
     SYSTEM_ENTRIES entries (n |lattice| vectors of length d dim).  On a
-    feasible cell a generic system is a frame, so this
-    takes the canonical tight frame S^-1/2 g of a seeded random system,
-    drawing a fresh one (at most 8 times) while the draw is not a frame
-    or its frame operator's condition number exceeds FRAME_CONDITION.
-    S^-1/2 must commute with the lattice action, and the result is
-    verified Parseval before it is returned: both frame bounds within
-    PARSEVAL of 1.  On a square cell (n |lattice| = d dim) those are the
-    extreme eigenvalues of the Gram matrix G, so the same check bounds
-    max |G - I| <= ||G - I||_2 and is the orthonormality check.
+    feasible cell a generic system is a frame, so this takes the canonical
+    tight frame S^-1/2 g of a seeded random system, drawing a fresh one
+    (at most 8 times) while the draw is not a frame or its frame operator's
+    condition number exceeds FRAME_CONDITION.  S^-1/2 must commute with the
+    lattice action (``tighten``'s Frobenius residual within PARSEVAL), and
+    the result is verified Parseval before it is returned: both frame
+    bounds within PARSEVAL of 1.  On a square cell (n |lattice| = d dim)
+    those are the extreme eigenvalues of the Gram matrix G, so the same
+    check bounds max |G - I| <= ||G - I||_2 and is the orthonormality check.
     """
     decision = existence_decision(spec, n, d)
     if not decision.frame:
@@ -286,9 +286,10 @@ def tighten(sys: MultiwindowSystem):
     Applies the inverse square root of the frame operator to every
     stacked generator.  Also returns the commutation residual of that
     correction against the lattice action, which the theory says is
-    zero.  Raises Infeasible when the smallest eigenvalue of the frame
-    operator is at most the rep's tol_frame times the largest, or when
-    its condition number exceeds FRAME_CONDITION.
+    zero, as the Frobenius norm of ``_commutation_residual``.  Raises
+    Infeasible when the smallest eigenvalue of the frame operator is at
+    most the rep's tol_frame times the largest, or when its condition
+    number exceeds FRAME_CONDITION.
     """
     w = _system_vectors(sys)
     s = w.T @ w.conj()
@@ -300,8 +301,7 @@ def tighten(sys: MultiwindowSystem):
         raise Infeasible(f"ill-conditioned frame operator: condition {eigvals[-1] / eigvals[0]:.2e}")
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 
-    pis = sys.rep.matrices[sys.lattice.elements]
-    comm_res = _commutation_residual(inv_sqrt, pis, sys.d)
+    comm_res = _commutation_residual(inv_sqrt, sys.rep, sys.lattice.elements, sys.d)
 
     flat = sys.generators.reshape(sys.n, sys.d * sys.rep.dim)
     new_flat = flat @ inv_sqrt.T
@@ -310,24 +310,46 @@ def tighten(sys: MultiwindowSystem):
     return tight, comm_res
 
 
-def _commutation_residual(op: np.ndarray, pis: np.ndarray, d: int) -> float:
-    """max |op (I_d kron pi) - (I_d kron pi) op| over the stack ``pis``.
+def _commutation_residual(op: np.ndarray, rep: ProjectiveRep, elems, d: int) -> float:
+    """Largest ||B pi(l) - pi(l) B||_F over the d^2 blocks B of ``op`` and l in ``elems``.
 
-    Block (j, k) of that commutator is B pi - pi B for the block B of
-    op: two matrix products against the whole stack, B [pi_1 ... pi_L]
-    and [pi_1; ...; pi_L] B, so temporaries hold |L| dim^2 entries.
+    An abelian group with an irreducible rep exact to rounding (EXACT_LAW)
+    reads it off B's coefficients (``_certificate_residual``); any other
+    rep, one validated at a loosened tol_id among them, multiplies it out.
     """
+    dim, rpt = rep.dim, rep.report
+    blocks = op.reshape(d, dim, d, dim).transpose(0, 2, 1, 3).reshape(d * d, dim, dim)
+    exact = np.max((rpt.unitary_residual, rpt.composition_residual)) <= EXACT_LAW  # a NaN is not
+    if rep.group.is_abelian() and exact and rep.commutant_dim == 1:
+        return _certificate_residual(blocks, rep, elems)
+    return _product_residual(blocks, rep.matrices[elems])
+
+
+def _certificate_residual(blocks: np.ndarray, rep: ProjectiveRep, elems) -> float:
+    """The commutation residual from the coefficients c_z = tr(pi(z)* B), z in G.
+
+    For an irreducible sigma-rep, Schur orthogonality gives sum_z |tr(pi(z)* X)|^2
+    = (|G|/dim) ||X||_F^2.  On an abelian group pi(z) pi(l) and pi(l) pi(z) are
+    sigma(z, l) and sigma(l, z) times pi(zl), so X = B pi(l) - pi(l) B has
+    coefficient (sigma(z, l) - sigma(l, z)) c_z at zl, and ||X||_F^2 is (dim/|G|)
+    sum_z |c_z|^2 K[l, z], K = |sigma(z, l) - sigma(l, z)|^2 kept on the cocycle.
+    """
+    g, dim, c = rep.group.order, rep.dim, rep.cocycle
+    c2 = np.abs(rep.matrices.reshape(g, dim * dim) @ blocks.reshape(-1, dim * dim).conj().T) ** 2
+    gap = c.kept(("commutator_gap",), lambda: np.abs(c.table - c.table.T) ** 2)
+    return float(np.sqrt((gap[elems] @ c2).max() * dim / g))
+
+
+def _product_residual(blocks: np.ndarray, pis: np.ndarray) -> float:
+    """The residual multiplied out: B [pi_1 ... pi_L] and [pi_1; ...; pi_L] B for each B."""
     nl, dim = pis.shape[0], pis.shape[1]
     side_by_side = pis.transpose(1, 0, 2).reshape(dim, nl * dim)
     stacked = pis.reshape(nl * dim, dim)
-    blocks = op.reshape(d, dim, d, dim)
-    res = np.empty((d, d))
-    for j in range(d):
-        for k in range(d):
-            b = blocks[j, :, k, :]
-            left = (b @ side_by_side).reshape(dim, nl, dim).transpose(1, 0, 2)
-            right = (stacked @ b).reshape(nl, dim, dim)
-            res[j, k] = np.abs(left - right).max()
+    res = np.empty(len(blocks))
+    for i, b in enumerate(blocks):
+        left = (b @ side_by_side).reshape(dim, nl, dim).transpose(1, 0, 2)
+        right = (stacked @ b).reshape(nl, dim, dim)
+        res[i] = np.linalg.norm(left - right, axis=(1, 2)).max()
     return float(res.max())
 
 

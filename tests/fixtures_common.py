@@ -62,9 +62,12 @@ def trivial_irrep(name):
 
 
 @cache
-def pauli_product(name="S3"):
-    """The group ``name`` times the order-4 time-frequency group, twist from the second factor."""
-    p = tf("Z2")
+def pauli_product(name="S3", base="Z2"):
+    """The group ``name`` times the time-frequency group over ``base``, twisted by the second.
+
+    The default base Z2 gives the order-4 Pauli twist.
+    """
+    p = tf(base)
     f = group(name)
     g = direct_product(f, p.group)
     table = np.kron(np.ones((f.order, f.order)), p.cocycle.table)
@@ -72,14 +75,15 @@ def pauli_product(name="S3"):
 
 
 @cache
-def pauli_product_irrep(name="S3"):
-    """An irrep of ``pauli_product(name)``: a rep of the first factor times the Pauli rep.
+def pauli_product_irrep(name="S3", base="Z2"):
+    """An irrep of ``pauli_product(name, base)``: a rep of the first factor times the base's.
 
     Its phi lives on the regular elements, the first factor, where the
     trace does not vanish.  For S4 the cut has dimension 6, a three-dimensional
-    rep of S4 whose trace vanishes on the 3-cycles.
+    rep of S4 whose trace vanishes on the 3-cycles.  On an abelian first
+    factor the cut has the base's dimension, so dim^2 < |G|.
     """
-    g, c = pauli_product(name)
+    g, c = pauli_product(name, base)
     return irreducible_subrep(g, c, seed=1)
 
 

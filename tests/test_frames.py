@@ -36,7 +36,8 @@ from latdim.config import PARSEVAL, SYSTEM_ENTRIES
 
 import dense_reference
 from fixtures_common import pauli_product_irrep, rep_fixtures, tf, traced_peak, trivial_irrep
-from latdim.frames import _commutation_residual, _system_vectors
+from latdim.frames import (_certificate_residual, _commutation_residual, _product_residual,
+                           _system_vectors)
 
 
 def _wh_spec(base="Z2", lattice=None):
@@ -543,11 +544,22 @@ def test_construction_on_every_nonabelian_cell(label):
 
 
 def _kron_commutation_residual(op, pis, d):
-    """The commutator of op with I_d kron pi, one lattice element at a time."""
+    """The largest entry of the commutator of op with I_d kron pi, one lattice element at a time."""
     res = 0.0
     for p in pis:
         big = np.kron(np.eye(d), p)
         res = max(res, float(np.abs(op @ big - big @ op).max()))
+    return res
+
+
+def _kron_frobenius_residual(op, pis, d):
+    """The largest Frobenius norm of a dim x dim block of that commutator, one element at a time."""
+    dim = pis.shape[1]
+    res = 0.0
+    for p in pis:
+        big = np.kron(np.eye(d), p)
+        blocks = (op @ big - big @ op).reshape(d, dim, d, dim)
+        res = max(res, float(np.sqrt((np.abs(blocks) ** 2).sum(axis=(1, 3))).max()))
     return res
 
 
@@ -557,41 +569,160 @@ def _inv_sqrt_frame_operator(sys):
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
 
 
-@pytest.mark.parametrize("label", ["wh-Z3", "wh-Z4", "s3-pauli"])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_commutation_residual_matches_kron_loop(label, d):
-    rep = pauli_product_irrep() if label == "s3-pauli" else tf(label[3:]).rep
-    sub = full_subgroup(rep.group)
-    spec = make_module_spec(rep, sub)
-    pis = rep.matrices[list(sub.elements)]
-    # S^-1/2 of a frame commutes with the lattice action
+# abelian twists whose irreps have dim^2 < |G|: Z2 x TF(Z2) (dim 2, |G| 8) and
+# Z3 x TF(Z3) (dim 3, |G| 27), each with the lifted Weyl-Heisenberg table
+_LIFTED_WH = {"lifted-wh-Z2": ("Z2", "Z2"), "lifted-wh-Z3": ("Z3", "Z3")}
+
+
+def _commutation_rep(label):
+    if label == "s3-pauli":
+        return pauli_product_irrep()
+    if label in _LIFTED_WH:
+        return pauli_product_irrep(*_LIFTED_WH[label])
+    return tf(label[3:]).rep
+
+
+def _commutation_cases(rep, d):
+    """S^-1/2 of a seeded frame, which commutes with the lattice action, and a Hermitian h."""
+    spec = make_module_spec(rep, full_subgroup(rep.group))
     inv_sqrt = _inv_sqrt_frame_operator(random_system(spec, d, d, seed=d))
-    want = _kron_commutation_residual(inv_sqrt, pis, d)
-    assert want < 1e-12
-    assert abs(_commutation_residual(inv_sqrt, pis, d) - want) <= 1e-15
-    # a Hermitian matrix that does not commute
     rng = np.random.default_rng(d)
     size = d * rep.dim
     h = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    h = h + h.conj().T
-    want = _kron_commutation_residual(h, pis, d)
-    assert want > 0.1
-    assert abs(_commutation_residual(h, pis, d) - want) <= 1e-15 * want
+    return inv_sqrt, h + h.conj().T
+
+
+def _kernels(op, rep, d):
+    """The residual on the full lattice by the dispatcher and by each kernel that applies."""
+    elems = full_subgroup(rep.group).elements
+    dim = rep.dim
+    blocks = op.reshape(d, dim, d, dim).transpose(0, 2, 1, 3).reshape(d * d, dim, dim)
+    out = {"dispatch": _commutation_residual(op, rep, elems, d),
+           "products": _product_residual(blocks, rep.matrices[elems])}
+    if rep.group.is_abelian():
+        out["certificate"] = _certificate_residual(blocks, rep, elems)
+    return out
+
+
+@pytest.mark.parametrize("label", ["wh-Z3", "wh-Z4", "s3-pauli"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_commutation_residual_matches_kron_loop(label, d):
+    """Every evaluation is the dense per-element Frobenius residual, within 1e-15 ||op||_F.
+
+    It is at least the largest entry of the commutator, up to the same rounding.
+    """
+    rep = _commutation_rep(label)
+    pis = rep.matrices[full_subgroup(rep.group).elements]
+    inv_sqrt, h = _commutation_cases(rep, d)
+    for op, commutes in ((inv_sqrt, True), (h, False)):
+        want = _kron_frobenius_residual(op, pis, d)
+        assert (want < 1e-12) if commutes else (want > 0.1)
+        tol = 1e-15 * np.linalg.norm(op)
+        floor = _kron_commutation_residual(op, pis, d)
+        for kernel, got in _kernels(op, rep, d).items():
+            assert abs(got - want) <= tol, kernel
+            assert got >= floor - tol, kernel
+
+
+@pytest.mark.parametrize("label", ["wh-Z4", *_LIFTED_WH])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_certificate_equals_the_products(label, d):
+    """On abelian twists with dim^2 = |G| and dim^2 < |G| both kernels give one residual."""
+    rep = _commutation_rep(label)
+    assert rep.group.is_abelian() and rep.commutant_dim == 1
+    if label in _LIFTED_WH:
+        assert rep.dim ** 2 < rep.group.order
+    for op in _commutation_cases(rep, d):
+        got = _kernels(op, rep, d)
+        assert abs(got["certificate"] - got["products"]) <= 1e-15 * np.linalg.norm(op)
+        assert got["dispatch"] == got["certificate"]
+
+
+def _direct_sum_twice(rep):
+    """pi + pi: a valid, reducible rep for the same cocycle."""
+    mats = np.zeros((rep.group.order, 2 * rep.dim, 2 * rep.dim), dtype=np.complex128)
+    mats[:, :rep.dim, :rep.dim] = mats[:, rep.dim:, rep.dim:] = rep.matrices
+    return projective_rep(rep.group, rep.cocycle, mats)
+
+
+@pytest.mark.parametrize("label, kernel", [("wh-Z4", "_certificate_residual"),
+                                           ("lifted-wh-Z3", "_certificate_residual"),
+                                           ("s3-pauli", "_product_residual"),
+                                           ("wh-Z4-twice", "_product_residual")])
+def test_tighten_takes_the_certificate_only_on_abelian_irreps(label, kernel, monkeypatch):
+    """s3-pauli is nonabelian and pi + pi on TF(Z4) is reducible: both multiply out."""
+    rep = _direct_sum_twice(tf("Z4").rep) if label.endswith("twice") else _commutation_rep(label)
+    assert rep.commutant_dim == (4 if label.endswith("twice") else 1)
+    ran = []
+    for name in ("_certificate_residual", "_product_residual"):
+        real = getattr(frames_mod, name)
+        monkeypatch.setattr(frames_mod, name,
+                            lambda *a, name=name, real=real: ran.append(name) or real(*a))
+    gens = np.random.default_rng(0).normal(size=(rep.dim, 2, rep.dim))
+    tight, comm_res = tighten(multiwindow_system(rep, full_subgroup(rep.group), gens))
+    assert ran == [kernel]
+    assert comm_res < 1e-12
+    assert abs(frame_report(tight).lower - 1.0) < 1e-8
 
 
 def test_commutation_residual_keeps_a_nan():
-    rep = tf("Z3").rep
-    op = np.eye(2 * rep.dim, dtype=np.complex128)
-    op[rep.dim + 1, 0] = np.nan  # in block (1, 0)
-    assert np.isnan(_commutation_residual(op, rep.matrices, 2))
+    """Through the certificate and the products on wh-Z3, and the products on s3-pauli."""
+    for label, kernels in (("wh-Z3", 3), ("s3-pauli", 2)):
+        rep = _commutation_rep(label)
+        op = np.eye(2 * rep.dim, dtype=np.complex128)
+        op[rep.dim + 1, 0] = np.nan  # in block (1, 0)
+        got = _kernels(op, rep, 2)
+        assert len(got) == kernels
+        assert all(np.isnan(v) for v in got.values()), (label, got)
 
 
 def test_construct_rejects_a_large_commutation_residual(monkeypatch):
     spec = _wh_spec("Z3")
     construct_parseval_generators(spec, 1, 1)
-    monkeypatch.setattr(frames_mod, "_commutation_residual", lambda op, pis, d: 2e-8)
+    monkeypatch.setattr(frames_mod, "_commutation_residual", lambda op, rep, elems, d: 2e-8)
     with pytest.raises(ConsistencyError, match="commutation residual"):
         construct_parseval_generators(spec, 1, 1)
+
+
+def test_construct_rejects_an_s_inv_sqrt_moved_by_2e_8_off_its_diagonal_blocks(monkeypatch):
+    """One entry of block (0, 1) of S^-1/2 moved by 2e-8 breaks commutation beyond PARSEVAL."""
+    spec = _wh_spec("Z3")
+    construct_parseval_generators(spec, 1, 2)
+    real = frames_mod._commutation_residual
+
+    def moved(op, rep, elems, d):
+        op = op.copy()
+        op[0, rep.dim] += 2e-8
+        return real(op, rep, elems, d)
+
+    monkeypatch.setattr(frames_mod, "_commutation_residual", moved)
+    with pytest.raises(ConsistencyError, match="commutation residual"):
+        construct_parseval_generators(spec, 1, 2)
+
+
+def test_a_rep_validated_at_a_loose_tol_id_multiplies_the_commutator_out():
+    """wh-Z3 with pi(t^2) moved by exp(i 1e-7 H) passes at tol_id 1e-6, as a rep file could.
+
+    On the translations T, where sigma is symmetric, B = pi(t) commutes with
+    the exact rep and the certificate, which reads sigma, not the matrices,
+    still says so; the perturbed product pi(t) pi(t^2) does not, by
+    1e-7 ||[pi(t), H]||_F > PARSEVAL, so the dispatcher multiplies it out.
+    """
+    t = tf("Z3")
+    lattice = _translations(t)
+    shift, moved = (int(x) for x in lattice.elements if x != t.rep.group.identity)
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    mats = t.rep.matrices.copy()
+    mats[moved] = mats[moved] @ (v * np.exp(1e-7j * w)) @ v.conj().T
+    rep = projective_rep(t.rep.group, t.rep.cocycle, mats, Tolerances(tol_id=1e-6))
+    assert rep.report.ok and rep.commutant_dim == 1
+    assert 1e-8 < rep.report.composition_residual < 1e-6
+    b = t.rep.matrices[shift][None]
+    products = _product_residual(b, mats[lattice.elements])
+    assert _certificate_residual(b, rep, lattice.elements) < 1e-14 < PARSEVAL < products
+    assert _commutation_residual(b[0], rep, lattice.elements, 1) == products
 
 
 def _grid(spec):
